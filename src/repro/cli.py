@@ -469,7 +469,6 @@ def _cmd_request(args) -> int:
                 m=args.m,
                 parametrized=args.parametrized,
                 eps=args.eps,
-                omega=args.omega,
                 backend=args.backend,
                 load_case=args.load_case,
             )
@@ -683,8 +682,6 @@ def main(argv: list[str] | None = None) -> int:
         help="least-squares parametrized coefficients",
     )
     p_req.add_argument("--eps", type=float, default=1e-6, help="‖Δu‖∞ tolerance")
-    p_req.add_argument("--omega", type=float, default=1.0,
-                       help="SSOR relaxation parameter")
     p_req.add_argument(
         "--load-case", type=int, default=0,
         help="deterministic load-case index (0 = the scenario's own load)",

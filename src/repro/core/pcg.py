@@ -508,7 +508,9 @@ def block_pcg(
             for j in active:
                 if supports_matvec_into(k, p[j], kp_buf):
                     matvec_into(k, p[j], kp_buf)
-                    kp.append(kp_buf.copy())
+                    # A lone active column reads its K·p before the next
+                    # product overwrites the buffer: no copy needed.
+                    kp.append(kp_buf if len(active) == 1 else kp_buf.copy())
                 else:
                     kp.append(np.asarray(k @ p[j], dtype=float))
         survivors: list[int] = []

@@ -35,6 +35,7 @@ __all__ = [
     "TABLE3_SCHEDULE",
     "MStepSolve",
     "build_blocked_system",
+    "cell_label",
     "build_mstep_applicator",
     "mstep_coefficients",
     "ssor_interval",
@@ -61,6 +62,13 @@ TABLE3_SCHEDULE = [
 #: lets the test fire on a CG stall at a = 62/80, breaking the paper's
 #: I ∝ a scaling).
 TABLE2_EPS = 1e-7
+
+
+def cell_label(m: int, parametrized: bool) -> str:
+    """Table-2/3 row label of one schedule cell: ``0``, ``3``, ``3P``, …"""
+    if m == 0:
+        return "0"
+    return f"{m}P" if parametrized else f"{m}"
 
 
 def build_blocked_system(problem) -> BlockedMatrix:
@@ -155,9 +163,7 @@ class MStepSolve:
     @property
     def label(self) -> str:
         """Table-2/3 row label: ``0``, ``1``, …, or ``2P``, ``3P``, …"""
-        if self.m == 0:
-            return "0"
-        return f"{self.m}P" if self.parametrized else f"{self.m}"
+        return cell_label(self.m, self.parametrized)
 
 
 def solve_mstep_ssor(
@@ -199,9 +205,6 @@ def solve_mstep_ssor(
     :func:`repro.core.pcg.block_pcg` lockstep per cell (per-column
     bitwise identical to repeated calls of this function).
     """
-    require(m >= 0, "m must be non-negative")
-    require(applicator in ("sweep", "splitting"),
-            "applicator must be 'sweep' or 'splitting'")
     from repro.pipeline import SolverPlan, SolverSession
 
     plan = SolverPlan.single(

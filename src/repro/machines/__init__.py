@@ -10,6 +10,7 @@ signal-flag network and global reductions on the Finite Element Machine
 paper's conclusions.
 """
 
+from repro.machines.cells import normalize_cell
 from repro.machines.comm import CommLog
 from repro.machines.cyber import CyberMachine, CyberResult
 from repro.machines.diagonals import DiagonalStorage
@@ -26,6 +27,7 @@ from repro.machines.topology import LINK_DIRECTIONS, Assignment, ProcessorGrid
 from repro.machines.vector import VectorMachine, VectorOpLog
 
 __all__ = [
+    "normalize_cell",
     "CommLog",
     "CyberMachine",
     "CyberResult",

@@ -30,11 +30,13 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from repro.driver import cell_label
 from repro.fem.model_problems import PlateProblem
 from repro.fem.plane_stress import assemble_plate_full
 from repro.kernels import ops as kernel_ops
 from repro.kernels.backend import REFERENCE, resolve_backend
 from repro.kernels.triangular import ColorBlockMergedSweep, ColorBlockTriangularSolver
+from repro.machines.cells import normalize_cell
 from repro.machines.diagonals import DiagonalStorage
 from repro.machines.timing import CYBER_203, VectorTimingModel
 from repro.machines.vector import VectorMachine
@@ -517,17 +519,8 @@ class CyberMachine:
         either way (the cost stream is structural); iterates agree to
         roundoff-in-summation-order.
         """
-        require(m >= 0, "m must be non-negative")
+        coefficients, parametrized = normalize_cell(m, coefficients)
         backend = resolve_backend(backend)
-        if m >= 1:
-            coefficients = (
-                np.ones(m) if coefficients is None else np.asarray(coefficients, float)
-            )
-            require(coefficients.size == m, "need one coefficient per step")
-            parametrized = not np.allclose(coefficients, 1.0)
-        else:
-            coefficients = None
-            parametrized = False
 
         vm = VectorMachine(self.timing)
         precond_seconds = 0.0
@@ -578,10 +571,8 @@ class CyberMachine:
 
         u_natural = self._to_natural(u)
         seconds = vm.elapsed_seconds
-        if label is None:
-            label = "0" if m == 0 else (f"{m}P" if parametrized else f"{m}")
         return CyberResult(
-            label=label,
+            label=label if label is not None else cell_label(m, parametrized),
             m=m,
             parametrized=parametrized,
             iterations=iterations,
@@ -624,18 +615,7 @@ class CyberMachine:
         """
         states: list[_ScheduleCellState] = []
         for m, coefficients in cells:
-            require(m >= 0, "m must be non-negative")
-            if m >= 1:
-                coefficients = (
-                    np.ones(m)
-                    if coefficients is None
-                    else np.asarray(coefficients, float)
-                )
-                require(coefficients.size == m, "need one coefficient per step")
-                parametrized = not np.allclose(coefficients, 1.0)
-            else:
-                coefficients = None
-                parametrized = False
+            coefficients, parametrized = normalize_cell(m, coefficients)
             states.append(
                 _ScheduleCellState(
                     m, coefficients, parametrized, VectorMachine(self.timing)
@@ -740,10 +720,7 @@ class CyberMachine:
             seconds = st.vm.elapsed_seconds
             label = labels[index] if labels is not None else None
             if label is None:
-                label = (
-                    "0" if st.m == 0
-                    else (f"{st.m}P" if st.parametrized else f"{st.m}")
-                )
+                label = cell_label(st.m, st.parametrized)
             results.append(
                 CyberResult(
                     label=label,

@@ -30,7 +30,7 @@ import numpy as np
 
 from repro.core.mstep import MStepPreconditioner
 from repro.core.splittings import SSORSplitting
-from repro.driver import build_blocked_system, build_mstep_applicator
+from repro.driver import build_blocked_system, build_mstep_applicator, cell_label
 from repro.fem.model_problems import PlateProblem
 from repro.kernels import (
     matvec_accumulate,
@@ -38,6 +38,7 @@ from repro.kernels import (
     supports_matvec_block,
     xpay_into,
 )
+from repro.machines.cells import normalize_cell
 from repro.machines.comm import CommLog
 from repro.machines.timing import FEM_1983, ArrayTimingModel
 from repro.machines.topology import Assignment, ProcessorGrid
@@ -318,20 +319,13 @@ class FiniteElementMachine:
         applicators in here so a whole Table-3 schedule shares one set of
         factorized sweeps.
         """
-        require(m >= 0, "m must be non-negative")
-        if m >= 1:
-            coefficients = (
-                np.ones(m) if coefficients is None else np.asarray(coefficients, float)
-            )
-            require(coefficients.size == m, "need one coefficient per step")
-            parametrized = not np.allclose(coefficients, 1.0)
-            if preconditioner is None:
-                preconditioner = build_mstep_applicator(
-                    self.blocked, coefficients, applicator=applicator, backend=backend
-                )
-        else:
-            parametrized = False
+        coefficients, parametrized = normalize_cell(m, coefficients)
+        if coefficients is None:
             preconditioner = None
+        elif preconditioner is None:
+            preconditioner = build_mstep_applicator(
+                self.blocked, coefficients, applicator=applicator, backend=backend
+            )
 
         ordering = self.blocked.ordering
         f_mc = ordering.permute_vector(np.asarray(self.problem.f, dtype=float))
@@ -435,10 +429,8 @@ class FiniteElementMachine:
             compute_seconds += 2 * max_owned * t_flop  # p update
 
         seconds = compute_seconds + comm_seconds + reduction_seconds + flag_seconds
-        if label is None:
-            label = "0" if m == 0 else (f"{m}P" if parametrized else f"{m}")
         return FEMResult(
-            label=label,
+            label=label if label is not None else cell_label(m, parametrized),
             m=m,
             parametrized=parametrized,
             n_procs=n_procs,
@@ -504,20 +496,8 @@ class FiniteElementMachine:
         """
         states: list[_FEMCellState] = []
         for m, coefficients in cells:
-            require(m >= 0, "m must be non-negative")
-            if m >= 1:
-                coefficients = (
-                    np.ones(m)
-                    if coefficients is None
-                    else np.asarray(coefficients, float)
-                )
-                require(coefficients.size == m, "need one coefficient per step")
-                parametrized = not np.allclose(coefficients, 1.0)
-                group = int(m)
-            else:
-                coefficients = None
-                parametrized = False
-                group = None
+            coefficients, parametrized = normalize_cell(m, coefficients)
+            group = None if coefficients is None else int(m)
             states.append(_FEMCellState(m, coefficients, parametrized, group))
 
         # One shared splitting applicator — the realization solve() builds

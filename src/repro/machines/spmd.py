@@ -35,6 +35,7 @@ import scipy.sparse as sp
 
 from repro.driver import build_blocked_system
 from repro.kernels.ops import matvec_accumulate
+from repro.machines.cells import normalize_cell
 from repro.machines.topology import Assignment
 from repro.util import require
 
@@ -446,12 +447,7 @@ class SPMDSolver:
         eps: float = 1e-6,
         maxiter: int | None = None,
     ) -> SPMDResult:
-        require(m >= 0, "m must be non-negative")
-        if m >= 1:
-            coefficients = (
-                np.ones(m) if coefficients is None else np.asarray(coefficients, float)
-            )
-            require(coefficients.size == m, "need one coefficient per step")
+        coefficients, _ = normalize_cell(m, coefficients)
         f_mc = self.ordering.permute_vector(np.asarray(self.problem.f, dtype=float))
         maxiter = maxiter if maxiter is not None else 5 * self.n + 100
 
@@ -527,16 +523,7 @@ class SPMDSolver:
         """
         states: list[_SPMDCellState] = []
         for m, coefficients in cells:
-            require(m >= 0, "m must be non-negative")
-            if m >= 1:
-                coefficients = (
-                    np.ones(m)
-                    if coefficients is None
-                    else np.asarray(coefficients, float)
-                )
-                require(coefficients.size == m, "need one coefficient per step")
-            else:
-                coefficients = None
+            coefficients, _ = normalize_cell(m, coefficients)
             states.append(_SPMDCellState(m, coefficients))
         max_m = max((st.m for st in states if st.m >= 1), default=0)
         for st in states:

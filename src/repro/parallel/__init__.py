@@ -45,6 +45,7 @@ from repro.parallel.shards import (
     ShardResult,
     ShardSpec,
     StencilDescription,
+    operator_handle,
     run_shard,
     shard_token,
     stencil_description,
@@ -75,6 +76,7 @@ __all__ = [
     "ShardResult",
     "ShardSpec",
     "StencilDescription",
+    "operator_handle",
     "run_shard",
     "shard_token",
     "stencil_description",

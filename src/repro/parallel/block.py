@@ -29,11 +29,11 @@ from repro.parallel import shm
 from repro.parallel.executor import effective_workers, run_tasks
 from repro.parallel.shards import (
     ApplicatorRecipe,
-    CSRPayload,
     ShardSpec,
     matrix_token,
+    operator_handle,
     run_shard,
-    stencil_description,
+    shard_token,
 )
 from repro.util import require
 
@@ -88,31 +88,27 @@ def build_shard_specs(
     fallback, where each spec carries its own ``(n, g)`` slice and the
     iterates ride back through the result pickle).
 
-    A matrix-free :class:`~repro.kernels.stencil.StencilOperator` (no
-    ``tocsr``) ships as its tiny :class:`~repro.parallel.shards.
-    StencilDescription` instead of CSR segments or payloads — the
-    right-hand-side and output blocks still ride shared memory when
-    enabled.
+    The operator itself travels by :func:`~repro.parallel.shards.
+    operator_handle` — a matrix-free
+    :class:`~repro.kernels.stencil.StencilOperator` as its tiny
+    :class:`~repro.parallel.shards.StencilDescription` on either
+    transport, while its right-hand-side and output blocks still ride
+    shared memory when enabled.
     """
     F = np.asarray(F, dtype=float)
     n, ncols = F.shape
     if u0 is not None:
         u0 = np.asarray(u0, dtype=float)
     use_shm = shm.shm_enabled() if use_shm is None else use_shm
-    assembled = hasattr(k, "tocsr")
-    token = f"{matrix_token(k)}:{recipe.fingerprint()}"
     common = dict(
-        token=token, recipe=recipe, eps=eps, maxiter=maxiter,
+        token=shard_token(k, recipe), matrix=operator_handle(k, use_shm),
+        recipe=recipe, eps=eps, maxiter=maxiter,
         track_residual=track_residual, stopping=stopping,
     )
 
     if use_shm:
         reg = shm.registry()
         mtoken = matrix_token(k)
-        operator = (
-            reg.publish_operator(mtoken, k) if assembled
-            else stencil_description(k)
-        )
         f_view = reg.publish_block(mtoken, "rhs", F)
         u0_common = None
         if u0 is not None and u0.ndim == 2:
@@ -122,14 +118,12 @@ def build_shard_specs(
         out_view = reg.alloc_block(mtoken, "out", (n, ncols))
         specs = [
             ShardSpec(
-                matrix=operator, columns=cols, F=f_view, u0=u0_common,
-                out=out_view, **common,
+                columns=cols, F=f_view, u0=u0_common, out=out_view, **common,
             )
             for cols in groups
         ]
         return specs, out_view
 
-    payload = CSRPayload.from_matrix(k) if assembled else stencil_description(k)
     specs = []
     for cols in groups:
         u0_slice = None
@@ -137,8 +131,8 @@ def build_shard_specs(
             u0_slice = u0 if u0.ndim == 1 else np.ascontiguousarray(u0[:, cols])
         specs.append(
             ShardSpec(
-                matrix=payload, columns=cols,
-                F=np.ascontiguousarray(F[:, cols]), u0=u0_slice, **common,
+                columns=cols, F=np.ascontiguousarray(F[:, cols]), u0=u0_slice,
+                **common,
             )
         )
     return specs, None

@@ -47,6 +47,7 @@ __all__ = [
     "ApplicatorRecipe",
     "ShardSpec",
     "ShardResult",
+    "operator_handle",
     "run_shard",
     "warm_shard",
     "shard_token",
@@ -285,7 +286,7 @@ class ShardSpec:
     """
 
     token: str  # worker compile-cache key (operator + recipe)
-    matrix: object  # CSRHandle (zero-copy) or CSRPayload (pickled fallback)
+    matrix: object  # an operator_handle: CSRHandle, CSRPayload or StencilDescription
     recipe: ApplicatorRecipe
     columns: np.ndarray  # global column indices of this group
     F: object  # ArrayView over the full block, or the (n, g) slice itself
@@ -347,6 +348,24 @@ def matrix_token(k) -> str:
 def shard_token(k, recipe: ApplicatorRecipe) -> str:
     """The worker compile-cache key for one (operator, recipe) pair."""
     return f"{matrix_token(k)}:{recipe.fingerprint()}"
+
+
+def operator_handle(k, use_shm: bool):
+    """How the operator ``k`` travels to the workers.
+
+    A matrix-free :class:`~repro.kernels.stencil.StencilOperator` (no
+    ``tocsr``) ships as its tiny :class:`StencilDescription` on either
+    transport.  An assembled operator is published once to the segment
+    registry under its :func:`matrix_token` when ``use_shm`` (a
+    :class:`~repro.parallel.shm.CSRHandle`; later calls hit the
+    registry's cache), and flattened into a pickled :class:`CSRPayload`
+    otherwise.
+    """
+    if not hasattr(k, "tocsr"):
+        return stencil_description(k)
+    if use_shm:
+        return shm.registry().publish_operator(matrix_token(k), k)
+    return CSRPayload.from_matrix(k)
 
 
 def compiled_shard_state(spec: ShardSpec):

@@ -12,18 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from repro.driver import TABLE2_SCHEDULE, TABLE3_SCHEDULE
+from repro.driver import TABLE2_SCHEDULE, TABLE3_SCHEDULE, cell_label
 from repro.kernels.backend import STENCIL, resolve_solver_backend
 from repro.util import require
 
 __all__ = ["SolverPlan", "cell_label"]
-
-
-def cell_label(m: int, parametrized: bool) -> str:
-    """Table-2/3 row label of one schedule cell: ``0``, ``3``, ``3P``, …"""
-    if m == 0:
-        return "0"
-    return f"{m}P" if parametrized else f"{m}"
 
 
 @dataclass(frozen=True)
@@ -41,7 +34,10 @@ class SolverPlan:
         Parametrization of the αᵢ (see
         :func:`repro.driver.mstep_coefficients`).
     omega:
-        SSOR relaxation parameter for the splitting/interval.
+        SSOR relaxation parameter for the splitting/interval.  Only the
+        ``"splitting"`` applicator realizes it; the merged sweeps (and so
+        the ``"stencil"`` backend) are the paper's ω = 1 formulation, and
+        a plan asking them for another ω is rejected.
     applicator:
         ``"sweep"`` (Conrad–Wallach merged sweeps) or ``"splitting"``
         (kernel-dispatched m-step Horner over the SSOR splitting).
@@ -83,6 +79,11 @@ class SolverPlan:
         require(self.omega > 0, "omega must be positive")
         require(self.applicator in ("sweep", "splitting"),
                 "applicator must be 'sweep' or 'splitting'")
+        require(
+            self.omega == 1.0 or self.applicator == "splitting",
+            "the merged sweeps are the omega = 1 method; "
+            "omega != 1 needs applicator='splitting'",
+        )
         resolve_solver_backend(self.backend)  # raises listing valid choices
         require(
             not (self.backend == STENCIL and self.applicator == "splitting"),

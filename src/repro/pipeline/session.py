@@ -9,15 +9,17 @@ being solved.  Before this module every entry point re-derived some of it
 per cell; a :class:`SolverSession` does each piece exactly once and then
 serves:
 
-* :meth:`solve_cell` / :meth:`execute` — driver-level solves (the engine
-  behind :func:`repro.driver.solve_mstep_ssor`), any number of cells and
-  right-hand sides against one compiled state;
-* :meth:`solve_cell_block` / :meth:`execute_block` — the multi-RHS
-  numerics: all ``k`` columns of an ``(n, k)`` right-hand-side block
+* :meth:`solve_cell_block` / :meth:`execute_block` — the session's one
+  solve path: all ``k`` columns of an ``(n, k)`` right-hand-side block
   advance through **one** :func:`repro.core.pcg.block_pcg` lockstep per
-  cell, batched through the compiled kernels, per-column bitwise
-  identical to ``k`` separate solves (:meth:`execute_many` routes
-  through this path);
+  cell on the plan's operator (the permuted CSR block system, or the
+  matrix-free stencil), batched through the compiled kernels, per-column
+  bitwise identical to ``k`` separate Algorithm-1 solves
+  (:meth:`execute_many` routes through this path, and
+  ``sharding=`` fans the columns across worker processes);
+* :meth:`solve_cell` / :meth:`execute` — driver-level single-RHS solves
+  (the engine behind :func:`repro.driver.solve_mstep_ssor`): column 0 of
+  a one-column :meth:`solve_cell_block`;
 * :meth:`cyber` / :meth:`run_cyber_schedule` — the CYBER 203/205
   simulator, including the batched lockstep pass that runs a whole
   Table-2 schedule through **one** simulator sweep
@@ -41,11 +43,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.convergence import StoppingRule
-from repro.core.pcg import BlockPCGResult, block_pcg, pcg
+from repro.core.pcg import BlockPCGResult, block_pcg
 from repro.driver import (
     MStepSolve,
     build_blocked_system,
     build_mstep_applicator,
+    cell_label,
     mstep_coefficients,
     ssor_interval,
 )
@@ -58,6 +61,7 @@ from repro.parallel import (
     ApplicatorRecipe,
     ShardSpec,
     column_groups,
+    operator_handle,
     sharded_block_pcg,
     sharded_schedule,
     shard_token,
@@ -65,7 +69,7 @@ from repro.parallel import (
 )
 from repro.parallel import shm
 from repro.parallel.executor import run_tasks
-from repro.parallel.shards import CSRPayload, matrix_token, stencil_description
+from repro.parallel.shards import matrix_token
 from repro.pipeline.plan import SolverPlan
 from repro.pipeline.problems import build_scenario
 from repro.util import require
@@ -113,10 +117,12 @@ class SessionStats:
     ``colorings``/``intervals``/``applicator_builds``/``machine_builds``
     count the expensive once-per-session steps; ``solves`` counts the
     cheap per-execution work (one per right-hand side, so a ``k``-wide
-    block solve adds ``k``) and ``block_solves`` the batched
-    :func:`~repro.core.pcg.block_pcg` passes those columns rode in on.
-    A correctly compiled session serving many cells and right-hand sides
-    increments only ``solves``/``block_solves`` — one compile for any k.
+    block solve adds ``k``) and ``block_solves`` the
+    :func:`~repro.core.pcg.block_pcg` passes those columns rode in on —
+    every solve runs the block path, so a single-RHS
+    :meth:`SolverSession.solve_cell` adds one of each.  A correctly
+    compiled session serving many cells and right-hand sides increments
+    only ``solves``/``block_solves`` — one compile for any k.
     """
 
     colorings: int = 0
@@ -179,9 +185,7 @@ class BlockMStepSolve:
     @property
     def label(self) -> str:
         """Table-2/3 row label: ``0``, ``1``, …, or ``2P``, ``3P``, …"""
-        if self.m == 0:
-            return "0"
-        return f"{self.m}P" if self.parametrized else f"{self.m}"
+        return cell_label(self.m, self.parametrized)
 
     def column(self, j: int) -> MStepSolve:
         """The j-th right-hand side's solve as a standalone record."""
@@ -293,24 +297,19 @@ class SolverSession:
         return self._coefficients[key]
 
     def applicator(
-        self,
-        m: int,
-        parametrized: bool,
-        applicator: str | None = None,
-        backend: str | None = None,
+        self, m: int, parametrized: bool, applicator: str | None = None
     ):
         """The cell's compiled preconditioner realization (cached)."""
         if m == 0:
             return None
         applicator = applicator if applicator is not None else self.plan.applicator
-        backend = backend if backend is not None else self.plan.backend
-        key = (m, parametrized, applicator, backend)
+        key = (m, parametrized, applicator)
         if key not in self._applicators:
             self._applicators[key] = build_mstep_applicator(
                 self.blocked,
                 self.coefficients(m, parametrized),
                 applicator=applicator,
-                backend=backend,
+                backend=self.plan.backend,
                 omega=self.plan.omega,
             )
             self.stats.applicator_builds += 1
@@ -334,26 +333,41 @@ class SolverSession:
             self.stats.applicator_builds += 1
         return self._stencil_applicators[key]
 
-    def _shard_recipe(
-        self,
-        m: int,
-        parametrized: bool,
-        applicator: str | None = None,
-        backend: str | None = None,
-    ) -> ApplicatorRecipe:
+    def _operator(self):
+        """The plan's operator and the blocked system it is permuted into.
+
+        The assembled backends solve on ``blocked.permuted`` under the
+        blocked system's multicolor ordering; the ``"stencil"`` backend
+        solves on the matrix-free operator in natural ordering, so its
+        blocked system is ``None`` (no permutation).
+        """
+        if self.plan.backend == STENCIL:
+            return self.stencil(), None
+        blocked = self.blocked
+        return blocked.permuted, blocked
+
+    def _applicator(self, m: int, parametrized: bool):
+        """The cell's cached preconditioner on the plan's operator."""
+        if self.plan.backend == STENCIL:
+            return self.stencil_applicator(m, parametrized)
+        return self.applicator(m, parametrized)
+
+    def _shard_recipe(self, m: int, parametrized: bool) -> ApplicatorRecipe:
         """The cell's applicator as a picklable rebuild recipe.
 
         Worker processes of the sharded block path reconstruct the exact
-        realization the plan names — the merged multicolor sweep or the
-        kernel-dispatched splitting — from this description plus the
-        shard's CSR payload, through the same constructors
-        :func:`repro.driver.build_mstep_applicator` uses.
+        realization the plan names — the merged multicolor sweep, the
+        kernel-dispatched splitting, or the matrix-free
+        :class:`~repro.kernels.stencil.StencilSSOR` — from this
+        description plus the shard's operator handle, through the same
+        constructors the serial path uses.
         """
         if m == 0:
             return ApplicatorRecipe(kind="none")
-        kind = applicator if applicator is not None else self.plan.applicator
         coefficients = self.coefficients(m, parametrized)
-        if kind == "sweep":
+        if self.plan.backend == STENCIL:
+            return ApplicatorRecipe(kind="stencil", coefficients=coefficients)
+        if self.plan.applicator == "sweep":
             ordering = self.blocked.ordering
             return ApplicatorRecipe(
                 kind="sweep",
@@ -365,65 +379,39 @@ class SolverSession:
             kind="splitting",
             coefficients=coefficients,
             omega=self.plan.omega,
-            backend=backend if backend is not None else self.plan.backend,
-        )
-
-    def _stencil_shard_recipe(self, m: int, parametrized: bool) -> ApplicatorRecipe:
-        """The matrix-free cell's applicator as a picklable rebuild recipe.
-
-        Workers reconstruct :class:`~repro.kernels.stencil.StencilSSOR`
-        around the operator they rebuilt from the shard's
-        :class:`~repro.parallel.StencilDescription` — the same constructor
-        the serial path uses, so iterates stay bitwise identical.
-        """
-        if m == 0:
-            return ApplicatorRecipe(kind="none")
-        return ApplicatorRecipe(
-            kind="stencil", coefficients=self.coefficients(m, parametrized)
+            backend=self.plan.backend,
         )
 
     def compile(self) -> "SolverSession":
         """Force every plan artifact now (idempotent).
 
-        Touches the blocked system, the interval (iff some cell is
-        parametrized), and every cell's coefficients and applicator, so a
-        compiled session's executes perform no factorization work at all.
+        Touches the plan's operator (the blocked system, or the stencil),
+        the interval (iff some cell is parametrized), and every cell's
+        coefficients and applicator, so a compiled session's executes
+        perform no factorization work at all.
         """
         if self._compiled:
             return self
-        if self.plan.backend == STENCIL:
-            _ = self.stencil()
-            if self.plan.needs_interval:
-                _ = self.interval
-            for m, parametrized in self.plan.schedule:
-                self.stencil_applicator(m, parametrized)
-            self._compiled = True
-            return self
-        _ = self.blocked
+        self._operator()
         if self.plan.needs_interval:
             _ = self.interval
         for m, parametrized in self.plan.schedule:
-            self.applicator(m, parametrized)
+            self._applicator(m, parametrized)
         self._compiled = True
         return self
 
-    def prewarm_sharding(
-        self,
-        sharding,
-        applicator: str | None = None,
-        backend: str | None = None,
-    ) -> int:
+    def prewarm_sharding(self, sharding) -> int:
         """Pay the sharded path's one-time costs now, not on the first solve.
 
-        Compiles the session, publishes the permuted operator's CSR
-        arrays to the shared-memory registry (one copy, reused by every
-        later dispatch against this session), starts the worker pool, and
-        dispatches :func:`~repro.parallel.warm_shard` specs so each
+        Compiles the session, ships the plan's operator to the workers
+        (:func:`~repro.parallel.operator_handle`: the permuted CSR arrays
+        published once to the shared-memory registry and reused by every
+        later dispatch against this session, or on the stencil backend
+        the tiny :class:`~repro.parallel.StencilDescription` workers
+        rebuild the matrix-free operator from), starts the worker pool,
+        and dispatches :func:`~repro.parallel.warm_shard` specs so each
         worker attaches the operator and factorizes every plan cell's
-        applicator *before* the first timed solve.  On the stencil
-        backend nothing rides shared memory for the operator — each warm
-        spec carries the tiny :class:`~repro.parallel.StencilDescription`
-        workers rebuild the matrix-free operator from.  Returns the number of
+        applicator *before* the first timed solve.  Returns the number of
         warm dispatches issued; serial sharding (``None`` or one worker)
         is a no-op.
 
@@ -435,49 +423,22 @@ class SolverSession:
         if workers <= 1:
             return 0
         self.compile()
-        stencil_backend = self.plan.backend == STENCIL
-        if stencil_backend:
-            require(
-                applicator in (None, "sweep"),
-                "the stencil backend runs the merged sweeps only",
-            )
-            k_mat = self.stencil()
-        else:
-            k_mat = self.blocked.permuted
-        recipes = []
-        seen: set[str] = set()
+        operator, _ = self._operator()
+        recipes: dict[str, ApplicatorRecipe] = {}
         for m, parametrized in self.plan.schedule:
-            recipe = (
-                self._stencil_shard_recipe(m, parametrized)
-                if stencil_backend
-                else self._shard_recipe(
-                    m, parametrized, applicator=applicator, backend=backend
-                )
-            )
-            token = shard_token(k_mat, recipe)
-            if token not in seen:
-                seen.add(token)
-                recipes.append((token, recipe))
-        if not recipes:
-            return 0
-        if stencil_backend:
-            # The operator ships as its tiny diagonal description — no CSR
-            # segments to publish; workers rebuild it bitwise on attach.
-            handle = stencil_description(k_mat)
-        elif shm.shm_enabled():
-            reg = shm.registry()
-            mtoken = matrix_token(k_mat)
-            handle = reg.publish_operator(mtoken, k_mat)
-            self._shm_tokens.add(mtoken)
-        else:
-            handle = CSRPayload.from_matrix(k_mat)
+            recipe = self._shard_recipe(m, parametrized)
+            recipes.setdefault(shard_token(operator, recipe), recipe)
+        use_shm = shm.shm_enabled()
+        handle = operator_handle(operator, use_shm)
+        if use_shm:
+            self._shm_tokens.add(matrix_token(operator))
         empty = np.empty((0, 0))
         specs = [
             ShardSpec(
                 token=token, matrix=handle, recipe=recipe,
                 columns=np.arange(0), F=empty,
             )
-            for token, recipe in recipes
+            for token, recipe in recipes.items()
             for _ in range(workers)  # one warm task per pool slot
         ]
         run_tasks(warm_shard, specs, workers)
@@ -531,116 +492,21 @@ class SolverSession:
         stopping: StoppingRule | None = None,
         maxiter: int | None = None,
         track_residual: bool = False,
-        applicator: str | None = None,
-        backend: str | None = None,
     ) -> MStepSolve:
         """One cell against the compiled state, for any right-hand side.
 
-        Numerically identical to :func:`repro.driver.solve_mstep_ssor` —
-        which since this refactor *is* a one-cell session — but coloring,
-        interval, coefficients and the preconditioner factorization come
-        from the session caches.
+        Column 0 of a one-column :meth:`solve_cell_block`: bitwise
+        Algorithm 1 (:func:`repro.core.pcg.pcg`) on the plan's operator
+        with the session's cached applicator, and the engine behind
+        :func:`repro.driver.solve_mstep_ssor` (a one-cell session).
+        Coloring, interval, coefficients and the preconditioner
+        factorization come from the session caches.
         """
-        require(m >= 0, "m must be non-negative")
-        backend_name = backend if backend is not None else self.plan.backend
-        if backend_name == STENCIL:
-            return self._solve_cell_stencil(
-                m, parametrized, f=f, eps=eps, stopping=stopping,
-                maxiter=maxiter, track_residual=track_residual,
-                applicator=applicator,
-            )
-        blocked = self.blocked
-        ordering = blocked.ordering
-        f = self.problem.f if f is None else f
-        f_mc = ordering.permute_vector(np.asarray(f, dtype=float))
-
-        interval = self._interval
-        coefficients = None
-        preconditioner = None
-        if m >= 1:
-            if parametrized:
-                interval = self.interval
-            coefficients = self.coefficients(m, parametrized)
-            preconditioner = self.applicator(
-                m, parametrized, applicator=applicator, backend=backend
-            )
-
-        result = pcg(
-            blocked.permuted,
-            f_mc,
-            preconditioner=preconditioner,
-            eps=eps if eps is not None else self.plan.eps,
-            stopping=stopping,
-            maxiter=maxiter if maxiter is not None else self.plan.maxiter,
-            track_residual=track_residual,
-        )
-        self.stats.solves += 1
-        self.stats.operator_backend = "csr"
-        return MStepSolve(
-            result=result,
-            u=ordering.unpermute_vector(result.u),
-            m=m,
-            parametrized=parametrized,
-            coefficients=coefficients,
-            interval=interval,
-            blocked=blocked,
-        )
-
-    def _solve_cell_stencil(
-        self,
-        m: int,
-        parametrized: bool = False,
-        f: np.ndarray | None = None,
-        eps: float | None = None,
-        stopping: StoppingRule | None = None,
-        maxiter: int | None = None,
-        track_residual: bool = False,
-        applicator: str | None = None,
-    ) -> MStepSolve:
-        """:meth:`solve_cell` on the matrix-free path (natural ordering).
-
-        The stencil backend never permutes: PCG runs on the operator in
-        natural ordering (K is the same matrix, so the iteration is the
-        similarity-transformed twin of the permuted CSR run — iterates
-        map through the permutation, iteration counts agree exactly).
-        """
-        require(
-            applicator in (None, "sweep"),
-            "the stencil backend runs the merged sweeps only",
-        )
-        operator = self.stencil()
-        f = self.problem.f if f is None else f
-        f = np.asarray(f, dtype=float)
-
-        interval = self._interval
-        coefficients = None
-        preconditioner = None
-        if m >= 1:
-            if parametrized:
-                interval = self.interval
-            coefficients = self.coefficients(m, parametrized)
-            preconditioner = self.stencil_applicator(m, parametrized)
-
-        result = pcg(
-            operator,
-            f,
-            preconditioner=preconditioner,
-            eps=eps if eps is not None else self.plan.eps,
-            stopping=stopping,
-            maxiter=maxiter if maxiter is not None else self.plan.maxiter,
-            track_residual=track_residual,
-        )
-        self.stats.solves += 1
-        self.stats.operator_backend = STENCIL
-        return MStepSolve(
-            result=result,
-            u=result.u,
-            m=m,
-            parametrized=parametrized,
-            coefficients=coefficients,
-            interval=interval,
-            blocked=None,
-        )
+        F = None if f is None else np.asarray(f, dtype=float)[:, None]
+        return self.solve_cell_block(
+            m, parametrized, F=F, eps=eps, stopping=stopping,
+            maxiter=maxiter, track_residual=track_residual,
+        ).column(0)
 
     def solve_cell_block(
         self,
@@ -651,20 +517,25 @@ class SolverSession:
         stopping: StoppingRule | None = None,
         maxiter: int | None = None,
         track_residual: bool = False,
-        applicator: str | None = None,
-        backend: str | None = None,
         sharding=None,
     ) -> BlockMStepSolve:
         """One cell against an ``(n, k)`` block of right-hand sides.
 
-        The multi-RHS analogue of :meth:`solve_cell`: all ``k`` columns
-        advance through one :func:`~repro.core.pcg.block_pcg` lockstep
-        against the compiled caches — one batched matrix product and one
-        batched preconditioner application per outer iteration, columns
-        retiring individually as they converge.  Per-column iterates,
-        iteration counts and counters are bitwise identical to ``k``
-        separate :meth:`solve_cell` calls (the acceptance contract of the
-        block path, pinned in the tests).
+        The session's one solve path: all ``k`` columns advance through
+        one :func:`~repro.core.pcg.block_pcg` lockstep against the
+        compiled caches — one batched matrix product and one batched
+        preconditioner application per outer iteration, columns retiring
+        individually as they converge.  Per-column iterates, iteration
+        counts and counters are bitwise identical to ``k`` separate
+        :meth:`solve_cell` calls (the acceptance contract of the block
+        path, pinned in the tests).
+
+        The plan picks the operator once.  The assembled backends permute
+        the block into the multicolor system and the iterates back out;
+        the ``"stencil"`` backend never permutes — K is the same matrix,
+        so the iteration is the similarity-transformed twin of the
+        permuted CSR run (iterates map through the permutation, iteration
+        counts agree exactly).
 
         ``F`` may be any memory order (Fortran-ordered or strided blocks
         are handled); ``None`` solves the problem's own load as a
@@ -680,177 +551,54 @@ class SolverSession:
         is exactly the serial lockstep.
         """
         require(m >= 0, "m must be non-negative")
-        backend_name = backend if backend is not None else self.plan.backend
-        if backend_name == STENCIL:
-            return self._solve_cell_block_stencil(
-                m, parametrized, F=F, eps=eps, stopping=stopping,
-                maxiter=maxiter, track_residual=track_residual,
-                applicator=applicator, sharding=sharding,
-            )
-        blocked = self.blocked
-        ordering = blocked.ordering
-        if F is None:
-            F = np.asarray(self.problem.f, dtype=float)[:, None]
-        F = np.asarray(F, dtype=float)
+        operator, blocked = self._operator()
+        F = np.asarray(self.problem.f if F is None else F, dtype=float)
         if F.ndim == 1:
             F = F[:, None]
         require(F.ndim == 2, "F must be an (n, k) block of right-hand sides")
-        f_mc = np.ascontiguousarray(ordering.permute_vector(F))
+        if blocked is not None:
+            F = blocked.ordering.permute_vector(F)
+        F = np.ascontiguousarray(F)
 
-        interval = self._interval
-        coefficients = None
-        if m >= 1:
-            if parametrized:
-                interval = self.interval
-            coefficients = self.coefficients(m, parametrized)
+        interval = self.interval if m >= 1 and parametrized else self._interval
+        coefficients = self.coefficients(m, parametrized)
 
         workers, group = _normalize_sharding(sharding)
-        groups = (
-            column_groups(f_mc.shape[1], workers, group) if workers > 1 else []
+        groups = column_groups(F.shape[1], workers, group) if workers > 1 else []
+        options = dict(
+            eps=eps if eps is not None else self.plan.eps,
+            stopping=stopping,
+            maxiter=maxiter if maxiter is not None else self.plan.maxiter,
+            track_residual=track_residual,
         )
-        sharded = len(groups) > 1
-        eps_value = eps if eps is not None else self.plan.eps
-        maxiter_value = maxiter if maxiter is not None else self.plan.maxiter
-        if sharded:
+        if len(groups) > 1:
             # Workers rebuild the applicator from the recipe; the parent
             # never factorizes (or pickles) a live one on this path.
-            recipe = self._shard_recipe(
-                m, parametrized, applicator=applicator, backend=backend
-            )
             result = sharded_block_pcg(
-                blocked.permuted,
-                f_mc,
-                recipe=recipe,
-                workers=workers,
-                group=group,
-                eps=eps_value,
-                stopping=stopping,
-                maxiter=maxiter_value,
-                track_residual=track_residual,
+                operator, F, recipe=self._shard_recipe(m, parametrized),
+                workers=workers, group=group, **options,
             )
             self.stats.shard_dispatches += len(groups)
             if shm.shm_enabled():
                 # The dispatch published segments under the operator's
                 # token; tie their lifetime to this session.
-                self._shm_tokens.add(matrix_token(blocked.permuted))
+                self._shm_tokens.add(matrix_token(operator))
         else:
-            preconditioner = (
-                self.applicator(
-                    m, parametrized, applicator=applicator, backend=backend
-                )
-                if m >= 1
-                else None
-            )
             result = block_pcg(
-                blocked.permuted,
-                f_mc,
-                preconditioner=preconditioner,
-                eps=eps_value,
-                stopping=stopping,
-                maxiter=maxiter_value,
-                track_residual=track_residual,
+                operator, F,
+                preconditioner=self._applicator(m, parametrized), **options,
             )
         self.stats.solves += result.k
         self.stats.block_solves += 1
-        self.stats.operator_backend = "csr"
+        self.stats.operator_backend = STENCIL if blocked is None else "csr"
         return BlockMStepSolve(
             result=result,
-            u=ordering.unpermute_vector(result.u),
+            u=result.u if blocked is None else blocked.ordering.unpermute_vector(result.u),
             m=m,
             parametrized=parametrized,
             coefficients=coefficients,
             interval=interval,
             blocked=blocked,
-        )
-
-    def _solve_cell_block_stencil(
-        self,
-        m: int,
-        parametrized: bool = False,
-        F: np.ndarray | None = None,
-        eps: float | None = None,
-        stopping: StoppingRule | None = None,
-        maxiter: int | None = None,
-        track_residual: bool = False,
-        applicator: str | None = None,
-        sharding=None,
-    ) -> BlockMStepSolve:
-        """:meth:`solve_cell_block` on the matrix-free path.
-
-        Sharding works exactly as on the assembled path, except the
-        operator ships as its :class:`~repro.parallel.StencilDescription`
-        (workers rebuild the matrix-free operator bitwise from the tiny
-        diagonal description) while the right-hand-side and output blocks
-        still ride shared memory when enabled.
-        """
-        require(
-            applicator in (None, "sweep"),
-            "the stencil backend runs the merged sweeps only",
-        )
-        operator = self.stencil()
-        if F is None:
-            F = np.asarray(self.problem.f, dtype=float)[:, None]
-        F = np.asarray(F, dtype=float)
-        if F.ndim == 1:
-            F = F[:, None]
-        require(F.ndim == 2, "F must be an (n, k) block of right-hand sides")
-        F = np.ascontiguousarray(F)
-
-        interval = self._interval
-        coefficients = None
-        if m >= 1:
-            if parametrized:
-                interval = self.interval
-            coefficients = self.coefficients(m, parametrized)
-
-        workers, group = _normalize_sharding(sharding)
-        groups = (
-            column_groups(F.shape[1], workers, group) if workers > 1 else []
-        )
-        eps_value = eps if eps is not None else self.plan.eps
-        maxiter_value = maxiter if maxiter is not None else self.plan.maxiter
-        if len(groups) > 1:
-            recipe = self._stencil_shard_recipe(m, parametrized)
-            result = sharded_block_pcg(
-                operator,
-                F,
-                recipe=recipe,
-                workers=workers,
-                group=group,
-                eps=eps_value,
-                stopping=stopping,
-                maxiter=maxiter_value,
-                track_residual=track_residual,
-            )
-            self.stats.shard_dispatches += len(groups)
-            if shm.shm_enabled():
-                # RHS/output blocks were published under the operator's
-                # token; tie their lifetime to this session.
-                self._shm_tokens.add(matrix_token(operator))
-        else:
-            preconditioner = (
-                self.stencil_applicator(m, parametrized) if m >= 1 else None
-            )
-            result = block_pcg(
-                operator,
-                F,
-                preconditioner=preconditioner,
-                eps=eps_value,
-                stopping=stopping,
-                maxiter=maxiter_value,
-                track_residual=track_residual,
-            )
-        self.stats.solves += result.k
-        self.stats.block_solves += 1
-        self.stats.operator_backend = STENCIL
-        return BlockMStepSolve(
-            result=result,
-            u=result.u,
-            m=m,
-            parametrized=parametrized,
-            coefficients=coefficients,
-            interval=interval,
-            blocked=None,
         )
 
     def execute(self, f: np.ndarray | None = None) -> list[MStepSolve]:

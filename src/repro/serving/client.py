@@ -109,7 +109,6 @@ class ServeClient:
         rows: int | None = None,
         m: int | str = 3,
         parametrized: bool = False,
-        omega: float = 1.0,
         eps: float = 1e-6,
         backend: str | None = None,
         rhs=None,
@@ -128,7 +127,6 @@ class ServeClient:
             "scenario": scenario,
             "m": m,
             "parametrized": parametrized,
-            "omega": omega,
             "eps": eps,
             "load_case": load_case,
         }

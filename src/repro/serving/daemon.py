@@ -45,6 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.driver import cell_label
 from repro.parallel import shm, shutdown_pools
 from repro.pipeline import SolverPlan, SolverSession, build_scenario, scenario
 from repro.pipeline.problems import synthetic_load_block
@@ -122,9 +123,7 @@ class SessionEntry:
 
     @property
     def label(self) -> str:
-        if self.m == 0:
-            return "0"
-        return f"{self.m}P" if self.parametrized else f"{self.m}"
+        return cell_label(self.m, self.parametrized)
 
 
 class SessionCache:
@@ -199,7 +198,6 @@ class SessionCache:
             m,
             parametrized,
             eps=request.eps,
-            omega=request.omega,
             backend=request.backend,
             block_rhs=self.auto_width,
         )
@@ -223,10 +221,7 @@ class SessionCache:
 
         probe = SolverSession(
             problem,
-            plan=SolverPlan.single(
-                0, eps=request.eps, omega=request.omega,
-                backend=request.backend,
-            ),
+            plan=SolverPlan.single(0, eps=request.eps, backend=request.backend),
         )
         model = probe.calibrated_model()
         if model is None:

@@ -10,7 +10,7 @@ Operations
 ----------
 ``{"op": "solve", ...}``
     One right-hand side against one compiled system.  The system is named
-    by ``(scenario, rows, m, parametrized, omega, eps, backend)`` — the
+    by ``(scenario, rows, m, parametrized, eps, backend)`` — the
     :meth:`SolveRequest.system_key` the daemon caches compiled
     :class:`~repro.pipeline.session.SolverSession` objects under.  The
     right-hand side is either an explicit ``"rhs": [floats]`` vector or a
@@ -96,7 +96,6 @@ class SolveRequest:
     rows: int | None
     m: int | str  # an int, or "auto" (resolved per cached system)
     parametrized: bool
-    omega: float
     eps: float
     backend: str | None
     rhs: tuple | None
@@ -116,7 +115,6 @@ class SolveRequest:
             self.rows,
             self.m,
             self.parametrized,
-            self.omega,
             self.eps,
             self.backend,
         )
@@ -126,8 +124,8 @@ def parse_solve_request(payload: dict) -> SolveRequest:
     """Validate a ``solve`` payload field by field (:class:`ProtocolError`
     on the first offense — the daemon turns it into an error response)."""
     known = {
-        "op", "scenario", "rows", "m", "parametrized", "omega", "eps",
-        "backend", "rhs", "load_case",
+        "op", "scenario", "rows", "m", "parametrized", "eps", "backend",
+        "rhs", "load_case",
     }
     unknown = sorted(set(payload) - known)
     if unknown:
@@ -152,12 +150,6 @@ def parse_solve_request(payload: dict) -> SolveRequest:
     parametrized = payload.get("parametrized", False)
     if not isinstance(parametrized, bool):
         raise ProtocolError(f"'parametrized' must be a boolean, got {parametrized!r}")
-
-    omega = payload.get("omega", 1.0)
-    if isinstance(omega, bool) or not isinstance(omega, (int, float)):
-        raise ProtocolError(f"'omega' must be a number, got {omega!r}")
-    if not (omega > 0) or not math.isfinite(omega):
-        raise ProtocolError(f"'omega' must be positive and finite, got {omega!r}")
 
     eps = payload.get("eps", 1e-6)
     if isinstance(eps, bool) or not isinstance(eps, (int, float)):
@@ -196,7 +188,6 @@ def parse_solve_request(payload: dict) -> SolveRequest:
         rows=rows,
         m=m,
         parametrized=parametrized,
-        omega=float(omega),
         eps=float(eps),
         backend=backend,
         rhs=rhs,

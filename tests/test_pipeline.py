@@ -17,6 +17,8 @@ Covers the PR's acceptance contracts:
 import numpy as np
 import pytest
 
+from repro.core.convergence import RelativeResidual
+from repro.core.pcg import pcg
 from repro.driver import TABLE2_SCHEDULE, solve_mstep_ssor
 from repro.kernels import REFERENCE, VECTORIZED
 from repro.machines import VectorMachine
@@ -152,6 +154,16 @@ class TestSolverPlan:
         with pytest.raises(ValueError):
             SolverPlan(schedule=[(1, False)], applicator="magic")
 
+    def test_omega_needs_the_splitting_applicator(self):
+        # The merged sweeps (and so the stencil backend) are the omega = 1
+        # method: a relaxed plan must fail, not silently run omega = 1.
+        with pytest.raises(ValueError, match="omega"):
+            SolverPlan.single(3, omega=1.5)
+        with pytest.raises(ValueError, match="omega"):
+            SolverPlan.single(3, omega=1.5, backend="stencil")
+        plan = SolverPlan.single(3, omega=1.5, applicator="splitting")
+        assert plan.omega == 1.5
+
     def test_with_overrides(self):
         plan = SolverPlan.table2().with_(eps=1e-9, backend=REFERENCE)
         assert plan.eps == 1e-9 and plan.backend == REFERENCE
@@ -210,6 +222,54 @@ class TestSessionCompileOnce:
         assert solve.interval is not None
         assert solve.coefficients.shape == (3,)
         assert solve.blocked is not None
+
+
+class TestSolveCellIsAlgorithm1:
+    """``solve_cell`` — column 0 of the block path — is bitwise ``pcg``
+    on the plan's operator with the session's cached applicator."""
+
+    @pytest.fixture(scope="class", params=[None, "stencil"])
+    def session(self, request):
+        plan = SolverPlan.single(3, True, eps=1e-7, backend=request.param)
+        return SolverSession.from_scenario("plate", plan=plan, nrows=8)
+
+    @pytest.fixture(scope="class")
+    def f(self, session):
+        return np.random.default_rng(29).normal(size=session.problem.n)
+
+    @staticmethod
+    def assert_matches_pcg(session, m, parametrized, f, stopping=None):
+        solve = session.solve_cell(
+            m, parametrized, f=f, stopping=stopping, track_residual=True
+        )
+        if session.plan.backend == "stencil":
+            operator = session.stencil()
+            preconditioner = session.stencil_applicator(m, parametrized)
+            permute = unpermute = np.asarray
+        else:
+            operator = session.blocked.permuted
+            preconditioner = session.applicator(m, parametrized)
+            permute = session.blocked.ordering.permute_vector
+            unpermute = session.blocked.ordering.unpermute_vector
+        ref = pcg(
+            operator, permute(f), preconditioner=preconditioner,
+            eps=session.plan.eps, stopping=stopping, track_residual=True,
+        )
+        assert np.array_equal(solve.u, unpermute(ref.u))
+        assert solve.iterations == ref.iterations
+        assert solve.result.converged == ref.converged
+        assert solve.result.delta_history == ref.delta_history
+        assert solve.result.residual_history == ref.residual_history
+        assert solve.result.counter.as_dict() == ref.counter.as_dict()
+        assert solve.result.stop_rule == ref.stop_rule
+
+    @pytest.mark.parametrize("m", [0, 1, 3])
+    @pytest.mark.parametrize("parametrized", [False, True])
+    def test_matches_pcg_bitwise(self, session, f, m, parametrized):
+        self.assert_matches_pcg(session, m, parametrized, f)
+
+    def test_relative_residual_rule_matches_pcg(self, session, f):
+        self.assert_matches_pcg(session, 3, True, f, RelativeResidual(tol=1e-8))
 
 
 class TestSessionMachines:

@@ -93,7 +93,7 @@ class TestProtocol:
         assert req.scenario == "plate"
         assert req.m == 3
         assert req.load_case == 0
-        assert req.system_key == ("plate", None, 3, False, 1.0, 1e-6, None)
+        assert req.system_key == ("plate", None, 3, False, 1e-6, None)
 
     @pytest.mark.parametrize("payload, needle", [
         ({"scenario": 7}, "scenario"),
@@ -127,7 +127,7 @@ class TestProtocol:
 
     def test_system_key_separates_numerics(self):
         base = parse_solve_request(solve_payload())
-        for change in ({"m": 4}, {"eps": 1e-8}, {"omega": 1.2},
+        for change in ({"m": 4}, {"eps": 1e-8},
                        {"parametrized": True}, {"rows": ROWS + 2},
                        {"backend": "reference"}, {"m": "auto"}):
             assert parse_solve_request(
@@ -339,6 +339,8 @@ class TestDaemonOverTCP:
                 (solve_payload(m=-2), "'m'"),
                 (solve_payload(scenario="nope"), "unknown scenario"),
                 (solve_payload(rhs=[0.0, 1.0]), "length"),
+                # The daemon serves only the omega = 1 merged sweep.
+                (solve_payload(omega=1.5), "omega"),
             ]:
                 response = client.request(payload)
                 assert response["ok"] is False

@@ -1,19 +1,25 @@
-"""Optional compiled kernel behind :class:`~repro.kernels.stencil.StencilOperator`.
+"""Optional compiled kernels behind :class:`~repro.kernels.stencil.StencilOperator`.
 
 The pure-numpy stencil product pays one multiply pass and one add pass
 per diagonal; at solver sizes the arrays are cache-resident, so those
-extra sweeps — not DRAM — are the bottleneck.  The C kernel here fuses
-the whole product into a single pass per row::
+extra sweeps — not DRAM — are the bottleneck.  The C kernels here fuse
+the product; per row they compute::
 
-    out[i] = (out[i] +) c₀·x[i+o₀] + c₁·x[i+o₁] + … + c_d·x[i+o_d]
+    out[i] = (out[i] +) v₀[i]·x[i+o₀] + v₁[i]·x[i+o₁] + … + v_d[i]·x[i+o_d]
 
-using the *dominant constant* of each diagonal (a regular-mesh diagonal
-is one number almost everywhere), then overwrites the handful of
-"special" rows — boundary margins plus the rows where any diagonal
-deviates from its constant — with the exact per-row sum.  Per output
-element the terms still accumulate in ascending-offset order, i.e.
-ascending column order per row, so the result is **bitwise identical**
-to both the numpy shifted-slice path and scipy's ``csr_matvec``.
+over the in-window diagonals, the terms accumulating in ascending-offset
+order, i.e. ascending column order per row — so every product is
+**bitwise identical** to both the numpy shifted-slice path and scipy's
+``csr_matvec``.  Two forms exist:
+
+* the *value-row* product (``stencil_values_v``/``_b``) reads the value
+  rows ``v_d`` in place and serves every stencil and every block;
+* the *constant* vector product (``stencil_apply_v``) multiplies by the
+  dominant constant of each diagonal (a regular-mesh diagonal is one
+  number almost everywhere), then overwrites the handful of "special"
+  rows — boundary margins plus the rows where any diagonal deviates from
+  its constant — with the exact per-row sum.  It reads only ``x``, which
+  makes it the faster vector product where it applies.
 
 Compilation happens lazily, once per interpreter, with ``cc`` into a
 content-hashed shared library under ``_build/`` next to this module; the
@@ -37,12 +43,13 @@ import numpy as np
 
 __all__ = ["load_native"]
 
-#: Generated cases of the fixed-diagonal-count fused loop.  Constant trip
-#: counts let the compiler unroll the diagonal chain and vectorize the
-#: row loop; diagonal counts outside the set fall back to the runtime
-#: loop (still one pass, just scalar).  5 covers the scalar 5-point
-#: stencils, 18 the interleaved two-dof plate stencil.
-_SPECIALIZED = (3, 5, 9, 18)
+#: Generated cases of the constant-diagonal vector loop.  A constant trip
+#: count lets the compiler unroll the diagonal chain and vectorize the
+#: row loop; other diagonal counts take the runtime loop (still one
+#: pass, just scalar).  5 is the scalar 5-point stencils (poisson,
+#: anisotropic), the only stencils whose diagonals are all
+#: scalar-dominated; the plate's 15 never reach this kernel.
+_SPECIALIZED = (5,)
 
 _CASE_TEMPLATE = """
         case {nd}:
@@ -55,26 +62,44 @@ _CASE_TEMPLATE = """
             break;
 """
 
-_BLOCK_CASE_TEMPLATE = """
-        case {nd}:
-            for (i = lo; i < hi; ++i) {{
-                const double *xr = x + (size_t)i * nc;
-                double *orow = out + (size_t)i * nc;
-                for (c = 0; c < nc; ++c) {{
-                    double acc = accumulate ? orow[c] : 0.0;
-                    for (k = 0; k < {nd}; ++k)
-                        acc += cs[k] * xr[(ptrdiff_t)offs[k] * nc + c];
-                    orow[c] = acc;
-                }}
-            }}
-            break;
+#: Rows per tile of the vector value-row product.  The tile's partial
+#: sums stay in L1 while each diagonal streams through it, so
+#: consecutive adds are independent; a per-row chain of ``nd`` dependent
+#: adds is latency-bound (~2× slower on the plate).
+_VALUES_TILE = 512
+
+_VALUES_ROWS_TEMPLATE = """
+static void values_rows_k{kk}(
+    long n, long nd, const long *offs, const double *vals,
+    long lo, long hi, int window, const double *x, double *out, int accumulate)
+{{
+    long i, d, j;
+    for (i = lo; i < hi; ++i) {{
+        double acc[{kk}];
+        double *orow = out + (size_t)i * {kk};
+        for (j = 0; j < {kk}; ++j)
+            acc[j] = accumulate ? orow[j] : 0.0;
+        for (d = 0; d < nd; ++d) {{
+            const long c = i + offs[d];
+            const double v = vals[(size_t)d * (size_t)n + (size_t)i];
+            const double *xr;
+            if (window && (c < 0 || c >= n))
+                continue;
+            xr = x + (size_t)c * {kk};
+            for (j = 0; j < {kk}; ++j)
+                acc[j] += v * xr[j];
+        }}
+        for (j = 0; j < {kk}; ++j)
+            orow[j] = acc[j];
+    }}
+}}
 """
 
 
 #: Specialized entry counts of the fused sweep's interior rows.  Constant
 #: trip counts let the compiler unroll the short gather chain per row;
 #: 1–12 covers every color half of the 5-point scalar stencils (4) and
-#: the 18-diagonal interleaved plate stencil (up to 11).
+#: of the 15-diagonal interleaved plate stencil (at most 11 per half).
 _SWEEP_NE = tuple(range(1, 13))
 
 _SWEEP_CASE_TEMPLATE = """
@@ -97,25 +122,27 @@ def _sweep_case(ne: int) -> str:
     return _SWEEP_CASE_TEMPLATE.format(ne=ne, terms=terms)
 
 
-#: Specialized RHS widths of the fused block sweep.  A compile-time k
-#: turns the per-row column loops into fully unrolled straight-line SIMD
-#: (the runtime-k loop pays ~2× at k ≤ 6); wider blocks fall back to the
-#: generic body, whose per-element cost is already amortized.
+#: Specialized RHS widths of the block sweep and block product.  A
+#: compile-time k turns the per-row column loops into fully unrolled
+#: straight-line SIMD over a register-resident accumulator (the runtime-k
+#: loop pays ~2× at k ≤ 6, and an accumulator behind a pointer that may
+#: alias the operands costs a load and store per term); wider blocks take
+#: the generic body, whose per-element cost is already amortized.
 _BLOCK_K = tuple(range(1, 9))
 
 _BLOCK_ROWS_TEMPLATE = """
 static void ssor_rows_b_k{kk}(
-    long n, long k, long qa, long qb, long g0, long ne,
+    long n, long qa, long qb, long g0, long ne,
     const long *rows, const double *diag, const long *offs, const double *cm,
-    double alpha, const double *r, double *rt, double *y, double *acc,
+    double alpha, const double *r, double *rt, double *y,
     int use_y, int do_solve, int store_y, int clip)
 {{
     long q, e, j;
-    (void)k;
     for (q = qa; q < qb; ++q) {{
         const long row = rows[q];
         const double *crow = cm + (size_t)(q - g0) * (size_t)ne;
         double *yq = y + (size_t)q * {kk};
+        double acc[{kk}];
         for (j = 0; j < {kk}; ++j)
             acc[j] = 0.0;
         for (e = 0; e < ne; ++e) {{
@@ -147,29 +174,136 @@ static void ssor_rows_b_k{kk}(
 """
 
 
+def _width_switch(body: str, args: str, generic: str, widths) -> str:
+    """``switch (k)`` onto the generated ``body<k>``, else ``generic``."""
+    cases = "".join(
+        f"    case {kk}: {body}{kk}({args}); return;\n" for kk in widths
+    )
+    return f"    switch (k) {{\n{cases}    }}\n    {generic};\n"
+
+
 def _source() -> str:
     vec_cases = "".join(_CASE_TEMPLATE.format(nd=nd) for nd in _SPECIALIZED)
-    blk_cases = "".join(_BLOCK_CASE_TEMPLATE.format(nd=nd) for nd in _SPECIALIZED)
+    values_k = _BLOCK_K[1:]  # a one-column block takes the vector kernel
+    values_rows = "".join(_VALUES_ROWS_TEMPLATE.format(kk=kk) for kk in values_k)
+    values_dispatch = _width_switch(
+        "values_rows_k",
+        "n, nd, offs, vals, lo, hi, window, x, out, accumulate",
+        "values_rows_any(n, nd, offs, vals, k, lo, hi, window, x, out, accumulate)",
+        values_k,
+    )
     sweep_cases = "".join(_sweep_case(ne) for ne in _SWEEP_NE)
     block_rows = "".join(_BLOCK_ROWS_TEMPLATE.format(kk=kk) for kk in _BLOCK_K)
-    block_dispatch = "".join(
-        f"    case {kk}:\n"
-        f"        ssor_rows_b_k{kk}(n, k, qa, qb, g0, ne, rows, diag, offs, cm,\n"
-        f"                    alpha, r, rt, y, acc, use_y, do_solve, store_y, clip);\n"
-        f"        return;\n"
-        for kk in _BLOCK_K
+    rows_args = (
+        "qa, qb, g0, ne, rows, diag, offs, cm, alpha, r, rt, y, "
+        "use_y, do_solve, store_y, clip"
+    )
+    sweep_dispatch = _width_switch(
+        "ssor_rows_b_k", "n, " + rows_args,
+        "ssor_rows_b_any(n, k, " + rows_args + ")",
+        _BLOCK_K,
     )
     return (
         """
 #include <stddef.h>
 
-/* Exact sum of one special row: true per-diagonal values, window-checked.
-   Ascending k is ascending column order — the csr_matvec association. */
+#define VALUES_TILE """
+        + str(_VALUES_TILE)
+        + """
+
+/* out (+)= K x for contiguous (n,) vectors off the value rows
+   vals[d * n + i] = K[i, i + offs[d]], tiled by rows and walked
+   diagonal-major: each diagonal adds its in-window terms to the whole
+   tile before the next one starts, so per element the terms still land
+   in ascending-offset order. */
+void stencil_values_v(
+    long n, long nd, const long *offs, const double *vals,
+    const double *x, double *out, int accumulate)
+{
+    double acc[VALUES_TILE];
+    long t0, d, i;
+    for (t0 = 0; t0 < n; t0 += VALUES_TILE) {
+        const long t1 = n - t0 < VALUES_TILE ? n : t0 + VALUES_TILE;
+        for (i = t0; i < t1; ++i)
+            acc[i - t0] = accumulate ? out[i] : 0.0;
+        for (d = 0; d < nd; ++d) {
+            const long o = offs[d];
+            const double *v = vals + (size_t)d * (size_t)n;
+            long lo = t0, hi = t1;
+            if (lo < -o) lo = -o;
+            if (hi > n - o) hi = n - o;
+            for (i = lo; i < hi; ++i)
+                acc[i - t0] += v[i] * x[i + o];
+        }
+        for (i = t0; i < t1; ++i)
+            out[i] = acc[i - t0];
+    }
+}
+
+"""
+        + values_rows
+        + """
+/* Rows [lo, hi) of the block value-row product for the widths without
+   a generated body; window != 0 skips the terms whose column leaves
+   [0, n) (the margin rows only). */
+static void values_rows_any(
+    long n, long nd, const long *offs, const double *vals, long k,
+    long lo, long hi, int window, const double *x, double *out, int accumulate)
+{
+    long i, d, j;
+    for (i = lo; i < hi; ++i) {
+        double *orow = out + (size_t)i * k;
+        if (!accumulate)
+            for (j = 0; j < k; ++j)
+                orow[j] = 0.0;
+        for (d = 0; d < nd; ++d) {
+            const long c = i + offs[d];
+            const double v = vals[(size_t)d * (size_t)n + (size_t)i];
+            const double *xr;
+            if (window && (c < 0 || c >= n))
+                continue;
+            xr = x + (size_t)c * k;
+            for (j = 0; j < k; ++j)
+                orow[j] += v * xr[j];
+        }
+    }
+}
+
+static void values_rows(
+    long n, long nd, const long *offs, const double *vals, long k,
+    long lo, long hi, int window, const double *x, double *out, int accumulate)
+{
+"""
+        + values_dispatch
+        + """}
+
+/* out (+)= K X for C-contiguous (n, k) blocks: row i is k contiguous
+   doubles, each column an independent ascending-offset chain kept in a
+   register-resident accumulator.  A one-column block is a vector. */
+void stencil_values_b(
+    long n, long nd, const long *offs, const double *vals,
+    long k, const double *x, double *out, int accumulate)
+{
+    long lo = offs[0] < 0 ? -offs[0] : 0;
+    long hi = offs[nd - 1] > 0 ? n - offs[nd - 1] : n;
+    if (k == 1) {
+        stencil_values_v(n, nd, offs, vals, x, out, accumulate);
+        return;
+    }
+    if (lo > n) lo = n;
+    if (hi < lo) hi = lo;
+    values_rows(n, nd, offs, vals, k, 0, lo, 1, x, out, accumulate);
+    values_rows(n, nd, offs, vals, k, lo, hi, 0, x, out, accumulate);
+    values_rows(n, nd, offs, vals, k, hi, n, 1, x, out, accumulate);
+}
+
+/* Exact sum of one special row onto acc: true per-diagonal values,
+   window-checked.  Ascending k is ascending column order, and the terms
+   land on the starting value one by one — the csr_matvec association. */
 static double special_row(
-    long i, long n, long nd, const long *offs,
+    double acc, long i, long n, long nd, const long *offs,
     const double *svals, long nspecial, long t, const double *x)
 {
-    double acc = 0.0;
     long k;
     for (k = 0; k < nd; ++k) {
         long j = i + offs[k];
@@ -179,7 +313,8 @@ static double special_row(
     return acc;
 }
 
-/* out (+)= K x for contiguous (n,) vectors. */
+/* out (+)= K x for contiguous (n,) vectors off the dominant constants
+   cs[k], with the special rows patched by their exact sums. */
 void stencil_apply_v(
     long n, long nd, const long *offs, const double *cs,
     long nspecial, const long *srows, const double *svals, double *stash,
@@ -193,8 +328,8 @@ void stencil_apply_v(
        it, and land last so they overwrite the constant approximation. */
     for (t = 0; t < nspecial; ++t) {
         long r = srows[t];
-        double acc = accumulate ? out[r] : 0.0;
-        stash[t] = acc + special_row(r, n, nd, offs, svals, nspecial, t, x);
+        stash[t] = special_row(accumulate ? out[r] : 0.0,
+                               r, n, nd, offs, svals, nspecial, t, x);
     }
     switch (nd) {
 """
@@ -210,58 +345,6 @@ void stencil_apply_v(
     }
     for (t = 0; t < nspecial; ++t)
         out[srows[t]] = stash[t];
-}
-
-/* out (+)= K X for C-contiguous (n, nc) blocks: row i is nc contiguous
-   doubles, each column an independent ascending-offset chain. */
-void stencil_apply_b(
-    long n, long nd, const long *offs, const double *cs,
-    long nspecial, const long *srows, const double *svals, double *stash,
-    long nc, const double *x, double *out, int accumulate)
-{
-    long lo = offs[0] < 0 ? -offs[0] : 0;
-    long hi = offs[nd - 1] > 0 ? n - offs[nd - 1] : n;
-    long i, k, c, t;
-    if (hi < lo) hi = lo;
-    for (t = 0; t < nspecial; ++t) {
-        long r = srows[t];
-        const double *xr = x + (size_t)r * nc;
-        double *orow = out + (size_t)r * nc;
-        double *st = stash + (size_t)t * nc;
-        (void)xr;
-        for (c = 0; c < nc; ++c) {
-            double acc = accumulate ? orow[c] : 0.0;
-            for (k = 0; k < nd; ++k) {
-                long j = r + offs[k];
-                if (j >= 0 && j < n)
-                    acc += svals[(size_t)k * (size_t)nspecial + (size_t)t]
-                         * x[(size_t)j * nc + c];
-            }
-            st[c] = acc;
-        }
-    }
-    switch (nd) {
-"""
-        + blk_cases
-        + """
-        default:
-            for (i = lo; i < hi; ++i) {
-                const double *xr = x + (size_t)i * nc;
-                double *orow = out + (size_t)i * nc;
-                for (c = 0; c < nc; ++c) {
-                    double acc = accumulate ? orow[c] : 0.0;
-                    for (k = 0; k < nd; ++k)
-                        acc += cs[k] * xr[(ptrdiff_t)offs[k] * nc + c];
-                    orow[c] = acc;
-                }
-            }
-    }
-    for (t = 0; t < nspecial; ++t) {
-        double *orow = out + (size_t)srows[t] * nc;
-        const double *st = stash + (size_t)t * nc;
-        for (c = 0; c < nc; ++c)
-            orow[c] = st[c];
-    }
 }
 
 /* ---- fused multicolor m-step SSOR sweep --------------------------------
@@ -284,7 +367,9 @@ void stencil_apply_b(
                 matrix inside ecoef
    Gather columns clip to [0, n-1]; the stored coefficient at a clipped
    row is exactly 0.0, so the clipped read contributes a signed zero at
-   most. */
+   most — provided the value read is finite, which is why the caller
+   zeroes rt before every call (a clipped or grid-row-wrap read may land
+   on a row this call has not solved yet). */
 
 /* Row epilogue of the vector sweep: Horner solve + lower/upper-sum stash.
    One association only — ((alpha*r - y) - acc) — matching the numpy
@@ -396,13 +481,16 @@ void stencil_ssor_v(
 }
 
 /* Block form over C-contiguous (n, k): element (i, j) at i*k + j.  Each
-   column runs the exact scalar chain of stencil_ssor_v. */
+   column runs the exact scalar chain of stencil_ssor_v.  The generic
+   width keeps its accumulators in a local variable-length array: k
+   doubles of stack, against the n*k each of r, rt and y. */
 static void ssor_rows_b_any(
     long n, long k, long qa, long qb, long g0, long ne,
     const long *rows, const double *diag, const long *offs, const double *cm,
-    double alpha, const double *r, double *rt, double *y, double *acc,
+    double alpha, const double *r, double *rt, double *y,
     int use_y, int do_solve, int store_y, int clip)
 {
+    double acc[k];
     long q, e, j;
     for (q = qa; q < qb; ++q) {
         const long row = rows[q];
@@ -440,29 +528,24 @@ static void ssor_rows_b_any(
         + block_rows
         + """
 /* Column-loop trip counts are compile-time for the common widths: the
-   generated ssor_rows_b_k<K> bodies unroll to straight-line SIMD, which
-   is what lets the k=4 block sweep keep pace with the merged CSR sweep.
-   Same arithmetic per column either way — dispatch is bitwise-neutral. */
+   generated ssor_rows_b_k<K> bodies unroll to straight-line SIMD over
+   register-resident accumulators.  Same arithmetic per column either
+   way — dispatch is bitwise-neutral. */
 static void ssor_rows_b(
     long n, long k, long qa, long qb, long g0, long ne,
     const long *rows, const double *diag, const long *offs, const double *cm,
-    double alpha, const double *r, double *rt, double *y, double *acc,
+    double alpha, const double *r, double *rt, double *y,
     int use_y, int do_solve, int store_y, int clip)
 {
-    switch (k) {
 """
-        + block_dispatch
-        + """
-    }
-    ssor_rows_b_any(n, k, qa, qb, g0, ne, rows, diag, offs, cm,
-                    alpha, r, rt, y, acc, use_y, do_solve, store_y, clip);
-}
+        + sweep_dispatch
+        + """}
 
 static void ssor_color_b(
     long n, long k, long c,
     const long *gp, const long *rows, const double *diag,
     const long *ep, const long *eoff, const long *ecb, const double *ecoef,
-    double alpha, const double *r, double *rt, double *y, double *acc,
+    double alpha, const double *r, double *rt, double *y,
     int use_y, int do_solve, int store_y)
 {
     const long ne = ep[c + 1] - ep[c];
@@ -479,11 +562,11 @@ static void ssor_color_b(
     q_hi = qb;
     while (q_hi > q_lo && rows[q_hi - 1] + maxoff >= n) --q_hi;
     ssor_rows_b(n, k, qa, q_lo, qa, ne, rows, diag, offs, cm,
-                alpha, r, rt, y, acc, use_y, do_solve, store_y, 1);
+                alpha, r, rt, y, use_y, do_solve, store_y, 1);
     ssor_rows_b(n, k, q_lo, q_hi, qa, ne, rows, diag, offs, cm,
-                alpha, r, rt, y, acc, use_y, do_solve, store_y, 0);
+                alpha, r, rt, y, use_y, do_solve, store_y, 0);
     ssor_rows_b(n, k, q_hi, qb, qa, ne, rows, diag, offs, cm,
-                alpha, r, rt, y, acc, use_y, do_solve, store_y, 1);
+                alpha, r, rt, y, use_y, do_solve, store_y, 1);
 }
 
 void stencil_ssor_b(
@@ -491,28 +574,29 @@ void stencil_ssor_b(
     const long *gp, const long *rows, const double *diag,
     const long *lp, const long *loff, const long *lcb, const double *lcoef,
     const long *up, const long *uoff, const long *ucb, const double *ucoef,
-    const double *alphas, const double *r, double *rt, double *y,
-    double *acc)
+    const double *alphas, const double *r, double *rt, double *y)
 {
     long s, c, q;
+    if (k < 1)
+        return;  /* nothing to sweep, and no zero-length accumulator */
     for (s = 1; s <= m; ++s) {
         const double alpha = alphas[m - s];
         const int first = (s == 1);
         for (c = 0; c < nc; ++c)
             ssor_color_b(n, k, c, gp, rows, diag, lp, loff, lcb, lcoef,
-                         alpha, r, rt, y, acc, !first, 1, 1);
+                         alpha, r, rt, y, !first, 1, 1);
         for (c = nc - 2; c >= 1; --c)
             ssor_color_b(n, k, c, gp, rows, diag, up, uoff, ucb, ucoef,
-                         alpha, r, rt, y, acc, 1, 1, 1);
+                         alpha, r, rt, y, 1, 1, 1);
         if (nc >= 2) {
             for (q = gp[nc - 1] * k; q < gp[nc] * k; ++q)
                 y[q] = 0.0;
             if (s == m)
                 ssor_color_b(n, k, 0, gp, rows, diag, up, uoff, ucb, ucoef,
-                             alpha, r, rt, y, acc, 0, 1, 0);
+                             alpha, r, rt, y, 0, 1, 0);
             else
                 ssor_color_b(n, k, 0, gp, rows, diag, up, uoff, ucb, ucoef,
-                             alpha, r, rt, y, acc, 0, 0, 1);
+                             alpha, r, rt, y, 0, 0, 1);
         }
     }
 }
@@ -533,21 +617,24 @@ _F64 = np.ctypeslib.ndpointer(dtype=np.float64, flags="C_CONTIGUOUS")
 
 
 class NativeStencil:
-    """ctypes facade over the compiled fused-apply kernels."""
+    """ctypes facade over the compiled stencil products and sweeps."""
 
     def __init__(self, lib: ctypes.CDLL):
         self._lib = lib
+        lib.stencil_values_v.restype = None
+        lib.stencil_values_v.argtypes = [
+            ctypes.c_long, ctypes.c_long, _I64, _F64, _F64, _F64, ctypes.c_int,
+        ]
+        lib.stencil_values_b.restype = None
+        lib.stencil_values_b.argtypes = [
+            ctypes.c_long, ctypes.c_long, _I64, _F64,
+            ctypes.c_long, _F64, _F64, ctypes.c_int,
+        ]
         lib.stencil_apply_v.restype = None
         lib.stencil_apply_v.argtypes = [
             ctypes.c_long, ctypes.c_long, _I64, _F64,
             ctypes.c_long, _I64, _F64, _F64,
             _F64, _F64, ctypes.c_int,
-        ]
-        lib.stencil_apply_b.restype = None
-        lib.stencil_apply_b.argtypes = [
-            ctypes.c_long, ctypes.c_long, _I64, _F64,
-            ctypes.c_long, _I64, _F64, _F64,
-            ctypes.c_long, _F64, _F64, ctypes.c_int,
         ]
         _plan = [_I64, _I64, _F64, _I64, _I64, _I64, _F64,
                  _I64, _I64, _I64, _F64]
@@ -559,26 +646,33 @@ class NativeStencil:
         lib.stencil_ssor_b.restype = None
         lib.stencil_ssor_b.argtypes = [
             ctypes.c_long, ctypes.c_long, ctypes.c_long, ctypes.c_long,
-            *_plan, _F64, _F64, _F64, _F64, _F64,
+            *_plan, _F64, _F64, _F64, _F64,
         ]
 
-    def apply_vector(self, n, offs, cs, srows, svals, stash, x, out, accumulate):
+    def apply_values(self, offs, vals, x, out, accumulate):
+        """``out (+)= K·x`` off the ``(nd, n)`` value rows; ``x`` is
+        ``(n,)`` or a C-contiguous ``(n, k)`` block."""
+        n, acc = vals.shape[1], 1 if accumulate else 0
+        if x.ndim == 1:
+            self._lib.stencil_values_v(n, len(offs), offs, vals, x, out, acc)
+        else:
+            self._lib.stencil_values_b(
+                n, len(offs), offs, vals, x.shape[1], x, out, acc
+            )
+
+    def apply_constant(self, n, offs, cs, srows, svals, stash, x, out, accumulate):
+        """``out (+)= K·x`` for an ``(n,)`` vector off the dominant
+        constants ``cs``, the special rows ``srows`` patched exactly."""
         self._lib.stencil_apply_v(
             n, len(offs), offs, cs, len(srows), srows, svals, stash,
             x, out, 1 if accumulate else 0,
         )
 
-    def apply_block(self, n, offs, cs, srows, svals, stash, x, out, accumulate):
-        self._lib.stencil_apply_b(
-            n, len(offs), offs, cs, len(srows), srows, svals, stash,
-            x.shape[1], x, out, 1 if accumulate else 0,
-        )
-
     def ssor_vector(self, n, m, nc, tables, alphas, r, rt, y):
         self._lib.stencil_ssor_v(n, m, nc, *tables, alphas, r, rt, y)
 
-    def ssor_block(self, n, k, m, nc, tables, alphas, r, rt, y, acc):
-        self._lib.stencil_ssor_b(n, k, m, nc, *tables, alphas, r, rt, y, acc)
+    def ssor_block(self, n, k, m, nc, tables, alphas, r, rt, y):
+        self._lib.stencil_ssor_b(n, k, m, nc, *tables, alphas, r, rt, y)
 
 
 _CACHE: list = []  # [NativeStencil | None] once resolved

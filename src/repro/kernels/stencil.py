@@ -89,9 +89,9 @@ class StencilOperator:
 
     def __init__(self, offsets, values, groups, group_labels=None, copy=True):
         offsets = np.asarray(offsets, dtype=np.int64)
-        values = (  # zeroed in place below; asarray converts only if needed
-            np.array(values, dtype=float) if copy
-            else np.asarray(values, dtype=float)
+        values = (  # zeroed in place below, then read in place by the kernels
+            np.array(values, dtype=float, order="C") if copy
+            else np.ascontiguousarray(values, dtype=float)
         )
         groups = np.asarray(groups, dtype=np.int64)
         require(offsets.ndim == 1 and values.ndim == 2, "offsets (d,), values (d, n)")
@@ -187,66 +187,82 @@ class StencilOperator:
 
     @property
     def _native_plan(self):
-        """The compiled fused kernel plus its row classification, if usable.
+        """The compiled kernel pack and its inputs, if the kernel loaded.
 
-        Usable means: every diagonal is scalar-dominated (the plan above
-        chose the constant path for all of them), the special rows —
-        boundary margins where a diagonal leaves the window, plus every
-        row where a diagonal deviates from its constant — are a small
-        fraction of ``n``, and the C kernel compiled.  Anything else
-        keeps the numpy shifted-slice path, which is always correct.
+        ``(native, offsets, constant)``: every product can run compiled
+        off the value rows, read in place; ``constant`` is the recipe of
+        the faster constant-diagonal vector kernel, or ``None`` (see
+        :meth:`_constant_recipe`).  ``None`` overall keeps the numpy
+        shifted-slice path, which is always correct.
         """
         if self._native is False:
-            self._native = None
             native = load_native()
-            plan = self._matvec_plan
-            if native is not None and all(p[6] is None for p in plan):
-                n = self.n
-                lo = -self.offsets[0] if self.offsets[0] < 0 else 0
-                hi = n - self.offsets[-1] if self.offsets[-1] > 0 else n
-                hi = max(hi, lo)
-                margins = [np.arange(0, lo), np.arange(hi, n)]
-                exceptions = [p[4] for p in plan]
-                srows = np.unique(np.concatenate(margins + exceptions))
-                if srows.size <= max(64, n // 4):
-                    self._native = (
-                        native,
-                        np.asarray(self.offsets, dtype=np.int64),
-                        np.array([p[3] for p in plan], dtype=np.float64),
-                        np.ascontiguousarray(srows, dtype=np.int64),
-                        np.ascontiguousarray(self.values[:, srows]),
-                    )
+            self._native = None if native is None else (
+                native,
+                np.asarray(self.offsets, dtype=np.int64),
+                self._constant_recipe(),
+            )
         return self._native
 
+    def _constant_recipe(self):
+        """``(constants, special rows, their values)`` or ``None``.
+
+        Set when every diagonal is scalar-dominated (the matvec plan
+        chose the constant path for all of them) and the special rows —
+        boundary margins where a diagonal leaves the window, plus every
+        row where a diagonal deviates from its constant — are a small
+        fraction of ``n``.  The plate's alternating u/v couplings and
+        ulp-scattered self-couplings never qualify.
+        """
+        plan = self._matvec_plan
+        if any(p[6] is not None for p in plan):
+            return None
+        n = self.n
+        lo = -self.offsets[0] if self.offsets[0] < 0 else 0
+        hi = max(n - self.offsets[-1] if self.offsets[-1] > 0 else n, lo)
+        margins = [np.arange(0, lo), np.arange(hi, n)]
+        srows = np.unique(np.concatenate(margins + [p[4] for p in plan]))
+        if srows.size > max(64, n // 4):
+            return None
+        return (
+            np.array([p[3] for p in plan], dtype=np.float64),
+            np.ascontiguousarray(srows, dtype=np.int64),
+            np.ascontiguousarray(self.values[:, srows]),
+        )
+
     def _apply_native(self, x: np.ndarray, out: np.ndarray, zero: bool):
-        """One fused C pass per row, when layout and plan allow it."""
+        """The compiled product, when the kernel loaded and layout allows.
+
+        C-contiguous blocks take the value-row block kernel; vectors the
+        constant kernel where the stencil has one, else the value-row
+        vector kernel; column-major blocks go column by column.
+        """
         plan = self._native_plan
         if (
             plan is None
             or x.dtype != np.float64
             or out.dtype != np.float64
             or not out.flags.writeable
+            or x.ndim not in (1, 2)
+            or x.shape[0] != self.n
+            or out.shape != x.shape
         ):
             return None
-        native, offs, cs, srows, svals = plan
-        n, accumulate = self.n, not zero
-        if x.ndim == 1:
-            if not (x.flags.c_contiguous and out.flags.c_contiguous):
-                return None
-            stash = self.workspace.get("nat_stash", (srows.size,))
-            native.apply_vector(n, offs, cs, srows, svals, stash, x, out, accumulate)
-            return out
+        native, offs, constant = plan
         if x.flags.c_contiguous and out.flags.c_contiguous:
-            stash = self.workspace.get("nat_stash_b", (srows.size, x.shape[1]))
-            native.apply_block(n, offs, cs, srows, svals, stash, x, out, accumulate)
-            return out
-        if x.flags.f_contiguous and out.flags.f_contiguous:
-            # Column-major block: each column is a contiguous vector.
-            stash = self.workspace.get("nat_stash", (srows.size,))
-            for j in range(x.shape[1]):
-                native.apply_vector(
-                    n, offs, cs, srows, svals, stash, x[:, j], out[:, j], accumulate
+            if x.ndim == 1 and constant is not None:
+                cs, srows, svals = constant
+                stash = self.workspace.get("nat_stash", (srows.size,))
+                native.apply_constant(
+                    self.n, offs, cs, srows, svals, stash, x, out, not zero
                 )
+            else:
+                native.apply_values(offs, self.values, x, out, not zero)
+            return out
+        if x.ndim == 2 and x.flags.f_contiguous and out.flags.f_contiguous:
+            # Column-major block: each column is a contiguous vector.
+            for j in range(x.shape[1]):
+                self._apply_native(x[:, j], out[:, j], zero)
             return out
         return None
 
@@ -522,17 +538,18 @@ class StencilSSOR:
         n, nc, m = op.n, op.n_groups, self.m
         pool = self.workspace
         r = np.ascontiguousarray(r)
-        rt = pool.get("rt", r.shape)
+        # Zeroed per apply: the gathers also read zero-coefficient positions
+        # (clipped margins, grid-row wraps) that this apply may not have
+        # solved yet, and 0·x is ±0 only for finite x — a fresh buffer's
+        # garbage or an earlier apply's NaN would otherwise poison the sum.
+        rt = pool.zeros("rt", r.shape)
         if r.ndim == 1:
             y = pool.get("ssor_y", (n,))
             native.ssor_vector(n, m, nc, arrays, self.coefficients, r, rt, y)
         else:
             k = int(r.shape[1])
             y = pool.get("ssor_y_b", (n, k))
-            acc = pool.get("ssor_acc", (k,))
-            native.ssor_block(
-                n, k, m, nc, arrays, self.coefficients, r, rt, y, acc
-            )
+            native.ssor_block(n, k, m, nc, arrays, self.coefficients, r, rt, y)
         # Identical charges to the numpy loop, in closed form.
         per_step = sum(t.lower_count for t in tables)
         per_step += sum(tables[c].upper_count for c in range(nc - 2, 0, -1))
@@ -557,7 +574,6 @@ class StencilSSOR:
             group_shapes = [(t.rows.shape[0],) + tail for t in tables]
             cache = (
                 r.shape,
-                pool.get("rt", r.shape),
                 pool.get("ar", r.shape),
                 pool.get_list("y", group_shapes),
                 pool.get_list("x", group_shapes),
@@ -576,7 +592,8 @@ class StencilSSOR:
                 ),
             )
             self.__dict__["_apply_buffers"] = cache
-        _, rt, ar, y, xs, zs, gs, args, divisors = cache
+        _, ar, y, xs, zs, gs, args, divisors = cache
+        rt = pool.zeros("rt", r.shape)  # zeroed: see _apply_native
         one_d = r.ndim == 1
         multiplies = 0
         solves = 0

@@ -121,6 +121,77 @@ def test_numpy_fallback_bitwise(name, kw, monkeypatch):
     )
 
 
+#: Every stencil the backend serves: the small SCENARIOS plus the
+#: stretched plate, whose diagonals scatter like the plate's.
+ALL_STENCILS = SCENARIOS + [("stretched-plate", {"nrows": 8})]
+
+
+def _compiled_and_fallback(name, kw, monkeypatch):
+    """The same stencil twice: compiled products, and the numpy path."""
+    import repro.kernels.stencil as stencil_mod
+    from repro.kernels._native import load_native
+
+    if load_native() is None:
+        pytest.skip("no compiled kernel in this environment")
+    op = stencil_operator(build_scenario(name, **kw))
+    assert op._native_plan is not None  # resolved before the patch below
+    monkeypatch.setattr(stencil_mod, "load_native", lambda: None)
+    op_plain = stencil_operator(build_scenario(name, **kw))
+    assert op_plain._native_plan is None
+    return op, op_plain
+
+
+@pytest.mark.parametrize("name,kw", ALL_STENCILS, ids=[s[0] for s in ALL_STENCILS])
+def test_compiled_product_in_force(name, kw, monkeypatch):
+    """With the kernel built, every stencil's K·x runs compiled — vectors,
+    C-ordered and column-major blocks — never silently the numpy path."""
+    op, _ = _compiled_and_fallback(name, kw, monkeypatch)
+    rng = np.random.default_rng(19)
+    for shape, order in [((op.n,), "C"), ((op.n, 4), "C"), ((op.n, 4), "F")]:
+        x = np.asarray(rng.normal(size=shape), order=order)
+        out = np.empty(shape, order=order)
+        assert op._apply_native(x, out, zero=True) is out, (shape, order)
+    # Mismatched operands never reach the C pointers: the numpy path
+    # raises on them instead of the kernel reading out of bounds.
+    short = np.ones(op.n - 1)
+    assert op._apply_native(short, np.empty(op.n - 1), zero=True) is None
+    assert op._apply_native(np.ones(op.n), np.empty((op.n, 1)), zero=True) is None
+    with pytest.raises(ValueError):
+        op.matvec_into(short, np.empty(op.n - 1))
+
+
+@pytest.mark.parametrize("name,kw", ALL_STENCILS, ids=[s[0] for s in ALL_STENCILS])
+@pytest.mark.parametrize("k", [1, 2, 3, 8, 9])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_compiled_product_bitwise(name, kw, k, order, monkeypatch):
+    """Compiled ≡ numpy fallback ≡ CSR, bitwise, at generated block widths,
+    one past them (the generic body), and the vector, in overwrite and
+    accumulate modes.  Accumulation lands each term on ``out`` in turn,
+    exactly like scipy's accumulating ``csr_matvec``/``csr_matvecs`` —
+    the constant kernel's special rows included."""
+    from repro.kernels import ops
+
+    op, op_plain = _compiled_and_fallback(name, kw, monkeypatch)
+    k_csr = op.to_csr()
+    rng = np.random.default_rng(23 + k)
+    shapes = [(op.n, k)] + ([(op.n,)] if k == 1 else [])
+    for shape in shapes:
+        x = np.asarray(rng.normal(size=shape), order=order)
+        base = np.asarray(rng.normal(size=shape), order=order)
+        ref = k_csr @ x
+        ref_acc = ops.matvec_accumulate(
+            k_csr, np.ascontiguousarray(x), np.array(base, order="C")
+        )
+        for method, start, expected in [
+            ("matvec_into", np.empty(shape, order=order), ref),
+            ("matvec_accumulate", base, ref_acc),
+        ]:
+            compiled = getattr(op, method)(x, start.copy(order=order))
+            plain = getattr(op_plain, method)(x, start.copy(order=order))
+            assert np.array_equal(compiled, expected), (method, shape)
+            assert np.array_equal(plain, expected), (method, shape)
+
+
 def test_operator_validation():
     vals = np.ones((3, 4))
     groups = np.zeros(4, dtype=int)
@@ -193,7 +264,8 @@ def test_sweep_matches_mstep_ssor(name, kw, m):
 def test_fused_sweep_native_vs_fallback_bitwise(name, kw, m, monkeypatch):
     """The fused native sweep and the chunked-numpy fallback are the same
     arithmetic: vector and block applications agree to the last bit and
-    charge identical operation counts, for every step count."""
+    charge identical operation counts, for every step count — at every
+    generated block width k ≤ 8 and the generic body (k = 9)."""
     import repro.kernels.stencil as stencil_mod
 
     problem = build_scenario(name, **kw)
@@ -207,14 +279,36 @@ def test_fused_sweep_native_vs_fallback_bitwise(name, kw, m, monkeypatch):
 
     rng = np.random.default_rng(13)
     r = rng.normal(size=sweep_native.operator.n)
-    R = rng.normal(size=(sweep_native.operator.n, 3))
     assert np.array_equal(
         np.array(sweep_native.apply(r)), np.array(sweep_plain.apply(r))
     )
-    assert np.array_equal(
-        np.array(sweep_native.apply(R)), np.array(sweep_plain.apply(R))
-    )
+    for k in range(1, 10):
+        R = rng.normal(size=(sweep_native.operator.n, k))
+        assert np.array_equal(
+            np.array(sweep_native.apply(R)), np.array(sweep_plain.apply(R))
+        ), k
     assert sweep_native.counter == sweep_plain.counter
+
+
+@pytest.mark.parametrize("name,kw", SCENARIOS, ids=[s[0] for s in SCENARIOS])
+def test_sweep_ignores_stale_pool_contents(name, kw):
+    """The gathers read zero-coefficient positions (clipped margins,
+    grid-row wraps) that an apply may not have solved yet, and 0·NaN is
+    NaN: neither a fresh pooled buffer's garbage nor an earlier apply's
+    NaN may reach the next apply's result — else a sharded solve would
+    disagree with the serial one depending on the memory a worker got."""
+    problem = build_scenario(name, **kw)
+    coeffs = mstep_coefficients(2, False, ssor_interval(build_blocked_system(problem)))
+    n = problem.f.size
+    rng = np.random.default_rng(31)
+    for shape in [(n,), (n, 3)]:
+        r = rng.normal(size=shape)
+        clean = np.array(StencilSSOR(stencil_operator(problem), coeffs).apply(r))
+        sweep = StencilSSOR(stencil_operator(problem), coeffs)
+        sweep.workspace.get("rt", shape).fill(np.nan)
+        assert np.array_equal(np.array(sweep.apply(r)), clean), shape
+        sweep.apply(np.full(shape, np.nan))
+        assert np.array_equal(np.array(sweep.apply(r)), clean), shape
 
 
 def test_native_so_cache_hit(tmp_path, monkeypatch):

@@ -254,11 +254,17 @@ def bench_cyber_schedule(problem, repeats: int, eps: float) -> dict:
     from repro.pipeline import SolverPlan, SolverSession
 
     session = SolverSession(problem, plan=SolverPlan.table2(eps=eps))
+    machine = session.cyber()
     iterations: dict[str, dict[str, int]] = {}
 
     def run_schedule(batched: bool, key: str) -> None:
         cells = iterations.setdefault(key, {})
-        for res in session.run_cyber_schedule(batched=batched):
+        results = (
+            session.run_cyber_schedule()
+            if batched
+            else [machine.solve(m, c, eps=eps) for m, c in session.schedule_cells()]
+        )
+        for res in results:
             assert res.converged
             cells[res.label] = res.iterations
 

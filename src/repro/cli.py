@@ -253,10 +253,6 @@ def _cmd_table2(args) -> int:
         print("--meshes needs at least one plate size", file=sys.stderr)
         return 2
 
-    # The reference backend has no batched sweep; the session then runs
-    # cell-at-a-time regardless of --per-column, so derive the banner from
-    # the path actually taken.
-    batched = not args.per_column and args.backend != "reference"
     workers = max(args.workers, 1)
     per_mesh = {}
     sessions = {}
@@ -266,7 +262,7 @@ def _cmd_table2(args) -> int:
             build_scenario("plate", nrows=a),
             plan=SolverPlan.table2(eps=args.eps, backend=args.backend),
         )
-        results = session.run_cyber_schedule(batched=batched, workers=workers)
+        results = session.run_cyber_schedule(workers=workers)
         all_converged &= all(r.converged for r in results)
         per_mesh[a] = results
         sessions[a] = session
@@ -275,8 +271,8 @@ def _cmd_table2(args) -> int:
     for a in meshes:
         v = per_mesh[a][0].max_vector_length
         columns += [f"I(a={a})", f"T(v={v})"]
-    mode = "one batched simulator pass" if batched else "per-column pass"
-    if batched and workers > 1:
+    mode = "one batched simulator pass"
+    if workers > 1:
         mode = f"schedule cells sharded over {workers} worker processes"
     table = Table(
         "Table 2 — CYBER 203 iterations and simulated timings, "
@@ -595,11 +591,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     p_table2.add_argument("--eps", type=float, default=TABLE2_EPS,
                           help="‖Δu‖∞ tolerance")
-    p_table2.add_argument(
-        "--per-column", action="store_true",
-        help="run cell-at-a-time instead of the batched lockstep pass "
-        "(identical results, slower)",
-    )
     p_table2.add_argument(
         "--m", choices=["auto"], default=None,
         help="'auto' appends the model-recommended m per mesh (FEM-machine "

@@ -35,7 +35,6 @@ from repro.core.polynomial import (
 from repro.core.spectral import (
     condition_number,
     full_splitting_spectrum,
-    power_interval,
     preconditioned_condition_number,
     preconditioned_spectrum,
     spectrum_interval,
@@ -77,7 +76,6 @@ __all__ = [
     "q_polynomial",
     "condition_number",
     "full_splitting_spectrum",
-    "power_interval",
     "preconditioned_condition_number",
     "preconditioned_spectrum",
     "spectrum_interval",

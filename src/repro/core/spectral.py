@@ -29,7 +29,6 @@ from repro.util import require
 
 __all__ = [
     "spectrum_interval",
-    "power_interval",
     "full_splitting_spectrum",
     "condition_number",
     "preconditioned_spectrum",
@@ -133,53 +132,6 @@ def spectrum_interval(
         lo = max(lo - safety * span, 0.0 if lo >= 0.0 else lo * (1 + safety))
         hi = hi + safety * span
     return lo, hi
-
-
-def power_interval(
-    splitting: Splitting,
-    iterations: int = 200,
-    seed: int = 0,
-    tol: float = 1e-10,
-) -> tuple[float, float]:
-    """Factorization-free ``[λ₁, λ_n]`` estimate by (shifted) power iteration.
-
-    The era-appropriate estimator: the machines of the paper had no sparse
-    LU, but a power iteration is just repeated matvecs and diagonal solves.
-    ``λ_n`` comes from power iteration on ``S = W⁻¹KW⁻ᵀ``; ``λ₁`` from
-    power iteration on the shifted operator ``λ_n·I − S``.  Estimates are
-    Rayleigh quotients, hence lie *inside* the true interval — combine with
-    a ``safety`` widening (see :func:`spectrum_interval`) when positivity
-    of the fitted polynomial matters.
-    """
-    require(splitting.symmetric, "power interval needs a symmetric splitting")
-    rng = np.random.default_rng(seed)
-    k = splitting.k
-
-    def s_apply(x: np.ndarray) -> np.ndarray:
-        return splitting.apply_w_inv(k @ splitting.apply_wt_inv(x))
-
-    def rayleigh_power(apply_op, n_iter: int) -> float:
-        v = rng.normal(size=splitting.n)
-        v /= np.linalg.norm(v)
-        value = 0.0
-        for _ in range(n_iter):
-            w = apply_op(v)
-            new_value = float(v @ w)
-            norm = float(np.linalg.norm(w))
-            if norm == 0.0:
-                return 0.0
-            v = w / norm
-            if abs(new_value - value) <= tol * max(1.0, abs(new_value)):
-                value = new_value
-                break
-            value = new_value
-        return value
-
-    hi = rayleigh_power(s_apply, iterations)
-    shift = hi * (1.0 + 1e-8)
-    lo_shifted = rayleigh_power(lambda x: shift * x - s_apply(x), iterations)
-    lo = shift - lo_shifted
-    return max(lo, 0.0), hi
 
 
 def condition_number(eigenvalues_or_interval) -> float:

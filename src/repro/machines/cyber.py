@@ -368,7 +368,6 @@ class CyberMachine:
                 ColorBlockTriangularSolver(t_lower, self.slices, lower=True),
                 ColorBlockTriangularSolver(t_upper, self.slices, lower=False),
             )
-            self._permuted = None  # the sweep's cached sub-blocks suffice now
         return self._merged_sweep
 
     def _precondition(
@@ -591,6 +590,7 @@ class CyberMachine:
         eps: float = 1e-6,
         maxiter: int | None = None,
         labels=None,
+        backend: str | None = None,
     ) -> list[CyberResult]:
         """All schedule cells through **one** lockstep simulator pass.
 
@@ -612,7 +612,14 @@ class CyberMachine:
         modeled clocks, op breakdowns and iterates therefore match the
         per-column path bitwise — only the wall-clock of the simulation
         itself drops (the tests and the perf gate hold both properties).
+
+        ``backend`` picks Algorithm 2's numeric engine as in :meth:`solve`:
+        ``"reference"`` runs each preconditioned cell's hand-rolled
+        per-color solves after the same charge replay, so a reference
+        schedule matches per-cell ``solve(..., backend="reference")``
+        calls bitwise.
         """
+        backend = resolve_backend(backend)
         states: list[_ScheduleCellState] = []
         for m, coefficients in cells:
             coefficients, parametrized = normalize_cell(m, coefficients)
@@ -626,7 +633,8 @@ class CyberMachine:
         maxiter = maxiter if maxiter is not None else 5 * n + 100
 
         def precondition_batched(group_states: list[_ScheduleCellState]) -> None:
-            """One batched Algorithm-2 application per distinct m."""
+            """One batched Algorithm-2 application per distinct m (one per
+            cell on the reference backend)."""
             groups: dict[int, list[_ScheduleCellState]] = {}
             for st in group_states:
                 if st.coefficients is None:
@@ -643,7 +651,10 @@ class CyberMachine:
                     ),
                 )
                 st.precond_seconds += st.vm.elapsed_seconds - before
-                groups.setdefault(st.m, []).append(st)
+                if backend == REFERENCE:
+                    st.rt = self._precondition_reference(st.coefficients, st.r)
+                else:
+                    groups.setdefault(st.m, []).append(st)
             if not groups:
                 return
             sweep = self._sweep_kernel()

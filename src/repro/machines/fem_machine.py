@@ -297,36 +297,26 @@ class FiniteElementMachine:
         eps: float = 1e-6,
         maxiter: int | None = None,
         label: str | None = None,
-        applicator: str = "splitting",
         backend: str | None = None,
-        preconditioner=None,
     ) -> FEMResult:
         """Run the method; numerics identical to the reference solver.
 
-        ``applicator``/``backend`` mirror
-        :func:`repro.driver.solve_mstep_ssor`: the default routes the
-        preconditioner through the kernel layer's cached
+        Algorithm 1 is :func:`~repro.core.pcg.pcg` with a freshly built
+        ``"splitting"`` applicator whose triangular solves dispatch on
+        ``backend`` as in :func:`repro.driver.solve_mstep_ssor`: the
+        kernel layer's cached
         :class:`~repro.kernels.ColorBlockTriangularSolver` sweeps
-        (``backend="vectorized"``), with ``backend="reference"`` the
-        row-sequential pin and ``applicator="sweep"`` the Conrad–Wallach
-        merged sweep.  The charged clock depends only on the iteration
-        count — which every path reproduces — so the cost model is
-        backend-invariant.
-
-        A prebuilt ``preconditioner`` (an object with ``apply``) skips the
-        per-solve applicator construction — the
-        :class:`~repro.pipeline.SolverSession` hands its compiled, cached
-        applicators in here so a whole Table-3 schedule shares one set of
-        factorized sweeps.
+        (``"vectorized"``) or the row-sequential ``"reference"`` pin.  The
+        charged clock depends only on the iteration count — which every
+        path reproduces — so the cost model is backend-invariant.  This is
+        the per-cell reference :meth:`solve_schedule` is pinned to.
         """
         coefficients, parametrized = normalize_cell(m, coefficients)
-        if coefficients is None:
-            preconditioner = None
-        elif preconditioner is None:
+        preconditioner = None
+        if coefficients is not None:
             preconditioner = build_mstep_applicator(
-                self.blocked, coefficients, applicator=applicator, backend=backend
+                self.blocked, coefficients, applicator="splitting", backend=backend
             )
-
         ordering = self.blocked.ordering
         f_mc = ordering.permute_vector(np.asarray(self.problem.f, dtype=float))
         result = pcg(

@@ -228,6 +228,8 @@ class SPMDSolver:
                     )
                 )
 
+        # Sink of direct exchange/matvec/precondition calls; every solve
+        # result books onto a ledger of its own.
         self.ledger = MessageLedger()
 
     # ------------------------------------------------------------ primitives
@@ -433,10 +435,6 @@ class SPMDSolver:
                     set_color(p, 0, values)
                 else:
                     y[p][0] = x
-            if s < m:
-                # The next forward sweep's R phase needs nothing remote yet;
-                # color 0/1 values travel in its own first exchange.
-                pass
         return rt
 
     # ------------------------------------------------------------------ solve
@@ -447,57 +445,8 @@ class SPMDSolver:
         eps: float = 1e-6,
         maxiter: int | None = None,
     ) -> SPMDResult:
-        coefficients, _ = normalize_cell(m, coefficients)
-        f_mc = self.ordering.permute_vector(np.asarray(self.problem.f, dtype=float))
-        maxiter = maxiter if maxiter is not None else 5 * self.n + 100
-
-        fd = self.scatter(f_mc)
-        ud = [np.zeros_like(x) for x in fd]
-        rd = [x.copy() for x in fd]  # u⁰ = 0
-        if m >= 1:
-            rtd = self.precondition(coefficients, rd)
-        else:
-            rtd = [x.copy() for x in rd]
-        pd = [x.copy() for x in rtd]
-        rho = self.dot(rtd, rd)
-        halos = self.new_halos()
-
-        converged = False
-        iterations = 0
-        for iteration in range(1, maxiter + 1):
-            kpd = self.matvec(pd, halos)
-            denom = self.dot(pd, kpd)
-            if denom <= 0.0:
-                iterations = iteration
-                converged = rho == 0.0
-                break
-            alpha = rho / denom
-            stepd = [alpha * pd[p] for p in range(self.n_procs)]
-            ud = self.axpy(1.0, stepd, ud)
-            delta = self.inf_norm(stepd)
-            iterations = iteration
-            if delta < eps:
-                converged = True
-                break
-            rd = self.axpy(-alpha, kpd, rd)
-            rtd = (
-                self.precondition(coefficients, rd)
-                if m >= 1
-                else [x.copy() for x in rd]
-            )
-            rho_new = self.dot(rtd, rd)
-            beta = rho_new / rho
-            rho = rho_new
-            pd = self.axpy(beta, pd, rtd)
-
-        u_mc = self.gather(ud)
-        return SPMDResult(
-            iterations=iterations,
-            converged=converged,
-            u_natural=self.ordering.unpermute_vector(u_mc),
-            ledger=self.ledger,
-            n_procs=self.n_procs,
-        )
+        """One cell: a one-cell :meth:`solve_schedule` with its own ledger."""
+        return self.solve_schedule([(m, coefficients)], eps=eps, maxiter=maxiter)[0]
 
     def solve_schedule(
         self,
@@ -517,9 +466,10 @@ class SPMDSolver:
         (per-column α schedules, smaller m zero-padded — see
         :meth:`precondition`).  Each cell owns a
         :class:`MessageLedger`; batched exchanges book each cell exactly
-        the words its solo solve would move, so per-cell iteration
-        counts, iterates and message ledgers are bitwise identical to
-        per-cell :meth:`solve` runs (pinned in the tests).
+        the words it would move alone, so a cell's iteration count,
+        iterate and message ledger do not depend on which cells share
+        its pass — :meth:`solve` is the one-cell case (pinned in the
+        tests).
         """
         states: list[_SPMDCellState] = []
         for m, coefficients in cells:
@@ -567,8 +517,8 @@ class SPMDSolver:
                     for p in range(n_procs)
                 ]
 
-        # Startup: u⁰ = 0, r⁰ = f, r̃⁰ = M⁻¹r⁰, p⁰ = r̃⁰, ρ₀ — the exact
-        # per-cell sequence of :meth:`solve`.
+        # Startup: u⁰ = 0, r⁰ = f, r̃⁰ = M⁻¹r⁰, p⁰ = r̃⁰, ρ₀ — Algorithm 1's
+        # per-cell sequence.
         for st in states:
             fd = self.scatter(f_mc)
             st.ud = [np.zeros_like(x) for x in fd]

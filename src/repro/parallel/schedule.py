@@ -47,7 +47,7 @@ class ScheduleShard:
     n_procs: int = 1  # fem/spmd layout
     timing: object | None = None  # machine timing model (None → kind default)
     reduction: str = "software"  # fem reduction network
-    backend: str | None = None  # fem kernel backend
+    backend: str | None = None  # cyber/fem kernel backend
 
 
 # Per-worker-process machine cache: token → machine instance (LRU,
@@ -91,15 +91,10 @@ def run_schedule_shard(shard: ScheduleShard):
         _MACHINES[shard.token] = machine
     else:
         _MACHINES[shard.token] = _MACHINES.pop(shard.token)  # refresh LRU
-    if shard.kind == "fem":
-        results = machine.solve_schedule(
-            list(shard.cells), eps=shard.eps, maxiter=shard.maxiter,
-            backend=shard.backend,
-        )
-    else:
-        results = machine.solve_schedule(
-            list(shard.cells), eps=shard.eps, maxiter=shard.maxiter
-        )
+    options = {} if shard.kind == "spmd" else {"backend": shard.backend}
+    results = machine.solve_schedule(
+        list(shard.cells), eps=shard.eps, maxiter=shard.maxiter, **options
+    )
     return list(zip(shard.indices, results))
 
 

@@ -25,8 +25,8 @@ serves:
   Table-2 schedule through **one** simulator sweep
   (:meth:`repro.machines.cyber.CyberMachine.solve_schedule`);
 * :meth:`fem` / :meth:`fem_solve` / :meth:`run_fem_schedule` — Finite
-  Element Machine solves fed from the session's cached applicators,
-  including the batched Table-3 lockstep pass
+  Element Machine solves, one cell or the whole Table-3 schedule, through
+  the machine's lockstep pass
   (:meth:`repro.machines.fem_machine.FiniteElementMachine.solve_schedule`).
 
 :attr:`stats` counts the compile-level artifacts (colorings, interval
@@ -296,19 +296,16 @@ class SolverSession:
             self.stats.coefficient_builds += 1
         return self._coefficients[key]
 
-    def applicator(
-        self, m: int, parametrized: bool, applicator: str | None = None
-    ):
+    def applicator(self, m: int, parametrized: bool):
         """The cell's compiled preconditioner realization (cached)."""
         if m == 0:
             return None
-        applicator = applicator if applicator is not None else self.plan.applicator
-        key = (m, parametrized, applicator)
+        key = (m, parametrized)
         if key not in self._applicators:
             self._applicators[key] = build_mstep_applicator(
                 self.blocked,
                 self.coefficients(m, parametrized),
-                applicator=applicator,
+                applicator=self.plan.applicator,
                 backend=self.plan.backend,
                 omega=self.plan.omega,
             )
@@ -664,9 +661,23 @@ class SolverSession:
             self.stats.machine_builds += 1
         return self._machines[key]
 
+    def _require_machine_plan(self) -> None:
+        """Reject plans the simulators would not run as written: they replay
+        the assembled system with the paper's ω = 1 sweeps, so an ω ≠ 1
+        plan would silently get ω = 1 numerics against its ω interval."""
+        require(
+            self.plan.backend != STENCIL,
+            "the machine simulators replay the assembled multicolor "
+            "system; the stencil backend has no machine path",
+        )
+        require(
+            self.plan.omega == 1.0,
+            "the machine simulators run the omega = 1 sweeps; a plan with "
+            f"omega = {self.plan.omega:g} has no machine path",
+        )
+
     def run_cyber_schedule(
         self,
-        batched: bool = True,
         eps: float | None = None,
         maxiter: int | None = None,
         timing=None,
@@ -675,13 +686,13 @@ class SolverSession:
     ):
         """The plan's full schedule on the CYBER simulator.
 
-        ``batched=True`` (default) runs every cell through **one** lockstep
-        simulator pass — the batched ``(n, k)`` merged-sweep kernels with
-        per-cell charge replay of
-        :meth:`~repro.machines.cyber.CyberMachine.solve_schedule`, bitwise
-        identical to the per-column path in iteration counts, clocks, op
-        ledgers and iterates.  ``batched=False`` (or a ``"reference"``
-        plan backend) keeps the cell-at-a-time pass for pinning.
+        Every cell runs through **one** lockstep simulator pass on the
+        plan's kernel backend
+        (:meth:`~repro.machines.cyber.CyberMachine.solve_schedule`: the
+        batched ``(n, k)`` merged-sweep kernels, or per-cell reference
+        sweeps, with per-cell charge replay), bitwise identical to
+        per-cell :meth:`~repro.machines.cyber.CyberMachine.solve` calls in
+        iteration counts, clocks, op ledgers and iterates.
 
         ``workers > 1`` fans the schedule's cells across worker processes
         (:func:`repro.parallel.sharded_schedule`): each worker lays out
@@ -692,34 +703,22 @@ class SolverSession:
         pass — the ``(workers, group)`` 2-D shard grid of
         :func:`repro.parallel.sharded_schedule`.
         """
-        require(
-            self.plan.backend != STENCIL,
-            "the machine simulators replay the assembled multicolor "
-            "system; the stencil backend has no machine path",
-        )
+        self._require_machine_plan()
         cells = self.schedule_cells()
         eps = eps if eps is not None else self.plan.eps
-        if batched and self.plan.backend != "reference":
-            if workers > 1 or group is not None:
-                return sharded_schedule(
-                    self.problem, cells, machine="cyber", workers=workers,
-                    group=group, eps=eps, maxiter=maxiter, timing=timing,
-                )
-            return self.cyber(timing).solve_schedule(
-                cells, eps=eps, maxiter=maxiter
+        if workers > 1 or group is not None:
+            return sharded_schedule(
+                self.problem, cells, machine="cyber", workers=workers,
+                group=group, eps=eps, maxiter=maxiter, timing=timing,
+                backend=self.plan.backend,
             )
-        machine = self.cyber(timing)
-        return [
-            machine.solve(
-                m, coeffs, eps=eps, maxiter=maxiter, backend=self.plan.backend
-            )
-            for m, coeffs in cells
-        ]
+        return self.cyber(timing).solve_schedule(
+            cells, eps=eps, maxiter=maxiter, backend=self.plan.backend
+        )
 
     def run_fem_schedule(
         self,
         n_procs: int = 1,
-        batched: bool = True,
         eps: float | None = None,
         maxiter: int | None = None,
         workers: int = 1,
@@ -728,42 +727,22 @@ class SolverSession:
     ):
         """The plan's full schedule on the Finite Element Machine.
 
-        ``batched=True`` (default) runs every cell through **one**
-        lockstep simulator pass — the FEM analogue of
-        :meth:`run_cyber_schedule`, batching the active cells' direction
-        vectors and residuals into ``(n, k)`` blocks
+        The FEM analogue of :meth:`run_cyber_schedule`, sharded the same
+        way by ``workers``/``group``: one lockstep pass
         (:meth:`~repro.machines.fem_machine.FiniteElementMachine.solve_schedule`)
-        — bitwise identical to the per-cell path in iteration counts,
-        charged clocks, communication ledgers and iterates.
-        ``batched=False`` (or a ``"reference"`` plan backend) keeps the
-        cell-at-a-time pass for pinning.
-
-        Both passes use the FEM solve path's ``"splitting"`` applicator
-        realization regardless of the plan's ``applicator`` (as
-        :meth:`fem_solve` does — it is the machine's native path, and
-        all realizations apply the same operator); the batched pass's
-        factorized splitting is cached on the machine, which the session
-        itself caches, so repeated schedule runs rebuild nothing.
-
-        ``workers > 1`` fans the cells across worker processes — the FEM
-        analogue of :meth:`run_cyber_schedule`'s sharded pass, every
-        per-cell record (iterations, charged clocks, communication
-        ledgers, iterates) bitwise identical to the single-process
-        schedule by the partition-invariance of ``solve_schedule``;
-        ``group`` bounds the cells per lockstep pass (the 2-D grid).
+        bitwise identical to per-cell
+        :meth:`~repro.machines.fem_machine.FiniteElementMachine.solve`
+        calls in iteration counts, charged clocks, communication ledgers
+        and iterates.  The pass uses the machine's ``"splitting"``
+        realization whatever the plan's ``applicator`` (all realizations
+        apply the same operator); the machine caches its factorized
+        splitting and the session caches the machine, so repeated runs
+        rebuild nothing.
         """
-        require(
-            self.plan.backend != STENCIL,
-            "the machine simulators replay the assembled multicolor "
-            "system; the stencil backend has no machine path",
-        )
+        self._require_machine_plan()
         cells = self.schedule_cells()
         eps = eps if eps is not None else self.plan.eps
-        if (
-            (workers > 1 or group is not None)
-            and batched
-            and self.plan.backend != "reference"
-        ):
+        if workers > 1 or group is not None:
             return sharded_schedule(
                 self.problem, cells, machine="fem", workers=workers,
                 group=group, eps=eps, maxiter=maxiter, n_procs=n_procs,
@@ -771,17 +750,9 @@ class SolverSession:
                 timing=kwargs.get("timing"),
                 reduction=kwargs.get("reduction", "software"),
             )
-        machine = self.fem(n_procs, **kwargs)
-        if batched and self.plan.backend != "reference":
-            return machine.solve_schedule(
-                cells, eps=eps, maxiter=maxiter, backend=self.plan.backend
-            )
-        return [
-            machine.solve(
-                m, coeffs, eps=eps, maxiter=maxiter, backend=self.plan.backend
-            )
-            for m, coeffs in cells
-        ]
+        return self.fem(n_procs, **kwargs).solve_schedule(
+            cells, eps=eps, maxiter=maxiter, backend=self.plan.backend
+        )
 
     def fem(self, n_procs: int = 1, **kwargs) -> FiniteElementMachine:
         """A Finite Element Machine sharing the session's blocked system."""
@@ -801,22 +772,16 @@ class SolverSession:
         eps: float | None = None,
         **kwargs,
     ):
-        """One FEM-simulator cell using the session's cached applicator.
+        """One FEM-simulator cell: a one-cell lockstep schedule pass.
 
-        The machine's own per-solve applicator construction is skipped —
-        the compiled ``"splitting"`` applicator (the FEM solve path's
-        default realization) is handed straight in.
+        Runs on the session's cached machine, whose factorized splitting
+        serves every cell and every m, so repeated cells rebuild nothing.
         """
-        machine = self.fem(n_procs, **kwargs)
-        preconditioner = (
-            self.applicator(m, parametrized, applicator="splitting")
-            if m >= 1
-            else None
-        )
+        self._require_machine_plan()
         self.stats.solves += 1
-        return machine.solve(
-            m,
-            self.coefficients(m, parametrized),
+        [result] = self.fem(n_procs, **kwargs).solve_schedule(
+            [(m, self.coefficients(m, parametrized))],
             eps=eps if eps is not None else self.plan.eps,
-            preconditioner=preconditioner,
+            backend=self.plan.backend,
         )
+        return result

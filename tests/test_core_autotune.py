@@ -1,4 +1,4 @@
-"""Tests for power-iteration intervals and model-based m selection."""
+"""Tests for model-based m selection."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ import pytest
 from repro.analysis import PerformanceModel
 from repro.core import SSORSplitting, spectrum_interval
 from repro.core.autotune import predicted_cost_curve, recommend_m
-from repro.core.spectral import power_interval
 from repro.fem import plate_problem
 
 
@@ -18,31 +17,6 @@ def splitting():
 @pytest.fixture(scope="module")
 def interval(splitting):
     return spectrum_interval(splitting)
-
-
-class TestPowerInterval:
-    def test_close_to_dense(self, splitting, interval):
-        lo, hi = power_interval(splitting, iterations=600)
-        exact_lo, exact_hi = interval
-        assert hi == pytest.approx(exact_hi, rel=0.02)
-        assert lo == pytest.approx(exact_lo, rel=0.25, abs=5e-3)
-
-    def test_estimates_inside_true_interval(self, splitting, interval):
-        lo, hi = power_interval(splitting, iterations=300)
-        exact_lo, exact_hi = interval
-        assert hi <= exact_hi * (1 + 1e-8)
-        assert lo >= exact_lo * (1 - 1e-6) - 1e-12
-
-    def test_deterministic_given_seed(self, splitting):
-        a = power_interval(splitting, iterations=50, seed=3)
-        b = power_interval(splitting, iterations=50, seed=3)
-        assert a == b
-
-    def test_rejects_nonsymmetric(self):
-        from repro.core import SORSplitting
-
-        with pytest.raises(ValueError):
-            power_interval(SORSplitting(plate_problem(5).k))
 
 
 class TestRecommendM:

@@ -86,6 +86,26 @@ class TestCyberBackendEquivalence:
         scale = max(float(np.max(np.abs(pin.u_natural))), 1.0)
         assert np.max(np.abs(fast.u_natural - pin.u_natural)) <= TOL * scale
 
+    def test_reference_schedule_matches_per_cell_solves(
+        self, cyber_machine, cyber_interval
+    ):
+        # The reference engine rides the same lockstep schedule: each
+        # cell's Algorithm 2 runs the hand-rolled sweeps after the charge
+        # replay, so every record is bitwise the per-cell reference solve.
+        cells = [
+            (m, mstep_coefficients(m, par, cyber_interval) if m else None)
+            for m, par in TABLE2_SCHEDULE
+        ]
+        batched = cyber_machine.solve_schedule(cells, eps=1e-6, backend=REFERENCE)
+        assert len(batched) == len(TABLE2_SCHEDULE)
+        for (m, coeffs), b in zip(cells, batched):
+            solo = cyber_machine.solve(m, coeffs, eps=1e-6, backend=REFERENCE)
+            assert b.iterations == solo.iterations
+            assert b.seconds == solo.seconds
+            assert b.preconditioner_seconds == solo.preconditioner_seconds
+            assert b.op_breakdown == solo.op_breakdown
+            assert np.array_equal(b.u_natural, solo.u_natural)
+
     def test_kernel_path_routes_through_color_block_solver(self, cyber_machine):
         cyber_machine.solve(2, np.ones(2), eps=1e-4, backend=VECTORIZED)
         sweep = cyber_machine._sweep_kernel()
@@ -188,19 +208,6 @@ class TestFEMBackendEquivalence:
         assert fast.total_words == pin.total_words
         scale = max(float(np.max(np.abs(pin.u_natural))), 1.0)
         assert np.max(np.abs(fast.u_natural - pin.u_natural)) <= TOL * scale
-
-    def test_sweep_applicator_reproduces_iterations(
-        self, fem_machines, fem_interval
-    ):
-        # The pre-kernel path (Conrad–Wallach merged sweeps) stays available
-        # and lands on the same iteration counts — the quantity the cost
-        # model charges.
-        coeffs = mstep_coefficients(3, True, fem_interval)
-        for p, machine in fem_machines.items():
-            kernel = machine.solve(3, coeffs)
-            sweep = machine.solve(3, coeffs, applicator="sweep")
-            assert sweep.iterations == kernel.iterations
-            assert sweep.seconds == kernel.seconds
 
 
 class TestFEMBlockCostModel:

@@ -127,8 +127,11 @@ class TestSessionFEMSchedule:
         session = SolverSession.from_scenario(
             "plate", plan=SolverPlan.table3(eps=EPS), nrows=8
         )
-        per_cell = session.run_fem_schedule(n_procs=5, batched=False)
-        batched = session.run_fem_schedule(n_procs=5, batched=True)
+        machine = session.fem(5)
+        per_cell = [
+            machine.solve(m, c, eps=EPS) for m, c in session.schedule_cells()
+        ]
+        batched = session.run_fem_schedule(n_procs=5)
         assert session.stats.machine_builds == 1  # one layout serves both
         for pc, b in zip(per_cell, batched):
             assert b.iterations == pc.iterations
@@ -160,15 +163,9 @@ class TestSPMDSolveSchedule:
     @pytest.fixture(scope="class")
     def results(self, distributed):
         problem, blocked, assignment, cells = distributed
-        solos = []
-        for m, c in cells:
-            # Fresh solver per solo run: the ledger is solver-lifetime.
-            solver = SPMDSolver(problem, assignment, blocked=blocked)
-            solos.append(solver.solve(m, c, eps=EPS))
-        batched = SPMDSolver(problem, assignment, blocked=blocked).solve_schedule(
-            cells, eps=EPS
-        )
-        return solos, batched
+        solver = SPMDSolver(problem, assignment, blocked=blocked)
+        solos = [solver.solve(m, c, eps=EPS) for m, c in cells]
+        return solos, solver.solve_schedule(cells, eps=EPS)
 
     def test_iterations_and_iterates_bitwise(self, results):
         solos, batched = results
@@ -197,3 +194,15 @@ class TestSPMDSolveSchedule:
         assert batched.iterations == solo.iterations
         assert np.array_equal(batched.u_natural, solo.u_natural)
         assert batched.ledger.words_by_kind == solo.ledger.words_by_kind
+
+    def test_consecutive_solves_report_equal_ledgers(self, distributed):
+        # Every result owns its ledger: a second solve on the same solver
+        # reports its own traffic, not the running total of both.
+        problem, blocked, assignment, _ = distributed
+        solver = SPMDSolver(problem, assignment, blocked=blocked)
+        first = solver.solve(2, np.ones(2), eps=EPS)
+        second = solver.solve(2, np.ones(2), eps=EPS)
+        assert first.ledger is not second.ledger
+        assert second.ledger.words_by_kind == first.ledger.words_by_kind
+        assert second.ledger.words_by_pair == first.ledger.words_by_pair
+        assert second.ledger.messages == first.ledger.messages

@@ -287,11 +287,33 @@ class TestSessionMachines:
             "plate", plan=SolverPlan.table3(), nrows=6
         )
         first = session.fem_solve(3, True, n_procs=5)
-        builds = session.stats.applicator_builds
+        machine = session.fem(5)
+        [splitting] = machine._schedule_applicators.values()
+        session.fem_solve(2, True, n_procs=5)
         second = session.fem_solve(3, True, n_procs=5)
-        assert session.stats.applicator_builds == builds  # reused
+        assert session.stats.machine_builds == 1  # one layout serves all
+        # One factorized splitting serves every cell and every m.
+        assert list(machine._schedule_applicators.values()) == [splitting]
         assert first.iterations == second.iterations
         assert first.seconds == second.seconds
+        assert np.array_equal(first.u_natural, second.u_natural)
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda s: s.run_cyber_schedule(),
+            lambda s: s.run_fem_schedule(),
+            lambda s: s.fem_solve(2, True),
+        ],
+        ids=["run_cyber_schedule", "run_fem_schedule", "fem_solve"],
+    )
+    def test_machine_runs_reject_omega_other_than_one(self, run):
+        # The simulators run the omega = 1 sweeps; an omega = 1.3 plan
+        # must not silently get omega = 1 numerics against its interval.
+        plan = SolverPlan.table3().with_(omega=1.3, applicator="splitting")
+        session = SolverSession.from_scenario("plate", plan=plan, nrows=6)
+        with pytest.raises(ValueError, match="omega"):
+            run(session)
 
     def test_fem_solve_matches_standalone_machine(self):
         from repro.driver import (
@@ -315,8 +337,8 @@ class TestSessionMachines:
 
 # ------------------------------------------------- batched simulator sweeps
 class TestBatchedCyberSchedule:
-    """The tentpole contract: the full Table-2 schedule through ONE
-    lockstep simulator pass, bitwise identical to the per-column path."""
+    """The full Table-2 schedule through ONE lockstep simulator pass,
+    bitwise identical to per-cell ``CyberMachine.solve`` calls."""
 
     @pytest.fixture(scope="class")
     def session(self):
@@ -326,8 +348,11 @@ class TestBatchedCyberSchedule:
 
     @pytest.fixture(scope="class")
     def results(self, session):
-        per_column = session.run_cyber_schedule(batched=False)
-        batched = session.run_cyber_schedule(batched=True)
+        machine = session.cyber()
+        per_column = [
+            machine.solve(m, c, eps=EPS) for m, c in session.schedule_cells()
+        ]
+        batched = session.run_cyber_schedule()
         return per_column, batched
 
     def test_one_simulator_layout_serves_both(self, session, results):
@@ -376,6 +401,30 @@ class TestBatchedCyberSchedule:
         assert [r.iterations for r in results] == [r.iterations for r in vec]
         for a, b in zip(results, vec):
             assert a.seconds == b.seconds  # charge stream is structural
+
+    def test_reference_plan_shards_bitwise(self, monkeypatch):
+        import repro.parallel.schedule as schedule_mod
+
+        dispatched = []
+        run_tasks = schedule_mod.run_tasks
+
+        def counting_run_tasks(fn, shards, workers):
+            dispatched.append(len(shards))
+            return run_tasks(fn, shards, workers)
+
+        monkeypatch.setattr(schedule_mod, "run_tasks", counting_run_tasks)
+        plan = SolverPlan.table2(eps=1e-4, backend=REFERENCE).with_(
+            schedule=((0, False), (2, True), (3, True))
+        )
+        session = SolverSession.from_scenario("plate", plan=plan, nrows=6)
+        serial = session.run_cyber_schedule()
+        sharded = session.run_cyber_schedule(workers=2)
+        assert dispatched == [2]  # the cells really fanned out
+        for s, p in zip(serial, sharded):
+            assert p.iterations == s.iterations
+            assert p.seconds == s.seconds
+            assert p.op_breakdown == s.op_breakdown
+            assert np.array_equal(p.u_natural, s.u_natural)
 
 
 class TestSolveScheduleDirect:

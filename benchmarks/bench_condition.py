@@ -52,8 +52,7 @@ def test_condition_study(benchmark):
 
 def test_spectrum_interval_speed(benchmark):
     """Micro-benchmark: measuring [λ₁, λ_n] of P⁻¹K on the a = 20 plate."""
-    from repro.core import spectrum_interval
+    from repro.driver import ssor_interval
 
-    splitting = SSORSplitting(cached_blocked(20).permuted)
-    lo, hi = benchmark(spectrum_interval, splitting)
-    assert 0 < lo < hi <= 1.0 + 1e-9
+    lo, hi = benchmark(ssor_interval, cached_blocked(20))
+    assert 0 < lo < hi == 1.0

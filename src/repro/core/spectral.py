@@ -1,27 +1,29 @@
 """Spectrum tools for splittings and preconditioned operators.
 
-The parametrized method needs the interval ``[λ₁, λ_n]`` containing the
-eigenvalues of ``P⁻¹K`` (Section 2.2).  ``P⁻¹K`` is similar to the
-*symmetric* operator ``S = W⁻¹ K W⁻ᵀ`` through the factor ``P = W Wᵀ`` each
-symmetric splitting exposes, so its spectrum is computed stably:
-
-* dense path (small n): generalized symmetric eigenproblem
-  ``K v = λ P v`` via ``scipy.linalg.eigh``;
-* iterative path (large n): Lanczos (``eigsh``) on ``S`` for ``λ_n``, and on
-  ``S⁻¹ = Wᵀ K⁻¹ W`` (one sparse LU of K) for ``1/λ₁`` — both extreme-end
-  computations, where Lanczos converges quickly.
+The parametrized method fits its ``αᵢ`` on an interval ``[λ₁, λ_n]`` that
+contains the eigenvalues of ``P⁻¹K`` (Section 2.2).  For the SSOR
+splitting with ``0 < ω < 2`` that spectrum lies in ``(0, 1]`` (Adams 1982),
+so :func:`spectrum_interval` takes ``λ_n = 1`` — exact at ω = 1, where the
+empty first column of the strict upper triangle makes ``e₁`` an
+eigenvector — and computes only ``λ₁``: the smallest eigenvalue of the
+Lanczos tridiagonal that CG's ``α``/``β`` scalars build (Chandra 1978),
+run on the operator with its m = 1 sweep from a ones start vector.  Ritz
+values approach ``λ₁`` from above, and the fit stays positive below its
+left end (``q(μ) = μ·h(μ)`` with ``h(0) = Σαᵢ > 0``), so the estimate is
+safe.  The run is deterministic and needs only ``K·x`` and the sweep, so
+the assembled and the matrix-free backends share it.
 
 Because the preconditioned operator ``M_m⁻¹K`` is a fixed polynomial ``q``
 of ``P⁻¹K``, its spectrum — and hence κ(M_m⁻¹K), the quantity Adams (1982)
 proves decreases with m — is obtained exactly by mapping eigenvalues of
-``P⁻¹K`` through ``q`` rather than by re-running Lanczos per m.
+``P⁻¹K`` through ``q``; :func:`full_splitting_spectrum` is the dense
+reference for that analysis on small problems.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse.linalg as spla
 
 from repro.core.polynomial import eigenvalue_map
 from repro.core.splittings import Splitting
@@ -35,7 +37,11 @@ __all__ = [
     "preconditioned_condition_number",
 ]
 
-_DENSE_LIMIT = 700
+#: The Lanczos run stops once λ₁ moves by at most this fraction between
+#: checks 10 steps apart.  The α fit hardly feels λ₁ (a 178×-high λ₁
+#: moved plate iteration counts by about 1%), so three digits is ample;
+#: more would only buy steps.
+_RTOL = 1e-3
 
 
 def full_splitting_spectrum(splitting: Splitting) -> np.ndarray:
@@ -50,88 +56,56 @@ def full_splitting_spectrum(splitting: Splitting) -> np.ndarray:
     return sla.eigh(k, p, eigvals_only=True)
 
 
-def _symmetric_operator(splitting: Splitting) -> spla.LinearOperator:
-    """``S = W⁻¹ K W⁻ᵀ`` as a LinearOperator.
+def _smallest_ritz(diag: list, off: list) -> float:
+    """Smallest eigenvalue of the Lanczos tridiagonal built so far."""
+    return float(sla.eigvalsh_tridiagonal(
+        diag, off[: len(diag) - 1], select="i", select_range=(0, 0)
+    )[0])
 
-    The splitting applications are batched (``(n, k)`` blocks of vectors go
-    through one color-block sweep each), so the operator advertises
-    ``matmat`` too — block methods probe it with matmuls instead of ``k``
-    sequential applies.
+
+def spectrum_interval(k, sweep) -> tuple[float, float]:
+    """``(λ₁, 1.0)`` for ``P⁻¹K``, with ``P⁻¹`` = ``sweep`` (an SSOR step).
+
+    ``k`` is anything supporting ``k @ x`` (the permuted CSR system or a
+    :class:`~repro.kernels.StencilOperator`); ``sweep(r)`` applies ``P⁻¹``
+    and may return a buffer it reuses on the next call.  ``λ₁`` is the
+    smallest Ritz value of the CG-Lanczos tridiagonal
+    (``T_jj = 1/α_j + β_{j−1}/α_{j−1}``, ``T_{j,j+1} = √β_j/α_j``) after
+    the run stops: on a ``_RTOL`` change between checks, on breakdown
+    (``ρ ≤ 0`` or ``pᵀKp ≤ 0``), or after ``n`` steps.
     """
-    k = splitting.k
-
-    def apply(x):
-        return splitting.apply_w_inv(k @ splitting.apply_wt_inv(x))
-
-    return spla.LinearOperator(
-        (splitting.n, splitting.n), matvec=apply, matmat=apply
-    )
-
-
-def _inverse_operator(splitting: Splitting) -> spla.LinearOperator:
-    """``S⁻¹ = Wᵀ K⁻¹ W``; factors K once."""
-    lu = spla.splu(splitting.k.tocsc())
-    w = _WFactor(splitting)
-
-    def apply(x):
-        return w.wt(lu.solve(w.w(x)))
-
-    return spla.LinearOperator(
-        (splitting.n, splitting.n), matvec=apply, matmat=apply
-    )
-
-
-class _WFactor:
-    """Forward actions of W and Wᵀ derived from the inverse actions.
-
-    ``W x`` is recovered by solving ``W⁻¹ y = x`` — but splittings only give
-    us inverse applications.  Rather than invert numerically we use
-    ``W = P W⁻ᵀ`` (from ``P = W Wᵀ``), which needs only ``P`` and ``W⁻ᵀ``.
-    """
-
-    def __init__(self, splitting: Splitting):
-        self._p = splitting.p_matrix()
-        self._splitting = splitting
-
-    def w(self, x: np.ndarray) -> np.ndarray:
-        return self._p @ self._splitting.apply_wt_inv(x)
-
-    def wt(self, x: np.ndarray) -> np.ndarray:
-        # Wᵀ = W⁻¹ P by the same identity.
-        return self._splitting.apply_w_inv(self._p @ x)
-
-
-def spectrum_interval(
-    splitting: Splitting,
-    tol: float = 1e-7,
-    safety: float = 0.0,
-) -> tuple[float, float]:
-    """``(λ₁, λ_n)`` of ``P⁻¹K``, optionally widened by ``safety`` (relative).
-
-    A small ``safety`` (e.g. 0.02) widens the interval used for polynomial
-    fitting so that Lanczos under-estimation of the extremes cannot place an
-    eigenvalue outside it (which could cost positivity of ``q``).
-    """
-    require(splitting.symmetric, "spectrum interval needs a symmetric splitting")
-    n = splitting.n
-    if n <= _DENSE_LIMIT:
-        eigs = full_splitting_spectrum(splitting)
-        lo, hi = float(eigs[0]), float(eigs[-1])
-    else:
-        s = _symmetric_operator(splitting)
-        hi = float(
-            spla.eigsh(s, k=1, which="LA", return_eigenvectors=False, tol=tol)[0]
-        )
-        s_inv = _inverse_operator(splitting)
-        inv_max = float(
-            spla.eigsh(s_inv, k=1, which="LA", return_eigenvectors=False, tol=tol)[0]
-        )
-        lo = 1.0 / inv_max
-    if safety:
-        span = hi - lo
-        lo = max(lo - safety * span, 0.0 if lo >= 0.0 else lo * (1 + safety))
-        hi = hi + safety * span
-    return lo, hi
+    n = k.shape[0]
+    r = np.ones(n)
+    z = sweep(r)
+    rho = float(r @ z)
+    require(rho > 0, "the sweep is not positive definite")
+    p = np.array(z)
+    diag: list[float] = []
+    off: list[float] = []
+    carry = 0.0  # β_{j−1}/α_{j−1}
+    lam = np.inf
+    for _ in range(n):
+        q = k @ p
+        denom = float(p @ q)
+        if not denom > 0:
+            break
+        alpha = rho / denom
+        diag.append(1.0 / alpha + carry)
+        r -= alpha * q
+        z = sweep(r)
+        rho_next = float(r @ z)
+        if not rho_next > 0:
+            break
+        beta = rho_next / rho
+        off.append(np.sqrt(beta) / alpha)
+        carry = beta / alpha
+        p = z + beta * p
+        rho = rho_next
+        if len(diag) % 10 == 0:
+            lam_prev, lam = lam, _smallest_ritz(diag, off)
+            if abs(lam - lam_prev) <= _RTOL * lam:
+                return lam, 1.0
+    return _smallest_ritz(diag, off), 1.0
 
 
 def condition_number(eigenvalues_or_interval) -> float:

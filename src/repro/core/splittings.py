@@ -5,10 +5,7 @@ A splitting packages three actions the preconditioner needs:
 * ``apply_p_inv(r)``      — one stationary step from zero: ``P⁻¹ r``;
 * ``apply_g(x)``          — the iteration matrix action
   ``G x = (I − P⁻¹K) x``;
-* ``apply_w_inv / apply_wt_inv`` — a factor ``P = W Wᵀ`` (for symmetric
-  splittings), so that ``P⁻¹K`` can be analyzed through the *symmetric*
-  similar operator ``W⁻¹ K W⁻ᵀ`` (used by :mod:`repro.core.spectral` to
-  compute the eigenvalue interval ``[λ₁, λ_n]`` the parametrization needs).
+* ``p_matrix()``          — an explicit ``P`` for dense analysis.
 
 Implemented splittings:
 
@@ -80,15 +77,6 @@ class Splitting(abc.ABC):
     def p_matrix(self) -> sp.spmatrix:
         """Explicit ``P`` (analysis/testing; never needed by the solver)."""
 
-    # --- symmetric factor P = W Wᵀ (only for symmetric splittings) ---------
-    def apply_w_inv(self, x: np.ndarray) -> np.ndarray:
-        """``W⁻¹ x`` for ``P = W Wᵀ``."""
-        raise NotImplementedError(f"{type(self).__name__} has no symmetric factor")
-
-    def apply_wt_inv(self, x: np.ndarray) -> np.ndarray:
-        """``W⁻ᵀ x`` for ``P = W Wᵀ``."""
-        raise NotImplementedError(f"{type(self).__name__} has no symmetric factor")
-
     @property
     def name(self) -> str:
         return type(self).__name__.replace("Splitting", "")
@@ -102,7 +90,6 @@ class JacobiSplitting(Splitting):
         d = self.k.diagonal().copy()
         require(bool(np.all(d > 0)), "Jacobi splitting needs a positive diagonal")
         self.d = d
-        self._sqrt_d = np.sqrt(d)
 
     def apply_p_inv(self, r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         r = np.asarray(r, dtype=float)
@@ -114,14 +101,6 @@ class JacobiSplitting(Splitting):
 
     def p_matrix(self) -> sp.spmatrix:
         return sp.diags(self.d).tocsr()
-
-    def apply_w_inv(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return x / (self._sqrt_d if x.ndim == 1 else self._sqrt_d[:, None])
-
-    def apply_wt_inv(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return x / (self._sqrt_d if x.ndim == 1 else self._sqrt_d[:, None])
 
 
 class RichardsonSplitting(Splitting):
@@ -149,12 +128,6 @@ class RichardsonSplitting(Splitting):
 
     def p_matrix(self) -> sp.spmatrix:
         return (self.c * sp.identity(self.n)).tocsr()
-
-    def apply_w_inv(self, x: np.ndarray) -> np.ndarray:
-        return x / np.sqrt(self.c)
-
-    def apply_wt_inv(self, x: np.ndarray) -> np.ndarray:
-        return x / np.sqrt(self.c)
 
 
 class _TriangularParts:
@@ -215,8 +188,6 @@ class SSORSplitting(Splitting):
         self._scale = self.omega * (2.0 - self.omega)
         self._dl = (sp.diags(parts.d) - self.omega * parts.lower).tocsr()
         self._du = (sp.diags(parts.d) - self.omega * parts.upper).tocsr()
-        self._sqrt_d = np.sqrt(parts.d)
-        self._w_scale = self._sqrt_d * np.sqrt(self._scale)
         self._solvers = None
 
     def _triangular_solvers(self):
@@ -247,15 +218,3 @@ class SSORSplitting(Splitting):
     def p_matrix(self) -> sp.spmatrix:
         d_inv = sp.diags(1.0 / self.d)
         return ((self._dl @ d_inv @ self._du) / self._scale).tocsr()
-
-    # P = W Wᵀ with W = (D − ωL) D^{−1/2} / sqrt(ω(2−ω)).
-    def apply_w_inv(self, x: np.ndarray) -> np.ndarray:
-        lower, _ = self._triangular_solvers()
-        z = lower.solve(np.asarray(x, dtype=float))
-        row_scale(z, self._w_scale, out=z)
-        return z
-
-    def apply_wt_inv(self, x: np.ndarray) -> np.ndarray:
-        _, upper = self._triangular_solvers()
-        z = row_scale(np.asarray(x, dtype=float), self._w_scale)
-        return upper.solve(z)

@@ -83,12 +83,11 @@ def build_blocked_system(problem) -> BlockedMatrix:
     return BlockedMatrix.from_matrix(problem.k, ordering)
 
 
-def ssor_interval(
-    blocked: BlockedMatrix, omega: float = 1.0, safety: float = 0.0
-) -> tuple[float, float]:
-    """``[λ₁, λ_n]`` of ``P⁻¹K`` for the SSOR splitting on the blocked system."""
-    splitting = SSORSplitting(blocked.permuted, omega=omega)
-    return spectrum_interval(splitting, safety=safety)
+def ssor_interval(blocked: BlockedMatrix) -> tuple[float, float]:
+    """``[λ₁, 1]`` of ``P⁻¹K`` for the ω = 1 SSOR splitting on the blocked
+    system: :func:`~repro.core.spectral.spectrum_interval` driven by the
+    merged m = 1 sweep — the call every assembled ω = 1 session makes."""
+    return spectrum_interval(blocked.permuted, MStepSSOR(blocked, np.ones(1)).apply)
 
 
 def mstep_coefficients(

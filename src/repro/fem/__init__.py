@@ -26,7 +26,6 @@ from repro.fem.matrixfree import (
     anisotropic_stencil,
     plate_stencil,
     poisson_stencil,
-    stencil_interval,
     stencil_operator,
 )
 from repro.fem.mesh import COLOR_NAMES, PlateMesh
@@ -73,7 +72,6 @@ __all__ = [
     "anisotropic_stencil",
     "plate_stencil",
     "poisson_stencil",
-    "stencil_interval",
     "stencil_operator",
     "element_stresses",
     "nodal_stresses",

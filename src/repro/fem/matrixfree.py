@@ -16,10 +16,11 @@ from the discretization, never touching ``scipy.sparse``:
   the same per-entry contribution order as the deterministic assembly
   summation — so plate coefficients are **bitwise equal** to the
   assembled matrix entries too;
-* :func:`stencil_operator` dispatches on the problem type; and
-* :func:`stencil_interval` bounds the SSOR-preconditioned spectrum by
-  deterministic power iteration when no assembled matrix exists to feed
-  the exact spectral routine.
+* :func:`stencil_operator` dispatches on the problem type.
+
+The spectral interval needs no stencil-specific code: the one routine,
+:func:`repro.core.spectral.spectrum_interval`, runs on the operator and
+its m = 1 sweep directly.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from repro.fem.model_problems import (
     PoissonProblem,
 )
 from repro.fem.plane_stress import ElasticMaterial, element_stiffness_batch
-from repro.kernels.stencil import StencilOperator, StencilSSOR
+from repro.kernels.stencil import StencilOperator
 from repro.util import require
 
 __all__ = [
@@ -41,7 +42,6 @@ __all__ = [
     "anisotropic_stencil",
     "plate_stencil",
     "stencil_operator",
-    "stencil_interval",
     "STENCIL_SCENARIOS",
 ]
 
@@ -220,63 +220,3 @@ def stencil_operator(problem) -> StencilOperator:
         f"no stencil operator for {type(problem).__name__}; the stencil "
         f"backend serves the regular-mesh scenarios {STENCIL_SCENARIOS}"
     )
-
-
-def _rayleigh_power(apply_fn, v0: np.ndarray, iterations: int) -> float:
-    """Dominant-eigenvalue estimate by power iteration (deterministic).
-
-    ``apply_fn`` may return a borrowed buffer it will overwrite on the
-    next call — the loop consumes ``w`` before re-applying, renormalizing
-    into ``v`` in place, so the whole iteration allocates nothing.  At
-    large ``n`` this runs exactly at the pipeline's peak-memory point,
-    the metric the matrix-free path exists to win.
-    """
-    v = v0 / float(np.linalg.norm(v0))
-    lam = 0.0
-    for _ in range(iterations):
-        w = apply_fn(v)
-        lam = float(v @ w)
-        norm = float(np.linalg.norm(w))
-        if norm == 0.0:
-            break
-        np.divide(w, norm, out=v)
-    return lam
-
-
-def stencil_interval(
-    operator: StencilOperator, iterations: int = 80, safety: float = 0.05
-) -> tuple[float, float]:
-    """``[λ₁, λ_n]`` bounds for ``P⁻¹K`` under the ω=1 SSOR splitting.
-
-    The assembled path measures the spectrum exactly
-    (:func:`repro.driver.ssor_interval`); without a matrix this runs
-    deterministic power iteration on ``P⁻¹K`` (largest) and on the
-    shifted complement ``c·I − P⁻¹K`` (smallest), widening both ends by
-    ``safety``.  Least-squares coefficient fitting only needs an
-    enclosing interval, so modest accuracy suffices.
-    """
-    ssor = StencilSSOR(operator, np.ones(1))
-    n = operator.n
-    kv = np.empty(n)
-
-    def preconditioned(v: np.ndarray) -> np.ndarray:
-        # Borrowed buffer out (the sweep's pool), per the power-loop
-        # contract above: no per-iteration copies.
-        operator.matvec_into(v, kv)
-        return ssor.apply(kv)
-
-    def shifted_complement(v: np.ndarray) -> np.ndarray:
-        p = preconditioned(v)  # p is pooled; kv is free again after this
-        np.multiply(v, hi, out=kv)
-        np.subtract(kv, p, out=kv)
-        return kv
-
-    hi = _rayleigh_power(preconditioned, np.ones(n), iterations)
-    require(hi > 0, "power iteration found a non-positive dominant eigenvalue")
-    hi *= 1.0 + safety
-    shifted = _rayleigh_power(
-        shifted_complement, np.cos(np.arange(n, dtype=float)), iterations
-    )
-    lo = (hi - shifted) * (1.0 - safety)
-    lo = max(lo, np.finfo(float).tiny)
-    return (float(lo), float(hi))

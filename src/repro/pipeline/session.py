@@ -44,6 +44,8 @@ import numpy as np
 
 from repro.core.convergence import StoppingRule
 from repro.core.pcg import BlockPCGResult, block_pcg
+from repro.core.spectral import spectrum_interval
+from repro.core.splittings import SSORSplitting
 from repro.driver import (
     MStepSolve,
     build_blocked_system,
@@ -52,7 +54,7 @@ from repro.driver import (
     mstep_coefficients,
     ssor_interval,
 )
-from repro.fem.matrixfree import stencil_interval, stencil_operator
+from repro.fem.matrixfree import stencil_operator
 from repro.kernels.backend import STENCIL
 from repro.kernels.stencil import StencilSSOR
 from repro.machines import CYBER_203, CyberMachine, FiniteElementMachine
@@ -255,19 +257,25 @@ class SolverSession:
     def interval(self) -> tuple[float, float]:
         """``[λ₁, λ_n]`` of ``P⁻¹K`` — measured once, reused everywhere.
 
-        An assembled problem measures the exact spectrum on the blocked
-        system even under the stencil backend (the operators are the same
-        matrix, so coefficients match the CSR path exactly); a matrix-free
-        problem (``k=None``) bounds it by deterministic power iteration
-        on the stencil operator (:func:`repro.fem.stencil_interval`).
+        One routine on every backend
+        (:func:`~repro.core.spectral.spectrum_interval`): ``λ_n = 1`` and
+        a Lanczos ``λ₁`` from the plan's operator with its m = 1 SSOR
+        sweep, built outside the applicator caches.  At ω = 1 the
+        assembled backends make :func:`repro.driver.ssor_interval`'s call
+        whatever the applicator or kernel backend; the stencil backend
+        runs the same recurrence matrix-free and agrees to rounding.
         """
         if self._interval is None:
-            if getattr(self.problem, "k", None) is None:
-                self._interval = stencil_interval(self.stencil())
+            if self.plan.backend == STENCIL:
+                stencil = self.stencil()
+                sweep = StencilSSOR(stencil, np.ones(1)).apply
+                self._interval = spectrum_interval(stencil, sweep)
+            elif self.plan.omega == 1.0:
+                self._interval = ssor_interval(self.blocked)
             else:
-                self._interval = ssor_interval(
-                    self.blocked, omega=self.plan.omega
-                )
+                k = self.blocked.permuted
+                sweep = SSORSplitting(k, omega=self.plan.omega).apply_p_inv
+                self._interval = spectrum_interval(k, sweep)
             self.stats.intervals += 1
         return self._interval
 

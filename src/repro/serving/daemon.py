@@ -192,8 +192,18 @@ class SessionCache:
             params["assemble"] = False
         problem = build_scenario(request.scenario, **params)
         m, parametrized = request.m, request.parametrized
+        blocked = interval = None
         if m == "auto":
-            m, parametrized = self._resolve_auto_m(problem, request)
+            probe = SolverSession(
+                problem,
+                plan=SolverPlan.single(0, eps=request.eps, backend=request.backend),
+            )
+            m, parametrized = self._resolve_auto_m(probe), True
+            # The served session reuses the probe's interval and, on the
+            # assembled backends, the blocked system it was measured on.
+            interval = probe.interval
+            if request.backend != "stencil":
+                blocked = probe.blocked
         plan = SolverPlan.single(
             m,
             parametrized,
@@ -201,17 +211,20 @@ class SessionCache:
             backend=request.backend,
             block_rhs=self.auto_width,
         )
-        session = SolverSession(problem, plan=plan).compile()
+        session = SolverSession(
+            problem, plan=plan, blocked=blocked, interval=interval
+        ).compile()
         return SessionEntry(
             key=key, session=session, m=m, parametrized=parametrized,
             n=int(np.asarray(problem.f).shape[0]),
         )
 
-    def _resolve_auto_m(self, problem, request: SolveRequest) -> tuple[int, bool]:
+    def _resolve_auto_m(self, probe: SolverSession) -> int:
         """``m = "auto"`` → the width-aware (4.2) recommendation.
 
         Priced once per cached system at the batcher's width — the width
-        hot traffic actually rides at — using the FEM-machine-calibrated
+        hot traffic actually rides at — on an m = 0 ``probe`` session of
+        the request's problem and backend, using the FEM-machine-calibrated
         model when the scenario carries a plate mesh (the same resolution
         the CLI's ``--m auto`` performs, via
         :meth:`SolverSession.calibrated_model`).
@@ -219,10 +232,6 @@ class SessionCache:
         from repro.analysis import PerformanceModel
         from repro.core.autotune import recommend_m
 
-        probe = SolverSession(
-            problem,
-            plan=SolverPlan.single(0, eps=request.eps, backend=request.backend),
-        )
         model = probe.calibrated_model()
         if model is None:
             model = PerformanceModel(a=1.0, b=0.7)
@@ -230,7 +239,7 @@ class SessionCache:
             probe.interval, model, m_max=10, width=self.auto_width,
             rel_tol=0.05,
         )
-        return rec.m, True
+        return rec.m
 
     def close_all(self) -> None:
         """Close every cached session (shutdown path; idempotent)."""

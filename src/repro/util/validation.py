@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 __all__ = ["require", "is_symmetric", "is_spd", "check_spd", "is_diagonal"]
 
@@ -37,20 +36,11 @@ def is_symmetric(a, tol: float = 1e-10) -> bool:
     return float(np.max(np.abs(a - a.T))) <= tol * scale if a.size else True
 
 
-def _min_eig_estimate(a) -> float:
-    """Smallest eigenvalue (dense exact for small, Lanczos for large)."""
-    n = a.shape[0]
-    if n <= 400:
-        dense = a.toarray() if sp.issparse(a) else np.asarray(a, dtype=float)
-        return float(np.linalg.eigvalsh(dense)[0])
-    vals = spla.eigsh(
-        a.asfptype() if sp.issparse(a) else np.asarray(a, dtype=float),
-        k=1,
-        which="SA",
-        return_eigenvectors=False,
-        tol=1e-8,
-    )
-    return float(vals[0])
+def _min_eig(a) -> float:
+    """Smallest eigenvalue, computed densely (a check for test-sized
+    systems: O(n³), exact and deterministic)."""
+    dense = a.toarray() if sp.issparse(a) else np.asarray(a, dtype=float)
+    return float(np.linalg.eigvalsh(dense)[0])
 
 
 def is_spd(a, tol: float = 1e-10) -> bool:
@@ -60,7 +50,7 @@ def is_spd(a, tol: float = 1e-10) -> bool:
     if a.shape[0] == 0:
         return True
     scale = float(abs(a).max()) if not sp.issparse(a) else float(np.max(np.abs(a.data)))
-    return _min_eig_estimate(a) > -tol * max(1.0, scale)
+    return _min_eig(a) > -tol * max(1.0, scale)
 
 
 def check_spd(a, name: str = "matrix", tol: float = 1e-10) -> None:
@@ -68,7 +58,7 @@ def check_spd(a, name: str = "matrix", tol: float = 1e-10) -> None:
     require(is_symmetric(a, tol=max(tol, 1e-10)), f"{name} is not symmetric")
     if a.shape[0] == 0:
         return
-    lam = _min_eig_estimate(a)
+    lam = _min_eig(a)
     require(lam > 0.0, f"{name} is not positive definite (λ_min = {lam:g})")
 
 

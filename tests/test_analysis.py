@@ -299,12 +299,9 @@ class TestCyberCalibratedModel:
 
     def test_recommendation_runs_off_the_cyber_model(self, machine):
         from repro.core.autotune import recommend_m
-        from repro.core.spectral import spectrum_interval
-        from repro.core.splittings import SSORSplitting
-        from repro.driver import build_blocked_system
+        from repro.driver import build_blocked_system, ssor_interval
 
-        blocked = build_blocked_system(machine.problem)
-        interval = spectrum_interval(SSORSplitting(blocked.permuted))
+        interval = ssor_interval(build_blocked_system(machine.problem))
         model = PerformanceModel.from_cyber_machine(machine)
         rec = recommend_m(interval, model, m_max=10, rel_tol=0.05)
         assert 1 <= rec.m <= 10

@@ -16,7 +16,7 @@ def splitting():
 
 @pytest.fixture(scope="module")
 def interval(splitting):
-    return spectrum_interval(splitting)
+    return spectrum_interval(splitting.k, splitting.apply_p_inv)
 
 
 class TestRecommendM:

@@ -99,45 +99,6 @@ class TestSymmetryProperties:
         assert splitting.p_matrix().toarray() == pytest.approx(expected)
 
 
-class TestWFactor:
-    @pytest.mark.parametrize(
-        "factory",
-        [
-            lambda k: JacobiSplitting(k),
-            lambda k: RichardsonSplitting(k),
-            lambda k: SSORSplitting(k),
-            lambda k: SSORSplitting(k, omega=0.8),
-        ],
-    )
-    def test_w_factorizes_p(self, factory, plate_k):
-        # Verify P⁻¹ = W⁻ᵀ W⁻¹ by comparing actions.
-        splitting = factory(plate_k)
-        rng = np.random.default_rng(3)
-        x = rng.normal(size=plate_k.shape[0])
-        via_w = splitting.apply_wt_inv(splitting.apply_w_inv(x))
-        assert via_w == pytest.approx(splitting.apply_p_inv(x), rel=1e-9, abs=1e-9)
-
-    def test_symmetric_operator_spectrum_matches_pencil(self, plate_k):
-        # eig(W⁻¹KW⁻ᵀ) = eig(P⁻¹K).
-        splitting = SSORSplitting(plate_k)
-        n = plate_k.shape[0]
-        s = np.empty((n, n))
-        eye = np.eye(n)
-        for col in range(n):
-            s[:, col] = splitting.apply_w_inv(plate_k @ splitting.apply_wt_inv(eye[:, col]))
-        import scipy.linalg as sla
-
-        pencil = sla.eigh(
-            plate_k.toarray(), splitting.p_matrix().toarray(), eigvals_only=True
-        )
-        direct = np.sort(np.linalg.eigvalsh(0.5 * (s + s.T)))
-        assert direct == pytest.approx(pencil, rel=1e-8, abs=1e-8)
-
-    def test_sor_has_no_w_factor(self, plate_k):
-        with pytest.raises(NotImplementedError):
-            SORSplitting(plate_k).apply_w_inv(np.ones(plate_k.shape[0]))
-
-
 class TestStationaryConvergence:
     @pytest.mark.parametrize(
         "factory",

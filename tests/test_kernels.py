@@ -183,17 +183,6 @@ class TestSplittingBackendEquivalence:
             np.abs(fast.apply_p_inv(r) - pin.apply_p_inv(r))
         ) <= TOL * max(scale, 1.0)
 
-    @pytest.mark.parametrize("factory", SPLITTING_FACTORIES[:4])
-    def test_w_factor_matches_reference(self, factory, blocked):
-        k = blocked.permuted
-        fast = factory(k, VECTORIZED)
-        pin = factory(k, REFERENCE)
-        x = rng_vector(k.shape[0], seed=6)
-        for name in ("apply_w_inv", "apply_wt_inv"):
-            got = getattr(fast, name)(x)
-            want = getattr(pin, name)(x)
-            assert np.max(np.abs(got - want)) <= TOL * max(np.max(np.abs(want)), 1.0)
-
     @pytest.mark.parametrize("factory", SPLITTING_FACTORIES)
     def test_batched_apply_matches_columnwise(self, factory, blocked):
         splitting = factory(blocked.permuted, VECTORIZED)

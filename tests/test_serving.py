@@ -194,6 +194,26 @@ class TestSessionCache:
         assert entry.parametrized
         assert entry.label.endswith("P")
 
+    def test_auto_miss_measures_interval_once_and_colors_once(self, monkeypatch):
+        """The served session reuses the auto-m probe's compile work."""
+        import repro.pipeline.session as session_mod
+
+        calls = {"build_blocked_system": 0, "ssor_interval": 0}
+        for name in calls:
+            original = getattr(session_mod, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(session_mod, name, counted)
+        cache = SessionCache(capacity=2, auto_width=8)
+        entry, hit = cache.get(
+            parse_solve_request(solve_payload(m="auto", rows=12))
+        )
+        assert not hit and entry.parametrized
+        assert calls == {"build_blocked_system": 1, "ssor_interval": 1}
+
 
 # ------------------------------------------------------------- micro-batcher
 def run_batcher(coro):

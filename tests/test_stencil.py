@@ -14,12 +14,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.driver import build_blocked_system, mstep_coefficients, ssor_interval
-from repro.fem.matrixfree import (
-    STENCIL_SCENARIOS,
-    stencil_interval,
-    stencil_operator,
-)
+from repro.driver import build_blocked_system, mstep_coefficients
+from repro.fem.matrixfree import STENCIL_SCENARIOS, stencil_operator
 from repro.kernels import StencilOperator, StencilSSOR
 from repro.kernels.backend import SOLVER_BACKENDS
 from repro.multicolor import MStepSSOR
@@ -235,7 +231,7 @@ def test_sweep_matches_mstep_ssor(name, kw, m):
     """
     problem = build_scenario(name, **kw)
     blocked = build_blocked_system(problem)
-    coeffs = mstep_coefficients(m, False, ssor_interval(blocked))
+    coeffs = mstep_coefficients(m, False, None)
     csr_sweep = MStepSSOR(blocked, coeffs)
     st_sweep = StencilSSOR(stencil_operator(problem), coeffs)
     perm = blocked.ordering.perm
@@ -269,7 +265,7 @@ def test_fused_sweep_native_vs_fallback_bitwise(name, kw, m, monkeypatch):
     import repro.kernels.stencil as stencil_mod
 
     problem = build_scenario(name, **kw)
-    coeffs = mstep_coefficients(m, False, ssor_interval(build_blocked_system(problem)))
+    coeffs = mstep_coefficients(m, False, None)
     sweep_native = StencilSSOR(stencil_operator(problem), coeffs)
     if sweep_native.operator.sweep_plan is None:
         pytest.skip("no compiled kernel in this environment")
@@ -298,7 +294,7 @@ def test_sweep_ignores_stale_pool_contents(name, kw):
     NaN may reach the next apply's result — else a sharded solve would
     disagree with the serial one depending on the memory a worker got."""
     problem = build_scenario(name, **kw)
-    coeffs = mstep_coefficients(2, False, ssor_interval(build_blocked_system(problem)))
+    coeffs = mstep_coefficients(2, False, None)
     n = problem.f.size
     rng = np.random.default_rng(31)
     for shape in [(n,), (n, 3)]:
@@ -407,8 +403,8 @@ def test_session_parity_stretched_plate(k):
 
 def test_matrix_free_end_to_end():
     """``assemble=False`` + stencil backend: no matrix ever exists, the
-    interval comes from power iteration, and the solve still converges to
-    the assembled path's answer."""
+    interval comes from the Lanczos run on the stencil, and the solve
+    still converges to the assembled path's answer."""
     problem = build_scenario("poisson", n_grid=12, assemble=False)
     assert problem.k is None
     session = SolverSession(problem, plan=SolverPlan.single(2, backend="stencil"))
@@ -421,16 +417,24 @@ def test_matrix_free_end_to_end():
     assert _relerr(reference.u, solve.u) <= 1e-8  # both ≈ the true solution
 
     lo, hi = session.interval
-    assert 0 < lo < hi
+    assert 0 < lo < hi == 1.0
     assert session.stats.intervals == 1
 
 
 def test_stencil_interval_encloses_exact_spectrum():
+    from repro.core.spectral import full_splitting_spectrum
+    from repro.core.splittings import SSORSplitting
+
     problem = build_scenario("poisson", n_grid=12)
-    lo_ex, hi_ex = ssor_interval(build_blocked_system(problem))
-    lo, hi = stencil_interval(stencil_operator(problem))
-    assert lo <= lo_ex * 1.05
-    assert hi >= hi_ex / 1.05
+    eigs = full_splitting_spectrum(
+        SSORSplitting(build_blocked_system(problem).permuted)
+    )
+    lo, hi = SolverSession(
+        build_scenario("poisson", n_grid=12, assemble=False),
+        plan=SolverPlan.single(2, True, backend="stencil"),
+    ).interval
+    assert lo <= eigs[0] * 1.05
+    assert hi >= eigs[-1] / 1.05
 
 
 # --------------------------------------------------------------------------
@@ -489,14 +493,11 @@ def test_sharded_stencil_pickled_fallback_bitwise():
     """With shared memory off the description rides the spec pickle —
     same bits either way."""
     from repro.core.pcg import block_pcg
-    from repro.driver import mstep_coefficients, ssor_interval
     from repro.parallel import ApplicatorRecipe, sharded_block_pcg
 
     problem = build_scenario("poisson", n_grid=12)
     op = stencil_operator(problem)
-    coeffs = mstep_coefficients(
-        2, False, ssor_interval(build_blocked_system(problem))
-    )
+    coeffs = mstep_coefficients(2, False, None)
     recipe = ApplicatorRecipe(kind="stencil", coefficients=coeffs)
     F = np.random.default_rng(23).normal(size=(op.n, 4))
     serial = block_pcg(

@@ -98,10 +98,7 @@ def test_cyber_matvec_kernel(benchmark):
     """Micro-benchmark: one K·p by diagonals on the a = 20 machine."""
     import numpy as np
 
-    from repro.machines.vector import VectorMachine
-
     machine = cached_session(20).cyber()
-    vm = VectorMachine(machine.timing)
     x = np.random.default_rng(0).normal(size=machine.n_padded)
 
-    benchmark(machine._matvec, vm, x)
+    benchmark(machine.matvec_into, x, np.empty_like(x))

@@ -21,8 +21,9 @@ gives standard conjugate gradients.
 
 The driver is ordering- and storage-agnostic: ``k`` may be any object with
 ``@`` (scipy sparse, ndarray, LinearOperator) and the preconditioner any
-object with ``apply(r) → r̃``.  The machine simulators re-implement this
-same loop on their own kernels; tests pin their iterates to this reference.
+object with ``apply(r) → r̃``.  The CYBER simulator's per-cell ``solve``
+and the SPMD engine re-implement this same loop on their own kernels;
+tests pin their iterates to this reference.
 
 :func:`block_pcg` is the multi-right-hand-side form: ``k`` independent
 Algorithm-1 iterations advance in lockstep over an ``(n, k)`` block, the
@@ -385,6 +386,11 @@ def block_pcg(
     F:
         Right-hand-side block, shape ``(n, k)`` (any memory order — a
         contiguous working copy is taken per column).
+    preconditioner:
+        As in :func:`pcg`.  One that sets ``takes_columns`` is called as
+        ``apply(r, columns=cols)``, ``cols`` listing the block columns
+        ``r`` holds (one index for an ``(n,)`` residual) — all a per-column
+        α schedule needs (:class:`repro.machines.cells.SchedulePreconditioner`).
     u0:
         Starting block (default zero), shape ``(n, k)`` or a single
         ``(n,)`` guess broadcast to every column.
@@ -417,6 +423,7 @@ def block_pcg(
 
     block_matvec = supports_matvec_block(k)
     block_precond = bool(getattr(m, "block_capable", False))
+    takes_columns = bool(getattr(m, "takes_columns", False))
     has_counter = hasattr(m, "counter")
 
     # Per-column state: contiguous (n,) vectors, exactly what pcg() holds.
@@ -472,10 +479,19 @@ def block_pcg(
         if len(cols) > 1 and block_precond:
             r_block = _stack_buf(stack_bufs, len(cols))
             np.stack([r[j] for j in cols], axis=1, out=r_block)
-            rt_block = np.asarray(m.apply(r_block), dtype=float)
+            rt_block = np.asarray(
+                m.apply(r_block, columns=cols) if takes_columns else m.apply(r_block),
+                dtype=float,
+            )
             out = [np.ascontiguousarray(rt_block[:, i]) for i in range(len(cols))]
         else:
-            out = [np.array(m.apply(r[j]), dtype=float) for j in cols]
+            out = [
+                np.array(
+                    m.apply(r[j], columns=[j]) if takes_columns else m.apply(r[j]),
+                    dtype=float,
+                )
+                for j in cols
+            ]
         if before is not None:
             _merge_precond_delta(
                 [counters[j] for j in cols], before, m.counter.as_dict(),

@@ -19,11 +19,8 @@ from repro.kernels.backend import (
     SOLVER_BACKENDS,
     STENCIL,
     VECTORIZED,
-    default_backend,
     resolve_backend,
     resolve_solver_backend,
-    set_default_backend,
-    use_backend,
 )
 from repro.kernels.ops import (
     axpy,
@@ -51,11 +48,8 @@ __all__ = [
     "SOLVER_BACKENDS",
     "STENCIL",
     "VECTORIZED",
-    "default_backend",
     "resolve_backend",
     "resolve_solver_backend",
-    "set_default_backend",
-    "use_backend",
     "StencilOperator",
     "StencilSSOR",
     "axpy",

@@ -12,8 +12,8 @@ Every hot primitive in the solver stack dispatches through a *backend*:
   the pin for the equivalence test-suite: every fast path must agree with
   it to roundoff.
 
-The default is process-global; override it per object (every consumer
-takes a ``backend=`` argument) or temporarily with :func:`use_backend`.
+Every consumer takes a ``backend=`` argument; ``None`` means
+``"vectorized"``.
 
 Solver plans additionally accept ``"stencil"`` — the matrix-free
 :class:`~repro.kernels.stencil.StencilOperator` path for the regular-mesh
@@ -27,19 +27,14 @@ protocol) include it.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-
 __all__ = [
     "VECTORIZED",
     "REFERENCE",
     "STENCIL",
     "BACKENDS",
     "SOLVER_BACKENDS",
-    "default_backend",
-    "set_default_backend",
     "resolve_backend",
     "resolve_solver_backend",
-    "use_backend",
 ]
 
 VECTORIZED = "vectorized"
@@ -48,24 +43,11 @@ STENCIL = "stencil"
 BACKENDS = (VECTORIZED, REFERENCE)
 SOLVER_BACKENDS = (VECTORIZED, REFERENCE, STENCIL)
 
-_default = VECTORIZED
-
-
-def default_backend() -> str:
-    """The process-wide default backend name."""
-    return _default
-
-
-def set_default_backend(name: str) -> None:
-    """Set the process-wide default backend (``"vectorized"``/``"reference"``)."""
-    global _default
-    _default = resolve_backend(name)
-
 
 def resolve_backend(name: str | None) -> str:
-    """Validate ``name``; ``None`` means the current default."""
+    """Validate ``name``; ``None`` means ``"vectorized"``."""
     if name is None:
-        return _default
+        return VECTORIZED
     if name not in BACKENDS:
         raise ValueError(
             f"unknown kernel backend {name!r}; valid choices: "
@@ -77,27 +59,15 @@ def resolve_backend(name: str | None) -> str:
 def resolve_solver_backend(name: str | None) -> str:
     """Validate a *solver* backend name (kernel backends + ``"stencil"``).
 
-    ``None`` means the current kernel default.  The error message lists
-    the valid choices — plans, the CLI and the serving protocol all route
-    their validation through here.
+    ``None`` means ``"vectorized"``.  The error message lists the valid
+    choices — plans, the CLI and the serving protocol all route their
+    validation through here.
     """
     if name is None:
-        return _default
+        return VECTORIZED
     if name not in SOLVER_BACKENDS:
         raise ValueError(
             f"unknown solver backend {name!r}; valid choices: "
             + ", ".join(repr(b) for b in SOLVER_BACKENDS)
         )
     return name
-
-
-@contextmanager
-def use_backend(name: str):
-    """Temporarily switch the default backend (tests, A/B timing)."""
-    global _default
-    previous = _default
-    _default = resolve_backend(name)
-    try:
-        yield _default
-    finally:
-        _default = previous

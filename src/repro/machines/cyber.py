@@ -30,13 +30,14 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from repro.core.pcg import PCGResult, block_pcg
 from repro.driver import cell_label
 from repro.fem.model_problems import PlateProblem
 from repro.fem.plane_stress import assemble_plate_full
 from repro.kernels import ops as kernel_ops
 from repro.kernels.backend import REFERENCE, resolve_backend
 from repro.kernels.triangular import ColorBlockMergedSweep, ColorBlockTriangularSolver
-from repro.machines.cells import normalize_cell
+from repro.machines.cells import SchedulePreconditioner, normalize_cell
 from repro.machines.diagonals import DiagonalStorage
 from repro.machines.timing import CYBER_203, VectorTimingModel
 from repro.machines.vector import VectorMachine
@@ -69,29 +70,19 @@ class CyberResult:
         )
 
 
-class _ScheduleCellState:
-    """Per-cell running state of a batched :meth:`CyberMachine.solve_schedule`."""
-
-    __slots__ = (
-        "m", "coefficients", "parametrized", "vm", "u", "r", "rt", "p",
-        "rho", "iterations", "converged", "precond_seconds",
-    )
-
-    def __init__(self, m: int, coefficients: np.ndarray | None,
-                 parametrized: bool, vm: VectorMachine):
-        self.m = m
-        self.coefficients = coefficients
-        self.parametrized = parametrized
-        self.vm = vm
-        self.u = self.r = self.rt = self.p = None
-        self.rho = 0.0
-        self.iterations = 0
-        self.converged = False
-        self.precond_seconds = 0.0
-
-
 class CyberMachine:
-    """The plate problem laid out for the CYBER, ready to solve repeatedly."""
+    """The plate problem laid out for the CYBER, ready to solve repeatedly.
+
+    The machine is also its own operator ``K`` — ``shape``, ``dtype``,
+    :meth:`matvec_into` and :meth:`matvec_accumulate` over the matrix by
+    diagonals — so :meth:`solve_schedule` runs its cells through
+    :func:`~repro.core.pcg.block_pcg`.
+    """
+
+    #: Block products are per-column bitwise the vector product
+    #: (see :func:`repro.kernels.ops.supports_matvec_block`).
+    block_matvec_bitwise = True
+    dtype = np.dtype(np.float64)
 
     def __init__(
         self,
@@ -118,6 +109,7 @@ class CyberMachine:
         self.slices = self.ordering.group_slices
         self.n_groups = 6
         self.n_padded = 2 * n_nodes
+        self.shape = (self.n_padded, self.n_padded)
 
         # Control vector: True on unconstrained slots (multicolor order).
         free = np.repeat(~mesh.is_constrained, 2)
@@ -155,24 +147,32 @@ class CyberMachine:
         self._charge_stream_cache: dict = {}
 
     # ------------------------------------------------------------- primitives
-    def _matvec(self, vm: VectorMachine, x: np.ndarray) -> np.ndarray:
-        """``K x`` color row by color row, by diagonals, masked."""
-        out = np.empty_like(x)
-        for c in range(self.n_groups):
-            acc = vm.multiply(self.diagonals[c], x[self.slices[c]])
+    def matvec_into(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``out ← K x`` color row by color row, by diagonals, masked.
+
+        ``x`` is an ``(n,)`` vector or an ``(n, k)`` block; every column
+        of a block undergoes exactly the elementwise multiply-adds of a
+        vector, so it is bit-identical to its single product.  Nothing is
+        charged here — :meth:`_charge_matvec` books the stream.
+        """
+        for c, sc in enumerate(self.slices):
+            acc = kernel_ops.row_scale(x[sc], self.diagonals[c], out=out[sc])
             for j, storage in self.blocks[c].items():
-                vm.diag_matvec_accumulate(storage, x[self.slices[j]], acc)
-            out[self.slices[c]] = acc
-        return vm.apply_mask(out, self.free_mask)
+                storage.matvec(x[self.slices[j]], out=acc)
+        out[~self.free_mask] = 0.0
+        return out
+
+    def matvec_accumulate(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``out += K x`` (the block product :func:`block_pcg` batches)."""
+        out += self.matvec_into(x, np.empty_like(out))
+        return out
 
     def _charge_matvec(self, vm: VectorMachine) -> None:
-        """Replay :meth:`_matvec`'s charge stream without executing it.
+        """Charge one ``K x`` by diagonals (:meth:`matvec_into`) to ``vm``.
 
-        Kind-for-kind and length-for-length the sequence ``_matvec`` emits
-        (one ``multiply`` per color row, one ``diag_madd`` per stored
-        diagonal), so a solve that computes its products elsewhere — the
-        batched lockstep pass of :meth:`solve_schedule` — lands on the
-        bitwise-identical clock and operation ledger.
+        One ``multiply`` per color row and one ``diag_madd`` per stored
+        diagonal, each at its own length: the vector-op stream the
+        matrix-by-diagonals product issues on the machine.
         """
         for c in range(self.n_groups):
             vm.charge("multiply", self.diagonals[c].shape[0])
@@ -180,23 +180,6 @@ class CyberMachine:
                 for index in range(storage.n_diagonals):
                     start, stop = storage.diagonal_span(index)
                     vm.charge("diag_madd", stop - start)
-
-    def _matvec_block(self, x: np.ndarray) -> np.ndarray:
-        """Numerics of ``K X`` on an ``(n, k)`` block, by diagonals, masked.
-
-        Column ``j`` undergoes exactly the elementwise multiply-adds
-        ``_matvec`` performs on ``x[:, j]`` (diagonal products broadcast
-        over the block), so the result is bit-identical column by column;
-        only the Python/NumPy pass count drops from ``k`` to one.
-        """
-        out = np.empty_like(x)
-        for c in range(self.n_groups):
-            acc = self.diagonals[c][:, None] * x[self.slices[c]]
-            for j, storage in self.blocks[c].items():
-                storage.matvec(x[self.slices[j]], out=acc)
-            out[self.slices[c]] = acc
-        out[~self.free_mask] = 0.0
-        return out
 
     # -------------------------------------------------- charge-stream replay
     def _recorded_stream(self, key, builder) -> dict[str, list[float]]:
@@ -392,57 +375,6 @@ class CyberMachine:
         # holds r̃ across preconditioner applications, so no copy is needed.
         return self._sweep_kernel().apply(coefficients, r)
 
-    def precondition_block(
-        self,
-        coefficients: np.ndarray,
-        r_block: np.ndarray,
-        vm: VectorMachine | None = None,
-        backend: str | None = None,
-    ) -> np.ndarray:
-        """Batched Algorithm 2 on an ``(n_padded, k)`` block of residuals.
-
-        The vectorized backend runs one merged color-block sweep over the
-        whole block and charges block-width vector operations — a single
-        pipeline startup per color-block op, the long-vector advantage the
-        paper's machine organization is built around.  The reference
-        backend applies column by column and pays ``k`` full charge
-        streams.  Constrained slots are masked on entry (control vector,
-        free of charge).
-
-        ``coefficients`` is ``(m,)`` — one α schedule shared by every
-        column — or ``(m, k)`` to give each right-hand side its own
-        schedule (the batched multi-cell sweeps of :meth:`solve_schedule`).
-        """
-        coefficients = np.atleast_1d(np.asarray(coefficients, dtype=float))
-        require(coefficients.shape[0] >= 1, "need at least one step (m ≥ 1)")
-        r_block = np.asarray(r_block, dtype=float)
-        require(
-            r_block.ndim == 2 and r_block.shape[0] == self.n_padded,
-            "need an (n_padded, k) block of right-hand sides",
-        )
-        require(
-            coefficients.ndim == 1 or coefficients.shape[1] == r_block.shape[1],
-            "per-column coefficients must match the block's column count",
-        )
-        backend = resolve_backend(backend)
-        vm = vm if vm is not None else VectorMachine(self.timing)
-        masked = vm.apply_mask(r_block, self.free_mask)
-        m = coefficients.shape[0]
-        width = r_block.shape[1]
-        if backend == REFERENCE:
-            out = np.empty_like(masked)
-            for col in range(width):
-                self._charge_precondition(vm, m)
-                coeffs_col = (
-                    coefficients if coefficients.ndim == 1 else coefficients[:, col]
-                )
-                out[:, col] = self._precondition_reference(
-                    coeffs_col, masked[:, col].copy()
-                )
-            return out
-        self._charge_precondition(vm, m, width=width)
-        return self._sweep_kernel().apply(coefficients, masked).copy()
-
     # ----------------------------------------------------------- cost model
     def iteration_costs(self) -> tuple[float, float]:
         """(A, B) of the performance model (4.1) on the CYBER clock.
@@ -501,7 +433,6 @@ class CyberMachine:
         coefficients: np.ndarray | None = None,
         eps: float = 1e-6,
         maxiter: int | None = None,
-        label: str | None = None,
         backend: str | None = None,
     ) -> CyberResult:
         """Run Algorithm 1 + Algorithm 2 with full cost accounting.
@@ -516,7 +447,8 @@ class CyberMachine:
         ``"reference"`` keeps the hand-rolled per-color diagonal-storage
         solves.  The charged clock and operation counts are identical
         either way (the cost stream is structural); iterates agree to
-        roundoff-in-summation-order.
+        roundoff-in-summation-order.  This is the per-cell reference
+        :meth:`solve_schedule` is pinned to.
         """
         coefficients, parametrized = normalize_cell(m, coefficients)
         backend = resolve_backend(backend)
@@ -539,11 +471,13 @@ class CyberMachine:
         rt = precondition(r)
         p = vm.copy(rt)
         rho = vm.dot(rt, r)
+        kp = np.empty(self.n_padded)
 
         converged = False
         iterations = 0
         for iteration in range(1, maxiter + 1):
-            kp = self._matvec(vm, p)
+            self._charge_matvec(vm)
+            self.matvec_into(p, kp)
             denom = vm.dot(p, kp)
             if denom <= 0.0:
                 iterations = iteration
@@ -568,20 +502,8 @@ class CyberMachine:
             rho = rho_new
             p = vm.axpy(beta, p, rt)
 
-        u_natural = self._to_natural(u)
-        seconds = vm.elapsed_seconds
-        return CyberResult(
-            label=label if label is not None else cell_label(m, parametrized),
-            m=m,
-            parametrized=parametrized,
-            iterations=iterations,
-            converged=converged,
-            seconds=seconds,
-            max_vector_length=self.max_vector_length,
-            op_breakdown=vm.log.breakdown(),
-            u_natural=u_natural,
-            preconditioner_seconds=precond_seconds,
-            outer_seconds=seconds - precond_seconds,
+        return self._result(
+            vm, m, parametrized, iterations, converged, u, precond_seconds
         )
 
     def solve_schedule(
@@ -589,165 +511,147 @@ class CyberMachine:
         cells,
         eps: float = 1e-6,
         maxiter: int | None = None,
-        labels=None,
         backend: str | None = None,
     ) -> list[CyberResult]:
-        """All schedule cells through **one** lockstep simulator pass.
+        """All schedule cells through **one** :func:`~repro.core.pcg.block_pcg`.
 
         ``cells`` is a sequence of ``(m, coefficients)`` pairs — one per
         Table-2 column (``coefficients`` may be ``None`` for all-ones or
-        plain CG).  Every cell's Algorithm 1 advances one outer iteration
-        per pass of the loop below; the still-active cells' direction
-        vectors and residuals are stacked into ``(n, k)`` blocks so the
-        matvec runs once per iteration (:meth:`_matvec_block`) and the
-        preconditioner once per distinct ``m`` (the batched per-column-α
-        merged sweep of :class:`ColorBlockMergedSweep`), instead of once
-        per cell.
+        plain CG).  Column ``j`` of the block solve is cell ``j``: the
+        machine is the operator, so each iteration runs one matvec by
+        diagonals over the whole active block, and a
+        :class:`~repro.machines.cells.SchedulePreconditioner` runs
+        Algorithm 2 once per distinct m (the per-column-α merged sweep of
+        :class:`ColorBlockMergedSweep`) — or, on the ``"reference"``
+        backend, the hand-rolled per-color solves once per cell.
 
-        The *charge* stream stays strictly per cell: each cell owns a
-        :class:`VectorMachine` whose ledger replays exactly the sequence
-        :meth:`solve` would emit, and the batched numerics are elementwise
-        broadcasts and compiled multi-vector matvecs whose columns are
-        bit-identical to the single-vector kernels.  Iteration counts,
-        modeled clocks, op breakdowns and iterates therefore match the
-        per-column path bitwise — only the wall-clock of the simulation
-        itself drops (the tests and the perf gate hold both properties).
-
-        ``backend`` picks Algorithm 2's numeric engine as in :meth:`solve`:
-        ``"reference"`` runs each preconditioned cell's hand-rolled
-        per-color solves after the same charge replay, so a reference
-        schedule matches per-cell ``solve(..., backend="reference")``
-        calls bitwise.
+        Each cell's clock is then charged structurally
+        (:meth:`_charged_result`).  Every batched kernel is per-column
+        bit-identical to its single-vector form, so iteration counts,
+        modeled clocks, op breakdowns and iterates match per-cell
+        :meth:`solve` calls on the same backend bitwise (the tests and the
+        ``cyber_schedule`` perf gate hold both properties).
         """
         backend = resolve_backend(backend)
-        states: list[_ScheduleCellState] = []
-        for m, coefficients in cells:
-            coefficients, parametrized = normalize_cell(m, coefficients)
-            states.append(
-                _ScheduleCellState(
-                    m, coefficients, parametrized, VectorMachine(self.timing)
-                )
-            )
+        cells = [(m, *normalize_cell(m, coefficients)) for m, coefficients in cells]
+        schedules = [coefficients for _, coefficients, _ in cells]
 
+        def sweep(columns: list[int], r: np.ndarray) -> np.ndarray:
+            if backend == REFERENCE:
+                [j] = columns
+                return self._precondition_reference(schedules[j], r)
+            coefficients = (
+                schedules[columns[0]]
+                if r.ndim == 1
+                else np.stack([schedules[j] for j in columns], axis=1)
+            )
+            return self._sweep_kernel().apply(coefficients, r)
+
+        keys = [
+            None if s is None else (j if backend == REFERENCE else s.size)
+            for j, s in enumerate(schedules)
+        ]
+        result = block_pcg(
+            self,
+            np.broadcast_to(self.f[:, None], (self.n_padded, len(cells))),
+            SchedulePreconditioner(keys, sweep),
+            eps=eps,
+            maxiter=maxiter,
+        )
+        return [
+            self._charged_result(
+                m, parametrized, coefficients is not None, result.column(j)
+            )
+            for j, (m, coefficients, parametrized) in enumerate(cells)
+        ]
+
+    def _charged_result(
+        self, m: int, parametrized: bool, preconditioned: bool, solve: PCGResult
+    ) -> CyberResult:
+        """Charge one cell's clock and package the :class:`CyberResult`.
+
+        Replays the stream :meth:`solve` emits, in its order: the recorded
+        matvec and preconditioner streams (:meth:`_recorded_stream`) and
+        the vector ops.  The stream is structural — it depends only on
+        ``m``, the iteration count and how the last iteration ended:
+        converged, broke down (``(p, Kp) ≤ 0``, so only the product and
+        that inner product ran; ``solve.delta_history`` is one short) or
+        stopped by ``maxiter`` (a full iteration) — so the ledger and clock
+        are bitwise those of :meth:`solve`.
+        """
+        vm = VectorMachine(self.timing)
+        log = vm.log
         n = self.n_padded
-        maxiter = maxiter if maxiter is not None else 5 * n + 100
-
-        def precondition_batched(group_states: list[_ScheduleCellState]) -> None:
-            """One batched Algorithm-2 application per distinct m (one per
-            cell on the reference backend)."""
-            groups: dict[int, list[_ScheduleCellState]] = {}
-            for st in group_states:
-                if st.coefficients is None:
-                    # Plain CG: r̃ = r, charged but (as in :meth:`solve`)
-                    # not booked as preconditioner time.
-                    st.rt = st.vm.copy(st.r)
-                    continue
-                before = st.vm.elapsed_seconds
-                self._replay_stream(
-                    st.vm,
-                    self._recorded_stream(
-                        ("precond", st.m),
-                        lambda vm, m=st.m: self._charge_precondition(vm, m),
-                    ),
-                )
-                st.precond_seconds += st.vm.elapsed_seconds - before
-                if backend == REFERENCE:
-                    st.rt = self._precondition_reference(st.coefficients, st.r)
-                else:
-                    groups.setdefault(st.m, []).append(st)
-            if not groups:
-                return
-            sweep = self._sweep_kernel()
-            for group in groups.values():
-                if len(group) == 1:
-                    st = group[0]
-                    st.rt = sweep.apply(st.coefficients, st.r).copy()
-                    continue
-                coeffs = np.stack([st.coefficients for st in group], axis=1)
-                r_block = np.stack([st.r for st in group], axis=1)
-                rt_block = sweep.apply(coeffs, r_block)
-                for idx, st in enumerate(group):
-                    st.rt = np.ascontiguousarray(rt_block[:, idx])
-
-        # Startup: u⁰ = 0, r⁰ = f, r̃⁰ = M⁻¹r⁰, p⁰ = r̃⁰, ρ₀ — the exact
-        # per-cell sequence of :meth:`solve`.
-        for st in states:
-            st.u = st.vm.fill(n, 0.0)
-            st.r = st.vm.copy(self.f)
-        precondition_batched(states)
-        for st in states:
-            st.p = st.vm.copy(st.rt)
-            st.rho = st.vm.dot(st.rt, st.r)
-
-        active = list(states)
-        for iteration in range(1, maxiter + 1):
-            if not active:
-                break
-            if len(active) == 1:
-                st = active[0]
-                kp_cols = [self._matvec(st.vm, st.p)]
-            else:
-                p_block = np.stack([st.p for st in active], axis=1)
-                kp_block = self._matvec_block(p_block)
-                kp_cols = [
-                    np.ascontiguousarray(kp_block[:, i])
-                    for i in range(len(active))
-                ]
-                matvec_stream = self._recorded_stream(
-                    ("matvec",), self._charge_matvec
-                )
-                for st in active:
-                    self._replay_stream(st.vm, matvec_stream)
-            survivors: list[_ScheduleCellState] = []
-            for st, kp in zip(active, kp_cols):
-                denom = st.vm.dot(st.p, kp)
-                if denom <= 0.0:
-                    st.iterations = iteration
-                    st.converged = st.rho == 0.0
-                    continue
-                st.vm.scalar()  # α
-                alpha = st.rho / denom
-                step = st.vm.scale(alpha, st.p)
-                st.u = st.vm.add(st.u, step)
-                delta_norm = st.vm.abs_max(step)
-                st.iterations = iteration
-                if delta_norm < eps:
-                    st.converged = True
-                    continue
-                st.r = st.vm.axpy(-alpha, kp, st.r)
-                survivors.append(st)
-            if survivors:
-                precondition_batched(survivors)
-                for st in survivors:
-                    rho_new = st.vm.dot(st.rt, st.r)
-                    st.vm.scalar()  # β
-                    beta = rho_new / st.rho
-                    st.rho = rho_new
-                    st.p = st.vm.axpy(beta, st.p, st.rt)
-            active = survivors
-
-        results = []
-        for index, st in enumerate(states):
-            seconds = st.vm.elapsed_seconds
-            label = labels[index] if labels is not None else None
-            if label is None:
-                label = cell_label(st.m, st.parametrized)
-            results.append(
-                CyberResult(
-                    label=label,
-                    m=st.m,
-                    parametrized=st.parametrized,
-                    iterations=st.iterations,
-                    converged=st.converged,
-                    seconds=seconds,
-                    max_vector_length=self.max_vector_length,
-                    op_breakdown=st.vm.log.breakdown(),
-                    u_natural=self._to_natural(st.u),
-                    preconditioner_seconds=st.precond_seconds,
-                    outer_seconds=seconds - st.precond_seconds,
-                )
+        t_vec = self.timing.vector_op_time(n)
+        t_dot = self.timing.dot_time(n)
+        t_scalar = self.timing.scalar_op_time()
+        matvec = self._recorded_stream(("matvec",), self._charge_matvec)
+        precond = (
+            self._recorded_stream(
+                ("precond", m), lambda v: self._charge_precondition(v, m)
             )
-        return results
+            if preconditioned
+            else None
+        )
+        precond_seconds = 0.0
+
+        def precondition() -> None:
+            nonlocal precond_seconds
+            if precond is None:
+                log.charge("copy", t_vec)  # r̃ = r: not preconditioner time
+                return
+            before = vm.elapsed_seconds
+            self._replay_stream(vm, precond)
+            precond_seconds += vm.elapsed_seconds - before
+
+        iterations = solve.iterations
+        broke_down = len(solve.delta_history) < iterations
+        log.charge("fill", t_vec)  # u⁰ = 0
+        log.charge("copy", t_vec)  # r⁰ = f
+        precondition()
+        log.charge("copy", t_vec)  # p⁰ = r̃⁰
+        log.charge("dot", t_dot)  # ρ₀
+        for it in range(1, iterations + 1):
+            last = it == iterations
+            self._replay_stream(vm, matvec)
+            log.charge("dot", t_dot)  # (p, Kp)
+            if last and broke_down:
+                break
+            log.charge("scalar", t_scalar)  # α
+            log.charge("scale", t_vec)
+            log.charge("add", t_vec)
+            log.charge("abs_max", t_dot)
+            if last and solve.converged:
+                break
+            log.charge("axpy", t_vec)  # r update
+            precondition()
+            log.charge("dot", t_dot)  # (r̃, r)
+            log.charge("scalar", t_scalar)  # β
+            log.charge("axpy", t_vec)  # p update
+        return self._result(
+            vm, m, parametrized, iterations, solve.converged, solve.u,
+            precond_seconds,
+        )
+
+    def _result(
+        self, vm: VectorMachine, m: int, parametrized: bool, iterations: int,
+        converged: bool, u: np.ndarray, precond_seconds: float,
+    ) -> CyberResult:
+        """Package one cell's :class:`CyberResult` off its charged ``vm``."""
+        seconds = vm.elapsed_seconds
+        return CyberResult(
+            label=cell_label(m, parametrized),
+            m=m,
+            parametrized=parametrized,
+            iterations=iterations,
+            converged=converged,
+            seconds=seconds,
+            max_vector_length=self.max_vector_length,
+            op_breakdown=vm.log.breakdown(),
+            u_natural=self._to_natural(u),
+            preconditioner_seconds=precond_seconds,
+            outer_seconds=seconds - precond_seconds,
+        )
 
     def _to_natural(self, u_padded_mc: np.ndarray) -> np.ndarray:
         """Padded multicolor vector → reduced natural-ordering solution."""

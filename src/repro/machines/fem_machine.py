@@ -32,41 +32,14 @@ from repro.core.mstep import MStepPreconditioner
 from repro.core.splittings import SSORSplitting
 from repro.driver import build_blocked_system, build_mstep_applicator, cell_label
 from repro.fem.model_problems import PlateProblem
-from repro.kernels import (
-    matvec_accumulate,
-    matvec_into,
-    supports_matvec_block,
-    xpay_into,
-)
-from repro.machines.cells import normalize_cell
+from repro.machines.cells import SchedulePreconditioner, normalize_cell
 from repro.machines.comm import CommLog
 from repro.machines.timing import FEM_1983, ArrayTimingModel
 from repro.machines.topology import Assignment, ProcessorGrid
-from repro.core.pcg import pcg
-from repro.util import inf_norm, inner, require
+from repro.core.pcg import PCGResult, block_pcg, pcg
+from repro.util import require
 
 __all__ = ["FEMResult", "FiniteElementMachine", "speedup_table"]
-
-
-class _FEMCellState:
-    """Per-cell running state of a batched :meth:`FiniteElementMachine.solve_schedule`."""
-
-    __slots__ = (
-        "m", "coefficients", "padded", "parametrized", "group", "u", "r",
-        "rt", "p", "rho", "iterations", "converged",
-    )
-
-    def __init__(self, m: int, coefficients: np.ndarray | None,
-                 parametrized: bool, group):
-        self.m = m
-        self.coefficients = coefficients
-        self.padded = None  # α schedule zero-padded to the batch's max m
-        self.parametrized = parametrized
-        self.group = group  # preconditioner-group key (None for plain CG)
-        self.u = self.r = self.rt = self.p = None
-        self.rho = 0.0
-        self.iterations = 0
-        self.converged = False
 
 
 @dataclass
@@ -296,7 +269,6 @@ class FiniteElementMachine:
         coefficients: np.ndarray | None = None,
         eps: float = 1e-6,
         maxiter: int | None = None,
-        label: str | None = None,
         backend: str | None = None,
     ) -> FEMResult:
         """Run the method; numerics identical to the reference solver.
@@ -317,44 +289,37 @@ class FiniteElementMachine:
             preconditioner = build_mstep_applicator(
                 self.blocked, coefficients, applicator="splitting", backend=backend
             )
-        ordering = self.blocked.ordering
-        f_mc = ordering.permute_vector(np.asarray(self.problem.f, dtype=float))
         result = pcg(
             self.blocked.permuted,
-            f_mc,
+            self._load(),
             preconditioner=preconditioner,
             eps=eps,
             maxiter=maxiter,
         )
         return self._charged_result(
-            m=m,
-            preconditioned=preconditioner is not None,
-            iterations=result.iterations,
-            converged=result.converged,
-            u_natural=ordering.unpermute_vector(result.u),
-            parametrized=parametrized,
-            label=label,
+            m, parametrized, preconditioner is not None, result
+        )
+
+    def _load(self) -> np.ndarray:
+        """The plate load in the blocked system's multicolor order."""
+        return self.blocked.ordering.permute_vector(
+            np.asarray(self.problem.f, dtype=float)
         )
 
     def _charged_result(
-        self,
-        m: int,
-        preconditioned: bool,
-        iterations: int,
-        converged: bool,
-        u_natural: np.ndarray,
-        parametrized: bool,
-        label: str | None,
+        self, m: int, parametrized: bool, preconditioned: bool, solve: PCGResult
     ) -> FEMResult:
         """Charge one solve's clock and package the :class:`FEMResult`.
 
         The charge stream is purely structural — it depends only on
         ``m``, whether a preconditioner ran, the iteration count and the
         convergence flag — so any execution path that reproduces the
-        iteration count (the per-cell :meth:`solve` or the batched
-        lockstep :meth:`solve_schedule`) lands on the bitwise-identical
-        clock and communication ledger by construction.
+        iteration count (the per-cell :meth:`solve` or the one
+        ``block_pcg`` of :meth:`solve_schedule`) lands on the
+        bitwise-identical clock and communication ledger by construction.
         """
+        iterations = solve.iterations
+        converged = solve.converged
         comm = CommLog(self.timing)
         compute_seconds = 0.0
         comm_seconds = 0.0
@@ -420,7 +385,7 @@ class FiniteElementMachine:
 
         seconds = compute_seconds + comm_seconds + reduction_seconds + flag_seconds
         return FEMResult(
-            label=label if label is not None else cell_label(m, parametrized),
+            label=cell_label(m, parametrized),
             m=m,
             parametrized=parametrized,
             n_procs=n_procs,
@@ -433,9 +398,8 @@ class FiniteElementMachine:
             flag_seconds=flag_seconds,
             total_records=comm.total_records,
             total_words=comm.total_words,
-            u_natural=u_natural,
+            u_natural=self.blocked.ordering.unpermute_vector(solve.u),
         )
-
 
     def _schedule_applicator(self, backend: str | None) -> MStepPreconditioner:
         """The cached shared applicator of :meth:`solve_schedule`.
@@ -456,24 +420,23 @@ class FiniteElementMachine:
         cells,
         eps: float = 1e-6,
         maxiter: int | None = None,
-        labels=None,
         backend: str | None = None,
     ) -> list[FEMResult]:
-        """All schedule cells through **one** lockstep simulator pass.
+        """All schedule cells through **one** :func:`~repro.core.pcg.block_pcg`.
 
         The Finite Element Machine analogue of
         :meth:`repro.machines.cyber.CyberMachine.solve_schedule`:
         ``cells`` is a sequence of ``(m, coefficients)`` pairs — one per
         Table-3 row (``coefficients`` may be ``None`` for all-ones or
-        plain CG).  Every cell's Algorithm 1 advances one outer iteration
-        per pass; the still-active cells' direction vectors are stacked
-        into an ``(n, k)`` block for one batched ``K``-product, and *all*
-        preconditioned cells — whatever their m — run through **one**
-        batched application of a shared splitting applicator
-        (:meth:`~repro.core.mstep.MStepPreconditioner.apply` with an
-        ``(m_max, k)`` per-column coefficient block, smaller-m schedules
-        zero-padded at the top so their columns sit at exactly zero until
-        their own first Horner step) instead of one application per cell.
+        plain CG).  Column ``j`` of the block solve is cell ``j``: each
+        iteration runs one batched ``K``-product over the active block,
+        and *all* active preconditioned cells — whatever their m — run
+        through **one** application of the machine's cached splitting
+        applicator (:meth:`~repro.core.mstep.MStepPreconditioner.apply`
+        with an ``(m_max, k)`` per-column coefficient block, smaller-m
+        schedules zero-padded at the top so their columns sit at exactly
+        zero until their own first Horner step; a lone cell runs its
+        schedule unpadded).
 
         Numerics per cell are bit-identical to :meth:`solve`'s — every
         batched kernel is per-column bitwise equal to its single-vector
@@ -481,129 +444,42 @@ class FiniteElementMachine:
         replay (:meth:`_charged_result`), so iteration counts, charged
         seconds, communication ledgers and iterates all match the
         per-cell path bitwise (pinned in the tests and gated as
-        ``fem_schedule`` in ``BENCH_kernels.json``).  Only the wall-clock
-        of the simulation itself drops.
+        ``fem_schedule`` in ``BENCH_kernels.json``).
         """
-        states: list[_FEMCellState] = []
-        for m, coefficients in cells:
-            coefficients, parametrized = normalize_cell(m, coefficients)
-            group = None if coefficients is None else int(m)
-            states.append(_FEMCellState(m, coefficients, parametrized, group))
+        cells = [(m, *normalize_cell(m, coefficients)) for m, coefficients in cells]
+        schedules = [coefficients for _, coefficients, _ in cells]
+        steps = [0 if s is None else s.size for s in schedules]
+        max_m = max(steps, default=0)
+        padded = np.zeros((max_m, len(cells)))
+        for j, s in enumerate(schedules):
+            if s is not None:
+                padded[: s.size, j] = s
+        precond = self._schedule_applicator(backend) if max_m else None
 
-        # One shared splitting applicator — the realization solve() builds
-        # per cell — driven through the per-application coefficient
-        # override.  Cells of different m share a block application via
-        # top-zero-padded schedules (see MStepPreconditioner.apply); the
-        # applicator itself (the factorized SSOR splitting) is cached on
-        # the machine, so repeated schedule runs rebuild nothing.
-        max_m = max((st.m for st in states if st.group is not None), default=0)
-        precond = self._schedule_applicator(backend) if max_m >= 1 else None
-        for st in states:
-            if st.group is not None:
-                st.padded = np.zeros(max_m)
-                st.padded[: st.m] = st.coefficients
-
-        k_mat = self.blocked.permuted
-        n = self.blocked.n
-        block_matvec = supports_matvec_block(k_mat)
-        ordering = self.blocked.ordering
-        f_mc = np.ascontiguousarray(
-            ordering.permute_vector(np.asarray(self.problem.f, dtype=float))
-        )
-        maxiter = maxiter if maxiter is not None else 5 * n + 100
-
-        def precondition(active: list[_FEMCellState]) -> None:
-            pre = []
-            for st in active:
-                if st.group is None:
-                    st.rt = st.r.copy()  # M = I, as in pcg
-                else:
-                    pre.append(st)
-            if not pre:
-                return
-            if len(pre) == 1:
-                st = pre[0]
-                st.rt = np.array(
-                    precond.apply(st.r, coefficients=st.coefficients),
-                    dtype=float,
-                )
-                return
-            r_block = np.stack([st.r for st in pre], axis=1)
-            coeffs = np.stack([st.padded for st in pre], axis=1)
-            rt_block = precond.apply(
-                r_block, coefficients=coeffs,
-                column_steps=[st.m for st in pre],
+        def sweep(columns: list[int], r: np.ndarray) -> np.ndarray:
+            if r.ndim == 1:
+                return precond.apply(r, coefficients=schedules[columns[0]])
+            return precond.apply(
+                r,
+                coefficients=padded[:, columns],
+                column_steps=[steps[j] for j in columns],
             )
-            for i, st in enumerate(pre):
-                st.rt = np.ascontiguousarray(rt_block[:, i])
 
-        # Startup: u⁰ = 0, r⁰ = f, r̃⁰ = M⁻¹r⁰, p⁰ = r̃⁰, ρ₀ — the exact
-        # per-cell sequence of pcg().
-        for st in states:
-            st.u = np.zeros(n)
-            st.r = f_mc.copy()
-        precondition(states)
-        for st in states:
-            st.p = np.array(st.rt, dtype=float)
-            st.rho = inner(st.rt, st.r)
-
-        step = np.empty(n)
-        kp_buf = np.empty(n)
-        active = list(states)
-        for iteration in range(1, maxiter + 1):
-            if not active:
-                break
-            if len(active) > 1 and block_matvec:
-                p_block = np.stack([st.p for st in active], axis=1)
-                kp_block = np.zeros((n, len(active)))
-                matvec_accumulate(k_mat, p_block, kp_block)
-                kp_cols = [
-                    np.ascontiguousarray(kp_block[:, i])
-                    for i in range(len(active))
-                ]
-            else:
-                kp_cols = []
-                for st in active:
-                    matvec_into(k_mat, st.p, kp_buf)
-                    kp_cols.append(kp_buf.copy())
-            survivors: list[_FEMCellState] = []
-            for st, kp in zip(active, kp_cols):
-                denom = inner(st.p, kp)
-                if denom <= 0.0:
-                    st.iterations = iteration
-                    st.converged = st.rho == 0.0
-                    continue
-                alpha = st.rho / denom
-                np.multiply(st.p, alpha, out=step)
-                st.u += step
-                delta_norm = inf_norm(step)
-                st.iterations = iteration
-                if delta_norm < eps:
-                    st.converged = True
-                    continue
-                np.multiply(kp, alpha, out=step)
-                st.r -= step
-                survivors.append(st)
-            if survivors:
-                precondition(survivors)
-                for st in survivors:
-                    rho_new = inner(st.rt, st.r)
-                    beta = rho_new / st.rho
-                    st.rho = rho_new
-                    xpay_into(st.rt, beta, st.p)
-            active = survivors
-
+        n = self.blocked.n
+        result = block_pcg(
+            self.blocked.permuted,
+            np.broadcast_to(self._load()[:, None], (n, len(cells))),
+            SchedulePreconditioner(
+                [None if s is None else 0 for s in schedules], sweep
+            ),
+            eps=eps,
+            maxiter=maxiter,
+        )
         return [
             self._charged_result(
-                m=st.m,
-                preconditioned=st.group is not None,
-                iterations=st.iterations,
-                converged=st.converged,
-                u_natural=ordering.unpermute_vector(st.u),
-                parametrized=st.parametrized,
-                label=labels[index] if labels is not None else None,
+                m, parametrized, coefficients is not None, result.column(j)
             )
-            for index, st in enumerate(states)
+            for j, (m, coefficients, parametrized) in enumerate(cells)
         ]
 
 

@@ -42,9 +42,9 @@ class SolverPlan:
         ``"sweep"`` (Conrad–Wallach merged sweeps) or ``"splitting"``
         (kernel-dispatched m-step Horner over the SSOR splitting).
     backend:
-        Solver backend for the numerics (``None`` → process default,
-        ``"vectorized"``, ``"reference"``, or ``"stencil"`` — the
-        matrix-free operator path for the regular-mesh scenarios).
+        Solver backend for the numerics: ``"vectorized"`` (also
+        ``None``), ``"reference"``, or ``"stencil"`` — the matrix-free
+        operator path for the regular-mesh scenarios.
     maxiter:
         Outer-iteration cap (``None`` → solver default).
     block_rhs:

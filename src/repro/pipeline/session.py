@@ -57,7 +57,7 @@ from repro.driver import (
 from repro.fem.matrixfree import stencil_operator
 from repro.kernels.backend import STENCIL
 from repro.kernels.stencil import StencilSSOR
-from repro.machines import CYBER_203, CyberMachine, FiniteElementMachine
+from repro.machines import CYBER_203, FEM_1983, CyberMachine, FiniteElementMachine
 from repro.multicolor.blocked import BlockedMatrix
 from repro.parallel import (
     ApplicatorRecipe,
@@ -731,7 +731,8 @@ class SolverSession:
         maxiter: int | None = None,
         workers: int = 1,
         group: int | None = None,
-        **kwargs,
+        timing=None,
+        reduction: str = "software",
     ):
         """The plan's full schedule on the Finite Element Machine.
 
@@ -745,7 +746,8 @@ class SolverSession:
         realization whatever the plan's ``applicator`` (all realizations
         apply the same operator); the machine caches its factorized
         splitting and the session caches the machine, so repeated runs
-        rebuild nothing.
+        rebuild nothing.  ``timing`` and ``reduction`` configure the
+        machine as in :meth:`fem`, on both paths.
         """
         self._require_machine_plan()
         cells = self.schedule_cells()
@@ -754,20 +756,24 @@ class SolverSession:
             return sharded_schedule(
                 self.problem, cells, machine="fem", workers=workers,
                 group=group, eps=eps, maxiter=maxiter, n_procs=n_procs,
-                backend=self.plan.backend,
-                timing=kwargs.get("timing"),
-                reduction=kwargs.get("reduction", "software"),
+                backend=self.plan.backend, timing=timing, reduction=reduction,
             )
-        return self.fem(n_procs, **kwargs).solve_schedule(
+        return self.fem(n_procs, timing, reduction).solve_schedule(
             cells, eps=eps, maxiter=maxiter, backend=self.plan.backend
         )
 
-    def fem(self, n_procs: int = 1, **kwargs) -> FiniteElementMachine:
-        """A Finite Element Machine sharing the session's blocked system."""
-        key = ("fem", n_procs, tuple(sorted(kwargs.items())))
+    def fem(
+        self, n_procs: int = 1, timing=None, reduction: str = "software"
+    ) -> FiniteElementMachine:
+        """A Finite Element Machine sharing the session's blocked system
+        (``timing`` ``None`` → ``FEM_1983``; ``reduction`` ``"software"``
+        or ``"circuit"``), laid out once per configuration and cached."""
+        timing = timing if timing is not None else FEM_1983
+        key = ("fem", n_procs, timing, reduction)
         if key not in self._machines:
             self._machines[key] = FiniteElementMachine(
-                self.problem, n_procs, blocked=self.blocked, **kwargs
+                self.problem, n_procs, timing=timing, reduction=reduction,
+                blocked=self.blocked,
             )
             self.stats.machine_builds += 1
         return self._machines[key]
@@ -778,7 +784,8 @@ class SolverSession:
         parametrized: bool = False,
         n_procs: int = 1,
         eps: float | None = None,
-        **kwargs,
+        timing=None,
+        reduction: str = "software",
     ):
         """One FEM-simulator cell: a one-cell lockstep schedule pass.
 
@@ -787,7 +794,7 @@ class SolverSession:
         """
         self._require_machine_plan()
         self.stats.solves += 1
-        [result] = self.fem(n_procs, **kwargs).solve_schedule(
+        [result] = self.fem(n_procs, timing, reduction).solve_schedule(
             [(m, self.coefficients(m, parametrized))],
             eps=eps if eps is not None else self.plan.eps,
             backend=self.plan.backend,

@@ -40,13 +40,11 @@ from repro.kernels import (
     FactorizedTriangularSolver,
     ReferenceTriangularSolver,
     WorkspacePool,
-    default_backend,
     detect_color_slices,
     make_triangular_solver,
     ops,
     resolve_backend,
-    set_default_backend,
-    use_backend,
+    resolve_solver_backend,
 )
 from repro.multicolor import MStepSSOR
 
@@ -80,30 +78,13 @@ def rng_vector(n, seed=0):
 # --------------------------------------------------------------------------
 class TestBackendDispatch:
     def test_default_is_vectorized(self):
-        assert default_backend() == VECTORIZED
+        assert resolve_backend(None) == VECTORIZED
+        assert resolve_solver_backend(None) == VECTORIZED
+        assert SSORSplitting(sp.identity(3, format="csr") * 2.0).backend == VECTORIZED
 
     def test_resolve_rejects_unknown(self):
         with pytest.raises(ValueError, match="unknown kernel backend"):
             resolve_backend("fortran")
-
-    def test_use_backend_restores(self):
-        with use_backend(REFERENCE):
-            assert default_backend() == REFERENCE
-            assert resolve_backend(None) == REFERENCE
-        assert default_backend() == VECTORIZED
-
-    def test_use_backend_restores_on_error(self):
-        with pytest.raises(RuntimeError):
-            with use_backend(REFERENCE):
-                raise RuntimeError("boom")
-        assert default_backend() == VECTORIZED
-
-    def test_set_default_backend(self):
-        set_default_backend(REFERENCE)
-        try:
-            assert SSORSplitting(sp.identity(3, format="csr") * 2.0).backend == REFERENCE
-        finally:
-            set_default_backend(VECTORIZED)
 
 
 # --------------------------------------------------------------------------

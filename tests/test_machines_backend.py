@@ -130,40 +130,41 @@ class TestCyberBlockedPreconditioning:
 
     def test_backends_agree_columnwise(self, cyber_machine, r_block):
         coeffs = np.array([1.0, 0.5, 2.0])
-        fast = cyber_machine.precondition_block(coeffs, r_block, backend=VECTORIZED)
-        pin = cyber_machine.precondition_block(coeffs, r_block, backend=REFERENCE)
-        scale = max(float(np.max(np.abs(pin))), 1.0)
-        assert np.max(np.abs(fast - pin)) <= TOL * scale
+        fast = cyber_machine._sweep_kernel().apply(coeffs, r_block)
+        for col in range(r_block.shape[1]):
+            pin = cyber_machine._precondition_reference(
+                coeffs, r_block[:, col].copy()
+            )
+            scale = max(float(np.max(np.abs(pin))), 1.0)
+            assert np.max(np.abs(fast[:, col] - pin)) <= TOL * scale
 
     def test_block_matches_single_vector_applies(self, cyber_machine, r_block):
-        coeffs = np.ones(2)
-        batched = cyber_machine.precondition_block(coeffs, r_block)
-        vm = VectorMachine(cyber_machine.timing)
+        # The per-column-α sweep of the schedules: an (m, k) coefficient
+        # block against one single-vector sweep per column.
+        coeffs = np.column_stack(
+            [np.ones(2), [0.5, 2.0], [1.3, 0.1], [0.9, 1.1]]
+        )
+        sweep = cyber_machine._sweep_kernel()
+        batched = sweep.apply(coeffs, r_block).copy()
         for col in range(r_block.shape[1]):
-            single = cyber_machine._precondition(
-                vm, coeffs, r_block[:, col].copy(), VECTORIZED
-            )
-            assert np.max(np.abs(batched[:, col] - single)) <= TOL
-        assert batched.base is None  # a fresh array, not the pooled workspace
+            single = sweep.apply(coeffs[:, col], r_block[:, col].copy())
+            assert np.array_equal(batched[:, col], single)
 
     def test_block_width_amortizes_startup(self, cyber_machine, r_block):
         """One pipeline startup per color-block op, not per right-hand side."""
-        coeffs = np.ones(3)
+        m = 3
         width = r_block.shape[1]
-        vm_block = VectorMachine(cyber_machine.timing)
-        cyber_machine.precondition_block(coeffs, r_block, vm=vm_block)
-        vm_cols = VectorMachine(cyber_machine.timing)
-        cyber_machine.precondition_block(
-            coeffs, r_block, vm=vm_cols, backend=REFERENCE
-        )
-        assert vm_block.elapsed_seconds < vm_cols.elapsed_seconds
+        block = cyber_machine.preconditioner_block_seconds(m, width)
+        cols = width * cyber_machine.preconditioner_block_seconds(m, 1)
+        assert block < cols
         # The block pays exactly the per-op startups of ONE charge stream;
         # the element traffic itself is identical.
+        vm = VectorMachine(cyber_machine.timing)
+        cyber_machine._charge_precondition(vm, m, width)
         t = cyber_machine.timing
-        n_ops = sum(count for count, _ in vm_block.log.breakdown().values())
+        n_ops = sum(count for count, _ in vm.log.breakdown().values())
         expected_gap = (width - 1) * n_ops * t.startup_elements * t.element_time
-        measured_gap = vm_cols.elapsed_seconds - vm_block.elapsed_seconds
-        assert measured_gap == pytest.approx(expected_gap, rel=1e-9)
+        assert cols - block == pytest.approx(expected_gap, rel=1e-9)
 
     def test_block_timing_model(self):
         t = CYBER_203
@@ -173,9 +174,10 @@ class TestCyberBlockedPreconditioning:
         assert t.block_op_time(100, 0) == 0.0
 
     def test_rejects_bad_shapes(self, cyber_machine):
+        # Per-column α's need an (n, k) block with one column per schedule.
         with pytest.raises(ValueError):
-            cyber_machine.precondition_block(
-                np.ones(2), np.zeros(cyber_machine.n_padded)
+            cyber_machine._sweep_kernel().apply(
+                np.ones((2, 3)), np.zeros(cyber_machine.n_padded)
             )
 
 

@@ -1,23 +1,29 @@
-"""FEM and SPMD lockstep schedule passes (ISSUE 4).
+"""Machine schedule passes against their per-cell references.
 
-The acceptance contract: ``FiniteElementMachine.solve_schedule`` runs the
-whole Table-3 schedule through one batched pass with per-cell clocks,
-communication ledgers and iterates **bitwise identical** to the per-cell
-``solve`` path, across every cell; ``SPMDSolver.solve_schedule`` does the
-same for the real distributed engine, down to the per-cell message
-ledgers.
+``FiniteElementMachine.solve_schedule`` runs the whole Table-3 schedule
+through one batched pass with per-cell clocks, communication ledgers and
+iterates **bitwise identical** to the per-cell ``solve`` path, across
+every cell; ``SPMDSolver.solve_schedule`` does the same for the real
+distributed engine, down to the per-cell message ledgers.  The CYBER and
+FEM passes are each one ``block_pcg`` call plus a structural charge, and
+stay bitwise their per-cell ``solve`` through the ends of a solve that a
+converging schedule never reaches: a breakdown and the ``maxiter`` cap.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
 
+import repro.machines.cyber as cyber_module
+import repro.machines.fem_machine as fem_module
 from repro.driver import (
     TABLE3_SCHEDULE,
     build_blocked_system,
     mstep_coefficients,
     ssor_interval,
 )
-from repro.machines import FiniteElementMachine
+from repro.machines import CyberMachine, FiniteElementMachine
 from repro.machines.spmd import SPMDSolver
 from repro.machines.topology import Assignment, ProcessorGrid
 from repro.pipeline import SolverPlan, SolverSession, build_scenario
@@ -110,16 +116,96 @@ class TestFEMScheduleEdgeCases:
         assert res.iterations == 3 and not res.converged
         assert res.seconds == capped.seconds
 
-    def test_labels_override(self, machine):
-        results = machine.solve_schedule(
-            [(1, None), (2, None)], eps=EPS, labels=["first", None]
-        )
-        assert results[0].label == "first"
-        assert results[1].label == "2"
-
     def test_rejects_negative_m(self, machine):
         with pytest.raises(ValueError):
             machine.solve_schedule([(-1, None)])
+
+
+def _mixed_cells(interval):
+    """Plain CG, unparametrized and parametrized cells over two values of m."""
+    return [
+        (0, None),
+        (2, None),
+        (2, mstep_coefficients(2, True, interval)),
+        (3, None),
+        (3, mstep_coefficients(3, True, interval)),
+    ]
+
+
+def _assert_records_equal(schedule, per_cell):
+    """Every field of each record — iterations, flags, clocks, ledgers —
+    equal, and the iterates bitwise."""
+    assert len(schedule) == len(per_cell)
+    for b, s in zip(schedule, per_cell):
+        fields_b, fields_s = dict(vars(b)), dict(vars(s))
+        assert np.array_equal(fields_b.pop("u_natural"), fields_s.pop("u_natural"))
+        assert fields_b == fields_s
+
+
+class TestScheduleIsOneBlockPCG:
+    """CYBER and FEM schedules: one ``block_pcg`` plus a structural charge."""
+
+    @pytest.fixture(scope="class")
+    def machines(self, plate):
+        problem, blocked, _ = plate
+        interval = ssor_interval(blocked)
+        return {
+            "cyber": (cyber_module, CyberMachine(problem)),
+            "fem": (fem_module, FiniteElementMachine(problem, 2, blocked=blocked)),
+        }, _mixed_cells(interval)
+
+    @pytest.mark.parametrize("kind", ["cyber", "fem"])
+    def test_one_block_pcg_call(self, machines, kind, monkeypatch):
+        by_kind, cells = machines
+        module, machine = by_kind[kind]
+        widths = []
+        real = module.block_pcg
+
+        def spy(k, F, *args, **kwargs):
+            widths.append(F.shape[1])
+            return real(k, F, *args, **kwargs)
+
+        monkeypatch.setattr(module, "block_pcg", spy)
+        results = machine.solve_schedule(cells, eps=EPS)
+        assert widths == [len(cells)]  # one call, every cell a column
+        _assert_records_equal(
+            results, [machine.solve(m, c, eps=EPS) for m, c in cells]
+        )
+
+    @pytest.mark.parametrize("kind", ["cyber", "fem"])
+    def test_maxiter_cap_on_preconditioned_cells(self, machines, kind):
+        by_kind, cells = machines
+        _, machine = by_kind[kind]
+        capped = machine.solve_schedule(cells, eps=1e-14, maxiter=3)
+        assert all(r.iterations == 3 and not r.converged for r in capped)
+        _assert_records_equal(
+            capped,
+            [machine.solve(m, c, eps=1e-14, maxiter=3) for m, c in cells],
+        )
+
+    def test_breakdown_cyber(self, plate):
+        # Zero load: r⁰ = p⁰ = 0, so (p, Kp) = 0 on iteration 1 — the
+        # breakdown exit of Algorithm 1, charged as solve() charges it.
+        problem, blocked, _ = plate
+        machine = CyberMachine(problem)
+        machine.f = np.zeros(machine.n_padded)
+        cells = _mixed_cells(ssor_interval(blocked))
+        broken = machine.solve_schedule(cells, eps=EPS)
+        assert all(r.iterations == 1 for r in broken)
+        _assert_records_equal(
+            broken, [machine.solve(m, c, eps=EPS) for m, c in cells]
+        )
+
+    def test_breakdown_fem(self, plate):
+        problem, blocked, _ = plate
+        unloaded = dataclasses.replace(problem, f=np.zeros(problem.n))
+        machine = FiniteElementMachine(unloaded, 2, blocked=blocked)
+        cells = _mixed_cells(ssor_interval(blocked))
+        broken = machine.solve_schedule(cells, eps=EPS)
+        assert all(r.iterations == 1 for r in broken)
+        _assert_records_equal(
+            broken, [machine.solve(m, c, eps=EPS) for m, c in cells]
+        )
 
 
 class TestSessionFEMSchedule:

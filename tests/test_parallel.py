@@ -386,6 +386,24 @@ class TestShardedSchedule:
         assert [r.seconds for r in sharded] == [r.seconds for r in direct]
         assert [r.iterations for r in sharded] == [r.iterations for r in direct]
 
+    def test_session_fem_schedule_keywords_reach_the_shards(self, schedule_session):
+        # Both paths take the same machine keywords: a misspelled one
+        # raises rather than running the default software reduction, and
+        # a spelled-out reduction reaches the worker machines.
+        session, _ = schedule_session
+        for workers in (1, 2):
+            with pytest.raises(TypeError):
+                session.run_fem_schedule(
+                    n_procs=4, workers=workers, reductoin="circuit"
+                )
+        serial = session.run_fem_schedule(n_procs=4, reduction="circuit")
+        sharded = session.run_fem_schedule(
+            n_procs=4, workers=2, reduction="circuit"
+        )
+        software = session.run_fem_schedule(n_procs=4)
+        assert [r.seconds for r in sharded] == [r.seconds for r in serial]
+        assert [r.seconds for r in sharded] != [r.seconds for r in software]
+
     def test_unknown_machine_kind_rejected(self, schedule_session):
         session, cells = schedule_session
         with pytest.raises(ValueError, match="machine"):

@@ -21,7 +21,7 @@ from repro.core.convergence import RelativeResidual
 from repro.core.pcg import pcg
 from repro.driver import TABLE2_SCHEDULE, solve_mstep_ssor
 from repro.kernels import REFERENCE, VECTORIZED
-from repro.machines import VectorMachine
+from repro.machines.cells import SchedulePreconditioner
 from repro.multicolor.coloring import validate_groups
 from repro.pipeline import (
     SolverPlan,
@@ -468,13 +468,6 @@ class TestSolveScheduleDirect:
         capped = machine.solve(0, None, eps=1e-14, maxiter=3)
         assert res.seconds == capped.seconds
 
-    def test_labels_override(self, machine):
-        results = machine.solve_schedule(
-            [(1, None), (2, None)], eps=EPS, labels=["first", None]
-        )
-        assert results[0].label == "first"
-        assert results[1].label == "2"
-
     def test_rejects_negative_m(self, machine):
         with pytest.raises(ValueError):
             machine.solve_schedule([(-1, None)])
@@ -582,16 +575,18 @@ class TestPerColumnCoefficientKernels:
         ).cyber()
 
     def test_precondition_block_per_column_coefficients(self, machine):
+        # The schedule preconditioner gives each column its own α schedule
+        # through one per-column-α sweep, bitwise the single sweeps.
         rng = np.random.default_rng(11)
         r = rng.normal(size=(machine.n_padded, 3))
         r[~machine.free_mask] = 0.0
         coeffs = np.column_stack([np.ones(2), [0.5, 2.0], [1.3, 0.1]])
-        block = machine.precondition_block(coeffs, r)
+        sweep = machine._sweep_kernel()
+        block = SchedulePreconditioner(
+            [2, 2, 2], lambda cols, rr: sweep.apply(coeffs[:, cols], rr)
+        ).apply(r, columns=[0, 1, 2])
         for col in range(3):
-            vm = VectorMachine(machine.timing)
-            single = machine._precondition(
-                vm, coeffs[:, col], r[:, col].copy(), VECTORIZED
-            )
+            single = sweep.apply(coeffs[:, col], r[:, col].copy())
             assert np.max(np.abs(block[:, col] - single)) == 0.0
 
     def test_precondition_block_reference_per_column(self, machine):
@@ -599,21 +594,25 @@ class TestPerColumnCoefficientKernels:
         r = rng.normal(size=(machine.n_padded, 2))
         r[~machine.free_mask] = 0.0
         coeffs = np.column_stack([np.ones(2), [0.5, 2.0]])
-        fast = machine.precondition_block(coeffs, r, backend=VECTORIZED)
-        pin = machine.precondition_block(coeffs, r, backend=REFERENCE)
-        assert np.max(np.abs(fast - pin)) <= 1e-12 * max(np.max(np.abs(pin)), 1)
+        fast = machine._sweep_kernel().apply(coeffs, r)
+        for col in range(2):
+            pin = machine._precondition_reference(coeffs[:, col], r[:, col].copy())
+            assert np.max(np.abs(fast[:, col] - pin)) <= 1e-12 * max(
+                np.max(np.abs(pin)), 1
+            )
 
     def test_mismatched_column_counts_rejected(self, machine):
         with pytest.raises(ValueError):
-            machine.precondition_block(
+            machine._sweep_kernel().apply(
                 np.ones((2, 3)), np.zeros((machine.n_padded, 2))
             )
 
     def test_matvec_block_matches_columns(self, machine):
         rng = np.random.default_rng(13)
         x = rng.normal(size=(machine.n_padded, 4))
-        block = machine._matvec_block(x)
+        block = machine.matvec_into(x, np.empty_like(x))
         for col in range(4):
-            vm = VectorMachine(machine.timing)
-            single = machine._matvec(vm, np.ascontiguousarray(x[:, col]))
+            single = machine.matvec_into(
+                np.ascontiguousarray(x[:, col]), np.empty(machine.n_padded)
+            )
             assert np.array_equal(block[:, col], single)

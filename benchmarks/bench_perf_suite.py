@@ -16,10 +16,11 @@ import pytest
 from repro.core import neumann_coefficients
 from repro.core.mstep import MStepPreconditioner
 from repro.core.splittings import SSORSplitting
-from repro.driver import TABLE2_SCHEDULE, solve_mstep_ssor
+from repro.driver import TABLE2_SCHEDULE, mstep_coefficients
 from repro.multicolor import MStepSSOR
 
 from _common import cached_blocked, cached_interval, cached_plate
+from perf_report import splitting_solve
 
 pytestmark = pytest.mark.perf
 
@@ -65,13 +66,12 @@ def test_full_pcg(benchmark, backend):
     blocked = cached_blocked(SWEEP_MESH)
 
     def run():
-        return solve_mstep_ssor(
-            problem, 3, blocked=blocked, eps=1e-6,
-            applicator="splitting", backend=backend,
+        return splitting_solve(
+            problem, blocked, neumann_coefficients(3), backend, eps=1e-6
         )
 
-    solve = benchmark(run)
-    assert solve.result.converged
+    result, _ = benchmark(run)
+    assert result.converged
 
 
 def test_block_pcg_lockstep(benchmark):
@@ -92,7 +92,7 @@ def test_block_pcg_lockstep(benchmark):
 
 def test_fem_schedule_lockstep(benchmark):
     """The full Table-3 schedule through one batched FEM simulator pass."""
-    from repro.driver import TABLE3_SCHEDULE, mstep_coefficients
+    from repro.driver import TABLE3_SCHEDULE
     from repro.machines import FiniteElementMachine
 
     problem = cached_plate(SWEEP_MESH)
@@ -119,13 +119,14 @@ def test_table2_schedule(benchmark, backend):
     def run():
         total = 0
         for m, parametrized in TABLE2_SCHEDULE:
-            solve = solve_mstep_ssor(
-                problem, m, parametrized=parametrized, interval=interval,
-                blocked=blocked, eps=1e-6,
-                applicator="splitting", backend=backend,
+            coefficients = (
+                mstep_coefficients(m, parametrized, interval) if m else None
             )
-            assert solve.result.converged
-            total += solve.iterations
+            result, _ = splitting_solve(
+                problem, blocked, coefficients, backend, eps=1e-6
+            )
+            assert result.converged
+            total += result.iterations
         return total
 
     total = benchmark.pedantic(run, rounds=1, iterations=1, warmup_rounds=1)

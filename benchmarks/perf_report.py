@@ -53,12 +53,14 @@ import scipy  # noqa: E402
 
 from repro import plate_problem  # noqa: E402
 from repro.core.mstep import MStepPreconditioner  # noqa: E402
+from repro.core.pcg import block_pcg  # noqa: E402
 from repro.core.polynomial import neumann_coefficients  # noqa: E402
 from repro.core.splittings import SSORSplitting  # noqa: E402
 from repro.driver import (  # noqa: E402
     TABLE2_SCHEDULE,
     TABLE3_SCHEDULE,
     build_blocked_system,
+    cell_label,
     mstep_coefficients,
     solve_mstep_ssor,
     ssor_interval,
@@ -193,17 +195,37 @@ def bench_mstep_apply(blocked, repeats: int) -> dict:
     return out
 
 
+def splitting_solve(problem, blocked, coefficients, backend: str, eps: float):
+    """One m-step PCG solve on the kernel-dispatched splitting realization.
+
+    The load is permuted into the blocked system, preconditioned by
+    :class:`MStepPreconditioner` over ``SSORSplitting(blocked.permuted,
+    backend=backend)`` (``coefficients`` ``None``: plain CG), solved by a
+    one-column :func:`block_pcg` and unpermuted — the per-backend work the
+    kernel gates time.  Returns the column's
+    :class:`~repro.core.pcg.PCGResult` and the natural-order iterate.
+    """
+    ordering = blocked.ordering
+    F = np.ascontiguousarray(ordering.permute_vector(problem.f[:, None]))
+    preconditioner = None
+    if coefficients is not None:
+        preconditioner = MStepPreconditioner(
+            SSORSplitting(blocked.permuted, backend=backend), coefficients
+        )
+    result = block_pcg(blocked.permuted, F, preconditioner=preconditioner, eps=eps)
+    return result.column(0), ordering.unpermute_vector(result.u)[:, 0]
+
+
 def bench_pcg(problem, blocked, repeats: int, eps: float) -> dict:
-    """Full m-step PCG solve per backend (splitting applicator) + sweep."""
+    """Full m-step PCG solve per backend (splitting realization) + sweep."""
     out = {}
     for backend in BACKENDS:
         def run(backend=backend):
-            solve = solve_mstep_ssor(
-                problem, M_PCG, blocked=blocked, eps=eps,
-                applicator="splitting", backend=backend,
+            result, u = splitting_solve(
+                problem, blocked, neumann_coefficients(M_PCG), backend, eps
             )
-            assert solve.result.converged
-            return solve
+            assert result.converged
+            return u
 
         out[f"{backend}_s"] = _time_call(run, repeats)
 
@@ -228,13 +250,14 @@ def bench_table2_sweep(problem, blocked, repeats: int, eps: float) -> dict:
     def run_schedule(backend: str) -> None:
         cells = iterations.setdefault(backend, {})
         for m, parametrized in TABLE2_SCHEDULE:
-            solve = solve_mstep_ssor(
-                problem, m, parametrized=parametrized, interval=interval,
-                blocked=blocked, eps=eps,
-                applicator="splitting", backend=backend,
+            coefficients = (
+                mstep_coefficients(m, parametrized, interval) if m else None
             )
-            assert solve.result.converged
-            cells[solve.label] = solve.iterations
+            result, _ = splitting_solve(
+                problem, blocked, coefficients, backend, eps
+            )
+            assert result.converged
+            cells[cell_label(m, parametrized)] = result.iterations
 
     out = {}
     for backend in BACKENDS:

@@ -24,10 +24,10 @@ python -m repro request --stats             # daemon counters (hits, batches)
 ```
 
 ``cyber``/``table2`` accept ``--backend vectorized|reference`` (the kernel
-dispatch of :mod:`repro.kernels`); ``solve`` and ``request`` additionally
-accept ``--backend stencil`` — the matrix-free operator path for the
-regular-mesh scenarios, which never assembles a matrix at all
-(``repro scenarios`` lists which scenarios support it).  ``solve`` and
+dispatch of :mod:`repro.kernels`); ``solve`` and ``request`` accept
+``--backend vectorized|stencil`` — the assembled operator, or the
+matrix-free one of the regular-mesh scenarios, which never assembles a
+matrix at all (``repro scenarios`` lists which scenarios support it).  ``solve`` and
 ``recommend`` accept any registered ``--scenario``, with ``--rows`` mapped
 onto the scenario's own size parameter.
 
@@ -489,7 +489,7 @@ def _cmd_request(args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     from repro.driver import TABLE2_EPS
-    from repro.kernels import BACKENDS, SOLVER_BACKENDS
+    from repro.kernels import BACKENDS, SESSION_BACKENDS
     from repro.pipeline import available_scenarios
 
     scenario_names = [spec.name for spec in available_scenarios()]
@@ -512,7 +512,7 @@ def main(argv: list[str] | None = None) -> int:
     def add_backend_arg(p, solver=False):
         if solver:
             p.add_argument(
-                "--backend", choices=list(SOLVER_BACKENDS), default=None,
+                "--backend", choices=list(SESSION_BACKENDS), default=None,
                 help="solver backend for the numerics (default: vectorized; "
                 "'stencil' is the matrix-free operator path of the "
                 "regular-mesh scenarios)",

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.convergence import StoppingRule
-from repro.core.mstep import MStepPreconditioner
 from repro.core.pcg import PCGResult
 from repro.core.polynomial import (
     least_squares_coefficients,
@@ -23,7 +22,6 @@ from repro.core.polynomial import (
     neumann_coefficients,
 )
 from repro.core.spectral import spectrum_interval
-from repro.core.splittings import SSORSplitting
 from repro.multicolor.blocked import BlockedMatrix
 from repro.multicolor.ordering import MulticolorOrdering
 from repro.multicolor.sor import MStepSSOR
@@ -36,7 +34,6 @@ __all__ = [
     "MStepSolve",
     "build_blocked_system",
     "cell_label",
-    "build_mstep_applicator",
     "mstep_coefficients",
     "ssor_interval",
     "solve_mstep_ssor",
@@ -114,33 +111,6 @@ def mstep_coefficients(
     raise ValueError(f"unknown parametrization criterion {criterion!r}")
 
 
-def build_mstep_applicator(
-    blocked: BlockedMatrix,
-    coefficients: np.ndarray,
-    applicator: str = "sweep",
-    backend: str | None = None,
-    omega: float = 1.0,
-):
-    """The m-step SSOR realization shared by the driver and the machines.
-
-    ``"sweep"`` is the Conrad–Wallach merged multicolor sweep of
-    Algorithm 2 (:class:`MStepSSOR`, the paper's ω = 1 formulation);
-    ``"splitting"`` routes through :class:`MStepPreconditioner` over the
-    ω-parametrized SSOR splitting, whose triangular solves dispatch on
-    the kernel ``backend`` (``"vectorized"`` cached color-block sweeps or
-    the ``"reference"`` row-sequential pin).  At ω = 1 all paths apply
-    the same operator to ≤1e−12.
-    """
-    require(applicator in ("sweep", "splitting"),
-            "applicator must be 'sweep' or 'splitting'")
-    if applicator == "sweep":
-        return MStepSSOR(blocked, coefficients)
-    return MStepPreconditioner(
-        SSORSplitting(blocked.permuted, omega=omega, backend=backend),
-        coefficients,
-    )
-
-
 @dataclass
 class MStepSolve:
     """Full record of one m-step SSOR PCG solve."""
@@ -177,7 +147,6 @@ def solve_mstep_ssor(
     blocked: BlockedMatrix | None = None,
     maxiter: int | None = None,
     track_residual: bool = False,
-    applicator: str = "sweep",
     backend: str | None = None,
 ) -> MStepSolve:
     """Solve a model problem with the m-step multicolor SSOR PCG method.
@@ -186,13 +155,11 @@ def solve_mstep_ssor(
     parametrized runs the eigenvalue interval is measured from the operator
     unless supplied (benchmarks compute it once per mesh and pass it in).
 
-    ``applicator`` selects the preconditioner realization: ``"sweep"``
-    (default) is the Conrad–Wallach merged multicolor sweep of Algorithm 2;
-    ``"splitting"`` routes through :class:`MStepPreconditioner` over the
-    SSOR splitting, whose triangular solves dispatch on the kernel
-    ``backend`` (``"vectorized"`` color-block sweeps or the ``"reference"``
-    row-sequential pin — see :mod:`repro.kernels`).  All three paths apply
-    the same operator; the test-suite holds them to ≤1e−12 of each other.
+    The preconditioner is the Conrad–Wallach merged multicolor sweep of
+    Algorithm 2 (:class:`~repro.multicolor.sor.MStepSSOR`); ``backend``
+    picks the operator: ``"vectorized"`` (also ``None``) the assembled,
+    permuted block system, ``"stencil"`` the matrix-free operator of the
+    regular-mesh scenarios.
 
     Since the pipeline refactor this is a thin veneer over a one-cell
     :class:`~repro.pipeline.SolverSession` — multi-cell or multi-RHS work
@@ -212,7 +179,6 @@ def solve_mstep_ssor(
         eps=eps,
         criterion=criterion,
         weight=weight,
-        applicator=applicator,
         backend=backend,
         maxiter=maxiter,
     )

@@ -16,6 +16,7 @@ the equivalence test-suite pins the fast path against.
 from repro.kernels.backend import (
     BACKENDS,
     REFERENCE,
+    SESSION_BACKENDS,
     SOLVER_BACKENDS,
     STENCIL,
     VECTORIZED,
@@ -32,7 +33,6 @@ from repro.kernels.ops import (
     xpay_into,
 )
 from repro.kernels.triangular import (
-    ColorBlockMergedSweep,
     ColorBlockTriangularSolver,
     FactorizedTriangularSolver,
     ReferenceTriangularSolver,
@@ -46,6 +46,7 @@ __all__ = [
     "BACKENDS",
     "REFERENCE",
     "SOLVER_BACKENDS",
+    "SESSION_BACKENDS",
     "STENCIL",
     "VECTORIZED",
     "resolve_backend",
@@ -59,7 +60,6 @@ __all__ = [
     "supports_matvec_block",
     "supports_matvec_into",
     "xpay_into",
-    "ColorBlockMergedSweep",
     "ColorBlockTriangularSolver",
     "FactorizedTriangularSolver",
     "ReferenceTriangularSolver",

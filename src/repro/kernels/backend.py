@@ -21,8 +21,11 @@ scenarios, which never assembles CSR at all.  It is a *solver* backend,
 not a kernel backend: the CSR kernel primitives have no stencil variant,
 so :data:`BACKENDS`/:func:`resolve_backend` (used by the triangular-solve
 and machine layers) exclude it while :data:`SOLVER_BACKENDS`/
-:func:`resolve_solver_backend` (used by plans, the CLI and the serving
-protocol) include it.
+:func:`resolve_solver_backend` (used by plans) include it.
+
+A session solve runs the merged sweep on the assembled or the matrix-free
+operator, so only :data:`SESSION_BACKENDS` tell its solves apart; the CLI's
+``solve``/``request`` and the serving protocol offer those.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ __all__ = [
     "STENCIL",
     "BACKENDS",
     "SOLVER_BACKENDS",
+    "SESSION_BACKENDS",
     "resolve_backend",
     "resolve_solver_backend",
 ]
@@ -42,6 +46,7 @@ REFERENCE = "reference"
 STENCIL = "stencil"
 BACKENDS = (VECTORIZED, REFERENCE)
 SOLVER_BACKENDS = (VECTORIZED, REFERENCE, STENCIL)
+SESSION_BACKENDS = (VECTORIZED, STENCIL)
 
 
 def resolve_backend(name: str | None) -> str:

@@ -33,13 +33,10 @@ import scipy.sparse.linalg as spla
 from scipy.sparse.linalg import spsolve_triangular
 
 from repro.kernels.backend import REFERENCE, resolve_backend
-from repro.kernels.ops import matvec_accumulate
-from repro.kernels.workspace import WorkspacePool
 
 __all__ = [
     "detect_color_slices",
     "ColorBlockTriangularSolver",
-    "ColorBlockMergedSweep",
     "FactorizedTriangularSolver",
     "ReferenceTriangularSolver",
     "make_triangular_solver",
@@ -151,144 +148,6 @@ class ColorBlockTriangularSolver:
             inv = self._inv_diag[c] if b.ndim == 1 else self._inv_diag[c][:, None]
             np.multiply(acc, inv, out=z[sc])
         return z
-
-
-class ColorBlockMergedSweep:
-    """m-step Conrad–Wallach merged sweeps over cached color-block factors.
-
-    The kernel behind the machine simulators' preconditioner path: given the
-    *lower* factor ``D + strict-block-lower(K)`` and the *upper* factor
-    ``D + strict-block-upper(K)`` of a multicolor-ordered system — each as a
-    :class:`ColorBlockTriangularSolver`, whose cached per-color CSR
-    sub-blocks and inverse diagonals this class reuses — ``apply`` realizes
-    Algorithm 2's merged double sweeps
-
-    ``r̃_c ← (−Σ_j B_cj r̃_j + y_c + α_{m−s} r_c) / D_c``
-
-    for single vectors or ``(n, k)`` blocks of right-hand sides.  All
-    auxiliary vectors (the per-color ``y`` carries and block-sum
-    accumulators) live in a :class:`WorkspacePool`, so steady-state
-    applications allocate nothing; the returned array is a pooled buffer
-    valid until the next ``apply`` on the same object.
-
-    The loop structure (forward sweep, backward interior sweep, closing
-    first-color solve, ``y``/scratch swap protocol) is deliberately kept
-    in lockstep with :meth:`repro.multicolor.sor.MStepSSOR.apply` and the
-    CYBER simulator's reference/charge replicas — the equivalence suites
-    (``test_kernels.py``, ``test_machines_backend.py``) pin them to each
-    other; a change to one belongs in all.
-    """
-
-    kind = "color_block_merged"
-
-    def __init__(
-        self,
-        lower: ColorBlockTriangularSolver,
-        upper: ColorBlockTriangularSolver,
-        pool: WorkspacePool | None = None,
-    ):
-        if lower.slices != upper.slices:
-            raise ValueError("lower/upper factors disagree on the color blocks")
-        # Both factors must carry the same diagonal D (the merged sweep
-        # scales every solve by it); fail fast rather than corrupt silently.
-        if any(
-            not np.array_equal(dl, du)
-            for dl, du in zip(lower._inv_diag, upper._inv_diag)
-        ):
-            raise ValueError("lower/upper factors disagree on the diagonal")
-        self.lower = lower
-        self.upper = upper
-        self.slices = lower.slices
-        self.n = lower.n
-        self.pool = pool if pool is not None else WorkspacePool()
-
-    @property
-    def n_groups(self) -> int:
-        return len(self.slices)
-
-    def apply(self, coefficients: np.ndarray, r: np.ndarray) -> np.ndarray:
-        """``(α₀ I + … + α_{m−1} G^{m−1}) P⁻¹ r`` by merged sweeps.
-
-        ``coefficients`` is ``(m,)`` — one schedule for every right-hand
-        side — or ``(m, k)`` for an ``(n, k)`` block ``r`` whose columns
-        carry *different* α schedules of the same length (the batched
-        multi-cell sweep of :meth:`repro.machines.cyber.CyberMachine
-        .solve_schedule`).  Per-column α's enter only through elementwise
-        broadcasts, so each column's arithmetic is bit-identical to a
-        single-vector apply with its own schedule.
-        """
-        coefficients = np.atleast_1d(np.asarray(coefficients, dtype=np.float64))
-        m = int(coefficients.shape[0])
-        r = np.asarray(r, dtype=np.float64)
-        if coefficients.ndim == 2:
-            if r.ndim != 2 or r.shape[1] != coefficients.shape[1]:
-                raise ValueError(
-                    "per-column coefficients need an (n, k) block with "
-                    "matching column count"
-                )
-        nc = self.n_groups
-        slices = self.slices
-        pool = self.pool
-        tail = r.shape[1:]
-        inv_diag = self.lower._inv_diag
-        lower_blocks = self.lower._blocks
-        upper_blocks = self.upper._blocks
-
-        rt_pooled = pool.peek("rt")
-        if rt_pooled is not None and np.may_share_memory(r, rt_pooled):
-            # The caller fed us our own pooled result; zero-filling it below
-            # would silently destroy the input.
-            r = r.copy()
-        rt = pool.zeros("rt", r.shape)
-        rg = [r[s] for s in slices]
-        xg = [rt[s] for s in slices]
-        group_shapes = [(s.stop - s.start,) + tail for s in slices]
-        y = pool.zeros_list("y", group_shapes)
-        xs = pool.get_list("x", group_shapes)
-
-        def block_sum_neg(pairs, buf: np.ndarray) -> np.ndarray:
-            """``buf ← −Σ_j B_cj r̃_j`` over the cached ``(j, block)`` pairs."""
-            buf.fill(0.0)
-            for j, block in pairs:
-                matvec_accumulate(block, xg[j], buf)
-            np.negative(buf, out=buf)
-            return buf
-
-        def solve_into(c: int, x: np.ndarray, yc, alpha) -> None:
-            zc = xg[c]
-            np.multiply(rg[c], alpha, out=zc)
-            if yc is not None:
-                zc += yc
-            zc += x
-            zc *= inv_diag[c] if r.ndim == 1 else inv_diag[c][:, None]
-
-        for s in range(1, m + 1):
-            # Scalar α for a shared schedule; an (k,) row of per-column α's
-            # otherwise (broadcast across the block in solve_into).
-            alpha = (
-                float(coefficients[m - s])
-                if coefficients.ndim == 1
-                else coefficients[m - s]
-            )
-            for c in range(nc):
-                x = block_sum_neg(lower_blocks[c], xs[c])
-                solve_into(c, x, y[c], alpha)
-                y[c], xs[c] = xs[c], y[c]
-            for c in range(nc - 2, 0, -1):
-                x = block_sum_neg(upper_blocks[c], xs[c])
-                solve_into(c, x, y[c], alpha)
-                y[c], xs[c] = xs[c], y[c]
-            if nc >= 2:
-                # The last color's upper sum is empty; the first color closes
-                # the step (coefficient α_{m−s}) on the final step and
-                # otherwise feeds the next forward sweep's first solve.
-                y[nc - 1].fill(0.0)
-                x = block_sum_neg(upper_blocks[0], xs[0])
-                if s == m:
-                    solve_into(0, x, None, alpha)
-                else:
-                    y[0], xs[0] = xs[0], y[0]
-        return rt
 
 
 class FactorizedTriangularSolver:

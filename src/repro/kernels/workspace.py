@@ -45,13 +45,6 @@ class WorkspacePool:
         """
         return [self.get(f"{name}{i}", s, dtype) for i, s in enumerate(shapes)]
 
-    def zeros_list(self, name: str, shapes, dtype=np.float64) -> list[np.ndarray]:
-        """Like :meth:`get_list` but every buffer zero-filled."""
-        buffers = self.get_list(name, shapes, dtype)
-        for buf in buffers:
-            buf.fill(0.0)
-        return buffers
-
     def peek(self, name: str) -> np.ndarray | None:
         """The buffer currently pooled under ``name``, if any (no allocation).
 

@@ -15,8 +15,10 @@ Reproduces the paper's vector-machine organization faithfully:
 * **Inner products** pay the partial-sum penalty of
   :meth:`~repro.machines.timing.VectorTimingModel.dot_time` ("considerably
   slower than the other vector operations").
-* The m-step preconditioner runs the same Conrad–Wallach merged sweeps as
-  :class:`repro.multicolor.sor.MStepSSOR`, expressed in vector primitives.
+* The m-step preconditioner is Algorithm 2's Conrad–Wallach merged sweep:
+  the kernel path runs :class:`repro.multicolor.sor.MStepSSOR` on the
+  masked, padded system, the ``"reference"`` path hand-rolled per-color
+  solves over the diagonal storage; both charge the same vector-op stream.
 
 Numerics are exact (NumPy); only the clock is simulated.  The iterates are
 identical (to roundoff-in-summation-order) to the reference Algorithm 1 on
@@ -36,12 +38,13 @@ from repro.fem.model_problems import PlateProblem
 from repro.fem.plane_stress import assemble_plate_full
 from repro.kernels import ops as kernel_ops
 from repro.kernels.backend import REFERENCE, resolve_backend
-from repro.kernels.triangular import ColorBlockMergedSweep, ColorBlockTriangularSolver
 from repro.machines.cells import SchedulePreconditioner, normalize_cell
 from repro.machines.diagonals import DiagonalStorage
 from repro.machines.timing import CYBER_203, VectorTimingModel
 from repro.machines.vector import VectorMachine
+from repro.multicolor.blocked import BlockedMatrix
 from repro.multicolor.ordering import MulticolorOrdering
+from repro.multicolor.sor import MStepSSOR
 from repro.util import require
 
 __all__ = ["CyberResult", "CyberMachine"]
@@ -143,7 +146,7 @@ class CyberMachine:
         self.max_vector_length = max(
             (s.stop - s.start) for s in self.slices
         )
-        self._merged_sweep: ColorBlockMergedSweep | None = None
+        self._merged_sweep: MStepSSOR | None = None
         self._charge_stream_cache: dict = {}
 
     # ------------------------------------------------------------- primitives
@@ -241,7 +244,8 @@ class CyberMachine:
         single pipeline startup (:meth:`VectorTimingModel.block_op_time`).
 
         The loop skeleton mirrors :meth:`_precondition_reference` step for
-        step (and, through it, the kernel merged sweep); the
+        step (and, through it, :meth:`MStepSSOR.apply_schedule
+        <repro.multicolor.sor.MStepSSOR.apply_schedule>`); the
         backend-equivalence suite pins the three in lockstep.
         """
         nc = self.n_groups
@@ -320,36 +324,36 @@ class CyberMachine:
                 y[0] = x
         return rt
 
-    def _sweep_kernel(self) -> ColorBlockMergedSweep:
+    def _sweep_kernel(self) -> MStepSSOR:
         """The cached kernel-layer realization of Algorithm 2 (built once).
 
-        The padded multicolor system, with constrained rows and columns
-        masked out (the control vector, baked into the operator so no
-        per-color masking pass is needed), splits into its block-lower and
-        block-upper triangles; each becomes a
-        :class:`ColorBlockTriangularSolver` whose cached per-color CSR
-        sub-blocks drive the merged sweeps for single vectors or ``(n, k)``
-        blocks of right-hand sides.
+        :class:`~repro.multicolor.sor.MStepSSOR` on the padded system with
+        the control vector baked into the operator: constrained slots keep
+        their diagonal but lose every off-diagonal coupling, so their
+        entries of ``r̃`` stay zero with no per-color masking pass.  Callers
+        pass each cell's α schedule to
+        :meth:`~repro.multicolor.sor.MStepSSOR.apply_schedule` — ``(m,)``
+        for one right-hand side, ``(m, k)`` for an ``(n, k)`` block.
         """
         if self._merged_sweep is None:
-            # Reassemble the padded system on demand rather than retaining
-            # the full CSR for the machine's lifetime — the steady-state
-            # footprint stays at the diagonal-storage level the
-            # storage_report() ledger documents.
-            k_full, _ = assemble_plate_full(
+            # Reassemble the padded system only when the kernel path first
+            # needs it: a machine that runs the reference sweeps keeps the
+            # diagonal-storage footprint the storage_report() ledger
+            # documents.
+            k, _ = assemble_plate_full(
                 self.problem.mesh,
                 self.problem.material,
                 element_scale=self.problem.element_scale,
             )
-            k = self.ordering.permute_matrix(k_full).tocsr()
-            diag = np.concatenate(self.diagonals)
-            mask = sp.diags(self.free_mask.astype(float))
-            off_masked = (mask @ (k - sp.diags(k.diagonal())) @ mask).tocsr()
-            t_lower = (sp.diags(diag) + sp.tril(off_masked, -1)).tocsr()
-            t_upper = (sp.diags(diag) + sp.triu(off_masked, 1)).tocsr()
-            self._merged_sweep = ColorBlockMergedSweep(
-                ColorBlockTriangularSolver(t_lower, self.slices, lower=True),
-                ColorBlockTriangularSolver(t_upper, self.slices, lower=False),
+            k = k.tocsr()
+            mask = sp.diags(
+                np.repeat(~self.problem.mesh.is_constrained, 2).astype(float)
+            )
+            diagonal = sp.diags(k.diagonal())
+            masked = mask @ (k - diagonal) @ mask + diagonal
+            self._merged_sweep = MStepSSOR(
+                BlockedMatrix.from_matrix(masked, self.ordering, validate=False),
+                np.ones(1),
             )
         return self._merged_sweep
 
@@ -364,8 +368,8 @@ class CyberMachine:
 
         Both backends charge the identical vector-primitive stream (the
         cost is structural); only the numeric engine differs — the
-        ``"reference"`` per-color diagonal-storage solves, or the kernel
-        layer's cached color-block sweeps.  Iterates agree to roundoff
+        ``"reference"`` per-color diagonal-storage solves, or
+        :meth:`_sweep_kernel`'s merged sweep.  Iterates agree to roundoff
         (summation order differs), clocks and op counts exactly.
         """
         self._charge_precondition(vm, coefficients.size)
@@ -373,7 +377,7 @@ class CyberMachine:
             return self._precondition_reference(coefficients, r)
         # The kernel returns a pooled workspace buffer; Algorithm 1 never
         # holds r̃ across preconditioner applications, so no copy is needed.
-        return self._sweep_kernel().apply(coefficients, r)
+        return self._sweep_kernel().apply_schedule(coefficients, r)
 
     # ----------------------------------------------------------- cost model
     def iteration_costs(self) -> tuple[float, float]:
@@ -441,9 +445,8 @@ class CyberMachine:
         the ``αᵢ`` — :func:`repro.driver.mstep_coefficients` builds them —
         or all-ones is assumed.
 
-        ``backend`` mirrors :func:`repro.driver.solve_mstep_ssor`: the
-        default ``"vectorized"`` routes the preconditioner through the
-        kernel layer's cached :class:`ColorBlockTriangularSolver` sweeps,
+        ``backend``: the default ``"vectorized"`` runs the preconditioner
+        as :meth:`_sweep_kernel`'s merged sweep,
         ``"reference"`` keeps the hand-rolled per-color diagonal-storage
         solves.  The charged clock and operation counts are identical
         either way (the cost stream is structural); iterates agree to
@@ -522,8 +525,9 @@ class CyberMachine:
         diagonals over the whole active block, and a
         :class:`~repro.machines.cells.SchedulePreconditioner` runs
         Algorithm 2 once per distinct m (the per-column-α merged sweep of
-        :class:`ColorBlockMergedSweep`) — or, on the ``"reference"``
-        backend, the hand-rolled per-color solves once per cell.
+        :meth:`~repro.multicolor.sor.MStepSSOR.apply_schedule`) — or, on
+        the ``"reference"`` backend, the hand-rolled per-color solves once
+        per cell.
 
         Each cell's clock is then charged structurally
         (:meth:`_charged_result`).  Every batched kernel is per-column
@@ -545,7 +549,7 @@ class CyberMachine:
                 if r.ndim == 1
                 else np.stack([schedules[j] for j in columns], axis=1)
             )
-            return self._sweep_kernel().apply(coefficients, r)
+            return self._sweep_kernel().apply_schedule(coefficients, r)
 
         keys = [
             None if s is None else (j if backend == REFERENCE else s.size)

@@ -30,7 +30,7 @@ import numpy as np
 
 from repro.core.mstep import MStepPreconditioner
 from repro.core.splittings import SSORSplitting
-from repro.driver import build_blocked_system, build_mstep_applicator, cell_label
+from repro.driver import build_blocked_system, cell_label
 from repro.fem.model_problems import PlateProblem
 from repro.machines.cells import SchedulePreconditioner, normalize_cell
 from repro.machines.comm import CommLog
@@ -274,8 +274,8 @@ class FiniteElementMachine:
         """Run the method; numerics identical to the reference solver.
 
         Algorithm 1 is :func:`~repro.core.pcg.pcg` with a freshly built
-        ``"splitting"`` applicator whose triangular solves dispatch on
-        ``backend`` as in :func:`repro.driver.solve_mstep_ssor`: the
+        :class:`~repro.core.mstep.MStepPreconditioner` over the SSOR
+        splitting, whose triangular solves dispatch on ``backend``: the
         kernel layer's cached
         :class:`~repro.kernels.ColorBlockTriangularSolver` sweeps
         (``"vectorized"``) or the row-sequential ``"reference"`` pin.  The
@@ -286,8 +286,8 @@ class FiniteElementMachine:
         coefficients, parametrized = normalize_cell(m, coefficients)
         preconditioner = None
         if coefficients is not None:
-            preconditioner = build_mstep_applicator(
-                self.blocked, coefficients, applicator="splitting", backend=backend
+            preconditioner = MStepPreconditioner(
+                SSORSplitting(self.blocked.permuted, backend=backend), coefficients
             )
         result = pcg(
             self.blocked.permuted,

@@ -8,9 +8,10 @@ primitives, so its simulated seconds follow mechanically from the published
 machine characteristics — and its numerics can be pinned to the reference
 solver in tests.
 
-The control-vector feature is modeled by :meth:`masked_store`: the store is
-suppressed on masked (constrained) slots but the operation is charged at
-full vector length, exactly the trade the paper makes to maximize vector
+The control-vector feature costs nothing here: the CYBER bakes the mask
+into its operator (constrained slots' couplings are zeroed, so their
+entries stay zero), while every operation is still charged at full padded
+vector length — exactly the trade the paper makes to maximize vector
 length ("the actual updating … is prohibited by the control vector feature
 … for large a and b little inefficiency is incurred").
 """
@@ -22,7 +23,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.kernels import ops as kernel_ops
-from repro.machines.diagonals import DiagonalStorage
 from repro.machines.timing import VectorTimingModel
 
 __all__ = ["VectorMachine", "VectorOpLog"]
@@ -79,18 +79,6 @@ class VectorMachine:
         self._charge_vec("add", a.shape[0])
         return a + b
 
-    def subtract(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        self._charge_vec("subtract", a.shape[0])
-        return a - b
-
-    def multiply(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        self._charge_vec("multiply", a.shape[0])
-        return a * b
-
-    def divide(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        self._charge_vec("divide", a.shape[0])
-        return a / b
-
     def scale(self, alpha: float, a: np.ndarray) -> np.ndarray:
         self._charge_vec("scale", a.shape[0])
         return alpha * a
@@ -127,41 +115,7 @@ class VectorMachine:
         """Charge scalar-unit work (α, β, convergence bookkeeping)."""
         self.log.charge("scalar", self.timing.scalar_op_time(n_ops))
 
-    # ----------------------------------------------------------- control vector
-    def masked_store(
-        self, dst: np.ndarray, src: np.ndarray, store_mask: np.ndarray
-    ) -> np.ndarray:
-        """Store ``src`` into ``dst`` where ``store_mask`` — full-length cost."""
-        self._charge_vec("masked_store", dst.shape[0])
-        out = dst.copy()
-        out[store_mask] = src[store_mask]
-        return out
-
-    def apply_mask(self, a: np.ndarray, keep_mask: np.ndarray) -> np.ndarray:
-        """Zero the slots excluded by ``keep_mask``.
-
-        Free of charge: the control vector rides along with the instruction
-        that produced ``a`` — suppressing stores costs nothing extra on this
-        hardware.
-        """
-        out = a.copy()
-        out[~keep_mask] = 0.0
-        return out
-
-    # ------------------------------------------------------- matrix primitives
-    def diag_matvec_accumulate(
-        self, storage: DiagonalStorage, x: np.ndarray, out: np.ndarray
-    ) -> np.ndarray:
-        """``out += block @ x`` by diagonals; one multiply-add per diagonal."""
-        for index in range(storage.n_diagonals):
-            start, stop = storage.diagonal_span(index)
-            self._charge_vec("diag_madd", stop - start)
-        return storage.matvec(x, out=out)
-
     # ------------------------------------------------------------- accounting
     @property
     def elapsed_seconds(self) -> float:
         return self.log.total_seconds()
-
-    def reset(self) -> None:
-        self.log = VectorOpLog()

@@ -259,18 +259,38 @@ class MStepSSOR:
         auxiliaries and the block-sum accumulators are all reused across
         applications, so a PCG solve's steady state allocates nothing here.
         The returned array is a pooled buffer, valid until the next
-        ``apply`` on this object — copy it if it must outlive that.
+        application on this object — copy it if it must outlive that.
         """
+        return self.apply_schedule(self.coefficients, r)
+
+    def apply_schedule(self, coefficients: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """:meth:`apply` with a per-call α schedule instead of the bound one.
+
+        ``coefficients`` is ``(m,)`` — one schedule for every right-hand
+        side — or ``(m, k)`` for an ``(n, k)`` block ``r`` whose columns
+        carry *different* schedules of the same length (the batched
+        Table-2 cells of :meth:`repro.machines.cyber.CyberMachine
+        .solve_schedule`).  The α's enter only through the per-step
+        ``α·r`` product, which broadcasts a ``(k,)`` row across the block,
+        so each column's arithmetic is bit-identical to a single-vector
+        application with its own schedule.
+        """
+        alphas = np.asarray(coefficients, dtype=float)
+        r = np.asarray(r, dtype=float)
+        if alphas.ndim == 2:
+            require(
+                r.ndim == 2 and r.shape[1] == alphas.shape[1],
+                "per-column coefficients need an (n, k) block with "
+                "matching column count",
+            )
         blocked = self.blocked
         nc = blocked.n_groups
-        m = self.m
-        alphas = self.coefficients
+        m = int(alphas.shape[0])
         lower_ops, upper_ops, lower_counts, upper_counts = self._bound_sweep_ops()
         slices = blocked.group_slices
         diagonals = blocked.diagonals
         pool = self.workspace
 
-        r = np.asarray(r, dtype=float)
         rt_pooled = pool.peek("rt")
         if rt_pooled is not None and np.may_share_memory(r, rt_pooled):
             # The caller fed us our own pooled result; overwriting it below
@@ -347,7 +367,8 @@ class MStepSSOR:
         for s in range(1, m + 1):
             # One batched α_{m−s}·r for the whole step — per-color solves
             # then read their slice, same elementwise product, fewer
-            # dispatches than a per-color multiply.
+            # dispatches than a per-color multiply.  A (k,) row of
+            # per-column α's broadcasts across the block.
             np.multiply(r, alphas[m - s], out=ar)
             first = s == 1
             # Forward sweep c = 0 … nc−1; y[c] holds the upper sum from the

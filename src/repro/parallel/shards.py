@@ -4,11 +4,11 @@ Worker dispatch never pickles live solver objects — compiled applicators
 hold factorized kernels, workspace pools and lifetime counters that are
 both expensive and wrong to ship.  Instead a :class:`ShardSpec` carries a
 lightweight *handle* to the (already multicolor-permuted) operator plus an
-:class:`ApplicatorRecipe` — the same ``(kind, coefficients, ω, backend)``
-description a compiled :class:`~repro.pipeline.SolverPlan` holds — and the
-worker rebuilds the applicator through the exact constructors the serial
-path uses (:class:`~repro.multicolor.sor.MStepSSOR` or
-:class:`~repro.core.mstep.MStepPreconditioner`).  Because the rebuild runs
+:class:`ApplicatorRecipe` — the ``(kind, coefficients)`` description of a
+compiled session cell — and the worker rebuilds the applicator through the
+exact constructors the serial path uses
+(:class:`~repro.multicolor.sor.MStepSSOR` or
+:class:`~repro.kernels.stencil.StencilSSOR`).  Because the rebuild runs
 the identical code on the identical matrix data, every shard's
 :func:`~repro.core.pcg.block_pcg` lockstep is per-column bitwise identical
 to the single-process solve.
@@ -207,8 +207,7 @@ class ApplicatorRecipe:
         ``"none"`` (plain CG), ``"sweep"`` (Conrad–Wallach merged
         multicolor sweep — needs the ``groups`` map and ``labels`` to
         reconstruct the :class:`~repro.multicolor.blocked.BlockedMatrix`
-        view), ``"splitting"`` (kernel-dispatched m-step Horner over
-        the SSOR splitting), or ``"stencil"`` (the matrix-free
+        view), or ``"stencil"`` (the matrix-free
         :class:`~repro.kernels.stencil.StencilSSOR` sweep, straight off
         the worker-side rebuilt :class:`StencilDescription` operator —
         its color groups ride on the operator itself).
@@ -220,14 +219,12 @@ class ApplicatorRecipe:
 
     kind: str = "none"
     coefficients: np.ndarray | None = None
-    omega: float = 1.0
-    backend: str | None = None
     groups: np.ndarray | None = None
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
-        require(self.kind in ("none", "sweep", "splitting", "stencil"),
-                "recipe kind must be 'none', 'sweep', 'splitting' or 'stencil'")
+        require(self.kind in ("none", "sweep", "stencil"),
+                "recipe kind must be 'none', 'sweep' or 'stencil'")
         if self.kind != "none":
             require(self.coefficients is not None,
                     f"a {self.kind!r} recipe needs its coefficient schedule")
@@ -244,14 +241,6 @@ class ApplicatorRecipe:
             from repro.kernels.stencil import StencilSSOR
 
             return StencilSSOR(k, coefficients)
-        if self.kind == "splitting":
-            from repro.core.mstep import MStepPreconditioner
-            from repro.core.splittings import SSORSplitting
-
-            return MStepPreconditioner(
-                SSORSplitting(k, omega=self.omega, backend=self.backend),
-                coefficients,
-            )
         from repro.multicolor.blocked import BlockedMatrix
         from repro.multicolor.ordering import MulticolorOrdering
         from repro.multicolor.sor import MStepSSOR
@@ -262,7 +251,7 @@ class ApplicatorRecipe:
 
     def fingerprint(self) -> str:
         """Content hash used in worker compile-cache tokens."""
-        parts = [self.kind, f"{self.omega!r}", f"{self.backend!r}"]
+        parts = [self.kind]
         if self.coefficients is not None:
             parts.append(np.asarray(self.coefficients, dtype=float).tobytes().hex())
         if self.groups is not None:

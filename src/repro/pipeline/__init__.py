@@ -4,10 +4,10 @@
   named scenarios (the paper's plate, stretched/irregular domains,
   anisotropic stencils, variable-coefficient plates, …);
 * :mod:`repro.pipeline.plan` — :class:`SolverPlan`, the declarative
-  schedule (m-cells, parametrization, ω, backend);
+  schedule (m-cells, parametrization, backend);
 * :mod:`repro.pipeline.session` — :class:`SolverSession`, which compiles
-  one plan against one problem (coloring, blocked system, spectrum, cached
-  color-block kernels, machine layouts) and then executes many schedule
+  one plan against one problem (coloring, blocked system, spectrum,
+  merged-sweep kernels, machine layouts) and then executes many schedule
   cells and right-hand sides — including the batched lockstep CYBER pass
   that runs a whole Table-2 schedule through one simulator sweep.
 """

@@ -1,9 +1,8 @@
 """Solver plans: the declarative half of the plan → compile → execute pipeline.
 
 A :class:`SolverPlan` names *what* to run — the ``(m, parametrized)``
-schedule cells, the parametrization criterion, ω, the stopping tolerance,
-and which preconditioner realization/backend to use — without touching any
-problem.  :class:`~repro.pipeline.session.SolverSession` compiles a plan
+schedule cells, the parametrization criterion, the stopping tolerance and
+the backend — without touching any problem.  :class:`~repro.pipeline.session.SolverSession` compiles a plan
 against one problem (coloring, blocked system, cached kernels) and then
 executes it for many cells and many right-hand sides.
 """
@@ -13,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from repro.driver import TABLE2_SCHEDULE, TABLE3_SCHEDULE, cell_label
-from repro.kernels.backend import STENCIL, resolve_solver_backend
+from repro.kernels.backend import resolve_solver_backend
 from repro.util import require
 
 __all__ = ["SolverPlan", "cell_label"]
@@ -33,18 +32,13 @@ class SolverPlan:
     criterion, weight:
         Parametrization of the αᵢ (see
         :func:`repro.driver.mstep_coefficients`).
-    omega:
-        SSOR relaxation parameter for the splitting/interval.  Only the
-        ``"splitting"`` applicator realizes it; the merged sweeps (and so
-        the ``"stencil"`` backend) are the paper's ω = 1 formulation, and
-        a plan asking them for another ω is rejected.
-    applicator:
-        ``"sweep"`` (Conrad–Wallach merged sweeps) or ``"splitting"``
-        (kernel-dispatched m-step Horner over the SSOR splitting).
     backend:
-        Solver backend for the numerics: ``"vectorized"`` (also
-        ``None``), ``"reference"``, or ``"stencil"`` — the matrix-free
-        operator path for the regular-mesh scenarios.
+        ``"vectorized"`` (also ``None``) or ``"stencil"`` — the
+        matrix-free operator path for the regular-mesh scenarios.  Session
+        solves run the paper's ω = 1 merged sweep on either.
+        ``"reference"`` is a kernel backend only: it selects the
+        hand-rolled sweeps and row-sequential solves of the machine
+        simulator passes, and a session solve rejects it.
     maxiter:
         Outer-iteration cap (``None`` → solver default).
     block_rhs:
@@ -64,8 +58,6 @@ class SolverPlan:
     eps: float = 1e-6
     criterion: str = "least_squares"
     weight: str = "uniform"
-    omega: float = 1.0
-    applicator: str = "sweep"
     backend: str | None = None
     maxiter: int | None = None
     block_rhs: int = 1
@@ -76,20 +68,7 @@ class SolverPlan:
         require(len(schedule) >= 1, "a plan needs at least one schedule cell")
         require(all(m >= 0 for m, _ in schedule), "m must be non-negative")
         require(self.eps > 0, "eps must be positive")
-        require(self.omega > 0, "omega must be positive")
-        require(self.applicator in ("sweep", "splitting"),
-                "applicator must be 'sweep' or 'splitting'")
-        require(
-            self.omega == 1.0 or self.applicator == "splitting",
-            "the merged sweeps are the omega = 1 method; "
-            "omega != 1 needs applicator='splitting'",
-        )
         resolve_solver_backend(self.backend)  # raises listing valid choices
-        require(
-            not (self.backend == STENCIL and self.applicator == "splitting"),
-            "the stencil backend runs the merged sweeps only; "
-            "use applicator='sweep' (or the default)",
-        )
         require(self.block_rhs >= 1, "block_rhs must be at least 1")
 
     # ------------------------------------------------------------- factories

@@ -2,10 +2,9 @@
 
 The expensive, value-independent work of the m-step multicolor SSOR PCG
 method — coloring the problem, permuting into the block system (3.1),
-measuring the spectrum of ``P⁻¹K``, factorizing/caching the color-block
-triangular kernels, laying out the machine simulators — depends only on the
-problem and the plan, never on which schedule cell or right-hand side is
-being solved.  Before this module every entry point re-derived some of it
+measuring the spectrum of ``P⁻¹K``, binding the merged-sweep kernels,
+laying out the machine simulators — depends only on the problem and the
+plan, never on which schedule cell or right-hand side is being solved.  Before this module every entry point re-derived some of it
 per cell; a :class:`SolverSession` does each piece exactly once and then
 serves:
 
@@ -45,20 +44,19 @@ import numpy as np
 from repro.core.convergence import StoppingRule
 from repro.core.pcg import BlockPCGResult, block_pcg
 from repro.core.spectral import spectrum_interval
-from repro.core.splittings import SSORSplitting
 from repro.driver import (
     MStepSolve,
     build_blocked_system,
-    build_mstep_applicator,
     cell_label,
     mstep_coefficients,
     ssor_interval,
 )
 from repro.fem.matrixfree import stencil_operator
-from repro.kernels.backend import STENCIL
+from repro.kernels.backend import REFERENCE, STENCIL
 from repro.kernels.stencil import StencilSSOR
 from repro.machines import CYBER_203, FEM_1983, CyberMachine, FiniteElementMachine
 from repro.multicolor.blocked import BlockedMatrix
+from repro.multicolor.sor import MStepSSOR
 from repro.parallel import (
     ApplicatorRecipe,
     ShardSpec,
@@ -260,22 +258,18 @@ class SolverSession:
         One routine on every backend
         (:func:`~repro.core.spectral.spectrum_interval`): ``λ_n = 1`` and
         a Lanczos ``λ₁`` from the plan's operator with its m = 1 SSOR
-        sweep, built outside the applicator caches.  At ω = 1 the
-        assembled backends make :func:`repro.driver.ssor_interval`'s call
-        whatever the applicator or kernel backend; the stencil backend
-        runs the same recurrence matrix-free and agrees to rounding.
+        sweep, built outside the applicator caches.  The assembled
+        backends make :func:`repro.driver.ssor_interval`'s call; the
+        stencil backend runs the same recurrence matrix-free and agrees
+        to rounding.
         """
         if self._interval is None:
             if self.plan.backend == STENCIL:
                 stencil = self.stencil()
                 sweep = StencilSSOR(stencil, np.ones(1)).apply
                 self._interval = spectrum_interval(stencil, sweep)
-            elif self.plan.omega == 1.0:
-                self._interval = ssor_interval(self.blocked)
             else:
-                k = self.blocked.permuted
-                sweep = SSORSplitting(k, omega=self.plan.omega).apply_p_inv
-                self._interval = spectrum_interval(k, sweep)
+                self._interval = ssor_interval(self.blocked)
             self.stats.intervals += 1
         return self._interval
 
@@ -305,17 +299,14 @@ class SolverSession:
         return self._coefficients[key]
 
     def applicator(self, m: int, parametrized: bool):
-        """The cell's compiled preconditioner realization (cached)."""
+        """The cell's compiled merged-sweep preconditioner (cached): an
+        :class:`~repro.multicolor.sor.MStepSSOR` on the blocked system."""
         if m == 0:
             return None
         key = (m, parametrized)
         if key not in self._applicators:
-            self._applicators[key] = build_mstep_applicator(
-                self.blocked,
-                self.coefficients(m, parametrized),
-                applicator=self.plan.applicator,
-                backend=self.plan.backend,
-                omega=self.plan.omega,
+            self._applicators[key] = MStepSSOR(
+                self.blocked, self.coefficients(m, parametrized)
             )
             self.stats.applicator_builds += 1
         return self._applicators[key]
@@ -361,30 +352,22 @@ class SolverSession:
         """The cell's applicator as a picklable rebuild recipe.
 
         Worker processes of the sharded block path reconstruct the exact
-        realization the plan names — the merged multicolor sweep, the
-        kernel-dispatched splitting, or the matrix-free
-        :class:`~repro.kernels.stencil.StencilSSOR` — from this
-        description plus the shard's operator handle, through the same
-        constructors the serial path uses.
+        applicator the serial path runs — the merged multicolor sweep, or
+        the matrix-free :class:`~repro.kernels.stencil.StencilSSOR` — from
+        this description plus the shard's operator handle, through the
+        same constructors.
         """
         if m == 0:
             return ApplicatorRecipe(kind="none")
         coefficients = self.coefficients(m, parametrized)
         if self.plan.backend == STENCIL:
             return ApplicatorRecipe(kind="stencil", coefficients=coefficients)
-        if self.plan.applicator == "sweep":
-            ordering = self.blocked.ordering
-            return ApplicatorRecipe(
-                kind="sweep",
-                coefficients=coefficients,
-                groups=np.sort(ordering.groups),
-                labels=tuple(ordering.labels),
-            )
+        ordering = self.blocked.ordering
         return ApplicatorRecipe(
-            kind="splitting",
+            kind="sweep",
             coefficients=coefficients,
-            omega=self.plan.omega,
-            backend=self.plan.backend,
+            groups=np.sort(ordering.groups),
+            labels=tuple(ordering.labels),
         )
 
     def compile(self) -> "SolverSession":
@@ -554,8 +537,17 @@ class SolverSession:
         column stays bitwise identical to the serial path for any
         worker/group partition.  ``None`` (or 1 worker, or ``k ≤ 1``)
         is exactly the serial lockstep.
+
+        A ``"reference"`` plan raises ``ValueError``: that kernel backend
+        selects the machine passes' hand-rolled numerics and has no
+        session solve of its own.
         """
         require(m >= 0, "m must be non-negative")
+        require(
+            self.plan.backend != REFERENCE,
+            "session solves run on the 'vectorized' or 'stencil' backend; "
+            "'reference' selects the machine simulators' kernels only",
+        )
         operator, blocked = self._operator()
         F = np.asarray(self.problem.f if F is None else F, dtype=float)
         if F.ndim == 1:
@@ -670,18 +662,11 @@ class SolverSession:
         return self._machines[key]
 
     def _require_machine_plan(self) -> None:
-        """Reject plans the simulators would not run as written: they replay
-        the assembled system with the paper's ω = 1 sweeps, so an ω ≠ 1
-        plan would silently get ω = 1 numerics against its ω interval."""
+        """Reject stencil plans: the simulators replay the assembled system."""
         require(
             self.plan.backend != STENCIL,
             "the machine simulators replay the assembled multicolor "
             "system; the stencil backend has no machine path",
-        )
-        require(
-            self.plan.omega == 1.0,
-            "the machine simulators run the omega = 1 sweeps; a plan with "
-            f"omega = {self.plan.omega:g} has no machine path",
         )
 
     def run_cyber_schedule(
@@ -742,11 +727,11 @@ class SolverSession:
         bitwise identical to per-cell
         :meth:`~repro.machines.fem_machine.FiniteElementMachine.solve`
         calls in iteration counts, charged clocks, communication ledgers
-        and iterates.  The pass uses the machine's ``"splitting"``
-        realization whatever the plan's ``applicator`` (all realizations
-        apply the same operator); the machine caches its factorized
-        splitting and the session caches the machine, so repeated runs
-        rebuild nothing.  ``timing`` and ``reduction`` configure the
+        and iterates.  The pass runs the machine's own realization, an
+        m-step Horner over its SSOR splitting (the same operator as the
+        merged sweep); the machine caches its factorized splitting and
+        the session caches the machine, so repeated runs rebuild
+        nothing.  ``timing`` and ``reduction`` configure the
         machine as in :meth:`fem`, on both paths.
         """
         self._require_machine_plan()

@@ -37,7 +37,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from repro.kernels.backend import SOLVER_BACKENDS
+from repro.kernels.backend import SESSION_BACKENDS, VECTORIZED
 
 __all__ = [
     "MAX_LINE_BYTES",
@@ -97,7 +97,7 @@ class SolveRequest:
     m: int | str  # an int, or "auto" (resolved per cached system)
     parametrized: bool
     eps: float
-    backend: str | None
+    backend: str  # "vectorized" (also when omitted) or "stencil"
     rhs: tuple | None
     load_case: int
 
@@ -160,10 +160,12 @@ def parse_solve_request(payload: dict) -> SolveRequest:
     backend = payload.get("backend")
     if backend is not None and not isinstance(backend, str):
         raise ProtocolError(f"'backend' must be a string or null, got {backend!r}")
-    if backend is not None and backend not in SOLVER_BACKENDS:
+    # Omitted and "vectorized" are one set of numerics, so one system key.
+    backend = VECTORIZED if backend is None else backend
+    if backend not in SESSION_BACKENDS:
         raise ProtocolError(
-            f"unknown solver backend {backend!r}; valid choices: "
-            + ", ".join(repr(b) for b in SOLVER_BACKENDS)
+            f"solver backend {backend!r} has no session solve; valid "
+            "choices: " + ", ".join(repr(b) for b in SESSION_BACKENDS)
         )
 
     rhs = payload.get("rhs")

@@ -12,10 +12,12 @@ import numpy as np
 import pytest
 
 from repro import plate_problem
-from repro.core.mstep import IdentityPreconditioner
+from repro.core.mstep import IdentityPreconditioner, MStepPreconditioner
 from repro.core.pcg import BlockPCGResult, block_pcg, cg, pcg
-from repro.driver import build_blocked_system, build_mstep_applicator
+from repro.core.splittings import SSORSplitting
+from repro.driver import build_blocked_system
 from repro.core.polynomial import neumann_coefficients
+from repro.multicolor.sor import MStepSSOR
 
 EPS = 1e-7
 
@@ -25,6 +27,13 @@ def system():
     problem = plate_problem(8)
     blocked = build_blocked_system(problem)
     return problem, blocked
+
+
+def _applicator(blocked, coeffs, applicator="sweep"):
+    """The merged sweep, or the m-step Horner over the SSOR splitting."""
+    if applicator == "sweep":
+        return MStepSSOR(blocked, coeffs)
+    return MStepPreconditioner(SSORSplitting(blocked.permuted), coeffs)
 
 
 def _rhs_block(blocked, ncols=4, seed=0):
@@ -51,7 +60,7 @@ class TestBitwiseAgainstIndependentRuns:
         F = _rhs_block(blocked)
         block = block_pcg(
             blocked.permuted, F,
-            preconditioner=build_mstep_applicator(
+            preconditioner=_applicator(
                 blocked, coeffs, applicator=applicator
             ),
             eps=EPS,
@@ -60,7 +69,7 @@ class TestBitwiseAgainstIndependentRuns:
         for j in range(F.shape[1]):
             solo = pcg(
                 blocked.permuted, np.ascontiguousarray(F[:, j]),
-                preconditioner=build_mstep_applicator(
+                preconditioner=_applicator(
                     blocked, coeffs, applicator=applicator
                 ),
                 eps=EPS,
@@ -88,7 +97,7 @@ class TestBitwiseAgainstIndependentRuns:
         )
         block = block_pcg(
             blocked.permuted, F,
-            preconditioner=build_mstep_applicator(
+            preconditioner=_applicator(
                 blocked, neumann_coefficients(2)
             ),
             eps=EPS,
@@ -97,7 +106,7 @@ class TestBitwiseAgainstIndependentRuns:
         for j in range(3):
             solo = pcg(
                 blocked.permuted, np.ascontiguousarray(F[:, j]),
-                preconditioner=build_mstep_applicator(
+                preconditioner=_applicator(
                     blocked, neumann_coefficients(2)
                 ),
                 eps=EPS,
@@ -114,12 +123,12 @@ class TestRetirementEdgeCases:
         coeffs = neumann_coefficients(3)
         block = block_pcg(
             blocked.permuted, f[:, None],
-            preconditioner=build_mstep_applicator(blocked, coeffs),
+            preconditioner=_applicator(blocked, coeffs),
             eps=EPS, track_residual=True,
         )
         solo = pcg(
             blocked.permuted, f,
-            preconditioner=build_mstep_applicator(blocked, coeffs),
+            preconditioner=_applicator(blocked, coeffs),
             eps=EPS, track_residual=True,
         )
         assert block.k == 1
@@ -136,7 +145,7 @@ class TestRetirementEdgeCases:
         )
         block = block_pcg(
             blocked.permuted, F,
-            preconditioner=build_mstep_applicator(
+            preconditioner=_applicator(
                 blocked, neumann_coefficients(2)
             ),
             eps=EPS,
@@ -147,7 +156,7 @@ class TestRetirementEdgeCases:
         for j in range(2):
             solo = pcg(
                 blocked.permuted, np.ascontiguousarray(F[:, j]),
-                preconditioner=build_mstep_applicator(
+                preconditioner=_applicator(
                     blocked, neumann_coefficients(2)
                 ),
                 eps=EPS,
@@ -157,7 +166,7 @@ class TestRetirementEdgeCases:
     def test_fortran_ordered_and_strided_inputs(self, system):
         _, blocked = system
         F = _rhs_block(blocked, ncols=3, seed=7)
-        precond = lambda: build_mstep_applicator(  # noqa: E731
+        precond = lambda: _applicator(  # noqa: E731
             blocked, neumann_coefficients(2)
         )
         reference = block_pcg(blocked.permuted, F, preconditioner=precond(),

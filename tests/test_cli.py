@@ -67,12 +67,21 @@ class TestCLI:
     def test_solve_scenario_and_backend(self, capsys):
         code = main([
             "solve", "--scenario", "anisotropic", "--rows", "10",
-            "--m", "3", "-P", "--backend", "reference",
+            "--m", "3", "-P", "--backend", "vectorized",
         ])
         out = capsys.readouterr().out
         assert code == 0
         assert "AnisotropicProblem" in out
         assert "m = 3P" in out
+
+    @pytest.mark.parametrize("command", ["solve", "request"])
+    def test_session_surfaces_reject_reference_backend(self, command, capsys):
+        # "reference" is a kernel backend of the machine passes only; a
+        # session solve would silently run the vectorized numerics.
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--rows", "8", "--m", "3", "--backend", "reference"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'reference'" in capsys.readouterr().err
 
     def test_cyber_backend_flag(self, capsys):
         code = main(["cyber", "--rows", "8", "--m", "2", "--backend", "reference"])

@@ -29,7 +29,6 @@ from repro.driver import (
     TABLE3_SCHEDULE,
     build_blocked_system,
     mstep_coefficients,
-    solve_mstep_ssor,
     ssor_interval,
 )
 from repro.kernels import (
@@ -73,6 +72,26 @@ def interval(blocked):
 
 def rng_vector(n, seed=0):
     return np.random.default_rng(seed).normal(size=n)
+
+
+def splitting_solve(problem, blocked, m, parametrized=False, interval=None,
+                    backend=None, eps=1e-8):
+    """Algorithm 1 on the blocked system, preconditioned by the m-step
+    Horner over the SSOR splitting (triangular solves on ``backend``).
+
+    Returns the :class:`~repro.core.pcg.PCGResult` and the natural-order
+    iterate.
+    """
+    coeffs = mstep_coefficients(m, parametrized, interval)
+    result = pcg(
+        blocked.permuted,
+        blocked.ordering.permute_vector(problem.f),
+        preconditioner=MStepPreconditioner(
+            SSORSplitting(blocked.permuted, backend=backend), coeffs
+        ),
+        eps=eps,
+    )
+    return result, blocked.ordering.unpermute_vector(result.u)
 
 
 # --------------------------------------------------------------------------
@@ -215,17 +234,15 @@ class TestScheduleBackendEquivalence:
     @pytest.mark.parametrize("m,parametrized", SCHEDULE_CELLS)
     def test_full_solve_equivalent(self, m, parametrized, problem, blocked, interval):
         solves = {
-            backend: solve_mstep_ssor(
-                problem, m, parametrized=parametrized, interval=interval,
-                blocked=blocked, eps=1e-8,
-                applicator="splitting", backend=backend,
+            backend: splitting_solve(
+                problem, blocked, m, parametrized, interval, backend=backend
             )
             for backend in BACKENDS
         }
-        fast, pin = solves[VECTORIZED], solves[REFERENCE]
+        (fast, fast_u), (pin, pin_u) = solves[VECTORIZED], solves[REFERENCE]
         assert fast.iterations == pin.iterations
-        assert fast.result.converged and pin.result.converged
-        assert np.max(np.abs(fast.u - pin.u)) <= 1e-10 * max(np.max(np.abs(pin.u)), 1.0)
+        assert fast.converged and pin.converged
+        assert np.max(np.abs(fast_u - pin_u)) <= 1e-10 * max(np.max(np.abs(pin_u)), 1.0)
 
 
 # --------------------------------------------------------------------------
@@ -236,13 +253,11 @@ class TestCounterInvariance:
         counters = {}
         histories = {}
         for backend in BACKENDS:
-            solve = solve_mstep_ssor(
-                problem, 3, parametrized=True, interval=interval,
-                blocked=blocked, eps=1e-8,
-                applicator="splitting", backend=backend,
+            result, _ = splitting_solve(
+                problem, blocked, 3, True, interval, backend=backend
             )
-            counters[backend] = solve.result.counter.as_dict()
-            histories[backend] = solve.result.delta_history
+            counters[backend] = result.counter.as_dict()
+            histories[backend] = result.delta_history
         assert counters[VECTORIZED] == counters[REFERENCE]
         assert len(histories[VECTORIZED]) == len(histories[REFERENCE])
 
@@ -313,10 +328,8 @@ class TestICPreconditionerKernels:
 # --------------------------------------------------------------------------
 class TestPCGInPlaceKernels:
     def test_pcg_matches_direct_solve(self, problem, blocked, interval):
-        solve = solve_mstep_ssor(
-            problem, 2, blocked=blocked, eps=1e-10, applicator="splitting"
-        )
-        residual = problem.k @ solve.u - problem.f
+        _, u = splitting_solve(problem, blocked, 2, eps=1e-10)
+        residual = problem.k @ u - problem.f
         assert np.max(np.abs(residual)) <= 1e-6 * max(np.max(np.abs(problem.f)), 1.0)
 
     def test_plain_cg_counter_shape_unchanged(self, problem):
@@ -401,85 +414,6 @@ class TestOpsKernels:
         assert out == pytest.approx(1.0 + a @ x)
 
 
-class TestColorBlockMergedSweep:
-    """The kernel realization of Algorithm 2 the CYBER simulator routes to."""
-
-    def make_sweep(self, blocked):
-        from repro.kernels import ColorBlockMergedSweep
-
-        splitting = SSORSplitting(blocked.permuted)
-        return ColorBlockMergedSweep(
-            ColorBlockTriangularSolver(
-                splitting._dl, blocked.group_slices, lower=True
-            ),
-            ColorBlockTriangularSolver(
-                splitting._du, blocked.group_slices, lower=False
-            ),
-        )
-
-    @pytest.mark.parametrize("m", [1, 2, 4])
-    def test_matches_mstep_ssor(self, blocked, m):
-        sweep = self.make_sweep(blocked)
-        coeffs = np.arange(1.0, m + 1.0)
-        r = rng_vector(blocked.n, seed=25)
-        expected = MStepSSOR(blocked, coeffs).apply(r)
-        got = sweep.apply(coeffs, r)
-        scale = max(float(np.max(np.abs(expected))), 1.0)
-        assert np.max(np.abs(got - expected)) <= TOL * scale
-
-    def test_batched_matches_columnwise(self, blocked):
-        sweep = self.make_sweep(blocked)
-        coeffs = np.array([1.0, 0.25, 2.0])
-        block = np.random.default_rng(26).normal(size=(blocked.n, 3))
-        batched = sweep.apply(coeffs, block).copy()
-        for col in range(block.shape[1]):
-            single = sweep.apply(coeffs, block[:, col].copy())
-            assert np.max(np.abs(batched[:, col] - single)) <= TOL
-
-    def test_steady_state_reuses_return_buffer(self, blocked):
-        sweep = self.make_sweep(blocked)
-        r = rng_vector(blocked.n, seed=27)
-        first = sweep.apply(np.ones(2), r)
-        second = sweep.apply(np.ones(2), r)
-        assert second is first  # pooled workspace, by design
-
-    def test_apply_of_own_pooled_output(self, blocked):
-        # Feeding the pooled result back in must not zero the input.
-        sweep = self.make_sweep(blocked)
-        coeffs = np.ones(2)
-        r = rng_vector(blocked.n, seed=30)
-        expected = sweep.apply(coeffs, sweep.apply(coeffs, r).copy()).copy()
-        composed = sweep.apply(coeffs, sweep.apply(coeffs, r))
-        assert composed == pytest.approx(expected, rel=TOL, abs=TOL)
-
-    def test_rejects_mismatched_factors(self, blocked):
-        from repro.kernels import ColorBlockMergedSweep
-
-        splitting = SSORSplitting(blocked.permuted)
-        lower = ColorBlockTriangularSolver(
-            splitting._dl, blocked.group_slices, lower=True
-        )
-        half = blocked.group_slices[: blocked.n_groups // 2] + (
-            slice(blocked.group_slices[blocked.n_groups // 2].start, blocked.n),
-        )
-        upper = ColorBlockTriangularSolver(splitting._du, half, lower=False)
-        with pytest.raises(ValueError, match="disagree"):
-            ColorBlockMergedSweep(lower, upper)
-
-    def test_rejects_mismatched_diagonals(self, blocked):
-        from repro.kernels import ColorBlockMergedSweep
-
-        splitting = SSORSplitting(blocked.permuted)
-        lower = ColorBlockTriangularSolver(
-            splitting._dl, blocked.group_slices, lower=True
-        )
-        upper = ColorBlockTriangularSolver(
-            (2.0 * splitting._du).tocsr(), blocked.group_slices, lower=False
-        )
-        with pytest.raises(ValueError, match="diagonal"):
-            ColorBlockMergedSweep(lower, upper)
-
-
 class TestWorkspacePool:
     def test_reuses_buffers(self):
         pool = WorkspacePool()
@@ -508,9 +442,8 @@ class TestWorkspacePool:
         pool = WorkspacePool()
         buffers = pool.get_list("y", [(3,), (5,)])
         assert [b.shape for b in buffers] == [(3,), (5,)]
-        again = pool.zeros_list("y", [(3,), (5,)])
+        again = pool.get_list("y", [(3,), (5,)])
         assert all(a is b for a, b in zip(buffers, again))
-        assert all(np.array_equal(b, np.zeros(b.shape)) for b in again)
 
 
 class TestMStepSSORAllocationFree:

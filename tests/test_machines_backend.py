@@ -25,6 +25,7 @@ from repro.driver import (
 )
 from repro.kernels import BACKENDS, REFERENCE, VECTORIZED
 from repro.machines import CYBER_203, CyberMachine, FiniteElementMachine, VectorMachine
+from repro.multicolor.sor import MStepSSOR
 
 TOL = 1e-12
 
@@ -109,9 +110,9 @@ class TestCyberBackendEquivalence:
     def test_kernel_path_routes_through_color_block_solver(self, cyber_machine):
         cyber_machine.solve(2, np.ones(2), eps=1e-4, backend=VECTORIZED)
         sweep = cyber_machine._sweep_kernel()
-        assert sweep.lower.kind == "color_block"
-        assert sweep.upper.kind == "color_block"
-        assert sweep.n_groups == cyber_machine.n_groups
+        assert isinstance(sweep, MStepSSOR)
+        assert sweep.blocked.group_slices == cyber_machine.slices
+        assert sweep.blocked.n_groups == cyber_machine.n_groups
 
     def test_rejects_unknown_backend(self, cyber_machine):
         with pytest.raises(ValueError, match="unknown kernel backend"):
@@ -130,7 +131,7 @@ class TestCyberBlockedPreconditioning:
 
     def test_backends_agree_columnwise(self, cyber_machine, r_block):
         coeffs = np.array([1.0, 0.5, 2.0])
-        fast = cyber_machine._sweep_kernel().apply(coeffs, r_block)
+        fast = cyber_machine._sweep_kernel().apply_schedule(coeffs, r_block)
         for col in range(r_block.shape[1]):
             pin = cyber_machine._precondition_reference(
                 coeffs, r_block[:, col].copy()
@@ -145,9 +146,9 @@ class TestCyberBlockedPreconditioning:
             [np.ones(2), [0.5, 2.0], [1.3, 0.1], [0.9, 1.1]]
         )
         sweep = cyber_machine._sweep_kernel()
-        batched = sweep.apply(coeffs, r_block).copy()
+        batched = sweep.apply_schedule(coeffs, r_block).copy()
         for col in range(r_block.shape[1]):
-            single = sweep.apply(coeffs[:, col], r_block[:, col].copy())
+            single = sweep.apply_schedule(coeffs[:, col], r_block[:, col].copy())
             assert np.array_equal(batched[:, col], single)
 
     def test_block_width_amortizes_startup(self, cyber_machine, r_block):
@@ -176,7 +177,7 @@ class TestCyberBlockedPreconditioning:
     def test_rejects_bad_shapes(self, cyber_machine):
         # Per-column α's need an (n, k) block with one column per schedule.
         with pytest.raises(ValueError):
-            cyber_machine._sweep_kernel().apply(
+            cyber_machine._sweep_kernel().apply_schedule(
                 np.ones((2, 3)), np.zeros(cyber_machine.n_padded)
             )
 

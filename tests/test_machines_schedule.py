@@ -18,6 +18,7 @@ import pytest
 import repro.machines.cyber as cyber_module
 import repro.machines.fem_machine as fem_module
 from repro.driver import (
+    TABLE2_EPS,
     TABLE3_SCHEDULE,
     build_blocked_system,
     mstep_coefficients,
@@ -206,6 +207,28 @@ class TestScheduleIsOneBlockPCG:
         _assert_records_equal(
             broken, [machine.solve(m, c, eps=EPS) for m, c in cells]
         )
+
+
+class TestCyberTable2Iterations:
+    """The regenerated Table-2 iteration counts, pinned as literals.
+
+    Any change to the CYBER's numerics (operator, sweep, stopping test)
+    that moves a count fails here, not only in the perf gate's drift
+    check.
+    """
+
+    @pytest.mark.parametrize("a, iterations", [
+        (20, [183, 76, 54, 44, 45, 32, 25, 21, 18, 16, 15, 13, 13]),
+        (41, [349, 158, 112, 88, 92, 66, 51, 43, 36, 32, 28, 26, 23]),
+    ])
+    def test_run_cyber_schedule_counts(self, a, iterations):
+        session = SolverSession(
+            build_scenario("plate", nrows=a),
+            plan=SolverPlan.table2(eps=TABLE2_EPS),
+        )
+        results = session.run_cyber_schedule()
+        assert [r.iterations for r in results] == iterations
+        assert all(r.converged for r in results)
 
 
 class TestSessionFEMSchedule:

@@ -198,6 +198,34 @@ class TestMStepSSOR:
         with pytest.raises(ValueError):
             MStepSSOR(plate_blocked, np.array([]))
 
+    def test_per_column_schedule_bitwise_single_applies(self, plate_blocked):
+        # An (m, k) schedule gives each column its own α's in one pass;
+        # every column must be bitwise a single apply of its own schedule.
+        rng = np.random.default_rng(40)
+        coeffs = rng.uniform(0.5, 2.0, size=(3, 4))
+        block = rng.normal(size=(plate_blocked.n, 4))
+        sweep = MStepSSOR(plate_blocked, np.ones(1))
+        batched = sweep.apply_schedule(coeffs, block).copy()
+        for col in range(4):
+            single = MStepSSOR(plate_blocked, coeffs[:, col]).apply(
+                np.ascontiguousarray(block[:, col])
+            )
+            assert np.array_equal(batched[:, col], single)
+        # A shared (m,) schedule on the block is apply() of the bound one.
+        shared = sweep.apply_schedule(coeffs[:, 0], block).copy()
+        assert np.array_equal(
+            shared, MStepSSOR(plate_blocked, coeffs[:, 0]).apply(block)
+        )
+
+    def test_per_column_schedule_needs_a_matching_block(self, plate_blocked):
+        sweep = MStepSSOR(plate_blocked, np.ones(2))
+        with pytest.raises(ValueError, match="column count"):
+            sweep.apply_schedule(np.ones((2, 3)), np.zeros(plate_blocked.n))
+        with pytest.raises(ValueError, match="column count"):
+            sweep.apply_schedule(
+                np.ones((2, 3)), np.zeros((plate_blocked.n, 2))
+            )
+
     @given(st.integers(1, 6), st.integers(0, 2**31 - 1))
     @settings(max_examples=12, deadline=None)
     def test_property_merged_equals_reference_poisson(self, m, seed):

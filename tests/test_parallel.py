@@ -25,7 +25,8 @@ import numpy as np
 import pytest
 
 from repro.core.pcg import block_pcg, pcg
-from repro.driver import build_blocked_system, build_mstep_applicator
+from repro.driver import build_blocked_system
+from repro.multicolor.sor import MStepSSOR
 from repro.parallel import (
     ApplicatorRecipe,
     column_groups,
@@ -59,7 +60,7 @@ def plate():
 def plate_state(plate):
     blocked = build_blocked_system(plate)
     coeffs = np.ones(M)
-    applicator = build_mstep_applicator(blocked, coeffs)
+    applicator = MStepSSOR(blocked, coeffs)
     recipe = ApplicatorRecipe(
         kind="sweep",
         coefficients=coeffs,
@@ -165,26 +166,6 @@ class TestShardedBlockPCG:
         assert result.all_converged  # vacuously
         assert result.counters == []
 
-    def test_splitting_recipe_bitwise(self, plate):
-        blocked = build_blocked_system(plate)
-        coeffs = np.ones(M)
-        from repro.core.mstep import MStepPreconditioner
-        from repro.core.splittings import SSORSplitting
-
-        applicator = MStepPreconditioner(
-            SSORSplitting(blocked.permuted), coeffs
-        )
-        F = np.ascontiguousarray(
-            blocked.ordering.permute_vector(synthetic_load_block(plate, 4))
-        )
-        serial = block_pcg(blocked.permuted, F, preconditioner=applicator, eps=EPS)
-        sharded = sharded_block_pcg(
-            blocked.permuted, F,
-            recipe=ApplicatorRecipe(kind="splitting", coefficients=coeffs),
-            workers=2, eps=EPS,
-        )
-        assert_block_results_bitwise(sharded, serial)
-
     def test_plain_cg_and_track_residual(self, plate_state):
         blocked, _, _, F = plate_state
         serial = block_pcg(blocked.permuted, F, eps=EPS, track_residual=True)
@@ -257,32 +238,6 @@ class TestSessionSharding:
         sharded = session.execute_block(F=F, sharding=2)
         for a, b in zip(sharded, serial):
             assert_block_results_bitwise(a.result, b.result)
-
-    def test_splitting_plan_sharded(self, plate):
-        plan = SolverPlan.single(
-            M, eps=EPS, applicator="splitting", block_rhs=4
-        )
-        session = SolverSession(plate, plan=plan)
-        F = synthetic_load_block(plate, 4)
-        serial = session.solve_cell_block(M, F=F)
-        sharded = session.solve_cell_block(M, F=F, sharding=2)
-        assert_block_results_bitwise(sharded.result, serial.result)
-
-    def test_relaxed_omega_plan_sharded_bitwise(self, plate):
-        # Regression: plan.omega must reach the serial splitting applicator
-        # exactly as it reaches the workers' rebuild recipe — at ω ≠ 1 the
-        # two paths used to diverge.
-        plan = SolverPlan.single(
-            2, eps=EPS, omega=1.4, applicator="splitting", block_rhs=4
-        )
-        session = SolverSession(plate, plan=plan)
-        F = synthetic_load_block(plate, 4)
-        serial = session.solve_cell_block(2, F=F)
-        sharded = session.solve_cell_block(2, F=F, sharding=2)
-        assert_block_results_bitwise(sharded.result, serial.result)
-        # And the splitting the session built really is the relaxed one.
-        applicator = session.applicator(2, False)
-        assert applicator.splitting.omega == 1.4
 
     def test_degenerate_sharding_takes_the_serial_path(self, plate):
         # workers > 1 but one group (group ≥ k): no dispatch, no recipe.
@@ -416,10 +371,7 @@ class TestShardedSchedule:
 # ------------------------------------------------ worker-dispatch pickling
 class TestPicklability:
     def test_solver_plan_round_trips(self):
-        plan = SolverPlan.table2(
-            eps=1e-7, omega=1.2, applicator="splitting",
-            backend="vectorized", block_rhs=8,
-        )
+        plan = SolverPlan.table2(eps=1e-7, backend="vectorized", block_rhs=8)
         clone = pickle.loads(pickle.dumps(plan))
         assert clone == plan
         assert clone.schedule == plan.schedule

@@ -31,7 +31,8 @@ import numpy as np
 import pytest
 
 from repro.core.pcg import block_pcg
-from repro.driver import build_blocked_system, build_mstep_applicator
+from repro.driver import build_blocked_system
+from repro.multicolor.sor import MStepSSOR
 from repro.parallel import (
     ApplicatorRecipe,
     CSRHandle,
@@ -67,7 +68,7 @@ def plate():
 def plate_state(plate):
     blocked = build_blocked_system(plate)
     coeffs = np.ones(M)
-    applicator = build_mstep_applicator(blocked, coeffs)
+    applicator = MStepSSOR(blocked, coeffs)
     recipe = ApplicatorRecipe(
         kind="sweep",
         coefficients=coeffs,
@@ -396,7 +397,8 @@ import numpy as np
 
 def main():
     from repro.core.pcg import block_pcg
-    from repro.driver import build_blocked_system, build_mstep_applicator
+    from repro.driver import build_blocked_system
+    from repro.multicolor.sor import MStepSSOR
     from repro.parallel import ApplicatorRecipe, sharded_block_pcg, shutdown_pools, registry
     from repro.pipeline import build_scenario, synthetic_load_block
 
@@ -411,7 +413,7 @@ def main():
     F = np.ascontiguousarray(
         blocked.ordering.permute_vector(synthetic_load_block(plate, 4))
     )
-    applicator = build_mstep_applicator(blocked, coeffs)
+    applicator = MStepSSOR(blocked, coeffs)
     serial = block_pcg(blocked.permuted, F, preconditioner=applicator, eps=1e-7)
     sharded = sharded_block_pcg(blocked.permuted, F, recipe=recipe, workers=2, eps=1e-7)
     assert np.array_equal(serial.u, sharded.u)

@@ -152,17 +152,7 @@ class TestSolverPlan:
         with pytest.raises(ValueError):
             SolverPlan(schedule=[(-1, False)])
         with pytest.raises(ValueError):
-            SolverPlan(schedule=[(1, False)], applicator="magic")
-
-    def test_omega_needs_the_splitting_applicator(self):
-        # The merged sweeps (and so the stencil backend) are the omega = 1
-        # method: a relaxed plan must fail, not silently run omega = 1.
-        with pytest.raises(ValueError, match="omega"):
-            SolverPlan.single(3, omega=1.5)
-        with pytest.raises(ValueError, match="omega"):
-            SolverPlan.single(3, omega=1.5, backend="stencil")
-        plan = SolverPlan.single(3, omega=1.5, applicator="splitting")
-        assert plan.omega == 1.5
+            SolverPlan(schedule=[(1, False)], eps=0.0)
 
     def test_with_overrides(self):
         plan = SolverPlan.table2().with_(eps=1e-9, backend=REFERENCE)
@@ -298,23 +288,6 @@ class TestSessionMachines:
         assert first.seconds == second.seconds
         assert np.array_equal(first.u_natural, second.u_natural)
 
-    @pytest.mark.parametrize(
-        "run",
-        [
-            lambda s: s.run_cyber_schedule(),
-            lambda s: s.run_fem_schedule(),
-            lambda s: s.fem_solve(2, True),
-        ],
-        ids=["run_cyber_schedule", "run_fem_schedule", "fem_solve"],
-    )
-    def test_machine_runs_reject_omega_other_than_one(self, run):
-        # The simulators run the omega = 1 sweeps; an omega = 1.3 plan
-        # must not silently get omega = 1 numerics against its interval.
-        plan = SolverPlan.table3().with_(omega=1.3, applicator="splitting")
-        session = SolverSession.from_scenario("plate", plan=plan, nrows=6)
-        with pytest.raises(ValueError, match="omega"):
-            run(session)
-
     def test_fem_solve_matches_standalone_machine(self):
         from repro.driver import (
             build_blocked_system,
@@ -333,6 +306,20 @@ class TestSessionMachines:
             via = session.fem_solve(m, par, n_procs=5)
             assert via.iterations == standalone.iterations
             assert via.seconds == standalone.seconds
+
+    def test_reference_plan_runs_the_machines_but_no_session_solve(self):
+        # "reference" selects the machine passes' hand-rolled kernels; a
+        # session solve has none, so it refuses instead of silently
+        # running the vectorized sweep.
+        plan = SolverPlan.single(3, True, backend="reference")
+        session = SolverSession.from_scenario("plate", plan=plan, nrows=6)
+        with pytest.raises(ValueError, match="reference"):
+            session.solve_cell(3, True)
+        with pytest.raises(ValueError, match="reference"):
+            session.solve_cell_block(3, True, F=np.ones((session.problem.n, 2)))
+        assert all(r.converged for r in session.run_cyber_schedule())
+        assert all(r.converged for r in session.run_fem_schedule(n_procs=2))
+        assert session.fem_solve(3, True, n_procs=2).converged
 
 
 # ------------------------------------------------- batched simulator sweeps
@@ -583,10 +570,10 @@ class TestPerColumnCoefficientKernels:
         coeffs = np.column_stack([np.ones(2), [0.5, 2.0], [1.3, 0.1]])
         sweep = machine._sweep_kernel()
         block = SchedulePreconditioner(
-            [2, 2, 2], lambda cols, rr: sweep.apply(coeffs[:, cols], rr)
+            [2, 2, 2], lambda cols, rr: sweep.apply_schedule(coeffs[:, cols], rr)
         ).apply(r, columns=[0, 1, 2])
         for col in range(3):
-            single = sweep.apply(coeffs[:, col], r[:, col].copy())
+            single = sweep.apply_schedule(coeffs[:, col], r[:, col].copy())
             assert np.max(np.abs(block[:, col] - single)) == 0.0
 
     def test_precondition_block_reference_per_column(self, machine):
@@ -594,7 +581,7 @@ class TestPerColumnCoefficientKernels:
         r = rng.normal(size=(machine.n_padded, 2))
         r[~machine.free_mask] = 0.0
         coeffs = np.column_stack([np.ones(2), [0.5, 2.0]])
-        fast = machine._sweep_kernel().apply(coeffs, r)
+        fast = machine._sweep_kernel().apply_schedule(coeffs, r)
         for col in range(2):
             pin = machine._precondition_reference(coeffs[:, col], r[:, col].copy())
             assert np.max(np.abs(fast[:, col] - pin)) <= 1e-12 * max(
@@ -603,7 +590,7 @@ class TestPerColumnCoefficientKernels:
 
     def test_mismatched_column_counts_rejected(self, machine):
         with pytest.raises(ValueError):
-            machine._sweep_kernel().apply(
+            machine._sweep_kernel().apply_schedule(
                 np.ones((2, 3)), np.zeros((machine.n_padded, 2))
             )
 

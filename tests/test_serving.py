@@ -93,7 +93,7 @@ class TestProtocol:
         assert req.scenario == "plate"
         assert req.m == 3
         assert req.load_case == 0
-        assert req.system_key == ("plate", None, 3, False, 1e-6, None)
+        assert req.system_key == ("plate", None, 3, False, 1e-6, "vectorized")
 
     @pytest.mark.parametrize("payload, needle", [
         ({"scenario": 7}, "scenario"),
@@ -119,6 +119,19 @@ class TestProtocol:
         with pytest.raises(ProtocolError, match=needle):
             parse_solve_request(solve_payload(**payload))
 
+    def test_reference_backend_rejected_before_compile(self):
+        # No session solve runs the reference kernels: refuse it rather
+        # than compile a second copy of the vectorized system.
+        with pytest.raises(ProtocolError, match="reference"):
+            parse_solve_request(solve_payload(backend="reference"))
+
+    def test_default_backend_shares_the_vectorized_key(self):
+        omitted = parse_solve_request(solve_payload())
+        explicit = parse_solve_request(solve_payload(backend="vectorized"))
+        null = parse_solve_request(solve_payload(backend=None))
+        assert omitted.backend == "vectorized"
+        assert omitted.system_key == explicit.system_key == null.system_key
+
     def test_bad_frames(self):
         with pytest.raises(ProtocolError, match="not valid JSON"):
             decode_line(b"{nope\n")
@@ -129,7 +142,7 @@ class TestProtocol:
         base = parse_solve_request(solve_payload())
         for change in ({"m": 4}, {"eps": 1e-8},
                        {"parametrized": True}, {"rows": ROWS + 2},
-                       {"backend": "reference"}, {"m": "auto"}):
+                       {"backend": "stencil"}, {"m": "auto"}):
             assert parse_solve_request(
                 solve_payload(**change)
             ).system_key != base.system_key

@@ -545,11 +545,6 @@ def test_invalid_backend_lists_choices():
         assert repr(valid) in str(exc.value)
 
 
-def test_stencil_plan_rejects_splitting_applicator():
-    with pytest.raises(ValueError, match="merged sweeps only"):
-        SolverPlan.single(2, backend="stencil", applicator="splitting")
-
-
 def test_matrix_free_problem_has_no_blocked_system():
     session = SolverSession(
         build_scenario("poisson", n_grid=8, assemble=False),

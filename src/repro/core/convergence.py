@@ -11,11 +11,12 @@ prefer the textbook criterion.
 from __future__ import annotations
 
 import abc
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.util import require
+from repro.util import inner, require
 
 __all__ = ["StoppingRule", "DeltaInfNorm", "RelativeResidual", "AbsoluteResidual"]
 
@@ -40,9 +41,14 @@ class StoppingRule(abc.ABC):
         delta_norm:
             ``‖u^{k+1} − u^k‖_∞`` of the update just applied.
         r:
-            Current residual (updated only if ``needs_residual``).
+            Current residual: updated when ``needs_residual``; otherwise
+            the driver may have updated it already, so such a rule must
+            not read it.
         f_norm:
             ``‖f‖₂`` cached by the driver for relative residual tests.
+
+        Every ``‖·‖₂`` here is ``√(r, r)`` over the package's fixed-order
+        dot (:func:`repro.util.inner`).
         """
 
     def describe(self) -> str:
@@ -77,7 +83,7 @@ class RelativeResidual(StoppingRule):
         require(self.tol > 0, "tol must be positive")
 
     def converged(self, delta_norm: float, r: np.ndarray, f_norm: float) -> bool:
-        return float(np.linalg.norm(r)) <= self.tol * max(f_norm, 1e-300)
+        return math.sqrt(inner(r, r)) <= self.tol * max(f_norm, 1e-300)
 
     def describe(self) -> str:
         return f"‖r‖₂ ≤ {self.tol:g}·‖f‖₂"
@@ -94,7 +100,7 @@ class AbsoluteResidual(StoppingRule):
         require(self.tol > 0, "tol must be positive")
 
     def converged(self, delta_norm: float, r: np.ndarray, f_norm: float) -> bool:
-        return float(np.linalg.norm(r)) <= self.tol
+        return math.sqrt(inner(r, r)) <= self.tol
 
     def describe(self) -> str:
         return f"‖r‖₂ ≤ {self.tol:g}"

@@ -21,22 +21,24 @@ gives standard conjugate gradients.
 
 The driver is ordering- and storage-agnostic: ``k`` may be any object with
 ``@`` (scipy sparse, ndarray, LinearOperator) and the preconditioner any
-object with ``apply(r) → r̃``.  The CYBER simulator's per-cell ``solve``
-and the SPMD engine re-implement this same loop on their own kernels;
-tests pin their iterates to this reference.
+object with ``apply(r) → r̃``.
 
-:func:`block_pcg` is the multi-right-hand-side form: ``k`` independent
-Algorithm-1 iterations advance in lockstep over an ``(n, k)`` block, the
-matrix product and the preconditioner application batched through the
-``(n, k)`` kernel paths while every per-column scalar (α, β, ρ, ‖Δu‖∞)
-is tracked vectorwise.  Columns retire individually as they converge;
-iterates, iteration counts and operation counters are *bitwise identical*
-to ``k`` separate :func:`pcg` calls.
+:func:`block_pcg` is the one loop: ``k`` independent Algorithm-1
+iterations advance in lockstep over C-ordered ``(n, a)`` blocks of the
+``a`` still-active columns, which stay resident for the whole solve.  The
+matrix product and the preconditioner run through the ``(n, k)`` kernel
+paths, and every inner product is the fixed-order dot of
+:func:`repro.util.column_dots`, fused with the vector updates
+(:func:`repro.kernels.ops.bind_cg_updates`).  Columns retire individually
+as they converge; each column's iterate, iteration count, histories and
+operation counters are bitwise those of the column solved alone.
+:func:`pcg` is its one-column case.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -47,9 +49,9 @@ from repro.kernels import (
     matvec_into,
     supports_matvec_block,
     supports_matvec_into,
-    xpay_into,
 )
-from repro.util import OperationCounter, inf_norm, inner, require
+from repro.kernels.ops import bind_cg_updates
+from repro.util import OperationCounter, column_dots, require
 
 __all__ = ["PCGResult", "BlockPCGResult", "pcg", "cg", "block_pcg"]
 
@@ -101,7 +103,8 @@ def pcg(
     track_residual: bool = False,
     callback=None,
 ) -> PCGResult:
-    """Solve SPD ``K u = f`` by Algorithm 1.
+    """Solve SPD ``K u = f`` by Algorithm 1: column 0 of a one-column
+    :func:`block_pcg`.
 
     **Counter contract.**  ``result.counter`` charges, per completed
     iteration: one ``matvecs`` (the single ``K p`` product), one or two
@@ -114,8 +117,7 @@ def pcg(
     slice belonging to *this solve* is merged into ``result.counter`` as
     ``precond_applications``/``precond_steps`` plus any
     preconditioner-specific ``extra`` keys (``p_solves``,
-    ``block_multiplies``, …).  :func:`block_pcg` reproduces these counts
-    column for column — the two are bitwise-reconcilable.
+    ``block_multiplies``, …).
 
     Parameters
     ----------
@@ -140,116 +142,16 @@ def pcg(
         Optional ``callback(iteration, u, delta_norm)`` hook.
     """
     f = np.asarray(f, dtype=float)
-    n = f.shape[0]
-    require(k.shape == (n, n), "operator/right-hand-side shape mismatch")
-    rule = stopping or DeltaInfNorm(eps=eps)
-    m = preconditioner if preconditioner is not None else IdentityPreconditioner()
-    maxiter = maxiter if maxiter is not None else 5 * n + 100
-    counter = OperationCounter()
-
-    # Snapshot the preconditioner's lifetime counter so only *this solve's*
-    # work is merged into the result (preconditioners are reusable objects).
-    precond_before = m.counter.as_dict() if hasattr(m, "counter") else None
-
-    u = np.zeros(n) if u0 is None else np.array(u0, dtype=float)
-    r = np.asarray(f - k @ u, dtype=float)
-    counter.matvecs += 1
-    rt = m.apply(r)
-    p = np.array(rt, dtype=float)
-    rho = inner(rt, r)
-    counter.inner_products += 1
-    f_norm = float(np.linalg.norm(f))
-
-    # Steady-state workspaces: K·p and the α·p / α·Kp products are written
-    # into preallocated buffers so the loop allocates nothing per iteration
-    # (see repro.kernels.ops; the arithmetic is bit-identical to the
-    # out-of-place spelling).
-    kp = np.empty(n)
-    step = np.empty(n)
-    fast_matvec = supports_matvec_into(k, p, kp)
-
-    delta_history: list[float] = []
-    residual_history: list[float] = []
-    if track_residual:
-        residual_history.append(float(np.linalg.norm(r)))
-
-    converged = False
-    iterations = 0
-    for iteration in range(1, maxiter + 1):
-        if fast_matvec:
-            matvec_into(k, p, kp)
-        else:
-            kp = np.asarray(k @ p, dtype=float)
-        counter.matvecs += 1
-        denom = inner(p, kp)
-        counter.inner_products += 1
-        if denom <= 0.0:
-            # Exact convergence (p = 0) or loss of positive definiteness.
-            iterations = iteration
-            converged = rho == 0.0
-            break
-        alpha = rho / denom
-
-        np.multiply(p, alpha, out=step)  # step = α·p
-        u += step
-        counter.axpys += 1
-        delta_norm = inf_norm(step)
-        delta_history.append(delta_norm)
-        iterations = iteration
-        if callback is not None:
+    require(f.ndim == 1, "pcg needs an (n,) right-hand side")
+    hook = None
+    if callback is not None:
+        def hook(iteration, _column, u, delta_norm):
             callback(iteration, u, delta_norm)
-
-        if not rule.needs_residual and rule.converged(delta_norm, r, f_norm):
-            converged = True
-            break  # steps (4)–(7) skipped, as in Algorithm 1
-
-        np.multiply(kp, alpha, out=step)  # step reused as scratch: α·Kp
-        r -= step
-        counter.axpys += 1
-        if track_residual:
-            residual_history.append(float(np.linalg.norm(r)))
-        if rule.needs_residual and rule.converged(delta_norm, r, f_norm):
-            converged = True
-            break
-
-        rt = m.apply(r)
-        rho_new = inner(rt, r)
-        counter.inner_products += 1
-        beta = rho_new / rho
-        rho = rho_new
-        xpay_into(rt, beta, p)  # p = r̃ + β·p
-        counter.axpys += 1
-
-    if precond_before is not None:
-        after = m.counter.as_dict()
-        counter.precond_applications += (
-            after["precond_applications"] - precond_before["precond_applications"]
-        )
-        counter.precond_steps += (
-            after["precond_steps"] - precond_before["precond_steps"]
-        )
-        for key, value in after.items():
-            if key in precond_before and key not in (
-                "inner_products",
-                "matvecs",
-                "precond_applications",
-                "precond_steps",
-                "axpys",
-            ):
-                delta = value - precond_before[key]
-                if delta:
-                    counter.extra[key] = counter.extra.get(key, 0) + delta
-            elif key not in precond_before:
-                counter.extra[key] = counter.extra.get(key, 0) + value
-    return PCGResult(
-        u=u,
-        iterations=iterations,
-        converged=converged,
-        delta_history=delta_history,
-        residual_history=residual_history,
-        counter=counter,
-        stop_rule=rule.describe(),
-    )
+    return block_pcg(
+        k, f[:, None], preconditioner=preconditioner, u0=u0,
+        stopping=stopping, eps=eps, maxiter=maxiter,
+        track_residual=track_residual, callback=hook,
+    ).column(0)
 
 
 def cg(k, f, **kwargs) -> PCGResult:
@@ -326,28 +228,86 @@ class BlockPCGResult:
         )
 
 
-def _merge_precond_delta(
-    counters: list[OperationCounter], before: dict, after: dict, share: int
-) -> None:
-    """Split a preconditioner-counter delta evenly over ``share`` columns.
+# How a column's last iteration ended; its counters follow from this and
+# its iteration count alone.
+_BREAKDOWN, _DELTA, _RESIDUAL, _MAXITER = range(4)
+# Vector updates (u, r, p) the last iteration ran, by how it ended.
+_LAST_AXPYS = {_BREAKDOWN: 0, _DELTA: 1, _RESIDUAL: 2}
 
-    Every batched application charges each column the identical structural
-    amounts (the block kernels scale their counters by the column count),
-    so the per-column slice is exactly ``delta / share`` — the same merge
-    :func:`pcg` performs for a single column.
+#: Elements per chunk of the in-place column compaction: each chunk's
+#: gather is the only temporary, so retiring columns allocates no block.
+_COMPACT_ELEMS = 1 << 16
+
+
+class _Width(NamedTuple):
+    """What :func:`block_pcg` iterates with while ``a`` columns are active."""
+
+    R: np.ndarray  # (n, a) residuals
+    denom: np.ndarray  # (a,) (p, Kp), written by axpy
+    delta: np.ndarray  # (a,) ‖Δu‖∞, written by axpy
+    product: Callable  # K·P into KP
+    precondition: Callable  # M⁻¹R, returning the preconditioner's buffer
+    axpy: Callable  # see repro.kernels.ops.bind_cg_updates
+    xpay: Callable
+    r_cols: list  # column views of R, for the stopping rule
+    u_cols: list | None  # column views of U, for the callback
+    histories: list  # each active column's ‖Δu‖∞ history
+    f_norms: list  # each active column's ‖f‖₂
+
+
+def _column_counter(iterations: int, stop: int) -> OperationCounter:
+    """One column's Algorithm-1 charges, from how its solve ended.
+
+    Startup: one product (``r⁰``) and one dot (ρ₀).  A full iteration:
+    one product, two dots and three vector updates.  The last iteration
+    is full when ``maxiter`` ended it; otherwise it ran the product and
+    ``(p, Kp)`` only, plus the updates that precede the stopping test.
     """
+    full = iterations if stop == _MAXITER else iterations - 1
+    partial = stop != _MAXITER
+    return OperationCounter(
+        matvecs=1 + iterations,
+        inner_products=1 + 2 * full + int(partial),
+        axpys=3 * full + (_LAST_AXPYS[stop] if partial else 0),
+    )
+
+
+def _charge_precond(counters, applications, before: dict, after: dict) -> None:
+    """Share the solve's preconditioner-counter delta over its columns.
+
+    Column ``j`` gets ``delta · applications[j] / Σ applications``: exact
+    for the package's preconditioners, which charge every column of an
+    application the same structural amount, and the whole delta for a
+    single column.
+    """
+    total = sum(applications)
     for key, value in after.items():
         delta = value - before.get(key, 0)
-        if not delta:
+        if not delta or key in ("inner_products", "matvecs", "axpys"):
             continue
-        per_column = delta // share
-        for counter in counters:
+        for counter, apps in zip(counters, applications):
+            share = delta * apps // total
             if key == "precond_applications":
-                counter.precond_applications += per_column
+                counter.precond_applications += share
             elif key == "precond_steps":
-                counter.precond_steps += per_column
-            elif key not in ("inner_products", "matvecs", "axpys"):
-                counter.extra[key] = counter.extra.get(key, 0) + per_column
+                counter.precond_steps += share
+            elif share:
+                counter.extra[key] = counter.extra.get(key, 0) + share
+
+
+def _compact(flat: np.ndarray, n: int, width: int, keep: list[int]) -> None:
+    """Columns ``keep`` of the ``(n, width)`` block at the head of ``flat``
+    become the ``(n, len(keep))`` block there, in order, in place.
+
+    Row chunks move front to back: a chunk's destination ends where its
+    source does or earlier, so no later source is overwritten, and the
+    gather copies the chunk before it lands.
+    """
+    old = flat[: n * width].reshape(n, width)
+    new = flat[: n * len(keep)].reshape(n, len(keep))
+    rows = max(1, _COMPACT_ELEMS // width)
+    for i0 in range(0, n, rows):
+        new[i0 : i0 + rows] = old[i0 : i0 + rows, keep]
 
 
 def block_pcg(
@@ -363,43 +323,51 @@ def block_pcg(
 ) -> BlockPCGResult:
     """Solve SPD ``K U = F`` for every column of an ``(n, k)`` block.
 
-    All ``k`` Algorithm-1 iterations advance in lockstep: per outer
-    iteration the still-active columns' direction vectors are stacked and
-    multiplied by ``K`` in **one** batched product, and the preconditioner
-    is applied to the whole active residual block in one ``(n, k)`` pass
-    (the batched color-block sweeps of :mod:`repro.kernels`).  Per-column
-    scalars — α, β, ρ, ``‖Δu‖∞`` — are tracked vectorwise, and a column
-    whose stopping rule fires *retires*: its iterate freezes while the
-    remaining columns keep iterating on a narrower block.
+    All ``k`` Algorithm-1 iterations advance in lockstep.  ``U``, ``R``,
+    ``P`` and ``K·P`` stay resident as C-ordered ``(n, a)`` blocks over
+    the ``a`` active columns: per outer iteration ``K`` multiplies ``P``
+    in **one** batched product written straight into ``K·P``, the
+    preconditioner reads ``R`` in place in one ``(n, a)`` pass, and two
+    fused passes (:func:`repro.kernels.ops.bind_cg_updates`) compute the
+    per-column α, β, ρ and ``‖Δu‖∞`` as ``(a,)`` vectors together with the
+    vector updates.  A column whose stopping rule fires *retires*: its
+    iterate is written to the result and the survivors are compacted
+    (at most ``k`` times per solve).  A one-column block runs the vector
+    kernels on its contiguous column.  Operation counters follow, once
+    at the end, from each column's iteration count and how it stopped
+    (the contract of :func:`pcg`); the preconditioner's own counter
+    delta is shared out by each column's number of applications.
 
-    Because every batched kernel is per-column bit-identical to its
-    single-vector form (same accumulation order — see
-    :func:`repro.kernels.ops.supports_matvec_block`), the iterates,
-    iteration counts, histories and operation counters are **bitwise
-    identical** to ``k`` independent :func:`pcg` runs; the test-suite pins
-    this.  Operators or preconditioners without a block-safe path fall
-    back to per-column application of the exact single-vector kernels —
-    slower, still bitwise.
+    Every batched kernel is per-column bit-identical to its single-vector
+    form, and every inner product is the fixed-order dot of
+    :func:`repro.util.column_dots`, so each column's iterate, iteration
+    count, histories and operation counters are **bitwise identical** to
+    the column solved alone.  Operators or preconditioners without a
+    block-safe path fall back to per-column application of the exact
+    single-vector kernels — slower, still bitwise.
 
     Parameters mirror :func:`pcg`; differences:
 
     F:
-        Right-hand-side block, shape ``(n, k)`` (any memory order — a
-        contiguous working copy is taken per column).
+        Right-hand-side block, shape ``(n, k)`` (any memory order).
     preconditioner:
         As in :func:`pcg`.  One that sets ``takes_columns`` is called as
         ``apply(r, columns=cols)``, ``cols`` listing the block columns
         ``r`` holds (one index for an ``(n,)`` residual) — all a per-column
         α schedule needs (:class:`repro.machines.cells.SchedulePreconditioner`).
+        It must not write to ``r``; its result is read before the next
+        application.
     u0:
         Starting block (default zero), shape ``(n, k)`` or a single
         ``(n,)`` guess broadcast to every column.
     stopping:
         One rule instance shared by all columns (the stock rules are
-        stateless); per-column decisions are made independently.
+        stateless); per-column decisions are made independently.  A rule
+        without ``needs_residual`` may see ``r`` already updated.
     callback:
         Optional ``callback(iteration, column, u, delta_norm)`` hook,
-        invoked per active column per iteration.
+        invoked per active column per iteration; ``u`` is a live view of
+        the column's iterate.
     """
     F = np.asarray(F, dtype=float)
     require(F.ndim == 2, "block_pcg needs an (n, k) right-hand-side block")
@@ -420,166 +388,177 @@ def block_pcg(
         )
     m = preconditioner if preconditioner is not None else IdentityPreconditioner()
     maxiter = maxiter if maxiter is not None else 5 * n + 100
-
     block_matvec = supports_matvec_block(k)
     block_precond = bool(getattr(m, "block_capable", False))
     takes_columns = bool(getattr(m, "takes_columns", False))
-    has_counter = hasattr(m, "counter")
+    precond_before = m.counter.as_dict() if hasattr(m, "counter") else None
+    needs_residual = rule.needs_residual
 
-    # Per-column state: contiguous (n,) vectors, exactly what pcg() holds.
-    f_cols = [np.ascontiguousarray(F[:, j]) for j in range(ncols)]
+    # Resident state: each block is the head of one flat buffer, so the
+    # survivors of a retirement compact in place and every data pointer
+    # stays put; the (k,) scalars shrink to their heads the same way.
+    flats = [np.empty(n * ncols) for _ in range(4)]
+    rho_all, denom_all, delta_all = np.empty(ncols), np.empty(ncols), np.empty(ncols)
+    U, R, P, KP = (f[: n * ncols].reshape(n, ncols) for f in flats)
+
+    def product(x: np.ndarray, out: np.ndarray):
+        """``out ← K·x`` over an ``(n, a)`` block, as a bound callable."""
+        a = x.shape[1]
+        if a == 1:
+            x1, out1 = x[:, 0], out[:, 0]
+            if supports_matvec_into(k, x1, out1):
+                return lambda: matvec_into(k, x1, out1)
+            return lambda: np.copyto(out1, k @ x1)
+        if block_matvec:
+            def batched():
+                out.fill(0.0)
+                matvec_accumulate(k, x, out)
+            return batched
+
+        def per_column():
+            column, column_out = np.empty(n), np.empty(n)
+            for i in range(a):
+                np.copyto(column, x[:, i])
+                if supports_matvec_into(k, column, column_out):
+                    out[:, i] = matvec_into(k, column, column_out)
+                else:
+                    out[:, i] = k @ column
+        return per_column
+
+    def precondition(r: np.ndarray, cols: list[int]):
+        """``M⁻¹`` on the residual block of columns ``cols``, as a bound
+        callable: one batched pass, or the vector form on one column."""
+        if len(cols) == 1:
+            r1 = r[:, 0]
+            if takes_columns:
+                return lambda: m.apply(r1, columns=cols)
+            return lambda: m.apply(r1)
+        if block_precond:
+            if takes_columns:
+                return lambda: m.apply(r, columns=cols)
+            return lambda: m.apply(r)
+
+        def per_column():
+            out = np.empty(r.shape)
+            for i, j in enumerate(cols):
+                r1 = np.ascontiguousarray(r[:, i])
+                out[:, i] = m.apply(r1, columns=[j]) if takes_columns else m.apply(r1)
+            return out
+        return per_column
+
+    # Startup: r⁰ = f − K u⁰ (with the zero start K u⁰ is exactly zero, so
+    # r⁰ = f bitwise), r̃⁰ = M⁻¹r⁰, p⁰ = r̃⁰, ρ₀ = (r̃⁰, r⁰).
+    cols = list(range(ncols))
+    R[...] = F
+    f_norms = np.sqrt(column_dots(R, R)).tolist()
     if u0 is None:
-        u = [np.zeros(n) for _ in range(ncols)]
+        U.fill(0.0)
     else:
         u0 = np.asarray(u0, dtype=float)
-        u = [
-            np.array(u0 if u0.ndim == 1 else u0[:, j], dtype=float)
-            for j in range(ncols)
-        ]
-    counters = [OperationCounter() for _ in range(ncols)]
-    f_norms = [float(np.linalg.norm(f)) for f in f_cols]
+        U[...] = u0 if u0.ndim == 2 else u0[:, None]
+        product(U, KP)()
+        R -= KP
+    rt = np.reshape(precondition(R, cols)(), (n, ncols))
+    P[...] = rt
+    rho_all[:] = column_dots(rt, R)
+
     delta_histories: list[list[float]] = [[] for _ in range(ncols)]
     residual_histories: list[list[float]] = [[] for _ in range(ncols)]
+    if track_residual:
+        for hist, value in zip(residual_histories, np.sqrt(column_dots(R, R)).tolist()):
+            hist.append(value)
     iterations = np.zeros(ncols, dtype=int)
     converged = np.zeros(ncols, dtype=bool)
-    rho = np.zeros(ncols)
+    stops = [_MAXITER] * ncols
+    u_out: np.ndarray | None = None
 
-    # r⁰ = f − K u⁰ (one charged product per column, as in pcg; with the
-    # zero start K u⁰ is exactly zero, so r⁰ = f bitwise).
-    r: list[np.ndarray] = []
-    kp_buf = np.empty(n)
-    step = np.empty(n)
-    for j in range(ncols):
-        if u0 is None:
-            r.append(f_cols[j].copy())
-        else:
-            if supports_matvec_into(k, u[j], kp_buf):
-                matvec_into(k, u[j], kp_buf)
-                r.append(f_cols[j] - kp_buf)
-            else:
-                r.append(np.asarray(f_cols[j] - k @ u[j], dtype=float))
-        counters[j].matvecs += 1
+    def bind() -> _Width:
+        """Views, bound kernels and per-column handles for the active set."""
+        a = len(cols)
+        U, R, P, KP = (f[: n * a].reshape(n, a) for f in flats)
+        denom, delta = denom_all[:a], delta_all[:a]
+        axpy, xpay = bind_cg_updates(U, R, P, KP, rho_all[:a], denom, delta)
+        return _Width(
+            R, denom, delta, product(P, KP), precondition(R, list(cols)), axpy, xpay,
+            [R[:, i] for i in range(a)],
+            [U[:, i] for i in range(a)] if callback is not None else None,
+            [delta_histories[j] for j in cols],
+            [f_norms[j] for j in cols],
+        )
 
-    # Per-width scratch blocks, reused across iterations: the active set
-    # only shrinks as columns retire, so a handful of widths ever appear
-    # and the steady-state loop stacks into preallocated storage instead
-    # of allocating two (n, active) blocks per iteration.
-    stack_bufs: dict[int, np.ndarray] = {}
-    kp_bufs: dict[int, np.ndarray] = {}
-
-    def _stack_buf(bufs: dict[int, np.ndarray], width: int) -> np.ndarray:
-        buf = bufs.get(width)
-        if buf is None:
-            buf = bufs.setdefault(width, np.empty((n, width)))
-        return buf
-
-    def apply_precond(cols: list[int]) -> list[np.ndarray]:
-        """``M⁻¹`` on the active columns — one batched pass when possible."""
-        before = m.counter.as_dict() if has_counter else None
-        if len(cols) > 1 and block_precond:
-            r_block = _stack_buf(stack_bufs, len(cols))
-            np.stack([r[j] for j in cols], axis=1, out=r_block)
-            rt_block = np.asarray(
-                m.apply(r_block, columns=cols) if takes_columns else m.apply(r_block),
-                dtype=float,
-            )
-            out = [np.ascontiguousarray(rt_block[:, i]) for i in range(len(cols))]
-        else:
-            out = [
-                np.array(
-                    m.apply(r[j], columns=[j]) if takes_columns else m.apply(r[j]),
-                    dtype=float,
-                )
-                for j in cols
-            ]
-        if before is not None:
-            _merge_precond_delta(
-                [counters[j] for j in cols], before, m.counter.as_dict(),
-                share=len(cols),
-            )
-        return out
-
-    rt = apply_precond(list(range(ncols)))
-    p = [np.array(x, dtype=float) for x in rt]
-    for i, j in enumerate(range(ncols)):
-        rho[j] = inner(rt[i], r[j])
-        counters[j].inner_products += 1
-        if track_residual:
-            residual_histories[j].append(float(np.linalg.norm(r[j])))
-
-    active = list(range(ncols))
-    for iteration in range(1, maxiter + 1):
-        if not active:
-            break
-        # ---- K p over the active block: one batched product -------------
-        if len(active) > 1 and block_matvec:
-            p_block = _stack_buf(stack_bufs, len(active))
-            np.stack([p[j] for j in active], axis=1, out=p_block)
-            kp_block = _stack_buf(kp_bufs, len(active))
-            kp_block.fill(0.0)
-            matvec_accumulate(k, p_block, kp_block)
-            kp = [np.ascontiguousarray(kp_block[:, i]) for i in range(len(active))]
-        else:
-            kp = []
-            for j in active:
-                if supports_matvec_into(k, p[j], kp_buf):
-                    matvec_into(k, p[j], kp_buf)
-                    # A lone active column reads its K·p before the next
-                    # product overwrites the buffer: no copy needed.
-                    kp.append(kp_buf if len(active) == 1 else kp_buf.copy())
-                else:
-                    kp.append(np.asarray(k @ p[j], dtype=float))
-        survivors: list[int] = []
-        for j, kpj in zip(active, kp):
-            counters[j].matvecs += 1
-            denom = inner(p[j], kpj)
-            counters[j].inner_products += 1
-            if denom <= 0.0:
-                iterations[j] = iteration
-                converged[j] = rho[j] == 0.0
-                continue
-            alpha = rho[j] / denom
-
-            np.multiply(p[j], alpha, out=step)  # step = α·p
-            u[j] += step
-            counters[j].axpys += 1
-            delta_norm = inf_norm(step)
-            delta_histories[j].append(delta_norm)
+    def retire(done: dict[int, int], iteration: int) -> None:
+        """Write the ``done`` columns (position → how they stopped) out and
+        compact the survivors."""
+        nonlocal u_out, cols
+        a = len(cols)
+        for i, stop in done.items():
+            j = cols[i]
             iterations[j] = iteration
+            stops[j] = stop
+            converged[j] = rho_all[i] == 0.0 if stop == _BREAKDOWN else stop != _MAXITER
+        if u_out is None and len(done) == a:
+            u_out = flats[0][: n * a].reshape(n, a)  # never compacted: in order
+            cols = []
+            return
+        if u_out is None:
+            u_out = np.empty((n, ncols))
+        U = flats[0][: n * a].reshape(n, a)
+        for i in done:
+            u_out[:, cols[i]] = U[:, i]
+        keep = [i for i in range(a) if i not in done]
+        if keep:
+            for flat in flats:
+                _compact(flat, n, a, keep)
+            rho_all[: len(keep)] = rho_all[keep]
+        cols = [cols[i] for i in keep]
+
+    w = bind()
+    last = 0
+    for iteration in range(1, maxiter + 1):
+        last = iteration
+        w.product()
+        if w.axpy():
+            # (p, Kp) <= 0: exact convergence (p = 0) or loss of positive
+            # definiteness.  Those columns stop here, untouched.
+            retire({i: _BREAKDOWN for i, d in enumerate(w.denom) if d <= 0.0}, iteration)
+            if not cols:
+                break
+            w = bind()
+            w.axpy()
+        done: dict[int, int] = {}
+        deltas = w.delta.tolist()
+        for i, delta_norm in enumerate(deltas):
+            w.histories[i].append(delta_norm)
             if callback is not None:
-                callback(iteration, j, u[j], delta_norm)
+                callback(iteration, cols[i], w.u_cols[i], delta_norm)
+            if not needs_residual and rule.converged(delta_norm, w.r_cols[i], w.f_norms[i]):
+                done[i] = _DELTA  # steps (4)–(7) skipped, as in Algorithm 1
+        if track_residual:
+            for i, value in enumerate(np.sqrt(column_dots(w.R, w.R)).tolist()):
+                if i not in done:
+                    residual_histories[cols[i]].append(value)
+        if needs_residual:
+            for i, delta_norm in enumerate(deltas):
+                if rule.converged(delta_norm, w.r_cols[i], w.f_norms[i]):
+                    done[i] = _RESIDUAL
+        if done:
+            retire(done, iteration)
+            if not cols:
+                break
+            w = bind()
+        w.xpay(w.precondition())
 
-            if not rule.needs_residual and rule.converged(
-                delta_norm, r[j], f_norms[j]
-            ):
-                converged[j] = True
-                continue  # column retires; steps (4)–(7) skipped
+    if cols:  # still iterating when maxiter ran out
+        retire(dict.fromkeys(range(len(cols)), _MAXITER), last)
 
-            np.multiply(kpj, alpha, out=step)  # scratch: α·Kp
-            r[j] -= step
-            counters[j].axpys += 1
-            if track_residual:
-                residual_histories[j].append(float(np.linalg.norm(r[j])))
-            if rule.needs_residual and rule.converged(
-                delta_norm, r[j], f_norms[j]
-            ):
-                converged[j] = True
-                continue
-            survivors.append(j)
-
-        if survivors:
-            rt = apply_precond(survivors)
-            for i, j in enumerate(survivors):
-                rho_new = inner(rt[i], r[j])
-                counters[j].inner_products += 1
-                beta = rho_new / rho[j]
-                rho[j] = rho_new
-                xpay_into(rt[i], beta, p[j])  # p = r̃ + β·p
-                counters[j].axpys += 1
-        active = survivors
-
+    counters = [_column_counter(int(iterations[j]), stops[j]) for j in range(ncols)]
+    if precond_before is not None:
+        applications = [
+            1 + int(iterations[j]) - (stops[j] != _MAXITER) for j in range(ncols)
+        ]
+        _charge_precond(counters, applications, precond_before, m.counter.as_dict())
     return BlockPCGResult(
-        u=np.stack(u, axis=1),
+        u=u_out,
         iterations=iterations,
         converged=converged,
         delta_histories=delta_histories,

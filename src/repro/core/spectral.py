@@ -27,7 +27,7 @@ import scipy.linalg as sla
 
 from repro.core.polynomial import eigenvalue_map
 from repro.core.splittings import Splitting
-from repro.util import require
+from repro.util import inner, require
 
 __all__ = [
     "spectrum_interval",
@@ -77,7 +77,7 @@ def spectrum_interval(k, sweep) -> tuple[float, float]:
     n = k.shape[0]
     r = np.ones(n)
     z = sweep(r)
-    rho = float(r @ z)
+    rho = inner(r, z)
     require(rho > 0, "the sweep is not positive definite")
     p = np.array(z)
     diag: list[float] = []
@@ -86,14 +86,14 @@ def spectrum_interval(k, sweep) -> tuple[float, float]:
     lam = np.inf
     for _ in range(n):
         q = k @ p
-        denom = float(p @ q)
+        denom = inner(p, q)
         if not denom > 0:
             break
         alpha = rho / denom
         diag.append(1.0 / alpha + carry)
         r -= alpha * q
         z = sweep(r)
-        rho_next = float(r @ z)
+        rho_next = inner(r, z)
         if not rho_next > 0:
             break
         beta = rho_next / rho

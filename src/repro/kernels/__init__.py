@@ -3,8 +3,8 @@
 The paper's vectorization argument, realized in numpy: under a multicolor
 ordering the SSOR triangular solves decompose into a handful of dense
 color-block operations (:mod:`repro.kernels.triangular`), the PCG loop is
-three fused in-place updates (:mod:`repro.kernels.ops`), and the steady
-state runs out of preallocated workspaces
+two fused passes over resident blocks (:mod:`repro.kernels.ops`), and
+the steady state runs out of preallocated workspaces
 (:mod:`repro.kernels.workspace`).
 
 Every consumer dispatches on a backend name
@@ -30,7 +30,6 @@ from repro.kernels.ops import (
     row_scale,
     supports_matvec_block,
     supports_matvec_into,
-    xpay_into,
 )
 from repro.kernels.triangular import (
     ColorBlockTriangularSolver,
@@ -59,7 +58,6 @@ __all__ = [
     "row_scale",
     "supports_matvec_block",
     "supports_matvec_into",
-    "xpay_into",
     "ColorBlockTriangularSolver",
     "FactorizedTriangularSolver",
     "ReferenceTriangularSolver",

@@ -1,4 +1,5 @@
-"""Optional compiled kernels behind :class:`~repro.kernels.stencil.StencilOperator`.
+"""Optional compiled kernels: the stencil products and sweeps, and the
+fixed-order reductions of the PCG loop.
 
 The pure-numpy stencil product pays one multiply pass and one add pass
 per diagonal; at solver sizes the arrays are cache-resident, so those
@@ -20,6 +21,16 @@ order, i.e. ascending column order per row — so every product is
   rows — boundary margins plus the rows where any diagonal deviates from
   its constant — with the exact per-row sum.  It reads only ``x``, which
   makes it the faster vector product where it applies.
+
+The pack also owns Algorithm 1's reductions.  ``fixed_dots`` is the one
+inner product of the package (:func:`repro.util.column_dots`): 8 lanes,
+lane ``l`` summing the products of rows ``i ≡ l (mod 8)`` in index order
+from ``+0.0``, the lanes combined as
+``((l0+l1)+(l2+l3))+((l4+l5)+(l6+l7))``.  Over a C-ordered ``(n, k)``
+block it returns the k column dots, each bitwise the dot of that column
+alone, and no answer depends on a BLAS build or thread count.
+``cg_axpy`` and ``cg_xpay`` fuse that dot with the CG vector updates
+:func:`repro.core.pcg.block_pcg` runs on its resident blocks.
 
 Compilation happens lazily, once per interpreter, with ``cc`` into a
 content-hashed shared library under ``_build/`` next to this module; the
@@ -180,6 +191,171 @@ def _width_switch(body: str, args: str, generic: str, widths) -> str:
         f"    case {kk}: {body}{kk}({args}); return;\n" for kk in widths
     )
     return f"    switch (k) {{\n{cases}    }}\n    {generic};\n"
+
+
+#: Specialized widths of the reductions and fused CG updates: the sweep
+#: widths plus 16, the sharded batch's block.  A compile-time width keeps
+#: the 8 lanes × k partial sums in registers; a one-column block is the
+#: vector form.
+_DOT_K = _BLOCK_K + (16,)
+
+#: Bodies of the dot and the two fused CG passes over a C-ordered (n, K)
+#: block, once per specialized width (``sfx`` = ``k<K>``, no width
+#: parameter) and once generic (``sfx`` = ``any``, runtime ``k``).
+_CG_TEMPLATE = """
+static void dots_{sfx}(
+    long n, {kparam}const double *x, const double *y, double *out)
+{{
+    double l[DOT_LANES][{kk}];
+    long i, t, j;
+    const long n8 = n - n % DOT_LANES;
+    for (t = 0; t < DOT_LANES; ++t)
+        for (j = 0; j < {kk}; ++j)
+            l[t][j] = 0.0;
+    for (i = 0; i < n8; i += DOT_LANES)
+        for (t = 0; t < DOT_LANES; ++t) {{
+            const double *xr = x + (size_t)(i + t) * {kk};
+            const double *yr = y + (size_t)(i + t) * {kk};
+            for (j = 0; j < {kk}; ++j)
+                l[t][j] += xr[j] * yr[j];
+        }}
+    for (t = 0; n8 + t < n; ++t) {{
+        const double *xr = x + (size_t)(n8 + t) * {kk};
+        const double *yr = y + (size_t)(n8 + t) * {kk};
+        for (j = 0; j < {kk}; ++j)
+            l[t][j] += xr[j] * yr[j];
+    }}
+    for (j = 0; j < {kk}; ++j)
+        out[j] = ((l[0][j] + l[1][j]) + (l[2][j] + l[3][j]))
+               + ((l[4][j] + l[5][j]) + (l[6][j] + l[7][j]));
+}}
+
+static void axpy_{sfx}(
+    long n, {kparam}const double *p, const double *kp, const double *rho,
+    const double *denom, double *u, double *r, double *delta)
+{{
+    double alpha[{kk}], top[{kk}];
+    long i, j;
+    for (j = 0; j < {kk}; ++j) {{
+        alpha[j] = rho[j] / denom[j];
+        top[j] = 0.0;
+    }}
+    for (i = 0; i < n; ++i) {{
+        const size_t o = (size_t)i * {kk};
+        for (j = 0; j < {kk}; ++j) {{
+            const double s = alpha[j] * p[o + j];
+            const double a = __builtin_fabs(s);
+            u[o + j] += s;
+            r[o + j] -= alpha[j] * kp[o + j];
+            top[j] = (a > top[j] || a != a) ? a : top[j];  /* NaN sticks */
+        }}
+    }}
+    for (j = 0; j < {kk}; ++j)
+        delta[j] = top[j];
+}}
+
+static void xpay_{sfx}(
+    long n, {kparam}const double *rt, const double *rho_new, double *rho,
+    double *p)
+{{
+    double beta[{kk}];
+    long i, j;
+    for (j = 0; j < {kk}; ++j) {{
+        beta[j] = rho_new[j] / rho[j];
+        rho[j] = rho_new[j];
+    }}
+    for (i = 0; i < n; ++i) {{
+        const size_t o = (size_t)i * {kk};
+        for (j = 0; j < {kk}; ++j)
+            p[o + j] = rt[o + j] + beta[j] * p[o + j];
+    }}
+}}
+"""
+
+
+def _cg_source() -> str:
+    """The fixed-order dot and the fused CG passes, width-dispatched."""
+    bodies = "".join(
+        _CG_TEMPLATE.format(sfx=f"k{kk}", kparam="", kk=kk) for kk in _DOT_K
+    ) + _CG_TEMPLATE.format(sfx="any", kparam="long k, ", kk="k")
+
+    def dispatch(name: str, params: str, args: str) -> str:
+        return (
+            f"static void {name}(long n, long k, {params})\n{{\n"
+            + _width_switch(
+                f"{name}_k", "n, " + args, f"{name}_any(n, k, {args})", _DOT_K
+            )
+            + "}\n"
+        )
+
+    return (
+        "\n#define DOT_LANES 8\n"
+        + bodies
+        + dispatch("dots", "const double *x, const double *y, double *out",
+                   "x, y, out")
+        + dispatch(
+            "axpy",
+            "const double *p, const double *kp, const double *rho, "
+            "const double *denom, double *u, double *r, double *delta",
+            "p, kp, rho, denom, u, r, delta",
+        )
+        + dispatch(
+            "xpay",
+            "const double *rt, const double *rho_new, double *rho, double *p",
+            "rt, rho_new, rho, p",
+        )
+        + """
+/* out[j] = (x[:, j], y[:, j]) for C-ordered (n, k) blocks, in the fixed
+   lane order; a vector is the one-column block. */
+void fixed_dots(long n, long k, const double *x, const double *y,
+                double *out)
+{
+    if (k >= 1)
+        dots(n, k, x, y, out);
+}
+
+/* The vector form: one column, returned. */
+double fixed_dot(long n, const double *x, const double *y)
+{
+    double out;
+    dots(n, 1, x, y, &out);
+    return out;
+}
+
+/* Algorithm 1 steps (1), (2) and (4) on the active block: denom = (p, Kp)
+   per column.  A column with denom <= 0 has broken down: then nothing is
+   updated and the number of such columns is returned.  Otherwise
+   alpha = rho / denom, u += alpha p, r -= alpha Kp and delta = max |alpha p|
+   per column (a NaN step makes delta NaN, as numpy's max does). */
+long cg_axpy(long n, long k, const double *p, const double *kp,
+             const double *rho, double *u, double *r, double *denom,
+             double *delta)
+{
+    long j, broken = 0;
+    if (k < 1)
+        return 0;
+    dots(n, k, p, kp, denom);
+    for (j = 0; j < k; ++j)
+        if (denom[j] <= 0.0)
+            ++broken;
+    if (!broken)
+        axpy(n, k, p, kp, rho, denom, u, r, delta);
+    return broken;
+}
+
+/* Steps (6) and (7): rho_new = (rt, r), beta = rho_new / rho, rho = rho_new,
+   p = rt + beta p. */
+void cg_xpay(long n, long k, const double *rt, const double *r, double *rho,
+             double *p)
+{
+    if (k >= 1) {
+        double rho_new[k];
+        dots(n, k, rt, r, rho_new);
+        xpay(n, k, rt, rho_new, rho, p);
+    }
+}
+"""
+    )
 
 
 def _source() -> str:
@@ -601,6 +777,7 @@ void stencil_ssor_b(
     }
 }
 """
+        + _cg_source()
     )
 
 
@@ -616,11 +793,44 @@ _I64 = np.ctypeslib.ndpointer(dtype=np.int64, flags="C_CONTIGUOUS")
 _F64 = np.ctypeslib.ndpointer(dtype=np.float64, flags="C_CONTIGUOUS")
 
 
-class NativeStencil:
-    """ctypes facade over the compiled stencil products and sweeps."""
+def pointer(a: np.ndarray):
+    """``a``'s data pointer, for the reduction entry points.
+
+    ``a`` must be C-contiguous float64.  A writable array goes through the
+    buffer protocol (~0.7 µs), and the pointer holds its memory alive;
+    ``ndarray.ctypes`` (~2 µs) serves read-only and empty ones, which the
+    caller must keep alive while the pointer is in use.
+    """
+    try:
+        return ctypes.byref(ctypes.c_double.from_buffer(a))
+    except (TypeError, ValueError, BufferError):
+        return ctypes.c_void_p(a.ctypes.data)
+
+
+class NativeKernels:
+    """ctypes facade over the compiled stencil kernels and reductions."""
+
+    pointer = staticmethod(pointer)
 
     def __init__(self, lib: ctypes.CDLL):
         self._lib = lib
+        # The reductions run several times per PCG iteration, where an
+        # ndpointer argument check (~14 µs a call) would cost more than
+        # the dot itself.  They take plain data pointers, bound once per
+        # operand (:func:`pointer`); callers own the layout checks.
+        _long, _ptr = ctypes.c_long, ctypes.c_void_p
+        self.fixed_dots = lib.fixed_dots
+        self.fixed_dots.restype = None
+        self.fixed_dots.argtypes = [_long, _long, _ptr, _ptr, _ptr]
+        self.fixed_dot = lib.fixed_dot
+        self.fixed_dot.restype = ctypes.c_double
+        self.fixed_dot.argtypes = [_long, _ptr, _ptr]
+        self.cg_axpy = lib.cg_axpy
+        self.cg_axpy.restype = _long
+        self.cg_axpy.argtypes = [_long, _long] + [_ptr] * 7
+        self.cg_xpay = lib.cg_xpay
+        self.cg_xpay.restype = None
+        self.cg_xpay.argtypes = [_long, _long] + [_ptr] * 4
         lib.stencil_values_v.restype = None
         lib.stencil_values_v.argtypes = [
             ctypes.c_long, ctypes.c_long, _I64, _F64, _F64, _F64, ctypes.c_int,
@@ -675,7 +885,7 @@ class NativeStencil:
         self._lib.stencil_ssor_b(n, k, m, nc, *tables, alphas, r, rt, y)
 
 
-_CACHE: list = []  # [NativeStencil | None] once resolved
+_CACHE: list = []  # [NativeKernels | None] once resolved
 
 
 def _build_dir() -> Path:
@@ -709,7 +919,7 @@ def _compile(src_text: str, out_path: Path) -> bool:
         c_path.with_suffix(".so").unlink(missing_ok=True)
 
 
-def load_native() -> NativeStencil | None:
+def load_native() -> NativeKernels | None:
     """The compiled kernel pack, or ``None`` when it cannot be had.
 
     The first call per interpreter compiles (or finds the content-hashed
@@ -725,7 +935,7 @@ def load_native() -> NativeStencil | None:
             digest = hashlib.sha256(text.encode()).hexdigest()[:16]
             so_path = _build_dir() / f"stencil-{digest}.so"
             if so_path.exists() or _compile(text, so_path):
-                native = NativeStencil(ctypes.CDLL(str(so_path)))
+                native = NativeKernels(ctypes.CDLL(str(so_path)))
         except OSError:
             native = None
     _CACHE.append(native)

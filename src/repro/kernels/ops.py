@@ -4,18 +4,28 @@ The outer PCG iteration and the Horner recurrence of the m-step
 preconditioner are built from three updates — ``y ← y + α·x`` (axpy),
 ``y ← x + β·y`` (xpay) and ``out ← K·x`` — which naive numpy spells as
 ``y += alpha * x`` etc., allocating a temporary per call.  These helpers
-perform the same arithmetic through ``np.multiply(..., out=)`` so the
-steady-state iteration touches only preallocated buffers.
+perform the same arithmetic through ``np.multiply(..., out=)`` or in
+compiled code, so the steady-state iteration touches only preallocated
+buffers.
 
 All results are bit-identical to the naive spellings: they execute the
 same elementary operations in the same order (IEEE addition is
 commutative, so ``β·y + x`` equals ``x + β·y`` bitwise).
+:func:`bind_cg_updates` fuses Algorithm 1's axpy and xpay updates with
+the fixed-order dot (:func:`repro.util.column_dots`) over resident
+``(n, a)`` blocks — compiled where the kernel pack loads, numpy
+otherwise, bitwise the same.
 """
 
 from __future__ import annotations
 
+import ctypes
+
 import numpy as np
 import scipy.sparse as sp
+
+from repro.kernels._native import load_native
+from repro.util.linalg import dots_numpy
 
 try:  # scipy's compiled CSR kernels; absent only on exotic builds.
     from scipy.sparse import _sparsetools as _csr_tools
@@ -28,7 +38,7 @@ except (ImportError, AttributeError):  # pragma: no cover - fallback guard
 
 __all__ = [
     "axpy",
-    "xpay_into",
+    "bind_cg_updates",
     "row_scale",
     "supports_matvec_into",
     "supports_matvec_block",
@@ -43,13 +53,6 @@ def axpy(alpha: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     out = np.multiply(x, alpha)
     out += y
     return out
-
-
-def xpay_into(x: np.ndarray, beta: float, y: np.ndarray) -> np.ndarray:
-    """``y ← x + β·y`` fully in place (the PCG direction update)."""
-    np.multiply(y, beta, out=y)
-    y += x
-    return y
 
 
 def row_scale(x: np.ndarray, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -210,3 +213,95 @@ def bind_matvec_accumulate(a):
         return out
 
     return accumulate
+
+
+def bind_cg_updates(u, r, p, kp, rho, denom, delta):
+    """Algorithm 1's fused vector passes over resident ``(n, a)`` blocks.
+
+    ``u``, ``r``, ``p`` and ``kp`` are C-ordered float64 ``(n, a)``
+    blocks, one column per active right-hand side; ``rho``, ``denom`` and
+    ``delta`` are C-contiguous ``(a,)`` scalars.  Returns
+    ``(axpy, xpay)``:
+
+    * ``axpy()`` sets ``denom = (p, Kp)`` per column.  If any entry is
+      ``<= 0`` (breakdown) it returns their count and changes nothing
+      else; otherwise it runs ``α = ρ/denom``, ``u += α·p``,
+      ``r −= α·Kp`` and ``delta = max|α·p|`` (NaN if any step is NaN)
+      and returns 0.
+    * ``xpay(rt)`` runs ``ρ' = (r̃, r)``, ``β = ρ'/ρ``, ``ρ ← ρ'`` and
+      ``p ← r̃ + β·p``; ``rt`` is ``(n, a)``, or ``(n,)`` when a = 1.
+
+    Each pass is bitwise the numpy spelling it replaces (the same
+    multiply → add chain per element; the max is exact), and the compiled
+    pass is bound here once, so a call costs one ctypes dispatch.
+    """
+    n, a = u.shape
+    blocks, scalars = (u, r, p, kp), (rho, denom, delta)
+    if not all(
+        x.dtype == np.float64 and x.flags.c_contiguous and x.shape == want
+        for group, want in ((blocks, (n, a)), (scalars, (a,)))
+        for x in group
+    ):
+        raise ValueError("bind_cg_updates needs C-ordered float64 (n, a) and (a,) arrays")
+    pack = load_native()
+    if pack is None:
+        return _cg_updates_numpy(u, r, p, kp, rho, denom, delta)
+    ptr = pack.pointer
+    n_, a_ = ctypes.c_long(n), ctypes.c_long(a)
+    p_, kp_, rho_, u_, r_, denom_, delta_ = (
+        ptr(x) for x in (p, kp, rho, u, r, denom, delta)
+    )
+    cg_axpy, cg_xpay = pack.cg_axpy, pack.cg_xpay
+    shape = (n, a) if a > 1 else (n,)
+    bound: list = [None, None]  # the last r̃ seen and its pointer
+
+    def axpy() -> int:
+        return cg_axpy(n_, a_, p_, kp_, rho_, u_, r_, denom_, delta_)
+
+    def xpay(rt: np.ndarray) -> None:
+        if rt is not bound[0]:
+            if not (
+                isinstance(rt, np.ndarray)
+                and rt.dtype == np.float64
+                and rt.flags.c_contiguous
+                and rt.shape in (shape, (n, a))
+            ):
+                # A foreign layout: copy, and bind nothing (the source
+                # may be rewritten in place before the next call).
+                rt = np.ascontiguousarray(rt, dtype=np.float64).reshape(n, a)
+                cg_xpay(n_, a_, ptr(rt), r_, rho_, p_)
+                return
+            bound[:] = [rt, ptr(rt)]
+        cg_xpay(n_, a_, bound[1], r_, rho_, p_)
+
+    return axpy, xpay
+
+
+def _cg_updates_numpy(u, r, p, kp, rho, denom, delta):
+    """:func:`bind_cg_updates` in numpy: the compiled passes' bitwise twin."""
+    n, a = u.shape
+    step = np.empty((n, a))
+
+    def axpy() -> int:
+        dots_numpy(p, kp, denom)
+        broken = int(np.count_nonzero(denom <= 0.0))
+        if broken:
+            return broken
+        alpha = rho / denom
+        np.multiply(p, alpha, out=step)
+        np.add(u, step, out=u)
+        np.max(np.abs(step), axis=0, initial=0.0, out=delta)
+        np.multiply(kp, alpha, out=step)
+        np.subtract(r, step, out=r)
+        return 0
+
+    def xpay(rt: np.ndarray) -> None:
+        rt = np.asarray(rt, dtype=np.float64).reshape(n, a)
+        rho_new = dots_numpy(rt, r, np.empty(a))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            beta = rho_new / rho
+        rho[:] = rho_new
+        np.multiply(p, beta, out=p)
+        np.add(p, rt, out=p)
+
+    return axpy, xpay

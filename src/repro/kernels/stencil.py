@@ -583,12 +583,7 @@ class StencilSSOR:
                 (
                     [t.diag for t in tables]
                     if r.ndim == 1
-                    else [
-                        np.ascontiguousarray(
-                            np.broadcast_to(t.diag[:, None], t.diag.shape + tail)
-                        )
-                        for t in tables
-                    ]
+                    else pool.broadcast_list("div", [t.diag for t in tables], tail)
                 ),
             )
             self.__dict__["_apply_buffers"] = cache

@@ -2,12 +2,18 @@
 
 An m-step PCG solve applies the preconditioner thousands of times with
 identically shaped vectors; a :class:`WorkspacePool` hands each call the
-same named buffers so the steady state allocates nothing.  Buffers are
-reallocated transparently when the requested shape changes (e.g. a
-batched ``(n, k)`` application after vector ones).
+same named buffers so the steady state allocates nothing.  Each name owns
+one flat buffer that grows to the largest size ever requested; a request
+gets a C-contiguous view of its head.  Consumers whose width alternates —
+the machine schedules' per-m groups switch between ``(n,)`` and
+``(n, k)`` every iteration — therefore reallocate nothing once the widest
+shape has been seen, and the pool never holds more than one buffer per
+name.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -15,19 +21,36 @@ __all__ = ["WorkspacePool"]
 
 
 class WorkspacePool:
-    """Named, shape-checked scratch buffers (not thread-safe, like numpy)."""
+    """Named scratch buffers, grown on demand (not thread-safe, like numpy)."""
 
     def __init__(self):
-        self._buffers: dict[str, np.ndarray] = {}
+        self._buffers: dict[str, np.ndarray] = {}  # name → flat storage
+        self._views: dict[str, np.ndarray] = {}  # name → last view handed out
+
+    def _allocate(self, size: int, dtype) -> np.ndarray:
+        """A fresh flat buffer: the pool's only allocation."""
+        return np.empty(size, dtype=dtype)
 
     def get(self, name: str, shape, dtype=np.float64) -> np.ndarray:
-        """A buffer named ``name`` of exactly ``shape`` (contents arbitrary)."""
+        """A C-contiguous buffer named ``name`` of exactly ``shape``.
+
+        Contents are arbitrary.  Consecutive requests of one shape return
+        the same array object; a request of another shape returns a view
+        of the same storage, grown first if it is too small.
+        """
         shape = (shape,) if np.isscalar(shape) else tuple(shape)
-        buf = self._buffers.get(name)
-        if buf is None or buf.shape != shape or buf.dtype != np.dtype(dtype):
-            buf = np.empty(shape, dtype=dtype)
-            self._buffers[name] = buf
-        return buf
+        dtype = np.dtype(dtype)
+        view = self._views.get(name)
+        if view is not None and view.shape == shape and view.dtype == dtype:
+            return view
+        size = math.prod(shape)
+        flat = self._buffers.get(name)
+        if flat is None or flat.dtype != dtype or flat.size < size:
+            flat = self._allocate(size, dtype)
+            self._buffers[name] = flat
+        view = flat[:size].reshape(shape)
+        self._views[name] = view
+        return view
 
     def zeros(self, name: str, shape, dtype=np.float64) -> np.ndarray:
         """Like :meth:`get` but zero-filled on every call."""
@@ -45,17 +68,32 @@ class WorkspacePool:
         """
         return [self.get(f"{name}{i}", s, dtype) for i, s in enumerate(shapes)]
 
+    def broadcast_list(self, name: str, vectors, tail) -> list[np.ndarray]:
+        """Each ``(g,)`` vector of ``vectors`` repeated across the trailing
+        shape ``tail``, in pooled C-contiguous ``(g, *tail)`` buffers.
+
+        The block sweeps divide by their color diagonals this way: a
+        contiguous ``(g, k)`` divisor is ~2× faster than broadcasting the
+        ``(g, 1)`` view, with bit-identical quotients.
+        """
+        out = self.get_list(name, [v.shape + tuple(tail) for v in vectors])
+        for buf, v in zip(out, vectors):
+            np.copyto(buf, v.reshape(v.shape + (1,) * len(tail)))
+        return out
+
     def peek(self, name: str) -> np.ndarray | None:
-        """The buffer currently pooled under ``name``, if any (no allocation).
+        """The storage pooled under ``name``, if any (no allocation).
 
         Lets a consumer detect that an *input* aliases one of its own
         pooled buffers (e.g. an apply fed its previous pooled result) and
-        defensively copy before overwriting it.
+        defensively copy before overwriting it: every view :meth:`get`
+        hands out shares memory with it.
         """
         return self._buffers.get(name)
 
     def clear(self) -> None:
         self._buffers.clear()
+        self._views.clear()
 
     @property
     def allocated_bytes(self) -> int:

@@ -37,7 +37,7 @@ from repro.driver import build_blocked_system
 from repro.kernels.ops import matvec_accumulate
 from repro.machines.cells import normalize_cell
 from repro.machines.topology import Assignment
-from repro.util import require
+from repro.util import inner, require
 
 __all__ = ["SPMDSolver", "SPMDResult", "MessageLedger"]
 
@@ -296,7 +296,9 @@ class SPMDSolver:
         return out
 
     def dot(self, xd: list[np.ndarray], yd: list[np.ndarray]) -> float:
-        return float(sum(float(np.dot(xd[p], yd[p])) for p in range(self.n_procs)))
+        # Each processor's partial is the fixed-order local dot; the
+        # partials then add in rank order.
+        return float(sum(inner(xd[p], yd[p]) for p in range(self.n_procs)))
 
     def axpy(self, alpha: float, xd, yd) -> list[np.ndarray]:
         return [yd[p] + alpha * xd[p] for p in range(self.n_procs)]

@@ -24,6 +24,7 @@ import numpy as np
 
 from repro.kernels import ops as kernel_ops
 from repro.machines.timing import VectorTimingModel
+from repro.util import inner
 
 __all__ = ["VectorMachine", "VectorOpLog"]
 
@@ -102,9 +103,13 @@ class VectorMachine:
 
     # ------------------------------------------------------------- reductions
     def dot(self, a: np.ndarray, b: np.ndarray) -> float:
-        """Inner product — charged with the partial-sum penalty."""
+        """Inner product — charged with the partial-sum penalty.
+
+        The package's fixed-order dot (:func:`repro.util.inner`), so the
+        machine's iterates match :func:`repro.core.pcg.block_pcg`'s.
+        """
         self.log.charge("dot", self.timing.dot_time(a.shape[0]))
-        return float(np.dot(a, b))
+        return inner(a, b)
 
     def abs_max(self, a: np.ndarray) -> float:
         """``‖a‖_∞`` via the vector absolute-value + max hardware."""

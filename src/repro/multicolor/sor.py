@@ -314,19 +314,7 @@ class MStepSSOR:
                 pool.get("ar", r.shape),
                 pool.get_list("y", group_shapes),
                 pool.get_list("x", group_shapes),
-                (
-                    diagonals
-                    if r.ndim == 1
-                    # Expanded to full width: dividing by a contiguous
-                    # (g, k) block is ~2× faster than broadcasting the
-                    # (g, 1) view, with bit-identical quotients.
-                    else [
-                        np.ascontiguousarray(
-                            np.broadcast_to(d[:, None], d.shape + tail)
-                        )
-                        for d in diagonals
-                    ]
-                ),
+                diagonals if r.ndim == 1 else pool.broadcast_list("div", diagonals, tail),
             )
             self.__dict__["_apply_buffers"] = cache
         _, rt, ar, y, xs, divisors = cache

@@ -8,6 +8,7 @@ SPD/symmetry validation, and permutation helpers.
 from repro.util.linalg import (
     OperationCounter,
     as_dense,
+    column_dots,
     inf_norm,
     inner,
     permutation_matrix,
@@ -23,6 +24,7 @@ from repro.util.validation import (
 __all__ = [
     "OperationCounter",
     "as_dense",
+    "column_dots",
     "inf_norm",
     "inner",
     "permutation_matrix",

@@ -7,10 +7,19 @@ plus an :class:`OperationCounter` that the instrumented solvers use to report
 how many of each primitive they executed (the paper's whole argument is about
 *how many inner products* an iteration costs, so we count them explicitly
 rather than inferring them).
+
+The inner product is a fixed-order sum, like the Finite Element Machine's
+sum/max circuit: :func:`column_dots` adds the products in 8 lanes (lane
+``l`` takes rows ``i ≡ l (mod 8)`` in index order, starting from ``+0.0``)
+and combines the lanes as ``((l0+l1)+(l2+l3))+((l4+l5)+(l6+l7))``.  It
+runs compiled (:mod:`repro.kernels._native`) or in numpy, bitwise the same
+either way, so no result depends on the BLAS build, its CPU kernel or its
+thread count.
 """
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,15 +28,83 @@ import scipy.sparse as sp
 __all__ = [
     "OperationCounter",
     "as_dense",
+    "column_dots",
     "inf_norm",
     "inner",
     "permutation_matrix",
 ]
 
 
+_LOADER: list = []  # [repro.kernels._native.load_native] once imported
+
+
+def _pack():
+    """The compiled kernel pack, or ``None``: loaded on the first dot."""
+    if not _LOADER:
+        # Imported here: repro.kernels imports repro.util, and importing
+        # the package must not build or load the pack.
+        from repro.kernels._native import load_native
+
+        _LOADER.append(load_native)
+    return _LOADER[0]()
+
+
+def dots_numpy(x: np.ndarray, y: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The numpy twin of the compiled ``fixed_dots``, bitwise.
+
+    ``x`` and ``y`` are C-ordered ``(n,)`` vectors or ``(n, k)`` blocks;
+    ``out`` receives the k column dots.  Reducing axis 0 of the
+    ``(n // 8, 8, k)`` view adds row after row onto ``+0.0`` for every
+    lane and column — numpy reduces a non-contiguous axis sequentially,
+    not pairwise (the test-suite pins this against the compiled kernel).
+    """
+    n = x.shape[0]
+    k = 1 if x.ndim == 1 else x.shape[1]
+    with np.errstate(all="ignore"):  # silent on inf and NaN, as compiled
+        prod = np.multiply(x, y).reshape(n, k)
+        n8 = n - n % 8
+        lanes = np.add.reduce(prod[:n8].reshape(n8 // 8, 8, k), axis=0)
+        lanes[: n - n8] += prod[n8:]
+        np.add(lanes[0] + lanes[1], lanes[2] + lanes[3], out=out)
+        out += (lanes[4] + lanes[5]) + (lanes[6] + lanes[7])
+    return out
+
+
+def column_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The fixed-order dots of the columns of two ``(n, k)`` blocks.
+
+    Returns ``(k,)``; column ``j`` is bitwise ``inner(x[:, j], y[:, j])``.
+    ``(n,)`` vectors count as one column.
+    """
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    y = np.ascontiguousarray(y, dtype=np.float64)
+    if x.shape != y.shape or x.ndim not in (1, 2):
+        raise ValueError("column_dots needs two (n,) or (n, k) arrays of one shape")
+    k = 1 if x.ndim == 1 else x.shape[1]
+    out = np.empty(k)
+    pack = _pack()
+    if pack is None:
+        return dots_numpy(x, y, out)
+    ptr = pack.pointer
+    pack.fixed_dots(
+        ctypes.c_long(x.shape[0]), ctypes.c_long(k), ptr(x), ptr(y), ptr(out)
+    )
+    return out
+
+
 def inner(x: np.ndarray, y: np.ndarray) -> float:
-    """Euclidean inner product ``(x, y) = xᵀ y`` as a Python float."""
-    return float(np.dot(np.asarray(x).ravel(), np.asarray(y).ravel()))
+    """Euclidean inner product ``(x, y) = xᵀ y`` as a Python float.
+
+    The fixed-order sum of :func:`column_dots` over the flattened operands.
+    """
+    x = np.ascontiguousarray(x, dtype=np.float64).reshape(-1)
+    y = np.ascontiguousarray(y, dtype=np.float64).reshape(-1)
+    if x.shape != y.shape:
+        raise ValueError("inner needs operands of one size")
+    pack = _pack()
+    if pack is None:
+        return float(dots_numpy(x, y, np.empty(1))[0])
+    return pack.fixed_dot(ctypes.c_long(x.size), pack.pointer(x), pack.pointer(y))
 
 
 def inf_norm(x: np.ndarray) -> float:

@@ -357,13 +357,6 @@ class TestOpsKernels:
         x, y = rng.normal(size=100), rng.normal(size=100)
         assert np.array_equal(ops.axpy(0.37, x, y), y + 0.37 * x)
 
-    def test_xpay_into_bitwise(self):
-        rng = np.random.default_rng(16)
-        x, y = rng.normal(size=100), rng.normal(size=100)
-        expected = x + 0.8 * y
-        got = ops.xpay_into(x, 0.8, y.copy())
-        assert np.array_equal(got, expected)
-
     def test_matvec_into_csr_matches_matmul(self, blocked):
         x = rng_vector(blocked.n, seed=17)
         out = np.empty(blocked.n)
@@ -444,6 +437,43 @@ class TestWorkspacePool:
         assert [b.shape for b in buffers] == [(3,), (5,)]
         again = pool.get_list("y", [(3,), (5,)])
         assert all(a is b for a, b in zip(buffers, again))
+
+    def test_widths_share_one_buffer_grown_to_the_widest(self):
+        # A narrower request is a C-contiguous view of the storage a wider
+        # one grew, so alternating widths allocate nothing once warm.
+        pool = WorkspacePool()
+        wide = pool.get("a", (10, 4))
+        narrow = pool.get("a", (10, 2))
+        vector = pool.get("a", 10)
+        for view in (narrow, vector):
+            assert view.flags.c_contiguous
+            assert np.may_share_memory(view, wide)
+            assert np.may_share_memory(view, pool.peek("a"))
+        assert pool.allocated_bytes == wide.nbytes
+        assert np.may_share_memory(pool.get("a", (10, 4)), wide)
+        expanded = pool.broadcast_list("d", [np.arange(3.0)], (2,))[0]
+        assert np.array_equal(expanded, [[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
+        assert expanded.flags.c_contiguous
+
+    def test_warm_cyber_schedule_pass_reallocates_nothing(self, monkeypatch):
+        # The CYBER schedule's per-m groups alternate block widths every
+        # iteration; a second pass must find every pooled buffer in place.
+        from repro.pipeline import SolverPlan, SolverSession
+
+        session = SolverSession.from_scenario(
+            "plate", plan=SolverPlan.table2(), nrows=12
+        )
+        session.run_cyber_schedule()
+        allocations = []
+        allocate = WorkspacePool._allocate
+
+        def counted(self, size, dtype):
+            allocations.append(size)
+            return allocate(self, size, dtype)
+
+        monkeypatch.setattr(WorkspacePool, "_allocate", counted)
+        session.run_cyber_schedule()
+        assert allocations == []
 
 
 class TestMStepSSORAllocationFree:

@@ -569,9 +569,10 @@ class TestPerColumnCoefficientKernels:
         r[~machine.free_mask] = 0.0
         coeffs = np.column_stack([np.ones(2), [0.5, 2.0], [1.3, 0.1]])
         sweep = machine._sweep_kernel()
+        # A copy: the sweep's result is pooled, valid until its next apply.
         block = SchedulePreconditioner(
             [2, 2, 2], lambda cols, rr: sweep.apply_schedule(coeffs[:, cols], rr)
-        ).apply(r, columns=[0, 1, 2])
+        ).apply(r, columns=[0, 1, 2]).copy()
         for col in range(3):
             single = sweep.apply_schedule(coeffs[:, col], r[:, col].copy())
             assert np.max(np.abs(block[:, col] - single)) == 0.0

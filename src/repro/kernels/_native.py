@@ -194,10 +194,10 @@ def _width_switch(body: str, args: str, generic: str, widths) -> str:
 
 
 #: Specialized widths of the reductions and fused CG updates: the sweep
-#: widths plus 16, the sharded batch's block.  A compile-time width keeps
-#: the 8 lanes × k partial sums in registers; a one-column block is the
-#: vector form.
-_DOT_K = _BLOCK_K + (16,)
+#: widths.  A compile-time width keeps the 8 lanes × k partial sums in
+#: registers; a one-column block is the vector form, and wider blocks
+#: take the generic runtime-k body.
+_DOT_K = _BLOCK_K
 
 #: Bodies of the dot and the two fused CG passes over a C-ordered (n, K)
 #: block, once per specialized width (``sfx`` = ``k<K>``, no width
@@ -312,14 +312,6 @@ void fixed_dots(long n, long k, const double *x, const double *y,
 {
     if (k >= 1)
         dots(n, k, x, y, out);
-}
-
-/* The vector form: one column, returned. */
-double fixed_dot(long n, const double *x, const double *y)
-{
-    double out;
-    dots(n, 1, x, y, &out);
-    return out;
 }
 
 /* Algorithm 1 steps (1), (2) and (4) on the active block: denom = (p, Kp)
@@ -822,9 +814,6 @@ class NativeKernels:
         self.fixed_dots = lib.fixed_dots
         self.fixed_dots.restype = None
         self.fixed_dots.argtypes = [_long, _long, _ptr, _ptr, _ptr]
-        self.fixed_dot = lib.fixed_dot
-        self.fixed_dot.restype = ctypes.c_double
-        self.fixed_dot.argtypes = [_long, _ptr, _ptr]
         self.cg_axpy = lib.cg_axpy
         self.cg_axpy.restype = _long
         self.cg_axpy.argtypes = [_long, _long] + [_ptr] * 7

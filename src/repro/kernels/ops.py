@@ -232,8 +232,9 @@ def bind_cg_updates(u, r, p, kp, rho, denom, delta):
       ``p ← r̃ + β·p``; ``rt`` is ``(n, a)``, or ``(n,)`` when a = 1.
 
     Each pass is bitwise the numpy spelling it replaces (the same
-    multiply → add chain per element; the max is exact), and the compiled
-    pass is bound here once, so a call costs one ctypes dispatch.
+    multiply → add chain per element; the max is exact).  The compiled
+    passes and the resident blocks are bound here once; ``xpay`` takes
+    r̃'s pointer per call.
     """
     n, a = u.shape
     blocks, scalars = (u, r, p, kp), (rho, denom, delta)
@@ -252,27 +253,13 @@ def bind_cg_updates(u, r, p, kp, rho, denom, delta):
         ptr(x) for x in (p, kp, rho, u, r, denom, delta)
     )
     cg_axpy, cg_xpay = pack.cg_axpy, pack.cg_xpay
-    shape = (n, a) if a > 1 else (n,)
-    bound: list = [None, None]  # the last r̃ seen and its pointer
 
     def axpy() -> int:
         return cg_axpy(n_, a_, p_, kp_, rho_, u_, r_, denom_, delta_)
 
     def xpay(rt: np.ndarray) -> None:
-        if rt is not bound[0]:
-            if not (
-                isinstance(rt, np.ndarray)
-                and rt.dtype == np.float64
-                and rt.flags.c_contiguous
-                and rt.shape in (shape, (n, a))
-            ):
-                # A foreign layout: copy, and bind nothing (the source
-                # may be rewritten in place before the next call).
-                rt = np.ascontiguousarray(rt, dtype=np.float64).reshape(n, a)
-                cg_xpay(n_, a_, ptr(rt), r_, rho_, p_)
-                return
-            bound[:] = [rt, ptr(rt)]
-        cg_xpay(n_, a_, bound[1], r_, rho_, p_)
+        rt = np.ascontiguousarray(rt, dtype=np.float64).reshape(n, a)
+        cg_xpay(n_, a_, ptr(rt), r_, rho_, p_)
 
     return axpy, xpay
 

@@ -481,9 +481,16 @@ class StencilSSOR:
     #: ``None`` (the default) shares the operator's pool: every sweep
     #: bound to one operator reuses the same ~n-sized gather/solve
     #: buffers, so a session's interval probe and its cell applicators
-    #: pay for them once.  Sweeps never nest, so sharing is safe; pass a
-    #: private pool only for concurrent applies against one operator.
+    #: pay for them once.  Sweeps never nest and these buffers live for
+    #: one apply, so sharing is safe; pass a private pool only for
+    #: concurrent applies against one operator.
     workspace: WorkspacePool | None = field(default=None, repr=False)
+    #: The numpy sweep's expanded block divisors, which must outlive an
+    #: apply: this sweep's own, so another sweep's apply on the shared
+    #: ``workspace`` cannot overwrite them.
+    _divisors: WorkspacePool = field(
+        default_factory=WorkspacePool, init=False, repr=False
+    )
 
     #: ``(n, k)`` blocks are per-column bitwise identical to vectors.
     block_capable = True
@@ -583,7 +590,9 @@ class StencilSSOR:
                 (
                     [t.diag for t in tables]
                     if r.ndim == 1
-                    else pool.broadcast_list("div", [t.diag for t in tables], tail)
+                    else self._divisors.broadcast_list(
+                        "div", [t.diag for t in tables], tail
+                    )
                 ),
             )
             self.__dict__["_apply_buffers"] = cache

@@ -97,14 +97,7 @@ def inner(x: np.ndarray, y: np.ndarray) -> float:
 
     The fixed-order sum of :func:`column_dots` over the flattened operands.
     """
-    x = np.ascontiguousarray(x, dtype=np.float64).reshape(-1)
-    y = np.ascontiguousarray(y, dtype=np.float64).reshape(-1)
-    if x.shape != y.shape:
-        raise ValueError("inner needs operands of one size")
-    pack = _pack()
-    if pack is None:
-        return float(dots_numpy(x, y, np.empty(1))[0])
-    return pack.fixed_dot(ctypes.c_long(x.size), pack.pointer(x), pack.pointer(y))
+    return float(column_dots(np.ravel(x), np.ravel(y))[0])
 
 
 def inf_norm(x: np.ndarray) -> float:

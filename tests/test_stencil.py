@@ -341,6 +341,28 @@ def test_sweeps_share_the_operator_workspace():
     assert c.workspace is private
 
 
+def test_numpy_sweeps_sharing_a_pool_keep_their_own_divisors(monkeypatch):
+    """Two fallback sweeps on one operator take turns at changing block
+    widths.  Each keeps the expanded divisors it cached for its current
+    width, whatever width the other sweep ran in between, so every
+    result is bitwise a fresh sweep's."""
+    from repro.kernels import _native
+
+    monkeypatch.setattr(_native, "_CACHE", [None])
+    problem = build_scenario("plate", nrows=8)
+    op = stencil_operator(problem)
+    assert op.sweep_plan is None  # the numpy sweep really in force
+    sweeps = [StencilSSOR(op, mstep_coefficients(m, False, None)) for m in (2, 3)]
+    rng = np.random.default_rng(43)
+    for i, k in enumerate((8, 2, 4, 2, 4, 8, 4, 2)):
+        sweep = sweeps[i % 2]
+        R = rng.normal(size=(op.n, k))
+        fresh = StencilSSOR(stencil_operator(problem), sweep.coefficients)
+        assert np.array_equal(
+            np.array(sweep.apply(R)), np.array(fresh.apply(R))
+        ), (sweep.m, k)
+
+
 # --------------------------------------------------------------------------
 # session parity: the stencil backend is the same solver
 # --------------------------------------------------------------------------

@@ -385,12 +385,11 @@ def bench_sharded_block_pcg(
     against serial compute.  ``steady=False`` (``--sharded-cold``) skips
     both and folds the one-time costs into the measurement.
 
-    The row also records the per-dispatch pickled payload of both
-    transports (``dispatch_bytes_shm`` vs ``dispatch_bytes_pickled``) —
-    the zero-copy plan's bytes-on-the-pipe win, independent of timing
-    noise.  Per-column iteration counts are bitwise identical by
-    contract; the benchmark itself asserts it and the gate flags any
-    drift.  The absolute ≥1.5× target is enforced only on hosts with at
+    The row also records the bytes one dispatch pickles onto the worker
+    pipe (``dispatch_bytes_shm``: every spec's segment handles, column
+    indices and recipe), independent of timing noise.  Per-column
+    iteration counts are bitwise identical by contract; the benchmark
+    itself asserts it and the gate flags any drift.  The absolute ≥1.5× target is enforced only on hosts with at
     least ``SHARDED_MIN_CORES`` cores (``requires_cores`` in the row) — a
     single-core box can only measure dispatch overhead, not parallelism.
     """
@@ -441,19 +440,17 @@ def bench_sharded_block_pcg(
     out["speedup"] = out["serial_s"] / out["sharded_s"]
     out["peak_mb"] = _peak_mb(run_sharded)  # parent-process allocations only
     out["mode"] = "steady" if steady else "cold"
-    # Bytes each dispatch actually pickles onto the worker pipe, per
-    # transport (the zero-copy plan ships handles; the fallback ships the
-    # flat CSR arrays and the RHS slice with every spec).
+    # Bytes each dispatch actually pickles onto the worker pipe: segment
+    # handles, column indices and the recipe, never the operator or the
+    # block values.
     k = blocked.permuted
     f_mc = np.ascontiguousarray(
         blocked.ordering.permute_vector(np.asarray(F, dtype=float))
     )
     groups = column_groups(SHARD_WIDTH, SHARD_WORKERS, SHARD_GROUP)
     recipe = session._shard_recipe(M_PCG, False)
-    light, _ = build_shard_specs(k, f_mc, recipe, groups, eps=eps, use_shm=True)
-    heavy, _ = build_shard_specs(k, f_mc, recipe, groups, eps=eps, use_shm=False)
-    out["dispatch_bytes_shm"] = sum(len(pickle.dumps(s)) for s in light)
-    out["dispatch_bytes_pickled"] = sum(len(pickle.dumps(s)) for s in heavy)
+    specs, _ = build_shard_specs(k, f_mc, recipe, groups, eps=eps)
+    out["dispatch_bytes_shm"] = sum(len(pickle.dumps(s)) for s in specs)
     out["iterations"] = iterations
     out["width"] = SHARD_WIDTH
     out["workers"] = SHARD_WORKERS

@@ -212,10 +212,10 @@ def _cmd_solve(args) -> int:
     mode = (
         f"sharded over {workers} worker processes"
         if workers > 1
-        else "one lockstep"
+        else "in one lockstep"
     )
     print(f"method  : m = {block.label} ({block.result.stop_rule}), "
-          f"block of {width} right-hand sides in {mode}")
+          f"block of {width} right-hand sides {mode}")
     print(f"iterations per column: {iters}")
     print(f"all converged: {block.result.all_converged}")
     print(f"max ‖f − K u‖∞ over columns: {resid:.3e}")

@@ -38,6 +38,7 @@ from repro.fem.model_problems import PlateProblem
 from repro.fem.plane_stress import assemble_plate_full
 from repro.kernels import ops as kernel_ops
 from repro.kernels.backend import REFERENCE, resolve_backend
+from repro.kernels.workspace import WorkspacePool
 from repro.machines.cells import SchedulePreconditioner, normalize_cell
 from repro.machines.diagonals import DiagonalStorage
 from repro.machines.timing import CYBER_203, VectorTimingModel
@@ -148,6 +149,7 @@ class CyberMachine:
         )
         self._merged_sweep: MStepSSOR | None = None
         self._charge_stream_cache: dict = {}
+        self.workspace = WorkspacePool()  # matvec_accumulate's K·x block
 
     # ------------------------------------------------------------- primitives
     def matvec_into(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -166,8 +168,9 @@ class CyberMachine:
         return out
 
     def matvec_accumulate(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """``out += K x`` (the block product :func:`block_pcg` batches)."""
-        out += self.matvec_into(x, np.empty_like(out))
+        """``out += K x`` (the block product :func:`block_pcg` batches),
+        through one pooled scratch block per machine."""
+        out += self.matvec_into(x, self.workspace.get("kx", out.shape))
         return out
 
     def _charge_matvec(self, vm: VectorMachine) -> None:

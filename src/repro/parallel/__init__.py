@@ -19,12 +19,13 @@ Workers receive picklable specs (:class:`ShardSpec`,
 :class:`ApplicatorRecipe`, :class:`ScheduleShard`) and rebuild compiled
 state through the same constructors the serial paths use — live
 applicators and machines are never pickled.  The value-carrying arrays
-(CSR operator, right-hand-side and output blocks) move through named
-shared-memory segments owned by the :class:`~repro.parallel.shm.
-SegmentRegistry`, with workers mapping zero-copy read-only views — see
-:mod:`repro.parallel.shm` — so the steady-state dispatch ships only
-column indices.  ``workers=1`` everywhere means "inline, no processes":
-the serial code path, exactly.
+(the operator, permuted CSR or matrix-free stencil alike, and the
+right-hand-side and output blocks) move through named shared-memory
+segments owned by the :class:`~repro.parallel.shm.SegmentRegistry`, with
+workers mapping read-only views — see :mod:`repro.parallel.shm` — so the
+steady-state dispatch ships only handles, column indices and the recipe.
+``workers=1`` everywhere means "inline, no processes": the serial code
+path, exactly.
 """
 
 from repro.parallel.block import (
@@ -41,23 +42,20 @@ from repro.parallel.executor import (
 from repro.parallel.schedule import MACHINE_KINDS, ScheduleShard, sharded_schedule
 from repro.parallel.shards import (
     ApplicatorRecipe,
-    CSRPayload,
     ShardResult,
     ShardSpec,
-    StencilDescription,
     operator_handle,
     run_shard,
     shard_token,
-    stencil_description,
     warm_shard,
 )
 from repro.parallel.shm import (
     ArrayView,
     CSRHandle,
     SegmentRegistry,
+    StencilHandle,
     registry,
     release_all_segments,
-    shm_enabled,
 )
 
 __all__ = [
@@ -72,19 +70,16 @@ __all__ = [
     "ScheduleShard",
     "sharded_schedule",
     "ApplicatorRecipe",
-    "CSRPayload",
     "ShardResult",
     "ShardSpec",
-    "StencilDescription",
     "operator_handle",
     "run_shard",
     "shard_token",
-    "stencil_description",
     "warm_shard",
     "ArrayView",
     "CSRHandle",
     "SegmentRegistry",
+    "StencilHandle",
     "registry",
     "release_all_segments",
-    "shm_enabled",
 ]

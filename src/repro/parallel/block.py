@@ -11,9 +11,11 @@ scaled with processors; the numerics do **not** change:
   bitwise identical to a solo :func:`~repro.core.pcg.pcg` by the block
   path's standing contract), rebuilt from a picklable
   :class:`~repro.parallel.shards.ShardSpec` — never a pickled live
-  applicator;
-* reassembly is pure placement — iterates, iteration counts, histories
-  and per-column operation counters land exactly where a single-process
+  applicator — over the operator and blocks the parent published to
+  shared memory (:mod:`repro.parallel.shm`);
+* reassembly is pure placement — the workers write their iterate columns
+  into the shared output block, and iteration counts, histories and
+  per-column operation counters land exactly where a single-process
   ``block_pcg`` over the full block would have put them, bitwise.
 
 ``workers=1`` (or one group, or ``k ≤ 1``) never spawns a process and is
@@ -73,69 +75,40 @@ def build_shard_specs(
     eps: float = 1e-6,
     maxiter: int | None = None,
     track_residual: bool = False,
-    use_shm: bool | None = None,
-) -> tuple[list[ShardSpec], object]:
+) -> tuple[list[ShardSpec], shm.ArrayView]:
     """The dispatchable :class:`ShardSpec` list for one sharded block solve.
 
-    On the zero-copy path (``use_shm`` true, the default when
-    :func:`repro.parallel.shm.shm_enabled`) the operator's CSR arrays and
-    the ``(n, k)`` blocks are published to the segment registry — cached
-    per operator token, so a steady-state dispatch re-publishes only the
-    right-hand-side values (one memcpy) — and the specs carry segment
-    handles plus column indices.  Returns ``(specs, out_view)`` where
-    ``out_view`` is the shared output block's
-    :class:`~repro.parallel.shm.ArrayView` (``None`` on the pickled
-    fallback, where each spec carries its own ``(n, g)`` slice and the
-    iterates ride back through the result pickle).
-
-    The operator itself travels by :func:`~repro.parallel.shards.
-    operator_handle` — a matrix-free
-    :class:`~repro.kernels.stencil.StencilOperator` as its tiny
-    :class:`~repro.parallel.shards.StencilDescription` on either
-    transport, while its right-hand-side and output blocks still ride
-    shared memory when enabled.
+    The operator — permuted CSR or matrix-free stencil — is published to
+    the segment registry once per operator token
+    (:func:`~repro.parallel.shards.operator_handle`), and the ``(n, k)``
+    blocks into that token's reusable slots, so a steady-state dispatch
+    re-publishes only the right-hand-side values (one memcpy).  A single
+    ``(n,)`` guess ``u0`` is published broadcast to the block's width.
+    The specs carry segment handles plus column indices.  Returns
+    ``(specs, out_view)`` where ``out_view`` is the shared output block's
+    :class:`~repro.parallel.shm.ArrayView`.
     """
     F = np.asarray(F, dtype=float)
     n, ncols = F.shape
+    reg = shm.registry()
+    mtoken = matrix_token(k)
+    u0_view = None
     if u0 is not None:
         u0 = np.asarray(u0, dtype=float)
-    use_shm = shm.shm_enabled() if use_shm is None else use_shm
-    common = dict(
-        token=shard_token(k, recipe), matrix=operator_handle(k, use_shm),
-        recipe=recipe, eps=eps, maxiter=maxiter,
-        track_residual=track_residual, stopping=stopping,
-    )
-
-    if use_shm:
-        reg = shm.registry()
-        mtoken = matrix_token(k)
-        f_view = reg.publish_block(mtoken, "rhs", F)
-        u0_common = None
-        if u0 is not None and u0.ndim == 2:
-            u0_common = reg.publish_block(mtoken, "u0", u0)
-        elif u0 is not None:
-            u0_common = u0  # a single (n,) guess is cheap enough to pickle
-        out_view = reg.alloc_block(mtoken, "out", (n, ncols))
-        specs = [
-            ShardSpec(
-                columns=cols, F=f_view, u0=u0_common, out=out_view, **common,
-            )
-            for cols in groups
-        ]
-        return specs, out_view
-
-    specs = []
-    for cols in groups:
-        u0_slice = None
-        if u0 is not None:
-            u0_slice = u0 if u0.ndim == 1 else np.ascontiguousarray(u0[:, cols])
-        specs.append(
-            ShardSpec(
-                columns=cols, F=np.ascontiguousarray(F[:, cols]), u0=u0_slice,
-                **common,
-            )
+        u0 = u0 if u0.ndim == 2 else np.broadcast_to(u0[:, None], (n, ncols))
+        u0_view = reg.publish_block(mtoken, "u0", u0)
+    f_view = reg.publish_block(mtoken, "rhs", F)
+    out_view = reg.alloc_block(mtoken, "out", (n, ncols))
+    token, handle = shard_token(k, recipe), operator_handle(k)
+    specs = [
+        ShardSpec(
+            token=token, matrix=handle, recipe=recipe, columns=cols,
+            F=f_view, out=out_view, u0=u0_view, eps=eps, maxiter=maxiter,
+            track_residual=track_residual, stopping=stopping,
         )
-    return specs, None
+        for cols in groups
+    ]
+    return specs, out_view
 
 
 def sharded_block_pcg(
@@ -151,7 +124,6 @@ def sharded_block_pcg(
     eps: float = 1e-6,
     maxiter: int | None = None,
     track_residual: bool = False,
-    use_shm: bool | None = None,
 ) -> BlockPCGResult:
     """Solve ``K U = F`` with the RHS block sharded across worker processes.
 
@@ -172,18 +144,13 @@ def sharded_block_pcg(
         a recipe or a live ``preconditioner`` works there.  Passing *both*
         is an error — ambiguity about which object defines the numerics is
         exactly what this layer must not have.
-    use_shm:
-        Force the transport: ``True`` the zero-copy shared-memory plan
-        (operator and blocks mapped once, workers view them in place,
-        iterates returned through a shared output block), ``False`` the
-        pickled :class:`~repro.parallel.shards.CSRPayload` fallback.
-        Default: shared memory unless ``REPRO_NO_SHM`` is set.  The two
-        transports are bitwise identical — the views *are* the bytes.
 
-    Every column of the result — iterate, iteration count, histories,
-    operation counter — is bitwise identical to the single-process
-    ``block_pcg`` over the full block (and hence to ``k`` solo ``pcg``
-    runs), for any ``workers``/``group`` partition and either transport;
+    The operator and the blocks reach the workers through shared memory
+    (:func:`build_shard_specs`); the workers compute on the very bytes
+    the parent published.  Every column of the result — iterate,
+    iteration count, histories, operation counter — is bitwise identical
+    to the single-process ``block_pcg`` over the full block (and hence to
+    ``k`` solo ``pcg`` runs), for any ``workers``/``group`` partition;
     the tests pin all of W ∈ {1, 2, 4}.
     """
     F = np.asarray(F, dtype=float)
@@ -192,7 +159,7 @@ def sharded_block_pcg(
         preconditioner is None or recipe is None,
         "pass either a live preconditioner or a recipe, not both",
     )
-    n, ncols = F.shape
+    ncols = F.shape[1]
     groups = column_groups(ncols, workers, group)
     workers = effective_workers(workers, max(len(groups), 1))
 
@@ -209,20 +176,17 @@ def sharded_block_pcg(
         "sharded execution rebuilds the applicator per worker: pass a "
         "recipe (ApplicatorRecipe), not a live preconditioner",
     )
-    recipe = recipe if recipe is not None else ApplicatorRecipe(kind="none")
+    recipe = recipe if recipe is not None else ApplicatorRecipe()
     specs, out_view = build_shard_specs(
         k, F, recipe, groups, u0=u0, stopping=stopping, eps=eps,
-        maxiter=maxiter, track_residual=track_residual, use_shm=use_shm,
+        maxiter=maxiter, track_residual=track_residual,
     )
     shards = run_tasks(run_shard, specs, workers)
 
     # Pure placement: every shard's columns land at their global indices.
-    # On the zero-copy path the workers already placed their iterate
-    # columns into the shared output block — one contiguous copy out.
-    if out_view is not None:
-        u = np.ascontiguousarray(shm.registry().resolve(out_view))
-    else:
-        u = np.empty((n, ncols))
+    # The workers already placed their iterate columns into the shared
+    # output block — one contiguous copy out.
+    u = np.ascontiguousarray(shm.registry().resolve(out_view))
     iterations = np.zeros(ncols, dtype=int)
     converged = np.zeros(ncols, dtype=bool)
     delta_histories: list[list[float]] = [[] for _ in range(ncols)]
@@ -231,8 +195,6 @@ def sharded_block_pcg(
     stop_rule = shards[0].stop_rule if shards else ""
     for shard in shards:
         for local, j in enumerate(shard.columns):
-            if shard.u is not None:
-                u[:, j] = shard.u[:, local]
             iterations[j] = shard.iterations[local]
             converged[j] = shard.converged[local]
             delta_histories[j] = shard.delta_histories[local]

@@ -11,9 +11,8 @@ any test harness).
 
 The functions dispatched here must be module-level (picklable by
 reference); their arguments are the picklable spec dataclasses of
-:mod:`repro.parallel.shards` and :mod:`repro.parallel.schedule` — on the
-zero-copy path these are lightweight shared-memory handles, see
-:mod:`repro.parallel.shm`.
+:mod:`repro.parallel.shards` (lightweight shared-memory handles, see
+:mod:`repro.parallel.shm`) and :mod:`repro.parallel.schedule`.
 
 ``REPRO_START_METHOD`` (``fork``/``spawn``/``forkserver``) overrides the
 platform's default start method — the shared-memory transport attaches
@@ -56,8 +55,9 @@ def _pool(workers: int) -> ProcessPoolExecutor:
         # first sees a shared-memory segment *after* forking from a parent
         # with no tracker yet would start its own, whose registrations the
         # parent's unlink can never balance (spurious leaked-segment
-        # warnings at shutdown).  The stencil sharding path publishes no
-        # segments before pool warm-up, so start the tracker explicitly.
+        # warnings at shutdown).  sharded_schedule publishes no segments
+        # at all, so it can start a pool before any segment exists: start
+        # the tracker explicitly.
         try:
             from multiprocessing.resource_tracker import ensure_running
 

@@ -2,8 +2,8 @@
 
 The batched ``solve_schedule`` passes of the machine simulators
 (:meth:`~repro.machines.cyber.CyberMachine.solve_schedule`,
-:meth:`~repro.machines.fem_machine.FiniteElementMachine.solve_schedule`,
-:meth:`~repro.machines.spmd.SPMDSolver.solve_schedule`) carry a standing
+:meth:`~repro.machines.fem_machine.FiniteElementMachine.solve_schedule`)
+carry a standing
 contract: every cell's result — iterations, charged clocks, op breakdowns,
 communication/message ledgers, iterates — is bitwise identical to a
 per-cell ``solve``, because the cells never interact numerically (the
@@ -30,7 +30,7 @@ from repro.util import require
 
 __all__ = ["MACHINE_KINDS", "ScheduleShard", "sharded_schedule"]
 
-MACHINE_KINDS = ("cyber", "fem", "spmd")
+MACHINE_KINDS = ("cyber", "fem")
 
 
 @dataclass(frozen=True)
@@ -39,12 +39,12 @@ class ScheduleShard:
 
     token: str  # worker machine-cache key
     problem: object  # a picklable model problem (ProblemSpec products are)
-    kind: str  # "cyber" | "fem" | "spmd"
+    kind: str  # "cyber" | "fem"
     cells: tuple  # ((m, coefficients), ...) for this shard
     indices: tuple[int, ...]  # positions of those cells in the full schedule
     eps: float = 1e-6
     maxiter: int | None = None
-    n_procs: int = 1  # fem/spmd layout
+    n_procs: int = 1  # fem layout
     timing: object | None = None  # machine timing model (None → kind default)
     reduction: str = "software"  # fem reduction network
     backend: str | None = None  # cyber/fem kernel backend
@@ -65,19 +65,11 @@ def _build_machine(shard: ScheduleShard):
             shard.problem,
             shard.timing if shard.timing is not None else CYBER_203,
         )
-    if shard.kind == "fem":
-        from repro.machines.fem_machine import FiniteElementMachine
+    from repro.machines.fem_machine import FiniteElementMachine
 
-        kwargs = {} if shard.timing is None else {"timing": shard.timing}
-        return FiniteElementMachine(
-            shard.problem, shard.n_procs, reduction=shard.reduction, **kwargs
-        )
-    from repro.machines.spmd import SPMDSolver
-    from repro.machines.topology import Assignment, ProcessorGrid
-
-    grid = ProcessorGrid.for_count(shard.n_procs, shard.problem.mesh)
-    return SPMDSolver(
-        shard.problem, Assignment.rectangles(shard.problem.mesh, grid)
+    kwargs = {} if shard.timing is None else {"timing": shard.timing}
+    return FiniteElementMachine(
+        shard.problem, shard.n_procs, reduction=shard.reduction, **kwargs
     )
 
 
@@ -91,9 +83,9 @@ def run_schedule_shard(shard: ScheduleShard):
         _MACHINES[shard.token] = machine
     else:
         _MACHINES[shard.token] = _MACHINES.pop(shard.token)  # refresh LRU
-    options = {} if shard.kind == "spmd" else {"backend": shard.backend}
     results = machine.solve_schedule(
-        list(shard.cells), eps=shard.eps, maxiter=shard.maxiter, **options
+        list(shard.cells), eps=shard.eps, maxiter=shard.maxiter,
+        backend=shard.backend,
     )
     return list(zip(shard.indices, results))
 
@@ -141,9 +133,8 @@ def sharded_schedule(
 
     ``cells`` is the usual ``(m, coefficients)`` sequence; results come
     back in schedule order as the machine's own result records
-    (:class:`~repro.machines.cyber.CyberResult`,
-    :class:`~repro.machines.fem_machine.FEMResult` or
-    :class:`~repro.machines.spmd.SPMDResult`), bitwise identical per cell
+    (:class:`~repro.machines.cyber.CyberResult` or
+    :class:`~repro.machines.fem_machine.FEMResult`), bitwise identical per cell
     to a single-process ``solve_schedule`` over the full list — the
     clocks/op-ledger reconciliation contract those passes already pin.
 
@@ -153,8 +144,8 @@ def sharded_schedule(
     groups of ``group`` cells inside each pass, fanned across ``workers``
     processes (more passes than workers is legal and load-balances).
     Because the per-cell records are partition-invariant, every grid
-    reproduces the single-pass records bitwise; the tests pin CYBER, FEM
-    and SPMD grids.
+    reproduces the single-pass records bitwise; the tests pin CYBER and
+    FEM grids.
 
     ``workers=1`` with no ``group`` builds one machine inline and runs
     the ordinary pass.  The problem object must be picklable (every

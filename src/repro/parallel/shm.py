@@ -1,30 +1,36 @@
-"""Zero-copy shared-memory transport for the sharded execution layer.
+"""Shared-memory transport: how every sharded solve ships its arrays.
 
-Before this module every dispatch of the sharded block-PCG path pickled a
-full flat-CSR payload (plus the right-hand-side slice) into each worker
-and pickled the ``(n, g)`` iterate block back — exactly the per-task
-overhead the paper's cost model ``T_m = (A + m·B)·N_m`` says must be
-driven toward zero for the m-step amortization argument to hold.  Here
-the value-carrying arrays move through named
-:mod:`multiprocessing.shared_memory` segments instead:
+Every value-carrying array a shard needs — its operator, the
+right-hand-side block and the output block — moves through named
+:mod:`multiprocessing.shared_memory` segments, so the per-task cost the
+paper's model ``T_m = (A + m·B)·N_m`` charges for every word moved stays
+at about a kilobyte per task, whatever the operator's size:
 
 * the **parent** owns every segment through one :class:`SegmentRegistry`
   (create → write once → unlink at release), grouping segments by the
   operator's token so a compiled session's publications live exactly as
-  long as its compiled state;
-* **workers** rebuild *zero-copy read-only views* —
-  ``np.ndarray(..., buffer=shm.buf)`` over the mapped bytes, a
-  ``csr_matrix`` wrapping those views without copying — so the arrays a
-  shard computes with are byte-identical to the parent's (the
-  serial/sharded bitwise contract is checkable, not aspirational);
+  long as its compiled state.  :meth:`SegmentRegistry.publish_operator`
+  packs either operator representation into one aligned segment: the
+  permuted CSR's ``data``/``indices``/``indptr`` (a :class:`CSRHandle`),
+  or a matrix-free stencil's ``values``/``groups``/``offsets`` (a
+  :class:`StencilHandle`);
+* **workers** map *zero-copy read-only views* —
+  ``np.ndarray(..., buffer=shm.buf)`` over the mapped bytes — and
+  :func:`attach_operator` builds the operator from them: a
+  ``csr_matrix`` wrapping the views without copying, or a
+  :class:`~repro.kernels.stencil.StencilOperator` over a private copy of
+  the diagonals (its constructor zeroes out-of-range rows in place, so it
+  must not write to the segment).  Either way the operator a shard
+  computes with holds the very bytes the parent published, which makes
+  the serial/sharded bitwise contract hold by construction;
 * results return through a shared **output block**: each shard writes its
   columns into the ``(n, k)`` out-segment at their global offsets, so the
   iterates are never pickled back either.
 
-What still crosses the pipe per task is a :class:`~repro.parallel.shards.
-ShardSpec` holding segment *names + dtypes/shapes/offsets* and the column
-indices — a few hundred bytes against the megabyte-scale payloads it
-replaces (``benchmarks/perf_report.py`` records both numbers).
+What crosses the pipe per task is a :class:`~repro.parallel.shards.
+ShardSpec` holding segment *names + dtypes/shapes/offsets*, the column
+indices and the applicator recipe — about 1.1 KB
+(``benchmarks/perf_report.py`` records the number).
 
 Lifetime rules (the part shared memory makes easy to get wrong):
 
@@ -62,13 +68,13 @@ from repro.util import require
 __all__ = [
     "ArrayView",
     "CSRHandle",
+    "StencilHandle",
     "SegmentRegistry",
     "registry",
     "attach_view",
-    "attach_csr",
+    "attach_operator",
     "detach_all",
     "release_all_segments",
-    "shm_enabled",
 ]
 
 #: Byte alignment of packed arrays inside one segment (cache-line sized).
@@ -77,16 +83,6 @@ _ALIGN = 64
 
 def _aligned(nbytes: int) -> int:
     return (int(nbytes) + _ALIGN - 1) // _ALIGN * _ALIGN
-
-
-def shm_enabled() -> bool:
-    """Whether the zero-copy transport is available and not disabled.
-
-    ``REPRO_NO_SHM=1`` falls the sharded paths back to pickled
-    :class:`~repro.parallel.shards.CSRPayload` dispatch (same numerics,
-    only slower) — useful for debugging and for pinning the fallback.
-    """
-    return not os.environ.get("REPRO_NO_SHM")
 
 
 @dataclass(frozen=True)
@@ -99,10 +95,6 @@ class ArrayView:
     offset: int = 0
     order: str = "C"
 
-    @property
-    def nbytes(self) -> int:
-        return int(np.dtype(self.dtype).itemsize * int(np.prod(self.shape, dtype=np.int64)))
-
 
 @dataclass(frozen=True)
 class CSRHandle:
@@ -113,13 +105,17 @@ class CSRHandle:
     indices: ArrayView
     indptr: ArrayView
 
-    @property
-    def segment(self) -> str:
-        return self.data.segment
 
-    @property
-    def nbytes(self) -> int:
-        return self.data.nbytes + self.indices.nbytes + self.indptr.nbytes
+@dataclass(frozen=True)
+class StencilHandle:
+    """A :class:`~repro.kernels.stencil.StencilOperator`'s ``(d, n)``
+    diagonals, ``(n,)`` color map and ``(d,)`` offsets in one segment."""
+
+    n: int
+    labels: tuple[str, ...]
+    values: ArrayView
+    groups: ArrayView
+    offsets: ArrayView
 
 
 # --------------------------------------------------------------------- parent
@@ -138,7 +134,7 @@ class SegmentRegistry:
     def __init__(self, max_operators: int = 8):
         self._pid = os.getpid()
         self._segments: dict[str, shared_memory.SharedMemory] = {}
-        self._operators: dict[str, CSRHandle] = {}
+        self._operators: dict[str, CSRHandle | StencilHandle] = {}
         self._blocks: dict[tuple[str, str], ArrayView] = {}
         self._token_segments: dict[str, list[str]] = {}
         self._max_operators = max_operators
@@ -178,25 +174,43 @@ class SegmentRegistry:
             offset=view.offset, order=view.order,
         )
 
-    def publish_operator(self, token: str, k) -> CSRHandle:
-        """Map a CSR operator's ``data``/``indices``/``indptr`` once per token.
+    def publish_operator(self, token: str, k) -> CSRHandle | StencilHandle:
+        """Map an operator's arrays into one segment, once per token.
 
-        Returns the cached handle on every later call for the same token —
-        the steady state of a compiled session ships no matrix bytes at
-        all.  The cache keeps the most recent ``max_operators`` tokens;
-        the oldest publication is released (closed *and* unlinked) when a
-        new one would exceed the bound.
+        An assembled operator (anything with ``tocsr``) publishes its CSR
+        ``data``/``indices``/``indptr``; a matrix-free
+        :class:`~repro.kernels.stencil.StencilOperator` its ``values``,
+        ``groups`` and ``offsets``.  Returns the cached handle on every
+        later call for the same token — the steady state of a compiled
+        session ships no operator bytes at all.  The cache keeps the most
+        recent ``max_operators`` tokens; the oldest publication is
+        released (closed *and* unlinked) when a new one would exceed the
+        bound.
         """
         handle = self._operators.get(token)
         if handle is not None:
             self._operators[token] = self._operators.pop(token)  # keep hot
             return handle
-        k = k.tocsr()
-        arrays = {
-            "data": np.ascontiguousarray(k.data),
-            "indices": np.ascontiguousarray(k.indices),
-            "indptr": np.ascontiguousarray(k.indptr),
-        }
+        if hasattr(k, "tocsr"):
+            k = k.tocsr()
+            views = self._publish_arrays(
+                token, data=k.data, indices=k.indices, indptr=k.indptr
+            )
+            handle = CSRHandle(shape=(int(k.shape[0]), int(k.shape[1])), **views)
+        else:
+            views = self._publish_arrays(
+                token, values=k.values, groups=k.groups,
+                offsets=np.asarray(k.offsets, dtype=np.int64),
+            )
+            handle = StencilHandle(n=k.n, labels=tuple(k.group_labels), **views)
+        self._operators[token] = handle
+        while len(self._operators) > self._max_operators:
+            self.release(next(iter(self._operators)))
+        return handle
+
+    def _publish_arrays(self, token: str, **arrays) -> dict[str, ArrayView]:
+        """Copy ``arrays`` into one new segment, each at an aligned offset."""
+        arrays = {label: np.ascontiguousarray(a) for label, a in arrays.items()}
         total = sum(_aligned(a.nbytes) for a in arrays.values())
         seg = self._create(total, token)
         views: dict[str, ArrayView] = {}
@@ -209,13 +223,7 @@ class SegmentRegistry:
                 seg.name, str(arr.dtype), tuple(arr.shape), offset
             )
             offset = _aligned(offset + arr.nbytes)
-        handle = CSRHandle(
-            shape=(int(k.shape[0]), int(k.shape[1])), **views
-        )
-        self._operators[token] = handle
-        while len(self._operators) > self._max_operators:
-            self.release(next(iter(self._operators)))
-        return handle
+        return views
 
     def _block_segment(
         self, token: str, label: str, nbytes: int
@@ -355,14 +363,29 @@ def attach_view(view: ArrayView, writable: bool = False) -> np.ndarray:
     return arr
 
 
-def attach_csr(handle: CSRHandle) -> sp.csr_matrix:
-    """A ``csr_matrix`` wrapping zero-copy read-only views — never copying.
+def attach_operator(handle: CSRHandle | StencilHandle):
+    """The published operator, rebuilt over the mapped segment bytes.
 
-    The three arrays alias the mapped segment bytes directly, so the
-    operator a shard computes with is byte-identical to the parent's —
-    which is what makes the serial/sharded bitwise contract checkable.
+    A :class:`CSRHandle` becomes a ``csr_matrix`` wrapping zero-copy
+    read-only views.  A :class:`StencilHandle` becomes a
+    :class:`~repro.kernels.stencil.StencilOperator` built with
+    ``copy=True``: the constructor zeroes out-of-range rows in place, so
+    it works on a private copy of the diagonals (the one ``(d, n)`` array
+    any stencil worker holds) and never writes to the shared segment.
+    Either way the values are the parent's bytes, so the serial/sharded
+    bitwise contract holds by construction.
     """
-    mat = sp.csr_matrix(
+    if isinstance(handle, StencilHandle):
+        from repro.kernels.stencil import StencilOperator
+
+        return StencilOperator(
+            offsets=attach_view(handle.offsets),
+            values=attach_view(handle.values),
+            groups=attach_view(handle.groups),
+            group_labels=handle.labels,
+            copy=True,
+        )
+    return sp.csr_matrix(
         (
             attach_view(handle.data),
             attach_view(handle.indices),
@@ -371,7 +394,6 @@ def attach_csr(handle: CSRHandle) -> sp.csr_matrix:
         shape=handle.shape,
         copy=False,
     )
-    return mat
 
 
 def detach_all() -> None:

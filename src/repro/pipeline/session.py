@@ -355,18 +355,16 @@ class SolverSession:
         applicator the serial path runs — the merged multicolor sweep, or
         the matrix-free :class:`~repro.kernels.stencil.StencilSSOR` — from
         this description plus the shard's operator handle, through the
-        same constructors.
+        same constructors.  The assembled sweep needs the permuted
+        system's color-group sizes; the stencil carries its own groups.
         """
-        if m == 0:
-            return ApplicatorRecipe(kind="none")
         coefficients = self.coefficients(m, parametrized)
-        if self.plan.backend == STENCIL:
-            return ApplicatorRecipe(kind="stencil", coefficients=coefficients)
+        if coefficients is None or self.plan.backend == STENCIL:
+            return ApplicatorRecipe(coefficients)
         ordering = self.blocked.ordering
         return ApplicatorRecipe(
-            kind="sweep",
-            coefficients=coefficients,
-            groups=np.sort(ordering.groups),
+            coefficients,
+            group_sizes=tuple(ordering.counts.tolist()),
             labels=tuple(ordering.labels),
         )
 
@@ -391,21 +389,20 @@ class SolverSession:
     def prewarm_sharding(self, sharding) -> int:
         """Pay the sharded path's one-time costs now, not on the first solve.
 
-        Compiles the session, ships the plan's operator to the workers
-        (:func:`~repro.parallel.operator_handle`: the permuted CSR arrays
-        published once to the shared-memory registry and reused by every
-        later dispatch against this session, or on the stencil backend
-        the tiny :class:`~repro.parallel.StencilDescription` workers
-        rebuild the matrix-free operator from), starts the worker pool,
-        and dispatches :func:`~repro.parallel.warm_shard` specs so each
+        Compiles the session, publishes the plan's operator to the
+        shared-memory registry (:func:`~repro.parallel.operator_handle`:
+        the permuted CSR arrays, or on the stencil backend the
+        matrix-free diagonals, reused by every later dispatch against
+        this session and released with it), starts the worker pool, and
+        dispatches :func:`~repro.parallel.warm_shard` specs so each
         worker attaches the operator and factorizes every plan cell's
         applicator *before* the first timed solve.  Returns the number of
         warm dispatches issued; serial sharding (``None`` or one worker)
         is a no-op.
 
         Warm-started this way, a steady-state
-        :meth:`solve_cell_block` dispatch ships only column indices and a
-        recipe fingerprint — the zero-copy plan's whole point.
+        :meth:`solve_cell_block` dispatch ships only segment handles,
+        column indices and the recipe — about 1.1 KB per spec.
         """
         workers, _ = _normalize_sharding(sharding)
         if workers <= 1:
@@ -416,15 +413,11 @@ class SolverSession:
         for m, parametrized in self.plan.schedule:
             recipe = self._shard_recipe(m, parametrized)
             recipes.setdefault(shard_token(operator, recipe), recipe)
-        use_shm = shm.shm_enabled()
-        handle = operator_handle(operator, use_shm)
-        if use_shm:
-            self._shm_tokens.add(matrix_token(operator))
-        empty = np.empty((0, 0))
+        handle = operator_handle(operator)
+        self._shm_tokens.add(matrix_token(operator))
         specs = [
             ShardSpec(
-                token=token, matrix=handle, recipe=recipe,
-                columns=np.arange(0), F=empty,
+                token=token, matrix=handle, recipe=recipe, columns=np.arange(0)
             )
             for token, recipe in recipes.items()
             for _ in range(workers)  # one warm task per pool slot
@@ -576,10 +569,9 @@ class SolverSession:
                 workers=workers, group=group, **options,
             )
             self.stats.shard_dispatches += len(groups)
-            if shm.shm_enabled():
-                # The dispatch published segments under the operator's
-                # token; tie their lifetime to this session.
-                self._shm_tokens.add(matrix_token(operator))
+            # The dispatch published segments under the operator's token;
+            # tie their lifetime to this session.
+            self._shm_tokens.add(matrix_token(operator))
         else:
             result = block_pcg(
                 operator, F,

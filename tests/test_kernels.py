@@ -457,7 +457,11 @@ class TestWorkspacePool:
 
     def test_warm_cyber_schedule_pass_reallocates_nothing(self, monkeypatch):
         # The CYBER schedule's per-m groups alternate block widths every
-        # iteration; a second pass must find every pooled buffer in place.
+        # iteration; a second pass must find every pooled buffer in place,
+        # and no block K·p may allocate an (n, a) temporary of its own.
+        import tracemalloc
+
+        from repro.machines.cyber import CyberMachine
         from repro.pipeline import SolverPlan, SolverSession
 
         session = SolverSession.from_scenario(
@@ -471,9 +475,30 @@ class TestWorkspacePool:
             allocations.append(size)
             return allocate(self, size, dtype)
 
+        products = []  # (peak bytes allocated during the call, block bytes)
+        accumulate = CyberMachine.matvec_accumulate
+
+        def measured(self, x, out):
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            accumulate(self, x, out)
+            products.append((tracemalloc.get_traced_memory()[1] - base, out.nbytes))
+            return out
+
         monkeypatch.setattr(WorkspacePool, "_allocate", counted)
-        session.run_cyber_schedule()
+        monkeypatch.setattr(CyberMachine, "matvec_accumulate", measured)
+        tracemalloc.start()
+        try:
+            session.run_cyber_schedule()
+        finally:
+            tracemalloc.stop()
         assert allocations == []
+        assert products  # the schedule's block K·p ran through the machine
+        # The by-diagonals product's own per-diagonal temporaries stay
+        # below one block; an (n, a) scratch block per call would not.
+        assert all(peak < block for peak, block in products), max(
+            peak / block for peak, block in products
+        )
 
 
 class TestMStepSSORAllocationFree:

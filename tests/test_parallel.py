@@ -11,9 +11,8 @@ Covers the PR's acceptance contracts:
   (g = 1 ≡ per-column ``pcg``), Fortran-ordered right-hand-side blocks,
   and more workers than columns.
 * **Sharded machine schedules** — :func:`repro.parallel.sharded_schedule`
-  reproduces the CYBER/FEM/SPMD ``solve_schedule`` records (clocks, op
-  breakdowns, communication and message ledgers, iterates) for any cell
-  partition.
+  reproduces the CYBER/FEM ``solve_schedule`` records (clocks, op
+  breakdowns, communication ledgers, iterates) for any cell partition.
 * **Worker-dispatch picklability** — :class:`SolverPlan`,
   :class:`ProblemSpec`, :class:`WorkloadSpec` and the scenario problems
   round-trip through pickle (the regression the sharded paths depend on).
@@ -62,9 +61,8 @@ def plate_state(plate):
     coeffs = np.ones(M)
     applicator = MStepSSOR(blocked, coeffs)
     recipe = ApplicatorRecipe(
-        kind="sweep",
-        coefficients=coeffs,
-        groups=np.sort(blocked.ordering.groups),
+        coeffs,
+        group_sizes=tuple(blocked.ordering.counts.tolist()),
         labels=tuple(blocked.ordering.labels),
     )
     F = np.ascontiguousarray(
@@ -179,6 +177,18 @@ class TestShardedBlockPCG:
         blocked, applicator, recipe, F = plate_state
         rng = np.random.default_rng(7)
         u0 = rng.normal(size=F.shape)
+        serial = block_pcg(
+            blocked.permuted, F, preconditioner=applicator, u0=u0, eps=EPS
+        )
+        sharded = sharded_block_pcg(
+            blocked.permuted, F, recipe=recipe, workers=2, u0=u0, eps=EPS
+        )
+        assert_block_results_bitwise(sharded, serial)
+
+    def test_shared_start_vector(self, plate_state):
+        # One (n,) guess for every column rides the shared u0 block.
+        blocked, applicator, recipe, F = plate_state
+        u0 = np.random.default_rng(11).normal(size=F.shape[0])
         serial = block_pcg(
             blocked.permuted, F, preconditioner=applicator, u0=u0, eps=EPS
         )
@@ -306,25 +316,6 @@ class TestShardedSchedule:
             assert a.comm_seconds == b.comm_seconds
             assert a.total_records == b.total_records
             assert a.total_words == b.total_words
-            assert np.array_equal(a.u_natural, b.u_natural)
-
-    def test_spmd_cells_bitwise_with_message_ledger(self, schedule_session):
-        from repro.machines import Assignment, ProcessorGrid, SPMDSolver
-
-        session, cells = schedule_session
-        problem = session.problem
-        grid = ProcessorGrid.for_count(2, problem.mesh)
-        solver = SPMDSolver(problem, Assignment.rectangles(problem.mesh, grid))
-        direct = solver.solve_schedule(cells, eps=1e-6)
-        sharded = sharded_schedule(
-            problem, cells, machine="spmd", workers=2, eps=1e-6, n_procs=2
-        )
-        for a, b in zip(sharded, direct):
-            assert a.iterations == b.iterations
-            assert a.converged == b.converged
-            assert a.ledger.words_by_kind == b.ledger.words_by_kind
-            assert a.ledger.words_by_pair == b.ledger.words_by_pair
-            assert a.ledger.messages == b.ledger.messages
             assert np.array_equal(a.u_natural, b.u_natural)
 
     def test_session_run_cyber_schedule_workers(self, schedule_session):

@@ -1,23 +1,24 @@
-"""The zero-copy shared-memory transport (ISSUE 6).
+"""The shared-memory transport of the sharded block-PCG path.
 
-Covers the PR's acceptance contracts:
+Covers its contracts, for the permuted CSR and the matrix-free stencil
+operator alike:
 
 * **Segment lifecycle** — publications are unlinked by
   :func:`repro.parallel.shutdown_pools`, by session close/garbage
   collection, and reused (not recreated) across steady-state dispatches;
   nothing leaks under ``python -W error`` including the stdlib resource
   tracker's shutdown report.
-* **Zero-copy views** — worker-side attachments alias the published
-  bytes (read-only), so the serial/sharded bitwise contract holds by
-  construction; the per-dispatch pickled spec is orders of magnitude
-  smaller than the old flat-CSR payload.
+* **Read-only views** — worker-side attachments map the published bytes
+  read-only, so the serial/sharded bitwise contract holds by
+  construction; every steady-state dispatch spec pickles under 4 KB,
+  whatever the operator's size.
 * **Compile-cache LRU** — a hot worker token survives a burst of 100
   one-off tokens (the regression of the old clear-everything-at-65
   behavior).
 * **Start methods** — the transport attaches by name, so ``spawn``
   reproduces the ``fork`` results bitwise (``REPRO_START_METHOD``).
-* **2-D shard grid** — ``(workers, group)`` partitions of the CYBER,
-  FEM and SPMD schedule cells reproduce the single-pass records bitwise.
+* **2-D shard grid** — ``(workers, group)`` partitions of the CYBER and
+  FEM schedule cells reproduce the single-pass records bitwise.
 * **Failure surfacing** — a crashed shard re-raises with the failing
   spec's token and columns, not an anonymous pool traceback.
 """
@@ -32,12 +33,17 @@ import pytest
 
 from repro.core.pcg import block_pcg
 from repro.driver import build_blocked_system
+from repro.fem.matrixfree import stencil_operator
+from repro.kernels.stencil import StencilSSOR
 from repro.multicolor.sor import MStepSSOR
 from repro.parallel import (
     ApplicatorRecipe,
     CSRHandle,
     SegmentRegistry,
     ShardSpec,
+    StencilHandle,
+    build_shard_specs,
+    column_groups,
     registry,
     run_shard,
     run_tasks,
@@ -70,15 +76,24 @@ def plate_state(plate):
     coeffs = np.ones(M)
     applicator = MStepSSOR(blocked, coeffs)
     recipe = ApplicatorRecipe(
-        kind="sweep",
-        coefficients=coeffs,
-        groups=np.sort(blocked.ordering.groups),
+        coeffs,
+        group_sizes=tuple(blocked.ordering.counts.tolist()),
         labels=tuple(blocked.ordering.labels),
     )
     F = np.ascontiguousarray(
         blocked.ordering.permute_vector(synthetic_load_block(plate, 6))
     )
     return blocked, applicator, recipe, F
+
+
+@pytest.fixture(scope="module")
+def stencil_state():
+    """``(operator, serial applicator, recipe, F)`` on the matrix-free plate."""
+    problem = build_scenario("plate", nrows=8, assemble=False)
+    op = stencil_operator(problem)
+    coeffs = np.ones(M)
+    F = np.ascontiguousarray(synthetic_load_block(problem, 6))
+    return op, StencilSSOR(op, coeffs), ApplicatorRecipe(coeffs), F
 
 
 def assert_block_results_bitwise(a, b):
@@ -100,10 +115,31 @@ class TestSegmentRegistry:
             k = blocked.permuted.tocsr()
             handle = reg.publish_operator("op", k)
             assert isinstance(handle, CSRHandle)
-            mat = shm.attach_csr(handle)
+            mat = shm.attach_operator(handle)
             assert (mat != k).nnz == 0
             assert mat.data.dtype == k.data.dtype
             assert not mat.data.flags.writeable
+        finally:
+            reg.release_all()
+            shm.detach_all()
+
+    def test_stencil_publication_round_trips(self):
+        op = stencil_operator(build_scenario("plate", nrows=8, assemble=False))
+        reg = SegmentRegistry()
+        try:
+            handle = reg.publish_operator("op", op)
+            assert isinstance(handle, StencilHandle)
+            assert len(reg.live_segments()) == 1  # one segment, three arrays
+            rebuilt = shm.attach_operator(handle)
+            assert rebuilt.offsets == op.offsets
+            assert np.array_equal(rebuilt.values, op.values)
+            assert np.array_equal(rebuilt.groups, op.groups)
+            assert rebuilt.group_labels == op.group_labels
+            # The constructor zeroes out-of-range rows in place: it must
+            # work on a private copy, never on the shared segment.
+            published = shm.attach_view(handle.values)
+            assert not published.flags.writeable
+            assert not np.shares_memory(rebuilt.values, published)
         finally:
             reg.release_all()
             shm.detach_all()
@@ -200,9 +236,12 @@ class TestSegmentRegistry:
 
 # ----------------------------------------------------------- session lifecycle
 class TestSessionLifecycle:
-    def _session(self, plate):
+    def _session(self, plate, backend="vectorized"):
+        if backend == "stencil":
+            plate = build_scenario("plate", nrows=8, assemble=False)
         return SolverSession(
-            plate, plan=SolverPlan.single(M, True, eps=EPS, block_rhs=6)
+            plate,
+            plan=SolverPlan.single(M, True, eps=EPS, block_rhs=6, backend=backend),
         )
 
     def test_prewarm_publishes_and_dispatches(self, plate):
@@ -255,124 +294,132 @@ class TestSessionLifecycle:
         assert len(session._shm_tokens) == 1
         session.close()
 
+    def test_stencil_session_releases_segments(self, plate):
+        # The matrix-free operator is published like the CSR one, and its
+        # segments live exactly as long as the session: close, then GC.
+        session = self._session(plate, "stencil")
+        F = synthetic_load_block(session.problem, 6)
+        session.solve_cell_block(M, True, F=F, sharding=2)
+        token = matrix_token(session.stencil())
+        assert session._shm_tokens == {token}
+        assert registry()._token_segments.get(token)
+        session.close()
+        assert registry()._token_segments.get(token) is None
+        session = self._session(plate, "stencil")
+        session.prewarm_sharding(2)
+        token = matrix_token(session.stencil())
+        assert registry()._token_segments.get(token)
+        del session
+        gc.collect()
+        assert registry()._token_segments.get(token) is None
 
-# ------------------------------------------------------------ transports
+
+# ------------------------------------------------------------ transport
+def _steady_spec_bytes(backend: str, rows: int) -> list[int]:
+    """Pickled bytes of each spec of a k = 16, two-group plate dispatch."""
+    session = SolverSession(
+        build_scenario("plate", nrows=rows, assemble=backend != "stencil"),
+        plan=SolverPlan.single(M, eps=EPS, backend=backend),
+    )
+    operator, blocked = session._operator()
+    F = synthetic_load_block(session.problem, 16)
+    if blocked is not None:
+        F = blocked.ordering.permute_vector(F)
+    specs, _ = build_shard_specs(
+        operator, np.ascontiguousarray(F), session._shard_recipe(M, False),
+        column_groups(16, 2), eps=EPS,
+    )
+    registry().release(matrix_token(operator))
+    return [len(pickle.dumps(spec)) for spec in specs]
+
+
+def _run_shards_inline(operator, applicator, recipe, F) -> None:
+    """``run_shard`` in the parent process itself, attaching its own
+    segments; the iterates come back through the shared output block."""
+    serial = block_pcg(operator, F, preconditioner=applicator, eps=EPS)
+    specs, out = build_shard_specs(
+        operator, F, recipe, column_groups(F.shape[1], 2), eps=EPS
+    )
+    try:
+        results = [run_shard(spec) for spec in specs]
+        assert np.array_equal(registry().resolve(out), serial.u)
+        for result in results:
+            assert np.array_equal(
+                result.iterations, serial.iterations[result.columns]
+            )
+    finally:
+        registry().release(matrix_token(operator))
+        shm.detach_all()
+
+
 class TestTransports:
-    def test_pickled_fallback_bitwise_identical(self, plate_state):
-        blocked, applicator, recipe, F = plate_state
-        serial = block_pcg(blocked.permuted, F, preconditioner=applicator, eps=EPS)
-        via_shm = sharded_block_pcg(
-            blocked.permuted, F, recipe=recipe, workers=2, eps=EPS, use_shm=True
-        )
-        pickled = sharded_block_pcg(
-            blocked.permuted, F, recipe=recipe, workers=2, eps=EPS, use_shm=False
-        )
-        assert_block_results_bitwise(via_shm, serial)
-        assert_block_results_bitwise(pickled, serial)
+    # Steady-state dispatch ships handles, column indices and the recipe
+    # — never the operator, the color map or the block values — so every
+    # spec stays under one absolute budget whatever the operator's size.
+    def test_dispatch_spec_is_lightweight(self):
+        sizes = _steady_spec_bytes("vectorized", 41)
+        assert len(sizes) == 2 and max(sizes) < 4096
 
-    def test_repro_no_shm_disables_transport(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_SHM", "1")
-        assert not shm.shm_enabled()
-        monkeypatch.delenv("REPRO_NO_SHM")
-        assert shm.shm_enabled()
-
-    def test_dispatch_spec_is_lightweight(self, plate_state):
-        # The tentpole's point: steady-state dispatch ships handles and
-        # column indices, not the operator or the block values.
-        from repro.parallel import build_shard_specs, column_groups
-
-        blocked, _, recipe, F = plate_state
-        groups = column_groups(F.shape[1], 2)
-        light, out = build_shard_specs(
-            blocked.permuted, F, recipe, groups, eps=EPS, use_shm=True
-        )
-        heavy, _ = build_shard_specs(
-            blocked.permuted, F, recipe, groups, eps=EPS, use_shm=False
-        )
-        try:
-            assert out is not None
-            light_bytes = len(pickle.dumps(light[0]))
-            heavy_bytes = len(pickle.dumps(heavy[0]))
-            assert light_bytes * 4 < heavy_bytes
-        finally:
-            registry().release(matrix_token(blocked.permuted))
+    @pytest.mark.parametrize("rows", (41, 100))
+    def test_stencil_dispatch_spec_is_lightweight(self, rows):
+        sizes = _steady_spec_bytes("stencil", rows)
+        assert len(sizes) == 2 and max(sizes) < 4096
 
     def test_inline_run_shard_through_shared_memory(self, plate_state):
-        # run_shard in the parent process itself: attach own segments.
-        from repro.parallel import build_shard_specs, column_groups
+        blocked, applicator, recipe, F = plate_state
+        _run_shards_inline(blocked.permuted, applicator, recipe, F)
 
-        blocked, applicator, _, F = plate_state
-        recipe = ApplicatorRecipe(
-            kind="sweep",
-            coefficients=np.ones(M),
-            groups=np.sort(blocked.ordering.groups),
-            labels=tuple(blocked.ordering.labels),
-        )
-        serial = block_pcg(blocked.permuted, F, preconditioner=applicator, eps=EPS)
-        groups = column_groups(F.shape[1], 2)
-        specs, out = build_shard_specs(
-            blocked.permuted, F, recipe, groups, eps=EPS, use_shm=True
-        )
-        try:
-            for spec in specs:
-                result = run_shard(spec)
-                assert result.u is None  # iterates went via the out block
-            u = registry().resolve(out)
-            assert np.array_equal(u, serial.u)
-        finally:
-            registry().release(matrix_token(blocked.permuted))
-            shm.detach_all()
+    def test_inline_stencil_run_shard_through_shared_memory(self, stencil_state):
+        _run_shards_inline(*stencil_state)
 
 
 # ------------------------------------------------------- compile-cache LRU
 class TestWorkerCompileCache:
-    def test_hot_token_survives_a_burst_of_one_off_tokens(self, plate_state):
+    @pytest.fixture
+    def published(self, plate_state):
+        """A published operator handle, with the worker cache saved."""
+        blocked, _, recipe, _ = plate_state
+        reg = SegmentRegistry()
+        saved = dict(shards._COMPILED)
+        shards._COMPILED.clear()
+        try:
+            yield reg.publish_operator("op", blocked.permuted), recipe
+        finally:
+            shards._COMPILED.clear()
+            shards._COMPILED.update(saved)
+            shm.detach_all()
+            reg.release_all()
+
+    def test_hot_token_survives_a_burst_of_one_off_tokens(self, published):
         # Regression: the old cache did clear() at 65 entries, evicting the
         # steady-state session's compiled operator along with the junk.
-        blocked, _, recipe, F = plate_state
-        payload = shards.CSRPayload.from_matrix(blocked.permuted)
+        handle, recipe = published
         hot = ShardSpec(
-            token="hot", matrix=payload, recipe=recipe,
-            columns=np.arange(1), F=np.ascontiguousarray(F[:, :1]), eps=EPS,
+            token="hot", matrix=handle, recipe=recipe, columns=np.arange(0)
         )
-        saved = dict(shards._COMPILED)
-        shards._COMPILED.clear()
-        try:
-            hot_state = shards.compiled_shard_state(hot)
-            for i in range(100):
-                one_off = ShardSpec(
-                    token=f"burst-{i}", matrix=payload, recipe=recipe,
-                    columns=np.arange(1), F=np.ascontiguousarray(F[:, :1]),
-                    eps=EPS,
-                )
-                shards.compiled_shard_state(one_off)
-                # The hot entry is touched between bursts, as a live
-                # session's dispatches would touch it.
-                assert shards.compiled_shard_state(hot) is hot_state
-            assert "hot" in shards._COMPILED
-            assert len(shards._COMPILED) <= shards._COMPILED_CAP
-        finally:
-            shards._COMPILED.clear()
-            shards._COMPILED.update(saved)
+        hot_state = shards.compiled_shard_state(hot)
+        for i in range(100):
+            one_off = ShardSpec(
+                token=f"burst-{i}", matrix=handle, recipe=recipe,
+                columns=np.arange(0),
+            )
+            shards.compiled_shard_state(one_off)
+            # The hot entry is touched between bursts, as a live
+            # session's dispatches would touch it.
+            assert shards.compiled_shard_state(hot) is hot_state
+        assert "hot" in shards._COMPILED
+        assert len(shards._COMPILED) <= shards._COMPILED_CAP
 
-    def test_cache_is_bounded(self, plate_state):
-        blocked, _, recipe, F = plate_state
-        payload = shards.CSRPayload.from_matrix(blocked.permuted)
-        saved = dict(shards._COMPILED)
-        shards._COMPILED.clear()
-        try:
-            for i in range(2 * shards._COMPILED_CAP):
-                spec = ShardSpec(
-                    token=f"t{i}", matrix=payload, recipe=recipe,
-                    columns=np.arange(1), F=np.ascontiguousarray(F[:, :1]),
-                    eps=EPS,
-                )
-                shards.compiled_shard_state(spec)
-            assert len(shards._COMPILED) <= shards._COMPILED_CAP
-            assert f"t{2 * shards._COMPILED_CAP - 1}" in shards._COMPILED
-        finally:
-            shards._COMPILED.clear()
-            shards._COMPILED.update(saved)
+    def test_cache_is_bounded(self, published):
+        handle, recipe = published
+        for i in range(2 * shards._COMPILED_CAP):
+            spec = ShardSpec(
+                token=f"t{i}", matrix=handle, recipe=recipe,
+                columns=np.arange(0),
+            )
+            shards.compiled_shard_state(spec)
+        assert len(shards._COMPILED) <= shards._COMPILED_CAP
+        assert f"t{2 * shards._COMPILED_CAP - 1}" in shards._COMPILED
 
 
 # ----------------------------------------------------------- start methods
@@ -393,67 +440,70 @@ class TestStartMethods:
 
 # ----------------------------------------------------------- leak freedom
 _LEAK_SCRIPT = """
+import sys
+
 import numpy as np
 
-def main():
-    from repro.core.pcg import block_pcg
-    from repro.driver import build_blocked_system
-    from repro.multicolor.sor import MStepSSOR
-    from repro.parallel import ApplicatorRecipe, sharded_block_pcg, shutdown_pools, registry
-    from repro.pipeline import build_scenario, synthetic_load_block
+def main(backend):
+    from repro.parallel import shutdown_pools, registry
+    from repro.pipeline import (
+        SolverPlan, SolverSession, build_scenario, synthetic_load_block,
+    )
 
-    plate = build_scenario("plate", nrows=8)
-    blocked = build_blocked_system(plate)
-    coeffs = np.ones(3)
-    recipe = ApplicatorRecipe(
-        kind="sweep", coefficients=coeffs,
-        groups=np.sort(blocked.ordering.groups),
-        labels=tuple(blocked.ordering.labels),
-    )
-    F = np.ascontiguousarray(
-        blocked.ordering.permute_vector(synthetic_load_block(plate, 4))
-    )
-    applicator = MStepSSOR(blocked, coeffs)
-    serial = block_pcg(blocked.permuted, F, preconditioner=applicator, eps=1e-7)
-    sharded = sharded_block_pcg(blocked.permuted, F, recipe=recipe, workers=2, eps=1e-7)
+    plate = build_scenario("plate", nrows=8, assemble=backend != "stencil")
+    plan = SolverPlan.single(3, eps=1e-7, backend=backend)
+    F = synthetic_load_block(plate, 4)
+    serial = SolverSession(plate, plan=plan).solve_cell_block(3, F=F)
+    session = SolverSession(plate, plan=plan)
+    session.prewarm_sharding(2)
+    sharded = session.solve_cell_block(3, F=F, sharding=2)
     assert np.array_equal(serial.u, sharded.u)
+    assert registry().live_segments() != []
     shutdown_pools()
     assert registry().live_segments() == []
     print("OK")
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1])
 """
+
+
+def _assert_warning_clean(method: str, backend: str, tmp_path) -> None:
+    # -W error turns the resource tracker's "leaked shared_memory
+    # objects" shutdown report (and any other warning) into a failure;
+    # tracker KeyError tracebacks land in stderr either way.
+    import os
+    import pathlib
+
+    import repro
+
+    script = tmp_path / "leak_probe.py"
+    script.write_text(_LEAK_SCRIPT)
+    src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["REPRO_START_METHOD"] = method
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", str(script), backend],
+        capture_output=True, text=True, env=env, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "OK" in proc.stdout
+    assert "resource_tracker" not in proc.stderr
+    assert "KeyError" not in proc.stderr
+    assert "leaked" not in proc.stderr
 
 
 class TestNoLeaks:
     @pytest.mark.parametrize("method", ("fork", "spawn"))
     def test_sharded_run_is_warning_clean(self, method, tmp_path):
-        # -W error turns the resource tracker's "leaked shared_memory
-        # objects" shutdown report (and any other warning) into a failure;
-        # tracker KeyError tracebacks land in stderr either way.
-        script = tmp_path / "leak_probe.py"
-        script.write_text(_LEAK_SCRIPT)
-        import os
-        import pathlib
+        _assert_warning_clean(method, "vectorized", tmp_path)
 
-        import repro
-
-        src = str(pathlib.Path(repro.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["REPRO_START_METHOD"] = method
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p
-        )
-        proc = subprocess.run(
-            [sys.executable, "-W", "error", str(script)],
-            capture_output=True, text=True, env=env, timeout=600,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert "OK" in proc.stdout
-        assert "resource_tracker" not in proc.stderr
-        assert "KeyError" not in proc.stderr
-        assert "leaked" not in proc.stderr
+    @pytest.mark.parametrize("method", ("fork", "spawn"))
+    def test_stencil_sharded_run_is_warning_clean(self, method, tmp_path):
+        _assert_warning_clean(method, "stencil", tmp_path)
 
 
 # ------------------------------------------------------- failure surfacing
@@ -518,23 +568,6 @@ class Test2DShardGrid:
             assert a.iterations == b.iterations
             assert a.seconds == b.seconds
             assert a.comm_seconds == b.comm_seconds
-            assert np.array_equal(a.u_natural, b.u_natural)
-
-    def test_spmd_grid_bitwise(self, schedule_session):
-        from repro.machines import Assignment, ProcessorGrid, SPMDSolver
-
-        session, cells = schedule_session
-        problem = session.problem
-        grid = ProcessorGrid.for_count(2, problem.mesh)
-        solver = SPMDSolver(problem, Assignment.rectangles(problem.mesh, grid))
-        direct = solver.solve_schedule(cells, eps=1e-6)
-        sharded = sharded_schedule(
-            problem, cells, machine="spmd",
-            workers=2, group=1, eps=1e-6, n_procs=2,
-        )
-        for a, b in zip(sharded, direct):
-            assert a.iterations == b.iterations
-            assert a.ledger.messages == b.ledger.messages
             assert np.array_equal(a.u_natural, b.u_natural)
 
     def test_session_schedule_group_passthrough(self, schedule_session):

@@ -464,30 +464,6 @@ def test_stencil_interval_encloses_exact_spectrum():
 # --------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("name,kw", SCENARIOS, ids=[s[0] for s in SCENARIOS])
-def test_stencil_description_roundtrip(name, kw):
-    """The picklable diagonal description rebuilds the operator bitwise
-    — and undercuts the CSR arrays (by 5–40× on the kron grids; the
-    plate ships its ulp-scattered self-coupling diagonals dense, so its
-    margin is thinner), which is why stencil shards never touch CSR
-    shared-memory segments."""
-    import pickle
-
-    from repro.parallel import stencil_description
-
-    op = stencil_operator(build_scenario(name, **kw))
-    desc = stencil_description(op)
-    rebuilt = desc.to_operator()
-    assert rebuilt.offsets == op.offsets
-    assert np.array_equal(rebuilt.values, op.values)
-    assert np.array_equal(rebuilt.groups, op.groups)
-    assert rebuilt.group_labels == op.group_labels
-    k = op.to_csr()
-    csr_bytes = k.data.nbytes + k.indices.nbytes + k.indptr.nbytes
-    budget = csr_bytes if name == "plate" else csr_bytes / 4
-    assert len(pickle.dumps(desc)) < budget
-
-
 @pytest.mark.parametrize("sharding", [2, 4, (2, 2), (4, 1)])
 def test_sharded_stencil_block_matches_serial(sharding):
     """Serial ≡ sharded on the stencil backend for every tested
@@ -512,25 +488,24 @@ def test_sharded_stencil_block_matches_serial(sharding):
 
 
 def test_sharded_stencil_pickled_fallback_bitwise():
-    """With shared memory off the description rides the spec pickle —
-    same bits either way."""
+    """``sharded_block_pcg`` on a bare stencil operator and a recipe (the
+    name dates from a pickled transport since removed): the operator
+    rides shared memory to the workers, same bits as the serial lockstep."""
     from repro.core.pcg import block_pcg
     from repro.parallel import ApplicatorRecipe, sharded_block_pcg
 
     problem = build_scenario("poisson", n_grid=12)
     op = stencil_operator(problem)
     coeffs = mstep_coefficients(2, False, None)
-    recipe = ApplicatorRecipe(kind="stencil", coefficients=coeffs)
     F = np.random.default_rng(23).normal(size=(op.n, 4))
     serial = block_pcg(
         op, F, preconditioner=StencilSSOR(op, coeffs), eps=1e-7
     )
-    for use_shm in (True, False):
-        sharded = sharded_block_pcg(
-            op, F, recipe=recipe, workers=2, eps=1e-7, use_shm=use_shm
-        )
-        assert np.array_equal(serial.u, sharded.u)
-        assert np.array_equal(serial.iterations, sharded.iterations)
+    sharded = sharded_block_pcg(
+        op, F, recipe=ApplicatorRecipe(coeffs), workers=2, eps=1e-7
+    )
+    assert np.array_equal(serial.u, sharded.u)
+    assert np.array_equal(serial.iterations, sharded.iterations)
 
 
 def test_prewarm_sharding_stencil():

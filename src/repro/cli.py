@@ -201,6 +201,9 @@ def _cmd_solve(args) -> int:
         F = workload_spec.build_block(problem)
     else:
         F = _rhs_block(problem, width)
+    # One shard per column at most: the warm-up, the pool and the method
+    # line all follow the column groups the solve dispatches.
+    workers = min(workers, F.shape[1])
     sharding = workers if workers > 1 else None
     if sharding is not None:
         # Publish the operator segments and warm the pool before the
@@ -253,15 +256,15 @@ def _cmd_table2(args) -> int:
         print("--meshes needs at least one plate size", file=sys.stderr)
         return 2
 
-    workers = max(args.workers, 1)
+    plan = SolverPlan.table2(eps=args.eps, backend=args.backend)
+    # One cell chunk per worker at most: the method line names the
+    # processes the schedule actually runs on.
+    workers = min(max(args.workers, 1), len(plan.schedule))
     per_mesh = {}
     sessions = {}
     all_converged = True
     for a in meshes:
-        session = SolverSession(
-            build_scenario("plate", nrows=a),
-            plan=SolverPlan.table2(eps=args.eps, backend=args.backend),
-        )
+        session = SolverSession(build_scenario("plate", nrows=a), plan=plan)
         results = session.run_cyber_schedule(workers=workers)
         all_converged &= all(r.converged for r in results)
         per_mesh[a] = results

@@ -13,14 +13,19 @@ order, i.e. ascending column order per row — so every product is
 **bitwise identical** to both the numpy shifted-slice path and scipy's
 ``csr_matvec``.  Two forms exist:
 
-* the *value-row* product (``stencil_values_v``/``_b``) reads the value
-  rows ``v_d`` in place and serves every stencil and every block;
+* the *value-row* product (``stencil_values_b``; a vector is its
+  one-column block, run as row tiles) reads the value rows ``v_d`` in
+  place and serves every stencil and every block;
 * the *constant* vector product (``stencil_apply_v``) multiplies by the
   dominant constant of each diagonal (a regular-mesh diagonal is one
   number almost everywhere), then overwrites the handful of "special"
   rows — boundary margins plus the rows where any diagonal deviates from
   its constant — with the exact per-row sum.  It reads only ``x``, which
   makes it the faster vector product where it applies.
+
+``stencil_ssor`` runs the whole m-step multicolor SSOR sweep (Algorithm
+2) off a :class:`~repro.kernels.stencil.SweepPlan`, for vectors and
+blocks alike.
 
 The pack also owns Algorithm 1's reductions.  ``fixed_dots`` is the one
 inner product of the package (:func:`repro.util.column_dots`): 8 lanes,
@@ -133,16 +138,17 @@ def _sweep_case(ne: int) -> str:
     return _SWEEP_CASE_TEMPLATE.format(ne=ne, terms=terms)
 
 
-#: Specialized RHS widths of the block sweep and block product.  A
+#: Generated RHS widths of the block sweep and block product.  A
 #: compile-time k turns the per-row column loops into fully unrolled
 #: straight-line SIMD over a register-resident accumulator (the runtime-k
 #: loop pays ~2× at k ≤ 6, and an accumulator behind a pointer that may
 #: alias the operands costs a load and store per term); wider blocks take
-#: the generic body, whose per-element cost is already amortized.
-_BLOCK_K = tuple(range(1, 9))
+#: the generic body, whose per-element cost is already amortized.  A
+#: one-column block takes the hand-written vector loops instead.
+_BLOCK_K = tuple(range(2, 9))
 
 _BLOCK_ROWS_TEMPLATE = """
-static void ssor_rows_b_k{kk}(
+static void ssor_rows_k{kk}(
     long n, long qa, long qb, long g0, long ne,
     const long *rows, const double *diag, const long *offs, const double *cm,
     double alpha, const double *r, double *rt, double *y,
@@ -193,11 +199,11 @@ def _width_switch(body: str, args: str, generic: str, widths) -> str:
     return f"    switch (k) {{\n{cases}    }}\n    {generic};\n"
 
 
-#: Specialized widths of the reductions and fused CG updates: the sweep
-#: widths.  A compile-time width keeps the 8 lanes × k partial sums in
-#: registers; a one-column block is the vector form, and wider blocks
-#: take the generic runtime-k body.
-_DOT_K = _BLOCK_K
+#: Specialized widths of the reductions and fused CG updates: the vector
+#: and the sweep widths.  A compile-time width keeps the 8 lanes × k
+#: partial sums in registers; a one-column block is the vector form, and
+#: wider blocks take the generic runtime-k body.
+_DOT_K = (1,) + _BLOCK_K
 
 #: Bodies of the dot and the two fused CG passes over a C-ordered (n, K)
 #: block, once per specialized width (``sfx`` = ``k<K>``, no width
@@ -352,13 +358,12 @@ void cg_xpay(long n, long k, const double *rt, const double *r, double *rho,
 
 def _source() -> str:
     vec_cases = "".join(_CASE_TEMPLATE.format(nd=nd) for nd in _SPECIALIZED)
-    values_k = _BLOCK_K[1:]  # a one-column block takes the vector kernel
-    values_rows = "".join(_VALUES_ROWS_TEMPLATE.format(kk=kk) for kk in values_k)
+    values_rows = "".join(_VALUES_ROWS_TEMPLATE.format(kk=kk) for kk in _BLOCK_K)
     values_dispatch = _width_switch(
         "values_rows_k",
         "n, nd, offs, vals, lo, hi, window, x, out, accumulate",
         "values_rows_any(n, nd, offs, vals, k, lo, hi, window, x, out, accumulate)",
-        values_k,
+        _BLOCK_K,
     )
     sweep_cases = "".join(_sweep_case(ne) for ne in _SWEEP_NE)
     block_rows = "".join(_BLOCK_ROWS_TEMPLATE.format(kk=kk) for kk in _BLOCK_K)
@@ -367,8 +372,8 @@ def _source() -> str:
         "use_y, do_solve, store_y, clip"
     )
     sweep_dispatch = _width_switch(
-        "ssor_rows_b_k", "n, " + rows_args,
-        "ssor_rows_b_any(n, k, " + rows_args + ")",
+        "ssor_rows_k", "n, " + rows_args,
+        "ssor_rows_any(n, k, " + rows_args + ")",
         _BLOCK_K,
     )
     return (
@@ -384,7 +389,7 @@ def _source() -> str:
    diagonal-major: each diagonal adds its in-window terms to the whole
    tile before the next one starts, so per element the terms still land
    in ascending-offset order. */
-void stencil_values_v(
+static void stencil_values_v(
     long n, long nd, const long *offs, const double *vals,
     const double *x, double *out, int accumulate)
 {
@@ -517,14 +522,14 @@ void stencil_apply_v(
 
 /* ---- fused multicolor m-step SSOR sweep --------------------------------
 
-   One entry point walks the whole color schedule in-kernel: per-color
-   gather off the constant-offset diagonals, diagonal solve, Horner
-   alpha*r accumulation, and the merged forward/backward Conrad-Wallach
-   passes.  The per-row chain mirrors the numpy fallback exactly —
-   entries accumulate in (target, offset) order, the solve subtracts in
-   the same association ((a*r - y) - acc), and -ffp-contract=off keeps
-   every mul -> add unfused — so the iterate is bitwise identical to the
-   chunked-numpy path.
+   One entry point, stencil_ssor, walks the whole color schedule
+   in-kernel for every width: per-color gathers at the stencil's constant
+   offsets, diagonal solve, Horner alpha*r accumulation, and the merged
+   forward/backward Conrad-Wallach passes.  StencilSSOR._apply_numpy is
+   its numpy twin over the same plan — entries accumulate in (target,
+   offset) order, the solve subtracts in the same association
+   ((a*r - y) - acc), and -ffp-contract=off keeps every mul -> add
+   unfused — so the iterate is bitwise identical either way.
 
    Layout (built once by StencilOperator.sweep_plan):
      gp[nc+1]   row-range pointers into rows/diag, concatenated by color
@@ -541,7 +546,7 @@ void stencil_apply_v(
 
 /* Row epilogue of the vector sweep: Horner solve + lower/upper-sum stash.
    One association only — ((alpha*r - y) - acc) — matching the numpy
-   solve_into exactly. */
+   twin exactly. */
 #define SSOR_TAIL_V \
     if (do_solve) { \
         double ar = alpha * r[row]; \
@@ -587,72 +592,11 @@ static void ssor_rows_v(
     }
 }
 
-static void ssor_color_v(
-    long n, long c, const long *gp, const long *rows, const double *diag,
-    const long *ep, const long *eoff, const long *ecb, const double *ecoef,
-    double alpha, const double *r, double *rt, double *y,
-    int use_y, int do_solve, int store_y)
-{
-    const long ne = ep[c + 1] - ep[c];
-    const long *offs = eoff + ep[c];
-    const double *cm = ecoef + ecb[c];
-    const long qa = gp[c], qb = gp[c + 1];
-    long minoff = 0, maxoff = 0, q_lo, q_hi, e;
-    for (e = 0; e < ne; ++e) {
-        if (offs[e] < minoff) minoff = offs[e];
-        if (offs[e] > maxoff) maxoff = offs[e];
-    }
-    /* rows are sorted ascending, so clipping only bites on a prefix
-       (col < 0) and a suffix (col >= n); the interior runs branch-free.
-       Clipped entries carry coefficient exactly 0.0, so the split does
-       not change any sum. */
-    q_lo = qa;
-    while (q_lo < qb && rows[q_lo] + minoff < 0) ++q_lo;
-    q_hi = qb;
-    while (q_hi > q_lo && rows[q_hi - 1] + maxoff >= n) --q_hi;
-    ssor_rows_v(n, qa, q_lo, qa, ne, rows, diag, offs, cm,
-                alpha, r, rt, y, use_y, do_solve, store_y, 1);
-    ssor_rows_v(n, q_lo, q_hi, qa, ne, rows, diag, offs, cm,
-                alpha, r, rt, y, use_y, do_solve, store_y, 0);
-    ssor_rows_v(n, q_hi, qb, qa, ne, rows, diag, offs, cm,
-                alpha, r, rt, y, use_y, do_solve, store_y, 1);
-}
-
-void stencil_ssor_v(
-    long n, long m, long nc,
-    const long *gp, const long *rows, const double *diag,
-    const long *lp, const long *loff, const long *lcb, const double *lcoef,
-    const long *up, const long *uoff, const long *ucb, const double *ucoef,
-    const double *alphas, const double *r, double *rt, double *y)
-{
-    long s, c, q;
-    for (s = 1; s <= m; ++s) {
-        const double alpha = alphas[m - s];
-        const int first = (s == 1);
-        for (c = 0; c < nc; ++c)       /* forward: lower-triangular sums */
-            ssor_color_v(n, c, gp, rows, diag, lp, loff, lcb, lcoef,
-                         alpha, r, rt, y, !first, 1, 1);
-        for (c = nc - 2; c >= 1; --c)  /* backward: upper-triangular sums */
-            ssor_color_v(n, c, gp, rows, diag, up, uoff, ucb, ucoef,
-                         alpha, r, rt, y, 1, 1, 1);
-        if (nc >= 2) {
-            for (q = gp[nc - 1]; q < gp[nc]; ++q)
-                y[q] = 0.0;            /* last color has no upper coupling */
-            if (s == m)                /* closing color-0 solve */
-                ssor_color_v(n, 0, gp, rows, diag, up, uoff, ucb, ucoef,
-                             alpha, r, rt, y, 0, 1, 0);
-            else                       /* stash color-0 upper sum only */
-                ssor_color_v(n, 0, gp, rows, diag, up, uoff, ucb, ucoef,
-                             alpha, r, rt, y, 0, 0, 1);
-        }
-    }
-}
-
 /* Block form over C-contiguous (n, k): element (i, j) at i*k + j.  Each
-   column runs the exact scalar chain of stencil_ssor_v.  The generic
-   width keeps its accumulators in a local variable-length array: k
-   doubles of stack, against the n*k each of r, rt and y. */
-static void ssor_rows_b_any(
+   column runs the exact scalar chain of ssor_rows_v.  The generic width
+   keeps its accumulators in a local variable-length array: k doubles of
+   stack, against the n*k each of r, rt and y. */
+static void ssor_rows_any(
     long n, long k, long qa, long qb, long g0, long ne,
     const long *rows, const double *diag, const long *offs, const double *cm,
     double alpha, const double *r, double *rt, double *y,
@@ -695,21 +639,26 @@ static void ssor_rows_b_any(
 """
         + block_rows
         + """
-/* Column-loop trip counts are compile-time for the common widths: the
-   generated ssor_rows_b_k<K> bodies unroll to straight-line SIMD over
+/* Column-loop trip counts are compile-time for the common widths: a
+   vector takes the entry-count-specialized ssor_rows_v, and the generated
+   ssor_rows_k<K> bodies unroll to straight-line SIMD over
    register-resident accumulators.  Same arithmetic per column either
    way — dispatch is bitwise-neutral. */
-static void ssor_rows_b(
+static void ssor_rows(
     long n, long k, long qa, long qb, long g0, long ne,
     const long *rows, const double *diag, const long *offs, const double *cm,
     double alpha, const double *r, double *rt, double *y,
     int use_y, int do_solve, int store_y, int clip)
 {
+    if (k == 1) {
+        ssor_rows_v(n, """ + rows_args + """);
+        return;
+    }
 """
         + sweep_dispatch
         + """}
 
-static void ssor_color_b(
+static void ssor_color(
     long n, long k, long c,
     const long *gp, const long *rows, const double *diag,
     const long *ep, const long *eoff, const long *ecb, const double *ecoef,
@@ -725,19 +674,25 @@ static void ssor_color_b(
         if (offs[e] < minoff) minoff = offs[e];
         if (offs[e] > maxoff) maxoff = offs[e];
     }
+    /* rows are sorted ascending, so clipping only bites on a prefix
+       (col < 0) and a suffix (col >= n); the interior runs branch-free.
+       Clipped entries carry coefficient exactly 0.0, so the split does
+       not change any sum. */
     q_lo = qa;
     while (q_lo < qb && rows[q_lo] + minoff < 0) ++q_lo;
     q_hi = qb;
     while (q_hi > q_lo && rows[q_hi - 1] + maxoff >= n) --q_hi;
-    ssor_rows_b(n, k, qa, q_lo, qa, ne, rows, diag, offs, cm,
-                alpha, r, rt, y, use_y, do_solve, store_y, 1);
-    ssor_rows_b(n, k, q_lo, q_hi, qa, ne, rows, diag, offs, cm,
-                alpha, r, rt, y, use_y, do_solve, store_y, 0);
-    ssor_rows_b(n, k, q_hi, qb, qa, ne, rows, diag, offs, cm,
-                alpha, r, rt, y, use_y, do_solve, store_y, 1);
+    ssor_rows(n, k, qa, q_lo, qa, ne, rows, diag, offs, cm,
+              alpha, r, rt, y, use_y, do_solve, store_y, 1);
+    ssor_rows(n, k, q_lo, q_hi, qa, ne, rows, diag, offs, cm,
+              alpha, r, rt, y, use_y, do_solve, store_y, 0);
+    ssor_rows(n, k, q_hi, qb, qa, ne, rows, diag, offs, cm,
+              alpha, r, rt, y, use_y, do_solve, store_y, 1);
 }
 
-void stencil_ssor_b(
+/* The whole m-step schedule over C-contiguous (n, k) blocks; a vector is
+   the one-column block. */
+void stencil_ssor(
     long n, long k, long m, long nc,
     const long *gp, const long *rows, const double *diag,
     const long *lp, const long *loff, const long *lcb, const double *lcoef,
@@ -750,21 +705,21 @@ void stencil_ssor_b(
     for (s = 1; s <= m; ++s) {
         const double alpha = alphas[m - s];
         const int first = (s == 1);
-        for (c = 0; c < nc; ++c)
-            ssor_color_b(n, k, c, gp, rows, diag, lp, loff, lcb, lcoef,
-                         alpha, r, rt, y, !first, 1, 1);
-        for (c = nc - 2; c >= 1; --c)
-            ssor_color_b(n, k, c, gp, rows, diag, up, uoff, ucb, ucoef,
-                         alpha, r, rt, y, 1, 1, 1);
+        for (c = 0; c < nc; ++c)       /* forward: lower-triangular sums */
+            ssor_color(n, k, c, gp, rows, diag, lp, loff, lcb, lcoef,
+                       alpha, r, rt, y, !first, 1, 1);
+        for (c = nc - 2; c >= 1; --c)  /* backward: upper-triangular sums */
+            ssor_color(n, k, c, gp, rows, diag, up, uoff, ucb, ucoef,
+                       alpha, r, rt, y, 1, 1, 1);
         if (nc >= 2) {
             for (q = gp[nc - 1] * k; q < gp[nc] * k; ++q)
-                y[q] = 0.0;
-            if (s == m)
-                ssor_color_b(n, k, 0, gp, rows, diag, up, uoff, ucb, ucoef,
-                             alpha, r, rt, y, 0, 1, 0);
-            else
-                ssor_color_b(n, k, 0, gp, rows, diag, up, uoff, ucb, ucoef,
-                             alpha, r, rt, y, 0, 0, 1);
+                y[q] = 0.0;            /* last color has no upper coupling */
+            if (s == m)                /* closing color-0 solve */
+                ssor_color(n, k, 0, gp, rows, diag, up, uoff, ucb, ucoef,
+                           alpha, r, rt, y, 0, 1, 0);
+            else                       /* stash color-0 upper sum only */
+                ssor_color(n, k, 0, gp, rows, diag, up, uoff, ucb, ucoef,
+                           alpha, r, rt, y, 0, 0, 1);
         }
     }
 }
@@ -820,10 +775,6 @@ class NativeKernels:
         self.cg_xpay = lib.cg_xpay
         self.cg_xpay.restype = None
         self.cg_xpay.argtypes = [_long, _long] + [_ptr] * 4
-        lib.stencil_values_v.restype = None
-        lib.stencil_values_v.argtypes = [
-            ctypes.c_long, ctypes.c_long, _I64, _F64, _F64, _F64, ctypes.c_int,
-        ]
         lib.stencil_values_b.restype = None
         lib.stencil_values_b.argtypes = [
             ctypes.c_long, ctypes.c_long, _I64, _F64,
@@ -837,13 +788,8 @@ class NativeKernels:
         ]
         _plan = [_I64, _I64, _F64, _I64, _I64, _I64, _F64,
                  _I64, _I64, _I64, _F64]
-        lib.stencil_ssor_v.restype = None
-        lib.stencil_ssor_v.argtypes = [
-            ctypes.c_long, ctypes.c_long, ctypes.c_long,
-            *_plan, _F64, _F64, _F64, _F64,
-        ]
-        lib.stencil_ssor_b.restype = None
-        lib.stencil_ssor_b.argtypes = [
+        lib.stencil_ssor.restype = None
+        lib.stencil_ssor.argtypes = [
             ctypes.c_long, ctypes.c_long, ctypes.c_long, ctypes.c_long,
             *_plan, _F64, _F64, _F64, _F64,
         ]
@@ -851,13 +797,11 @@ class NativeKernels:
     def apply_values(self, offs, vals, x, out, accumulate):
         """``out (+)= K·x`` off the ``(nd, n)`` value rows; ``x`` is
         ``(n,)`` or a C-contiguous ``(n, k)`` block."""
-        n, acc = vals.shape[1], 1 if accumulate else 0
-        if x.ndim == 1:
-            self._lib.stencil_values_v(n, len(offs), offs, vals, x, out, acc)
-        else:
-            self._lib.stencil_values_b(
-                n, len(offs), offs, vals, x.shape[1], x, out, acc
-            )
+        k = 1 if x.ndim == 1 else x.shape[1]
+        self._lib.stencil_values_b(
+            vals.shape[1], len(offs), offs, vals, k, x, out,
+            1 if accumulate else 0,
+        )
 
     def apply_constant(self, n, offs, cs, srows, svals, stash, x, out, accumulate):
         """``out (+)= K·x`` for an ``(n,)`` vector off the dominant
@@ -867,11 +811,13 @@ class NativeKernels:
             x, out, 1 if accumulate else 0,
         )
 
-    def ssor_vector(self, n, m, nc, tables, alphas, r, rt, y):
-        self._lib.stencil_ssor_v(n, m, nc, *tables, alphas, r, rt, y)
-
-    def ssor_block(self, n, k, m, nc, tables, alphas, r, rt, y):
-        self._lib.stencil_ssor_b(n, k, m, nc, *tables, alphas, r, rt, y)
+    def ssor(self, n, k, m, plan, alphas, r, rt, y):
+        """The m-step sweep ``rt ← M_m⁻¹ r`` off a
+        :class:`~repro.kernels.stencil.SweepPlan`; ``r``, ``rt`` and the
+        scratch ``y`` are ``(n,)`` or C-contiguous ``(n, k)``."""
+        self._lib.stencil_ssor(
+            n, k, m, len(plan.lower_counts), *plan.arrays, alphas, r, rt, y
+        )
 
 
 _CACHE: list = []  # [NativeKernels | None] once resolved

@@ -11,10 +11,12 @@ diagonals (a few ``(n,)`` vectors instead of CSR data/indices/indptr) and
   ascending-offset order — which *is* ascending-column order per row, the
   same association scipy's compiled ``csr_matvec`` uses, so the product is
   bitwise identical to the assembled natural-ordering matvec;
-* exposes the per-color sweep structure (gather columns + coefficients per
-  ``(color, offset)`` pair) that :class:`StencilSSOR` runs Algorithm 2's
-  Conrad–Wallach merged double sweep on, directly in natural ordering — no
-  permutation, no ``ColorBlockTriangularSolver`` factors, no CSR.
+* builds one flat sweep plan (:class:`SweepPlan`: each color's rows,
+  diagonal and coupling coefficients) that :class:`StencilSSOR` runs
+  Algorithm 2's Conrad–Wallach merged double sweep on, directly in
+  natural ordering — no permutation, no ``ColorBlockTriangularSolver``
+  factors, no CSR.  The compiled walker and its numpy twin take the same
+  plan.
 
 Both paths handle ``(n,)`` vectors and ``(n, k)`` blocks; the block forms
 are per-column bitwise identical to the single-vector forms (same
@@ -37,24 +39,35 @@ __all__ = ["StencilOperator", "StencilSSOR"]
 
 
 @dataclass(frozen=True)
-class _GroupTable:
-    """Sweep structure of one color: rows, diagonal, lower/upper couplings.
+class SweepPlan:
+    """The multicolor sweep schedule as the flat arrays both walkers take.
 
-    ``lower``/``upper`` hold ``(target_group, offset, cols, coeffs)``
-    tuples sorted by ``(target_group, offset)`` — for each row of the
-    color that is ascending permuted-column order, the order the merged
-    CSR block rows of :class:`~repro.multicolor.blocked.BlockedMatrix`
-    accumulate in, which keeps the sweeps bitwise comparable.  ``cols``
-    are clipped into range; out-of-range positions carry a zero
-    coefficient, so their gathered garbage contributes exactly ``±0.0``.
+    ``gp[c]:gp[c + 1]`` delimits color ``c``'s scheduled rows: ``rows``
+    holds their unknown indices (ascending within each color) and
+    ``diag`` their diagonal.  Each half, ``lower`` and ``upper``, is
+    ``(ep, eoff, ecb, ecoef)``: color ``c``'s couplings are entries
+    ``ep[c]:ep[c + 1]``, with column offsets ``eoff`` and a row-major
+    ``(rows, entries)`` coefficient matrix at ``ecoef[ecb[c]:]``.  The
+    entries are sorted by ``(target color, offset)`` — per row ascending
+    permuted-column order, the order the merged CSR block rows of
+    :class:`~repro.multicolor.blocked.BlockedMatrix` accumulate in, which
+    keeps the sweeps bitwise comparable.  ``lower_counts``/
+    ``upper_counts`` give each color half's number of coupled colors,
+    which the operation counters charge.
     """
 
+    gp: np.ndarray
     rows: np.ndarray
     diag: np.ndarray
     lower: tuple
     upper: tuple
-    lower_count: int
-    upper_count: int
+    lower_counts: tuple
+    upper_counts: tuple
+
+    @property
+    def arrays(self) -> tuple:
+        """The C kernel's plan arguments, in order."""
+        return (self.gp, self.rows, self.diag, *self.lower, *self.upper)
 
 
 class StencilOperator:
@@ -120,10 +133,8 @@ class StencilOperator:
             else tuple(f"C{c}" for c in range(self.n_groups))
         )
         self.workspace = WorkspacePool()
-        self._tables = None
-        self._plan = None
         self._native = False  # resolved lazily: None or the kernel pack
-        self._sweep_plan = False  # resolved lazily: None or (native, arrays)
+        self._sweep_plan = None  # built lazily by sweep_plan
 
     # ------------------------------------------------------------- protocol
     @property
@@ -144,47 +155,13 @@ class StencilOperator:
         return int(np.count_nonzero(self.values))
 
     def memory_bytes(self) -> int:
-        """Bytes held by the diagonals and (if built) the sweep tables."""
+        """Bytes held by the diagonals and (if built) the sweep plan."""
         total = self.values.nbytes + self.groups.nbytes
-        if self._tables is not None:
-            for t in self._tables:
-                total += t.rows.nbytes + t.diag.nbytes
-                for _, _, cols, coeffs in t.lower + t.upper:
-                    total += cols.nbytes + coeffs.nbytes
-        if self._sweep_plan not in (False, None):
-            total += sum(a.nbytes for a in self._sweep_plan[1])
+        if self._sweep_plan is not None:
+            total += sum(a.nbytes for a in self._sweep_plan.arrays)
         return total
 
     # --------------------------------------------------------------- matvec
-    @property
-    def _matvec_plan(self):
-        """Per-diagonal apply recipes: scalar-dominated or full-vector.
-
-        A regular-mesh diagonal is one constant almost everywhere — the
-        exceptions are boundary tapering and grid-row wrap masks, ``O(√n)``
-        of ``n`` entries.  Classifying each diagonal once lets the hot
-        product multiply by a *scalar* (reading only ``x``, not the
-        ``(n,)`` value row) and patch the exceptions by a tiny gather —
-        elementwise identical to the full ``v·x`` product, entry for
-        entry, so the bitwise contract is untouched.
-        """
-        if self._plan is None:
-            n = self.n
-            plan = []
-            for o, v in zip(self.offsets, self.values):
-                s = -o if o < 0 else 0
-                e = n - o if o > 0 else n
-                window = v[s:e]
-                uniq, counts = np.unique(window, return_counts=True)
-                c = float(uniq[np.argmax(counts)]) if uniq.size else 0.0
-                exc = s + np.flatnonzero(window != c)
-                if exc.size <= max(32, (e - s) // 8):
-                    plan.append((o, s, e, c, exc, v[exc].copy(), None))
-                else:
-                    plan.append((o, s, e, None, None, None, v))
-            self._plan = tuple(plan)
-        return self._plan
-
     @property
     def _native_plan(self):
         """The compiled kernel pack and its inputs, if the kernel loaded.
@@ -207,25 +184,36 @@ class StencilOperator:
     def _constant_recipe(self):
         """``(constants, special rows, their values)`` or ``None``.
 
-        Set when every diagonal is scalar-dominated (the matvec plan
-        chose the constant path for all of them) and the special rows —
-        boundary margins where a diagonal leaves the window, plus every
-        row where a diagonal deviates from its constant — are a small
-        fraction of ``n``.  The plate's alternating u/v couplings and
-        ulp-scattered self-couplings never qualify.
+        A regular-mesh diagonal is one constant almost everywhere — the
+        exceptions are boundary tapering and grid-row wrap masks, ``O(√n)``
+        of ``n`` entries.  Set when every diagonal is scalar-dominated
+        that way and the special rows — boundary margins where a diagonal
+        leaves the window, plus every row where a diagonal deviates from
+        its constant — are a small fraction of ``n``.  The plate's
+        alternating u/v couplings and ulp-scattered self-couplings never
+        qualify.
         """
-        plan = self._matvec_plan
-        if any(p[6] is not None for p in plan):
-            return None
         n = self.n
+        constants, exceptions = [], []
+        for o, v in zip(self.offsets, self.values):
+            s = -o if o < 0 else 0
+            e = n - o if o > 0 else n
+            window = v[s:e]
+            uniq, counts = np.unique(window, return_counts=True)
+            c = float(uniq[np.argmax(counts)]) if uniq.size else 0.0
+            exc = s + np.flatnonzero(window != c)
+            if exc.size > max(32, (e - s) // 8):
+                return None
+            constants.append(c)
+            exceptions.append(exc)
         lo = -self.offsets[0] if self.offsets[0] < 0 else 0
         hi = max(n - self.offsets[-1] if self.offsets[-1] > 0 else n, lo)
         margins = [np.arange(0, lo), np.arange(hi, n)]
-        srows = np.unique(np.concatenate(margins + [p[4] for p in plan]))
+        srows = np.unique(np.concatenate(margins + exceptions))
         if srows.size > max(64, n // 4):
             return None
         return (
-            np.array([p[3] for p in plan], dtype=np.float64),
+            np.array(constants, dtype=np.float64),
             np.ascontiguousarray(srows, dtype=np.int64),
             np.ascontiguousarray(self.values[:, srows]),
         )
@@ -233,9 +221,9 @@ class StencilOperator:
     def _apply_native(self, x: np.ndarray, out: np.ndarray, zero: bool):
         """The compiled product, when the kernel loaded and layout allows.
 
-        C-contiguous blocks take the value-row block kernel; vectors the
-        constant kernel where the stencil has one, else the value-row
-        vector kernel; column-major blocks go column by column.
+        Vectors take the constant kernel where the stencil has one;
+        everything else C-contiguous takes the value-row kernel (a vector
+        is its one-column block); column-major blocks go column by column.
         """
         plan = self._native_plan
         if (
@@ -280,30 +268,20 @@ class StencilOperator:
         width = 1 if one_d else int(x.shape[1])
         rows = max(1, min(n, self._CHUNK_ELEMS // max(width, 1)))
         tmp = self.workspace.get("mv_tmp", (rows,) + x.shape[1:])
-        plan = self._matvec_plan
         for cs in range(0, n, rows):
             ce = min(cs + rows, n)
             if zero:
                 out[cs:ce] = 0.0
-            for o, s, e, c, exc, exc_vals, v in plan:
-                ls, le = max(cs, s), min(ce, e)
+            for o, v in zip(self.offsets, self.values):
+                ls, le = max(cs, -o), min(ce, n - o)
                 if ls >= le:
                     continue
                 t = tmp[: le - ls]
-                if v is None:
-                    np.multiply(x[ls + o : le + o], c, out=t)
-                    if exc.size:
-                        i0, i1 = np.searchsorted(exc, (ls, le))
-                        if i1 > i0:
-                            p = exc[i0:i1]
-                            w = exc_vals[i0:i1]
-                            t[p - ls] = (w if one_d else w[:, None]) * x[p + o]
-                else:
-                    np.multiply(
-                        v[ls:le] if one_d else v[ls:le, None],
-                        x[ls + o : le + o],
-                        out=t,
-                    )
+                np.multiply(
+                    v[ls:le] if one_d else v[ls:le, None],
+                    x[ls + o : le + o],
+                    out=t,
+                )
                 out[ls:le] += t
         return out
 
@@ -342,33 +320,36 @@ class StencilOperator:
             shape=self.shape,
         ).tocsr()
 
-    # --------------------------------------------------------- sweep tables
+    # ----------------------------------------------------------- sweep plan
     @property
-    def sweep_tables(self) -> tuple[_GroupTable, ...]:
-        """Per-color gather structure for the multicolor SSOR sweeps.
+    def sweep_plan(self) -> SweepPlan:
+        """The multicolor sweep schedule (:class:`SweepPlan`), built once.
 
-        Built once, lazily.  Verifies the multicolor contract on the
-        actual coefficients: every off-diagonal offset of a color couples
-        to exactly *one* other color (constant target group over its
-        nonzero rows) and never to its own — the property that makes the
-        color-block sweeps triangular without factorization.
+        Verifies the multicolor contract on the actual coefficients: every
+        off-diagonal offset of a color couples to exactly *one* other
+        color (constant target group over its nonzero rows) and never to
+        its own — the property that makes the color-block sweeps
+        triangular without factorization.
         """
-        if self._tables is None:
-            n = self.n
-            idx_dtype = np.int32 if n < 2**31 else np.int64
-            tables = []
-            for c in range(self.n_groups):
-                rows = np.flatnonzero(self.groups == c)
-                lower, upper = [], []
-                for o, v in zip(self.offsets, self.values):
+        if self._sweep_plan is None:
+            nc = self.n_groups
+            rows = np.argsort(self.groups, kind="stable").astype(np.int64, copy=False)
+            gp = np.zeros(nc + 1, dtype=np.int64)
+            np.cumsum(np.bincount(self.groups, minlength=nc), out=gp[1:])
+            lower, upper = [], []  # per color: sorted (target, offset, d)
+            for c in range(nc):
+                rc = rows[gp[c] : gp[c + 1]]
+                lower.append([])
+                upper.append([])
+                for d, o in enumerate(self.offsets):
                     if o == 0:
                         continue
-                    coeffs = np.ascontiguousarray(v[rows])
-                    nz = coeffs != 0.0
+                    nz = self.values[d, rc] != 0.0
                     if not nz.any():
                         continue
-                    cols = np.clip(rows + o, 0, n - 1)
-                    targets = self.groups[cols][nz]
+                    # Out-of-range columns carry zeros (see __init__), so
+                    # every nonzero coupling's column is in range.
+                    targets = self.groups[rc[nz] + o]
                     target = int(targets[0])
                     require(
                         bool(np.all(targets == target)),
@@ -380,83 +361,36 @@ class StencilOperator:
                         f"offset {o} couples color {c} to itself; "
                         "not a multicolor stencil",
                     )
-                    entry = (target, o, cols.astype(idx_dtype), coeffs)
-                    (lower if target < c else upper).append(entry)
-                lower.sort(key=lambda t: (t[0], t[1]))
-                upper.sort(key=lambda t: (t[0], t[1]))
-                tables.append(
-                    _GroupTable(
-                        rows=rows.astype(idx_dtype),
-                        diag=np.ascontiguousarray(self.diag[rows]),
-                        lower=tuple(lower),
-                        upper=tuple(upper),
-                        lower_count=len({t[0] for t in lower}),
-                        upper_count=len({t[0] for t in upper}),
-                    )
-                )
-            self._tables = tuple(tables)
-        return self._tables
+                    (lower if target < c else upper)[c].append((target, o, d))
+                lower[c].sort()
+                upper[c].sort()
 
-    @property
-    def sweep_plan(self):
-        """Flattened sweep schedule for the fused native kernel, or ``None``.
+            def half(entries):
+                ep = np.zeros(nc + 1, dtype=np.int64)
+                np.cumsum([len(es) for es in entries], out=ep[1:])
+                eoff = np.array([o for es in entries for _, o, _ in es], dtype=np.int64)
+                sizes = np.diff(gp) * np.diff(ep)
+                ecb = np.zeros(nc, dtype=np.int64)
+                np.cumsum(sizes[:-1], out=ecb[1:])
+                ecoef = np.empty(int(sizes.sum()))
+                for c, es in enumerate(entries):
+                    rc = rows[gp[c] : gp[c + 1]]
+                    cm = ecoef[ecb[c] : ecb[c] + sizes[c]].reshape(rc.size, len(es))
+                    for e, (_, _, d) in enumerate(es):
+                        cm[:, e] = self.values[d, rc]
+                counts = tuple(len({t for t, _, _ in es}) for es in entries)
+                return (ep, eoff, ecb, ecoef), counts
 
-        The schedule concatenates the per-color tables into the flat
-        arrays the C entry points walk: row-range pointers ``gp`` into
-        the scheduled ``rows``/``diag``, and per half (lower/upper)
-        entry-range pointers, column offsets, and a row-major ``(rows,
-        entries)`` coefficient matrix per color (entries in the same
-        ``(target, offset)`` order as the tables, so the in-kernel
-        accumulation is bitwise the numpy ``block_sum``).  ``None`` when
-        the compiled kernel is unavailable (``REPRO_NO_NATIVE``, no
-        ``cc``) — callers then keep the chunked-numpy sweep.
-        """
-        if self._sweep_plan is False:
-            self._sweep_plan = None
-            native = load_native()
-            if native is not None and self.n_groups > 0:
-                tables = self.sweep_tables
-                sizes = [t.rows.size for t in tables]
-                gp = np.concatenate(
-                    ([0], np.cumsum(sizes, dtype=np.int64))
-                ).astype(np.int64)
-                rows = np.concatenate([t.rows for t in tables]).astype(np.int64)
-                diag = np.ascontiguousarray(
-                    np.concatenate([t.diag for t in tables])
-                )
-
-                def half(side):
-                    ep = np.zeros(self.n_groups + 1, dtype=np.int64)
-                    bases = np.zeros(self.n_groups, dtype=np.int64)
-                    offs, mats, base = [], [], 0
-                    for c, t in enumerate(tables):
-                        entries = getattr(t, side)
-                        ep[c + 1] = ep[c] + len(entries)
-                        bases[c] = base
-                        offs.extend(int(e[1]) for e in entries)
-                        if entries:
-                            mat = np.ascontiguousarray(
-                                np.stack([e[3] for e in entries], axis=1)
-                            )
-                        else:
-                            mat = np.zeros((t.rows.size, 0))
-                        mats.append(mat)
-                        base += mat.size
-                    coef = (
-                        np.ascontiguousarray(
-                            np.concatenate([m.ravel() for m in mats])
-                        )
-                        if base
-                        else np.zeros(0)
-                    )
-                    return ep, np.array(offs, dtype=np.int64), bases, coef
-
-                lp, loff, lcb, lcoef = half("lower")
-                up, uoff, ucb, ucoef = half("upper")
-                self._sweep_plan = (
-                    native,
-                    (gp, rows, diag, lp, loff, lcb, lcoef, up, uoff, ucb, ucoef),
-                )
+            (lo, lcounts), (up, ucounts) = half(lower), half(upper)
+            self._sweep_plan = SweepPlan(
+                gp=gp,
+                rows=rows,
+                diag=np.ascontiguousarray(self.diag[rows]),
+                lower=lo,
+                upper=up,
+                lower_counts=lcounts,
+                upper_counts=ucounts,
+            )
         return self._sweep_plan
 
 
@@ -467,9 +401,10 @@ class StencilSSOR:
     The natural-ordering twin of :class:`repro.multicolor.sor.MStepSSOR`:
     the same Horner recurrence over the same Conrad–Wallach merged double
     sweep (Algorithm 2), with the per-color block products realized as
-    gather-multiply-accumulate off the stencil diagonals instead of merged
-    CSR block rows.  Per color and offset the gathered terms accumulate in
-    the same ascending permuted-column order as the merged CSR rows, so on
+    gather-multiply-accumulates over the operator's
+    :attr:`~StencilOperator.sweep_plan` instead of merged CSR block rows.
+    Per color and offset the gathered terms accumulate in the same
+    ascending permuted-column order as the merged CSR rows, so on
     a stencil whose coefficients bitwise match the assembled matrix the
     application is bitwise identical to ``unpermute ∘ MStepSSOR.apply ∘
     permute``.  Counters charge identically (per column for blocks).
@@ -485,12 +420,6 @@ class StencilSSOR:
     #: one apply, so sharing is safe; pass a private pool only for
     #: concurrent applies against one operator.
     workspace: WorkspacePool | None = field(default=None, repr=False)
-    #: The numpy sweep's expanded block divisors, which must outlive an
-    #: apply: this sweep's own, so another sweep's apply on the shared
-    #: ``workspace`` cannot overwrite them.
-    _divisors: WorkspacePool = field(
-        default_factory=WorkspacePool, init=False, repr=False
-    )
 
     #: ``(n, k)`` blocks are per-column bitwise identical to vectors.
     block_capable = True
@@ -510,24 +439,47 @@ class StencilSSOR:
         """``M_m⁻¹ r`` in natural ordering; ``(n,)`` or ``(n, k)``.
 
         Runs the fused native sweep when the compiled kernel is
-        available, else the chunked-numpy sweep — the two are bitwise
-        identical (same per-row accumulation order and subtraction
-        association; ``-ffp-contract=off`` keeps the C chain unfused).
-        The returned array is a pooled buffer, valid until the next
-        ``apply`` of any sweep sharing this pool (by default every sweep
-        bound to the same operator) — copy it if it must outlive that.
+        available, else its numpy twin — the two walk the same
+        :attr:`StencilOperator.sweep_plan` and are bitwise identical
+        (same per-row accumulation order and subtraction association;
+        ``-ffp-contract=off`` keeps the C chain unfused).  The returned
+        array is a pooled buffer, valid until the next ``apply`` of any
+        sweep sharing this pool (by default every sweep bound to the same
+        operator) — copy it if it must outlive that.
         """
+        op = self.operator
         pool = self.workspace
         r = np.asarray(r, dtype=float)
+        # The compiled walker indexes r by the plan's rows unchecked.
+        require(r.ndim in (1, 2) and r.shape[0] == op.n, "r must be (n,) or (n, k)")
         rt_pooled = pool.peek("rt")
         if rt_pooled is not None and np.may_share_memory(r, rt_pooled):
             r = r.copy()
-        plan = self.operator.sweep_plan
-        if plan is not None:
-            return self._apply_native(r, plan)
-        return self._apply_numpy(r)
+        plan = op.sweep_plan
+        # Zeroed per apply: the gathers also read zero-coefficient positions
+        # (clipped margins, grid-row wraps) that this apply may not have
+        # solved yet, and 0·x is ±0 only for finite x — a fresh buffer's
+        # garbage or an earlier apply's NaN would otherwise poison the sum.
+        rt = pool.zeros("rt", r.shape)
+        y = pool.get("ssor_y", r.shape)
+        if op._native_plan is not None:
+            self._apply_native(plan, r, rt, y)
+        else:
+            self._apply_numpy(plan, r, rt, y)
+        self._charge(plan, 1 if r.ndim == 1 else int(r.shape[1]))
+        return rt
 
-    def _charge(self, multiplies: int, solves: int, ncols: int) -> None:
+    def _charge(self, plan: SweepPlan, ncols: int) -> None:
+        """:class:`~repro.multicolor.sor.MStepSSOR`'s charges, per column.
+
+        Each step multiplies every color's lower and upper half once (the
+        last color has no upper half), solves every color forward and
+        colors ``nc − 2 … 1`` backward; the closing color-0 solve comes
+        once per apply.
+        """
+        nc, m = len(plan.lower_counts), self.m
+        multiplies = m * (sum(plan.lower_counts) + sum(plan.upper_counts))
+        solves = m * (nc + max(nc - 2, 0)) + (1 if nc >= 2 else 0)
         self.counter.precond_applications += ncols
         self.counter.precond_steps += self.m * ncols
         self.counter.extra["block_multiplies"] = (
@@ -537,121 +489,68 @@ class StencilSSOR:
             self.counter.extra.get("diag_solves", 0) + solves * ncols
         )
 
-    def _apply_native(self, r: np.ndarray, plan) -> np.ndarray:
-        """One fused C call for the whole m-step schedule."""
-        native, arrays = plan
-        op = self.operator
-        tables = op.sweep_tables
-        n, nc, m = op.n, op.n_groups, self.m
-        pool = self.workspace
+    def _apply_native(self, plan: SweepPlan, r, rt, y) -> None:
+        """One fused C call for the whole m-step schedule, any width."""
         r = np.ascontiguousarray(r)
-        # Zeroed per apply: the gathers also read zero-coefficient positions
-        # (clipped margins, grid-row wraps) that this apply may not have
-        # solved yet, and 0·x is ±0 only for finite x — a fresh buffer's
-        # garbage or an earlier apply's NaN would otherwise poison the sum.
-        rt = pool.zeros("rt", r.shape)
-        if r.ndim == 1:
-            y = pool.get("ssor_y", (n,))
-            native.ssor_vector(n, m, nc, arrays, self.coefficients, r, rt, y)
-        else:
-            k = int(r.shape[1])
-            y = pool.get("ssor_y_b", (n, k))
-            native.ssor_block(n, k, m, nc, arrays, self.coefficients, r, rt, y)
-        # Identical charges to the numpy loop, in closed form.
-        per_step = sum(t.lower_count for t in tables)
-        per_step += sum(tables[c].upper_count for c in range(nc - 2, 0, -1))
-        if nc >= 2:
-            per_step += tables[0].upper_count
-        solves = m * (nc + max(nc - 2, 0)) + (1 if nc >= 2 else 0)
-        self._charge(m * per_step, solves, 1 if r.ndim == 1 else int(r.shape[1]))
-        return rt
+        k = 1 if r.ndim == 1 else int(r.shape[1])
+        native = self.operator._native_plan[0]
+        native.ssor(self.operator.n, k, self.m, plan, self.coefficients, r, rt, y)
 
-    def _apply_numpy(self, r: np.ndarray) -> np.ndarray:
-        """Chunked-numpy sweep; the always-available bitwise twin."""
-        op = self.operator
-        tables = op.sweep_tables
-        nc = op.n_groups
-        m = self.m
-        alphas = self.coefficients
-        pool = self.workspace
+    def _apply_numpy(self, plan: SweepPlan, r, rt, y) -> None:
+        """The C walker (``stencil_ssor``) line for line, in numpy.
 
-        cache = self.__dict__.get("_apply_buffers")
-        if cache is None or cache[0] != r.shape:
-            tail = r.shape[1:]
-            group_shapes = [(t.rows.shape[0],) + tail for t in tables]
-            cache = (
-                r.shape,
-                pool.get("ar", r.shape),
-                pool.get_list("y", group_shapes),
-                pool.get_list("x", group_shapes),
-                pool.get_list("z", group_shapes),
-                pool.get_list("g", group_shapes),
-                pool.get_list("arg", group_shapes),
-                (
-                    [t.diag for t in tables]
-                    if r.ndim == 1
-                    else self._divisors.broadcast_list(
-                        "div", [t.diag for t in tables], tail
-                    )
-                ),
-            )
-            self.__dict__["_apply_buffers"] = cache
-        _, ar, y, xs, zs, gs, args, divisors = cache
-        rt = pool.zeros("rt", r.shape)  # zeroed: see _apply_native
+        Same plan arrays, same color schedule, same per-row chains: the
+        gathered terms land on a zero accumulator in entry order, and the
+        solve is ``((α·r − y) − acc) / d``.  ``y`` holds each scheduled
+        row's last lower/upper sum, indexed like ``rows``.
+        """
+        m, alphas = self.m, self.coefficients
+        gp, rows, diag = plan.gp, plan.rows, plan.diag
+        nc = gp.size - 1
         one_d = r.ndim == 1
-        multiplies = 0
-        solves = 0
+        pool = self.workspace
+        most = int(np.diff(gp).max()) if nc else 0
+        cols = pool.get("ssor_cols", (most,), np.int64)
+        acc_buf = pool.get("ssor_sum", (most,) + r.shape[1:])
+        g_buf = pool.get("ssor_g", (most,) + r.shape[1:])
+        z_buf = pool.get("ssor_z", (most,) + r.shape[1:])
 
-        def block_sum(entries, buf: np.ndarray, gbuf: np.ndarray) -> np.ndarray:
-            # Σ_j B_cj x_j as gather·coeff accumulations, one per coupled
-            # (color, offset); per row the terms land in ascending
-            # permuted-column order, matching the merged CSR block rows.
-            buf.fill(0.0)
-            for _, _, cols, coeffs in entries:
-                np.take(rt, cols, axis=0, out=gbuf)
-                gbuf *= coeffs if one_d else coeffs[:, None]
-                buf += gbuf
-            return buf
-
-        def solve_into(c: int, x: np.ndarray, yc) -> None:
-            # zc ← (α·r_c − y_c − x) / D_c, then scatter into rt —
-            # the same subtraction order as MStepSSOR.solve_into.
-            t = tables[c]
-            zc = zs[c]
-            np.take(ar, t.rows, axis=0, out=args[c])
-            if yc is None:
-                np.subtract(args[c], x, out=zc)
-            else:
-                np.subtract(args[c], yc, out=zc)
-                zc -= x
-            zc /= divisors[c]
-            rt[t.rows] = zc
+        def color(c, half, alpha, use_y, do_solve, store_y):
+            ep, eoff, ecb, ecoef = half
+            qa, qb = gp[c], gp[c + 1]
+            ne = ep[c + 1] - ep[c]
+            rc = rows[qa:qb]
+            cm = ecoef[ecb[c] : ecb[c] + (qb - qa) * ne].reshape(qb - qa, ne)
+            acc, g, col = acc_buf[: qb - qa], g_buf[: qb - qa], cols[: qb - qa]
+            acc.fill(0.0)
+            for e in range(ne):
+                # Columns clip into [0, n − 1]; a clipped one's coefficient
+                # is exactly 0.0, as in the C walker.
+                np.add(rc, eoff[ep[c] + e], out=col)
+                np.take(rt, col, axis=0, out=g, mode="clip")
+                g *= cm[:, e] if one_d else cm[:, e, None]
+                acc += g
+            if do_solve:
+                z = np.take(r, rc, axis=0, out=z_buf[: qb - qa])
+                z *= alpha
+                if use_y:
+                    z -= y[qa:qb]
+                z -= acc
+                z /= diag[qa:qb] if one_d else diag[qa:qb, None]
+                rt[rc] = z
+            if store_y:
+                y[qa:qb] = acc
 
         for s in range(1, m + 1):
-            np.multiply(r, alphas[m - s], out=ar)
+            alpha = alphas[m - s]
             first = s == 1
-            for c in range(nc):
-                x = block_sum(tables[c].lower, xs[c], gs[c])
-                multiplies += tables[c].lower_count
-                solve_into(c, x, None if first else y[c])
-                solves += 1
-                y[c], xs[c] = xs[c], y[c]
-            for c in range(nc - 2, 0, -1):
-                x = block_sum(tables[c].upper, xs[c], gs[c])
-                multiplies += tables[c].upper_count
-                solve_into(c, x, y[c])
-                solves += 1
-                y[c], xs[c] = xs[c], y[c]
+            for c in range(nc):  # forward: lower-triangular sums
+                color(c, plan.lower, alpha, not first, True, True)
+            for c in range(nc - 2, 0, -1):  # backward: upper-triangular sums
+                color(c, plan.upper, alpha, True, True, True)
             if nc >= 2:
-                y[nc - 1].fill(0.0)
-            if nc >= 2:
-                x = block_sum(tables[0].upper, xs[0], gs[0])
-                multiplies += tables[0].upper_count
-                if s == m:
-                    solve_into(0, x, None)
-                    solves += 1
-                else:
-                    y[0], xs[0] = xs[0], y[0]
-
-        self._charge(multiplies, solves, 1 if one_d else int(r.shape[1]))
-        return rt
+                y[gp[nc - 1] : gp[nc]] = 0.0  # last color has no upper coupling
+                if s == m:  # closing color-0 solve
+                    color(0, plan.upper, alpha, False, True, False)
+                else:  # stash color 0's upper sum only
+                    color(0, plan.upper, alpha, False, False, True)

@@ -119,6 +119,7 @@ class CyberMachine:
         free = np.repeat(~mesh.is_constrained, 2)
         self.free_mask = self.ordering.permute_vector(free)
         self.group_free = [self.free_mask[s] for s in self.slices]
+        self._constrained = np.flatnonzero(~self.free_mask)
 
         # Blocks by diagonals: D_c plus every off-diagonal block.
         self.diagonals = []
@@ -159,12 +160,27 @@ class CyberMachine:
         of a block undergoes exactly the elementwise multiply-adds of a
         vector, so it is bit-identical to its single product.  Nothing is
         charged here — :meth:`_charge_matvec` books the stream.
+
+        Each diagonal is :meth:`DiagonalStorage.matvec`'s multiply, into
+        one pooled scratch, then its add: the same bits, and no
+        temporary per diagonal.
         """
+        scratch = self.workspace.get(
+            "kx_diag", (self.max_vector_length,) + x.shape[1:]
+        )
         for c, sc in enumerate(self.slices):
             acc = kernel_ops.row_scale(x[sc], self.diagonals[c], out=out[sc])
             for j, storage in self.blocks[c].items():
-                storage.matvec(x[self.slices[j]], out=acc)
-        out[~self.free_mask] = 0.0
+                xj = x[self.slices[j]]
+                for index, k in enumerate(storage.offsets):
+                    start, stop = storage.diagonal_span(index)
+                    seg = storage.data[index]
+                    acc[start:stop] += np.multiply(
+                        seg if x.ndim == 1 else seg[:, None],
+                        xj[start + k : stop + k],
+                        out=scratch[: stop - start],
+                    )
+        out[self._constrained] = 0.0
         return out
 
     def matvec_accumulate(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:

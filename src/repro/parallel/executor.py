@@ -1,7 +1,8 @@
 """Worker-process management for the sharded execution layer.
 
-One process pool per (worker count, start method), created lazily and kept
-alive for the lifetime of the interpreter: the expensive part of real
+One process pool per (worker count, start method), created lazily and
+kept alive for the lifetime of the interpreter, and a dispatch runs on
+the smallest live pool with enough slots: the expensive part of real
 parallelism is not ``fork``/``spawn`` itself but re-paying it (and the
 workers' compiled-state caches — see :mod:`repro.parallel.shards`) on
 every call.  ``workers <= 1`` never touches ``multiprocessing`` at all:
@@ -47,8 +48,16 @@ def effective_workers(workers: int, n_tasks: int) -> int:
 
 
 def _pool(workers: int) -> ProcessPoolExecutor:
+    """A live pool of at least ``workers`` processes, started if none is.
+
+    A dispatch clamped to fewer tasks than a pool has slots runs on that
+    pool: a warm-up sized for the requested worker count
+    (:meth:`~repro.pipeline.SolverSession.prewarm_sharding`) then serves
+    a solve with fewer column groups, instead of a second, cold pool.
+    """
     method = os.environ.get("REPRO_START_METHOD") or None
-    key = (workers, method)
+    fits = [size for size, how in _POOLS if how == method and size >= workers]
+    key = (min(fits) if fits else workers, method)
     pool = _POOLS.get(key)
     if pool is None:
         # Workers must inherit the parent's resource tracker: a child that

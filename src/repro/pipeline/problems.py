@@ -34,16 +34,10 @@ whose columns compile straight to an ``(n, k)`` right-hand-side block and
 whose width becomes :attr:`~repro.pipeline.SolverPlan.block_rhs` via
 :meth:`WorkloadSpec.solver_plan`.  The block-PCG and sharded-execution
 paths (``repro solve --workload NAME --workers W``) consume these.
-
-Both spec types pickle by *recipe*: ``__getstate__`` drops the builder
-callable when the spec is registered and ``__setstate__`` rebinds it from
-the registry by name — which is what lets worker processes receive specs
-(and scenario problems) without ever pickling lambdas or closures.
 """
 
 from __future__ import annotations
 
-import pickle
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -123,37 +117,6 @@ class ProblemSpec:
         """Whether a plan backend can serve this scenario (``None`` = default)."""
         return backend is None or backend in self.backends
 
-    # Specs pickle by recipe: a registered spec ships its *name* and is
-    # rebound to the registry's builder on load, so worker processes can
-    # receive specs whose builders are lambdas or closures.
-    def __getstate__(self) -> dict:
-        registered = _REGISTRY.get(self.name)
-        state = {
-            "name": self.name,
-            "description": self.description,
-            "defaults": self.defaults,
-            "size_param": self.size_param,
-            "backends": self.backends,
-            "builder": None if (
-                registered is not None and registered.builder is self.builder
-            ) else self.builder,
-        }
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        builder = state.pop("builder")
-        if builder is None:
-            registered = _REGISTRY.get(state["name"])
-            if registered is None:
-                raise pickle.UnpicklingError(
-                    f"scenario {state['name']!r} is not registered in this "
-                    "process; register it before unpickling its spec"
-                )
-            builder = registered.builder
-        for key, value in state.items():
-            object.__setattr__(self, key, value)
-        object.__setattr__(self, "builder", builder)
-
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"ProblemSpec({self.name!r}: {self.description})"
 
@@ -213,8 +176,7 @@ register_scenario(
 )
 
 def _stretched_plate_problem(nrows=20, ncols=None, aspect=4.0, **kw):
-    """The plate on an ``aspect:1`` stretched domain (module-level — not a
-    lambda — so the spec's recipe-based pickling can fall back to it)."""
+    """The plate on an ``aspect:1`` stretched domain."""
     return plate_problem(nrows, ncols=ncols, width=aspect, **kw)
 
 
@@ -325,33 +287,6 @@ class WorkloadSpec:
 
         plan = base if base is not None else SolverPlan.single(3, True)
         return plan.with_(block_rhs=self.width, **overrides)
-
-    # Recipe-based pickling, exactly as ProblemSpec does it.
-    def __getstate__(self) -> dict:
-        registered = _WORKLOADS.get(self.name)
-        return {
-            "name": self.name,
-            "scenario": self.scenario,
-            "description": self.description,
-            "case_labels": self.case_labels,
-            "builder": None if (
-                registered is not None and registered.builder is self.builder
-            ) else self.builder,
-        }
-
-    def __setstate__(self, state: dict) -> None:
-        builder = state.pop("builder")
-        if builder is None:
-            registered = _WORKLOADS.get(state["name"])
-            if registered is None:
-                raise pickle.UnpicklingError(
-                    f"workload {state['name']!r} is not registered in this "
-                    "process; register it before unpickling its spec"
-                )
-            builder = registered.builder
-        for key, value in state.items():
-            object.__setattr__(self, key, value)
-        object.__setattr__(self, "builder", builder)
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return (

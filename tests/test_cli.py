@@ -231,6 +231,26 @@ class TestParallelAndWorkloads:
 
         assert iters(serial) == iters(sharded)
 
+    def test_solve_names_the_workers_that_ran(self, capsys):
+        # More workers than columns: one shard per column, and the method
+        # line names the two processes the solve ran on.
+        assert main(["solve", "--rows", "8", "--m", "3", "--rhs", "2",
+                     "--workers", "4"]) == 0
+        out = capsys.readouterr().out
+        assert "sharded over 2 worker processes" in out
+        assert "shard dispatches: 2" in out
+
+    def test_table2_names_the_workers_that_ran(self, capsys, monkeypatch):
+        # More workers than schedule cells: one cell chunk per worker.
+        from repro.pipeline import SolverPlan
+
+        monkeypatch.setattr(
+            SolverPlan, "table2",
+            classmethod(lambda cls, **kw: cls(schedule=((0, False), (2, False)), **kw)),
+        )
+        assert main(["table2", "--meshes", "8", "--workers", "3"]) == 0
+        assert "sharded over 2 worker processes" in capsys.readouterr().out
+
     def test_solve_auto_model_cyber(self, capsys):
         code = main(["solve", "--rows", "12", "--m", "auto",
                      "--auto-model", "cyber"])

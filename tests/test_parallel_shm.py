@@ -259,6 +259,24 @@ class TestSessionLifecycle:
         finally:
             session.close()
 
+    def test_prewarmed_pool_serves_a_narrower_solve(self, plate):
+        # Warmed for more workers than the solve has columns: the solve's
+        # two shards run on the warm pool, and no second, cold pool starts.
+        from repro.parallel import executor
+
+        shutdown_pools()
+        session = self._session(plate)
+        try:
+            session.prewarm_sharding(3)
+            F = synthetic_load_block(plate, 2)
+            serial = session.solve_cell_block(M, True, F=F)
+            sharded = session.solve_cell_block(M, True, F=F, sharding=3)
+            assert_block_results_bitwise(sharded.result, serial.result)
+            assert session.stats.shard_dispatches == 2
+            assert [size for size, _ in executor._POOLS] == [3]
+        finally:
+            session.close()
+
     def test_prewarm_serial_is_a_no_op(self, plate):
         session = self._session(plate)
         assert session.prewarm_sharding(None) == 0

@@ -258,27 +258,27 @@ def test_sweep_matches_mstep_ssor(name, kw, m):
 @pytest.mark.parametrize("name,kw", SCENARIOS, ids=[s[0] for s in SCENARIOS])
 @pytest.mark.parametrize("m", [1, 2, 4])
 def test_fused_sweep_native_vs_fallback_bitwise(name, kw, m, monkeypatch):
-    """The fused native sweep and the chunked-numpy fallback are the same
-    arithmetic: vector and block applications agree to the last bit and
-    charge identical operation counts, for every step count — at every
-    generated block width k ≤ 8 and the generic body (k = 9)."""
+    """The fused native sweep and its numpy twin are the same arithmetic:
+    vector and block applications agree to the last bit and charge
+    identical operation counts, for every step count — at every
+    generated block width k ≤ 8 and the generic body (k = 9, 16)."""
     import repro.kernels.stencil as stencil_mod
 
     problem = build_scenario(name, **kw)
     coeffs = mstep_coefficients(m, False, None)
     sweep_native = StencilSSOR(stencil_operator(problem), coeffs)
-    if sweep_native.operator.sweep_plan is None:
+    if sweep_native.operator._native_plan is None:
         pytest.skip("no compiled kernel in this environment")
     monkeypatch.setattr(stencil_mod, "load_native", lambda: None)
     sweep_plain = StencilSSOR(stencil_operator(problem), coeffs)
-    assert sweep_plain.operator.sweep_plan is None  # fallback really in force
+    assert sweep_plain.operator._native_plan is None  # fallback really in force
 
     rng = np.random.default_rng(13)
     r = rng.normal(size=sweep_native.operator.n)
     assert np.array_equal(
         np.array(sweep_native.apply(r)), np.array(sweep_plain.apply(r))
     )
-    for k in range(1, 10):
+    for k in [*range(1, 10), 16]:
         R = rng.normal(size=(sweep_native.operator.n, k))
         assert np.array_equal(
             np.array(sweep_native.apply(R)), np.array(sweep_plain.apply(R))
@@ -305,6 +305,58 @@ def test_sweep_ignores_stale_pool_contents(name, kw):
         assert np.array_equal(np.array(sweep.apply(r)), clean), shape
         sweep.apply(np.full(shape, np.nan))
         assert np.array_equal(np.array(sweep.apply(r)), clean), shape
+
+
+@pytest.mark.parametrize("name,kw", ALL_STENCILS, ids=[s[0] for s in ALL_STENCILS])
+def test_sweep_plan_is_the_only_copy_of_the_couplings(name, kw):
+    """After a sweep the operator holds its diagonals, its color map and
+    the flat sweep plan — each row's index and diagonal, one coefficient
+    per (row, coupled offset), a few pointers — and no per-entry gather
+    tables beside them."""
+    op = stencil_operator(build_scenario(name, **kw))
+    StencilSSOR(op, np.ones(2)).apply(np.ones(op.n))
+    n, nd = op.n, len(op.offsets)
+    base = op.values.nbytes + op.groups.nbytes
+    plan_most = 8 * n * (2 + (nd - 1)) + 1024
+    assert base + 16 * n <= op.memory_bytes() <= base + plan_most
+
+
+@pytest.mark.parametrize("native", [True, False], ids=["native", "numpy"])
+@pytest.mark.parametrize(
+    "groups,message",
+    [
+        ([0, 0, 0, 0, 0, 0], "couples color 0 to itself"),
+        ([0, 1, 0, 0, 1, 1], "crosses color groups"),
+    ],
+    ids=["self-coupling", "crossing"],
+)
+def test_sweep_refuses_a_non_multicolor_stencil(groups, message, native, monkeypatch):
+    """A stencil whose offset couples a color to itself, or lands on more
+    than one color, has no triangular color-block sweep: both sweep paths
+    refuse it instead of running a wrong one."""
+    from repro.kernels import _native
+
+    if not native:
+        monkeypatch.setattr(_native, "_CACHE", [None])
+    values = np.array([[-1.0] * 6, [4.0] * 6, [-1.0] * 6])
+    op = StencilOperator(offsets=(-1, 0, 1), values=values, groups=groups)
+    with pytest.raises(ValueError, match=message):
+        StencilSSOR(op, np.ones(1)).apply(np.ones(op.n))
+
+
+@pytest.mark.parametrize("native", [True, False], ids=["native", "numpy"])
+def test_sweep_rejects_a_misshapen_operand(native, monkeypatch):
+    """The compiled walker indexes ``r`` by the plan's rows unchecked, so
+    a wrong-length or 3-D operand is refused before it gets there."""
+    from repro.kernels import _native
+
+    if not native:
+        monkeypatch.setattr(_native, "_CACHE", [None])
+    sweep = StencilSSOR(stencil_operator(build_scenario("poisson", n_grid=8)), np.ones(2))
+    n = sweep.operator.n
+    for shape in [(n - 1,), (n - 1, 2), (n, 2, 1)]:
+        with pytest.raises(ValueError, match="must be"):
+            sweep.apply(np.ones(shape))
 
 
 def test_native_so_cache_hit(tmp_path, monkeypatch):
@@ -343,15 +395,15 @@ def test_sweeps_share_the_operator_workspace():
 
 def test_numpy_sweeps_sharing_a_pool_keep_their_own_divisors(monkeypatch):
     """Two fallback sweeps on one operator take turns at changing block
-    widths.  Each keeps the expanded divisors it cached for its current
-    width, whatever width the other sweep ran in between, so every
-    result is bitwise a fresh sweep's."""
+    widths on the shared pool.  Whatever width the other sweep ran in
+    between, every result is bitwise a fresh sweep's: nothing an apply
+    needs outlives it in the pool."""
     from repro.kernels import _native
 
     monkeypatch.setattr(_native, "_CACHE", [None])
     problem = build_scenario("plate", nrows=8)
     op = stencil_operator(problem)
-    assert op.sweep_plan is None  # the numpy sweep really in force
+    assert op._native_plan is None  # the numpy sweep really in force
     sweeps = [StencilSSOR(op, mstep_coefficients(m, False, None)) for m in (2, 3)]
     rng = np.random.default_rng(43)
     for i, k in enumerate((8, 2, 4, 2, 4, 8, 4, 2)):

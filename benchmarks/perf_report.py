@@ -27,7 +27,14 @@ numerics change), or if the absolute speedup targets are missed::
 
 Speedups are reference÷vectorized ratios measured in the same process, so
 they are stable across machines in a way absolute seconds are not — the
-tolerance only has to absorb scheduler noise.
+tolerance only has to absorb scheduler noise.  The two sides of every
+ratio are timed interleaved, ``--repeats`` pairs (default 7) with the order
+alternating, and a row records the median of the per-pair ratios with its
+interquartile range (``speedup_iqr``): host drift between pairs then moves
+both sides alike instead of one.  The report's ``host`` block fingerprints
+the machine (CPU model and count, ``REPRO_NO_NATIVE``, the native pack's
+source hash, the BLAS thread settings); ``--check`` says when it compares
+across fingerprints.
 
 The benchmark-fixture variant of the same measurements lives in
 ``benchmarks/bench_perf_suite.py`` (pytest marker ``perf``).
@@ -65,7 +72,7 @@ from repro.driver import (  # noqa: E402
     solve_mstep_ssor,
     ssor_interval,
 )
-from repro.kernels import BACKENDS, REFERENCE, VECTORIZED  # noqa: E402
+from repro.kernels import REFERENCE, VECTORIZED  # noqa: E402
 from repro.multicolor import MStepSSOR  # noqa: E402
 
 #: Acceptance thresholds recorded alongside the measurements.
@@ -148,6 +155,76 @@ def _time_call(fn, repeats: int, min_seconds: float = 0.02) -> float:
     return best
 
 
+def _time_pair(name_a: str, fa, name_b: str, fb, pairs: int,
+               min_seconds: float = 0.02) -> dict:
+    """The two sides of a ratio, timed interleaved.
+
+    Each pair times ``fa`` and ``fb`` back to back, inner-looped for short
+    calls, the order alternating from pair to pair (A B, B A, …), so host
+    drift lands on both sides of a pair alike.  Returns the row fields
+    ``{name_a}_s`` and ``{name_b}_s`` (median per-call seconds),
+    ``speedup`` (the median of the per-pair ``a/b`` ratios, which the
+    gates read) and ``speedup_iqr`` (its quartiles).
+    """
+    loops = []
+    for fn in (fa, fb):
+        fn()  # warm caches (factorizations, workspaces)
+        t0 = time.perf_counter()
+        fn()
+        once = max(time.perf_counter() - t0, 1e-9)
+        loops.append(max(1, int(min_seconds / once)))
+    times: tuple[list, list] = ([], [])
+    for i in range(pairs):
+        for side in ((0, 1) if i % 2 == 0 else (1, 0)):
+            fn = (fa, fb)[side]
+            t0 = time.perf_counter()
+            for _ in range(loops[side]):
+                fn()
+            times[side].append((time.perf_counter() - t0) / loops[side])
+    ratios = [a / b for a, b in zip(*times)]
+    q1, median, q3 = np.percentile(ratios, [25, 50, 75])
+    return {
+        f"{name_a}_s": float(np.median(times[0])),
+        f"{name_b}_s": float(np.median(times[1])),
+        "speedup": float(median),
+        "speedup_iqr": [float(q1), float(q3)],
+    }
+
+
+def host_fingerprint() -> dict:
+    """What a ratio depends on beyond the code: the CPU, the core count,
+    whether the compiled kernels run (and which ones), the BLAS threads."""
+    from repro.kernels._native import source_hash
+
+    model = platform.processor() or platform.machine()
+    try:
+        with open("/proc/cpuinfo") as fh:
+            for line in fh:
+                if line.startswith("model name"):
+                    model = line.split(":", 1)[1].strip()
+                    break
+    except OSError:
+        pass
+    return {
+        "cpu_count": os.cpu_count() or 1,
+        "cpu_model": model,
+        "repro_no_native": os.environ.get("REPRO_NO_NATIVE", ""),
+        "native_source_hash": source_hash(),
+        "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS", ""),
+        "openblas_coretype": os.environ.get("OPENBLAS_CORETYPE", ""),
+    }
+
+
+def fingerprint_differences(baseline: dict, report: dict) -> list[str]:
+    """The host fingerprint fields on which two reports differ."""
+    base, fresh = baseline.get("host", {}), report.get("host", {})
+    return [
+        f"{key}: {base.get(key)!r} → {fresh.get(key)!r}"
+        for key in sorted(set(base) | set(fresh))
+        if base.get(key) != fresh.get(key)
+    ]
+
+
 def _peak_mb(fn) -> float:
     """Peak incremental allocation (MiB) of one ``fn()``, via tracemalloc.
 
@@ -168,11 +245,13 @@ def _peak_mb(fn) -> float:
 def bench_apply_p_inv(blocked, repeats: int) -> dict:
     """SSOR ``P⁻¹r`` per backend: color-block sweeps vs spsolve_triangular."""
     r = np.random.default_rng(0).normal(size=blocked.n)
-    out = {}
-    for backend in BACKENDS:
-        splitting = SSORSplitting(blocked.permuted, backend=backend)
-        out[f"{backend}_s"] = _time_call(lambda: splitting.apply_p_inv(r), repeats)
-    out["speedup"] = out[f"{REFERENCE}_s"] / out[f"{VECTORIZED}_s"]
+    ref, vec = (
+        SSORSplitting(blocked.permuted, backend=b) for b in (REFERENCE, VECTORIZED)
+    )
+    out = _time_pair(
+        REFERENCE, lambda: ref.apply_p_inv(r),
+        VECTORIZED, lambda: vec.apply_p_inv(r), repeats,
+    )
     fast = SSORSplitting(blocked.permuted, backend=VECTORIZED)
     out["peak_mb"] = _peak_mb(lambda: fast.apply_p_inv(r))
     return out
@@ -182,15 +261,15 @@ def bench_mstep_apply(blocked, repeats: int) -> dict:
     """m-step application: kernel Horner per backend + the merged sweep."""
     coeffs = neumann_coefficients(M_APPLY)
     r = np.random.default_rng(1).normal(size=blocked.n)
-    out = {}
-    for backend in BACKENDS:
-        precond = MStepPreconditioner(
-            SSORSplitting(blocked.permuted, backend=backend), coeffs
-        )
-        out[f"{backend}_s"] = _time_call(lambda: precond.apply(r), repeats)
+    ref, vec = (
+        MStepPreconditioner(SSORSplitting(blocked.permuted, backend=b), coeffs)
+        for b in (REFERENCE, VECTORIZED)
+    )
+    out = _time_pair(
+        REFERENCE, lambda: ref.apply(r), VECTORIZED, lambda: vec.apply(r), repeats
+    )
     sweep = MStepSSOR(blocked, coeffs)
     out["sweep_s"] = _time_call(lambda: sweep.apply(r), repeats)
-    out["speedup"] = out[f"{REFERENCE}_s"] / out[f"{VECTORIZED}_s"]
     out["peak_mb"] = _peak_mb(lambda: sweep.apply(r))
     return out
 
@@ -218,23 +297,23 @@ def splitting_solve(problem, blocked, coefficients, backend: str, eps: float):
 
 def bench_pcg(problem, blocked, repeats: int, eps: float) -> dict:
     """Full m-step PCG solve per backend (splitting realization) + sweep."""
-    out = {}
-    for backend in BACKENDS:
-        def run(backend=backend):
-            result, u = splitting_solve(
-                problem, blocked, neumann_coefficients(M_PCG), backend, eps
-            )
-            assert result.converged
-            return u
+    def run(backend):
+        result, u = splitting_solve(
+            problem, blocked, neumann_coefficients(M_PCG), backend, eps
+        )
+        assert result.converged
+        return u
 
-        out[f"{backend}_s"] = _time_call(run, repeats)
+    out = _time_pair(
+        REFERENCE, lambda: run(REFERENCE), VECTORIZED, lambda: run(VECTORIZED),
+        repeats,
+    )
 
     def run_sweep():
         solve = solve_mstep_ssor(problem, M_PCG, blocked=blocked, eps=eps)
         assert solve.result.converged
 
     out["sweep_s"] = _time_call(run_sweep, repeats)
-    out["speedup"] = out[f"{REFERENCE}_s"] / out[f"{VECTORIZED}_s"]
     out["peak_mb"] = _peak_mb(run_sweep)
     return out
 
@@ -259,12 +338,10 @@ def bench_table2_sweep(problem, blocked, repeats: int, eps: float) -> dict:
             assert result.converged
             cells[cell_label(m, parametrized)] = result.iterations
 
-    out = {}
-    for backend in BACKENDS:
-        out[f"{backend}_s"] = _time_call(
-            lambda backend=backend: run_schedule(backend), repeats
-        )
-    out["speedup"] = out[f"{REFERENCE}_s"] / out[f"{VECTORIZED}_s"]
+    out = _time_pair(
+        REFERENCE, lambda: run_schedule(REFERENCE),
+        VECTORIZED, lambda: run_schedule(VECTORIZED), repeats,
+    )
     out["peak_mb"] = _peak_mb(lambda: run_schedule(VECTORIZED))
     out["iterations"] = iterations
     out["cells"] = len(TABLE2_SCHEDULE)
@@ -298,17 +375,14 @@ def bench_cyber_schedule(problem, repeats: int, eps: float) -> dict:
             assert res.converged
             cells[res.label] = res.iterations
 
-    out = {
-        "percolumn_s": _time_call(
-            lambda: run_schedule(False, "percolumn"), repeats
-        ),
-        "batched_s": _time_call(lambda: run_schedule(True, "batched"), repeats),
-    }
+    out = _time_pair(
+        "percolumn", lambda: run_schedule(False, "percolumn"),
+        "batched", lambda: run_schedule(True, "batched"), repeats,
+    )
     if iterations["batched"] != iterations["percolumn"]:
         raise AssertionError(
             "batched and per-column CYBER sweeps disagree on iterations"
         )
-    out["speedup"] = out["percolumn_s"] / out["batched_s"]
     out["peak_mb"] = _peak_mb(lambda: run_schedule(True, "batched"))
     out["iterations"] = iterations
     out["cells"] = len(TABLE2_SCHEDULE)
@@ -351,15 +425,11 @@ def bench_block_pcg(problem, blocked, repeats: int, eps: float) -> dict:
         for j in range(BLOCK_WIDTH):
             cells[str(j)] = int(block.iterations[j])
 
-    out = {
-        "percolumn_s": _time_call(run_percolumn, repeats),
-        "block_s": _time_call(run_block, repeats),
-    }
+    out = _time_pair("percolumn", run_percolumn, "block", run_block, repeats)
     if iterations["block"] != iterations["percolumn"]:
         raise AssertionError(
             "block and per-column PCG disagree on iteration counts"
         )
-    out["speedup"] = out["percolumn_s"] / out["block_s"]
     out["peak_mb"] = _peak_mb(run_block)
     out["iterations"] = iterations
     out["width"] = BLOCK_WIDTH
@@ -429,15 +499,11 @@ def bench_sharded_block_pcg(
             str(j): int(block.iterations[j]) for j in range(SHARD_WIDTH)
         }
 
-    out = {
-        "serial_s": _time_call(run_serial, repeats),
-        "sharded_s": _time_call(run_sharded, repeats),
-    }
+    out = _time_pair("serial", run_serial, "sharded", run_sharded, repeats)
     if iterations["sharded"] != iterations["serial"]:
         raise AssertionError(
             "sharded and serial block-PCG disagree on iteration counts"
         )
-    out["speedup"] = out["serial_s"] / out["sharded_s"]
     out["peak_mb"] = _peak_mb(run_sharded)  # parent-process allocations only
     out["mode"] = "steady" if steady else "cold"
     # Bytes each dispatch actually pickles onto the worker pipe: segment
@@ -490,15 +556,11 @@ def bench_fem_schedule(problem, blocked, repeats: int, eps: float) -> dict:
         iterations["batched"] = {r.label: r.iterations for r in results}
         assert all(r.converged for r in results)
 
-    out = {
-        "percell_s": _time_call(run_percell, repeats),
-        "batched_s": _time_call(run_batched, repeats),
-    }
+    out = _time_pair("percell", run_percell, "batched", run_batched, repeats)
     if iterations["batched"] != iterations["percell"]:
         raise AssertionError(
             "batched and per-cell FEM schedules disagree on iterations"
         )
-    out["speedup"] = out["percell_s"] / out["batched_s"]
     out["peak_mb"] = _peak_mb(run_batched)
     out["iterations"] = iterations
     out["cells"] = len(TABLE3_SCHEDULE)
@@ -524,11 +586,9 @@ def bench_stencil_apply(repeats: int) -> dict:
     op.matvec_into(x, buf)
     if not np.array_equal(k @ x, buf):
         raise AssertionError("stencil K·x is not bitwise equal to the CSR matvec")
-    out = {
-        "csr_s": _time_call(lambda: k @ x, repeats),
-        "stencil_s": _time_call(lambda: op.matvec_into(x, buf), repeats),
-    }
-    out["speedup"] = out["csr_s"] / out["stencil_s"]
+    out = _time_pair(
+        "csr", lambda: k @ x, "stencil", lambda: op.matvec_into(x, buf), repeats
+    )
     out["n"] = op.n
     out["csr_mb"] = (k.data.nbytes + k.indices.nbytes + k.indptr.nbytes) / 2**20
     out["stencil_mb"] = op.memory_bytes() / 2**20
@@ -563,11 +623,10 @@ def bench_stencil_plate_apply(repeats: int) -> dict:
                 f"plate stencil K·x (k={width}) is not bitwise equal to the "
                 "CSR product"
             )
-        row = {
-            "csr_s": _time_call(lambda: k @ x, repeats),
-            "stencil_s": _time_call(lambda: op.matvec_into(x, buf), repeats),
-        }
-        row["speedup"] = row["csr_s"] / row["stencil_s"]
+        row = _time_pair(
+            "csr", lambda: k @ x, "stencil", lambda: op.matvec_into(x, buf),
+            repeats,
+        )
         row["n"] = op.n
         row["peak_mb"] = _peak_mb(lambda: op.matvec_into(x, buf))
         rows[f"k={width}"] = row
@@ -594,11 +653,10 @@ def bench_stencil_sweep(repeats: int) -> dict:
     csr_sweep = MStepSSOR(blocked, coeffs)
     st_sweep = StencilSSOR(stencil_operator(problem), coeffs)
     r = np.random.default_rng(9).normal(size=blocked.n)
-    out = {
-        "csr_s": _time_call(lambda: csr_sweep.apply(r), repeats),
-        "stencil_s": _time_call(lambda: st_sweep.apply(r), repeats),
-    }
-    out["speedup"] = out["csr_s"] / out["stencil_s"]
+    out = _time_pair(
+        "csr", lambda: csr_sweep.apply(r), "stencil", lambda: st_sweep.apply(r),
+        repeats,
+    )
     out["m"] = STENCIL_M
     out["peak_mb"] = _peak_mb(lambda: st_sweep.apply(r))
     return out
@@ -626,11 +684,10 @@ def bench_stencil_block_sweep(repeats: int) -> dict:
         R = np.ascontiguousarray(
             np.random.default_rng(10 + k).normal(size=(blocked.n, k))
         )
-        row = {
-            "csr_s": _time_call(lambda: csr_sweep.apply(R), repeats),
-            "stencil_s": _time_call(lambda: st_sweep.apply(R), repeats),
-        }
-        row["speedup"] = row["csr_s"] / row["stencil_s"]
+        row = _time_pair(
+            "csr", lambda: csr_sweep.apply(R), "stencil", lambda: st_sweep.apply(R),
+            repeats,
+        )
         row["m"] = STENCIL_M
         row["peak_mb"] = _peak_mb(lambda: st_sweep.apply(R))
         rows[f"k={k}"] = row
@@ -668,14 +725,15 @@ def bench_stencil_solve(repeats: int, eps: float) -> dict:
         assert solve.result.converged
         iterations["stencil"] = solve.iterations
 
+    timed = _time_pair("csr", run_csr, "stencil", run_stencil, repeats)
     out = {
-        "csr_s": _time_call(run_csr, repeats),
-        "stencil_s": _time_call(run_stencil, repeats),
+        "csr_s": timed["csr_s"],
+        "stencil_s": timed["stencil_s"],
         "csr_peak_mb": _peak_mb(run_csr),
         "stencil_peak_mb": _peak_mb(run_stencil),
     }
     out["speedup"] = out["csr_peak_mb"] / out["stencil_peak_mb"]
-    out["solve_speedup"] = out["csr_s"] / out["stencil_s"]
+    out["solve_speedup"] = timed["speedup"]
     out["peak_mb"] = out["stencil_peak_mb"]
     out["iterations"] = iterations
     out["m"] = STENCIL_M
@@ -701,11 +759,9 @@ def bench_cold_solve(repeats: int, eps: float) -> dict:
         assert solve.result.converged
         iterations[solve.label] = solve.iterations
 
-    out = {
-        "plain_s": _time_call(lambda: run(False), repeats),
-        "parametrized_s": _time_call(lambda: run(True), repeats),
-    }
-    out["speedup"] = out["plain_s"] / out["parametrized_s"]
+    out = _time_pair(
+        "plain", lambda: run(False), "parametrized", lambda: run(True), repeats
+    )
     out["iterations"] = iterations
     out["m"] = M_PCG
     return out
@@ -713,7 +769,7 @@ def bench_cold_solve(repeats: int, eps: float) -> dict:
 
 def build_report(
     meshes=(20, 41),
-    repeats: int = 3,
+    repeats: int = 7,
     eps: float = 1e-6,
     table2_mesh: int | None = None,
     sharded_steady: bool = True,
@@ -796,8 +852,8 @@ def build_report(
     )
     stencil_memory_ratio = results["stencil_solve"][gkey]["speedup"]
     cold_solve_speedup = results["cold_solve"][ckey]["speedup"]
-    cpu_count = os.cpu_count() or 1
-    sharded_enforced = cpu_count >= SHARDED_MIN_CORES
+    host = host_fingerprint()
+    sharded_enforced = host["cpu_count"] >= SHARDED_MIN_CORES
     return {
         "bench": "kernels",
         "created_unix": time.time(),
@@ -806,7 +862,7 @@ def build_report(
             "numpy": np.__version__,
             "scipy": scipy.__version__,
         },
-        "host": {"cpu_count": cpu_count},
+        "host": host,
         "config": {
             "meshes": meshes,
             "repeats": repeats,
@@ -871,12 +927,23 @@ def build_report(
 
 
 def render(report: dict) -> str:
-    lines = ["kernel perf report (seconds per call; best of repeats)", ""]
+    host = report["host"]
+    lines = [
+        "kernel perf report (seconds per call: medians of interleaved pairs; "
+        "speedup: median per-pair ratio [interquartile range])",
+        f"host: {host.get('cpu_model')} × {host.get('cpu_count')}, "
+        f"REPRO_NO_NATIVE={host.get('repro_no_native')!r}, native pack "
+        f"{host.get('native_source_hash')}",
+        "",
+    ]
     for section, by_mesh in report["results"].items():
         for key, row in by_mesh.items():
+            iqr = row.get("speedup_iqr")
             cells = ", ".join(
                 f"{name}={value:.3e}" if name.endswith("_s")
-                else f"{name}={value:.2f}" if name == "speedup"
+                else f"{name}={value:.2f}"
+                + (f" [{iqr[0]:.2f}–{iqr[1]:.2f}]" if iqr else "")
+                if name == "speedup"
                 else f"{name}={value:.1f}" if name.endswith("peak_mb")
                 else ""
                 for name, value in row.items()
@@ -997,7 +1064,11 @@ def main(argv=None) -> int:
         help="comma-separated plate sizes a (default 20,41; in --check mode "
         "the baseline's own meshes)",
     )
-    parser.add_argument("--repeats", type=int, default=None)
+    parser.add_argument(
+        "--repeats", type=int, default=None,
+        help="interleaved pairs per ratio (default 7; in --check mode the "
+        "baseline's own)",
+    )
     parser.add_argument("--eps", type=float, default=None)
     parser.add_argument(
         "--table2-mesh", type=int, default=None,
@@ -1036,7 +1107,7 @@ def main(argv=None) -> int:
         if args.meshes is None and "meshes" in base_config:
             args.meshes = ",".join(str(a) for a in base_config["meshes"])
         if args.repeats is None:
-            args.repeats = base_config.get("repeats", 3)
+            args.repeats = base_config.get("repeats", 7)
         if args.eps is None:
             args.eps = base_config.get("eps", 1e-6)
         if args.table2_mesh is None:
@@ -1049,7 +1120,7 @@ def main(argv=None) -> int:
     if args.meshes is None:
         args.meshes = "20,41"
     if args.repeats is None:
-        args.repeats = 3
+        args.repeats = 7
     if args.eps is None:
         args.eps = 1e-6
     try:
@@ -1079,6 +1150,13 @@ def main(argv=None) -> int:
     if baseline is not None:
         failures = check_against_baseline(baseline, report, args.check_tolerance)
         print()
+        differences = fingerprint_differences(baseline, report)
+        if differences:
+            print("NOTE: the baseline was recorded on a different host fingerprint;")
+            print("      the ratios compare across machines or kernel builds:")
+            for line in differences:
+                print(f"  - {line}")
+            print()
         if failures:
             print("PERF GATE: FAIL")
             for line in failures:

@@ -23,9 +23,12 @@ order, i.e. ascending column order per row — so every product is
   its constant — with the exact per-row sum.  It reads only ``x``, which
   makes it the faster vector product where it applies.
 
-``stencil_ssor`` runs the whole m-step multicolor SSOR sweep (Algorithm
-2) off a :class:`~repro.kernels.stencil.SweepPlan`, for vectors and
-blocks alike.
+The whole m-step multicolor SSOR sweep (Algorithm 2) is one call, for
+vectors and blocks alike: one schedule over two row walkers, generated
+from one row template per width.  ``stencil_ssor`` gathers at the
+stencil's constant offsets off a :class:`~repro.kernels.stencil.SweepPlan`;
+``csr_ssor`` walks the permuted CSR rows off a
+:class:`~repro.multicolor.blocked.CSRSweepPlan`.
 
 The pack also owns Algorithm 1's reductions.  ``fixed_dots`` is the one
 inner product of the package (:func:`repro.util.column_dots`): 8 lanes,
@@ -49,6 +52,7 @@ kernel is an accelerator, never a dependency.
 from __future__ import annotations
 
 import ctypes
+import functools
 import hashlib
 import os
 import subprocess
@@ -112,76 +116,64 @@ static void values_rows_k{kk}(
 """
 
 
-#: Specialized entry counts of the fused sweep's interior rows.  Constant
-#: trip counts let the compiler unroll the short gather chain per row;
-#: 1–12 covers every color half of the 5-point scalar stencils (4) and
-#: of the 15-diagonal interleaved plate stencil (at most 11 per half).
-_SWEEP_NE = tuple(range(1, 13))
-
-_SWEEP_CASE_TEMPLATE = """
-        case {ne}:
-            for (q = qa; q < qb; ++q) {{
-                const long row = rows[q];
-                const double *crow = cm + (size_t)(q - g0) * {ne};
-                double acc = 0.0;
-{terms}                SSOR_TAIL_V
-            }}
-            break;
-"""
-
-
-def _sweep_case(ne: int) -> str:
-    terms = "".join(
-        f"                acc += crow[{i}] * rt[row + offs[{i}]];\n"
-        for i in range(ne)
-    )
-    return _SWEEP_CASE_TEMPLATE.format(ne=ne, terms=terms)
-
-
-#: Generated RHS widths of the block sweep and block product.  A
+#: Generated RHS widths of the block sweeps and block product.  A
 #: compile-time k turns the per-row column loops into fully unrolled
 #: straight-line SIMD over a register-resident accumulator (the runtime-k
 #: loop pays ~2× at k ≤ 6, and an accumulator behind a pointer that may
-#: alias the operands costs a load and store per term); wider blocks take
-#: the generic body, whose per-element cost is already amortized.  A
-#: one-column block takes the hand-written vector loops instead.
+#: alias the operands costs a load and store per term).  Wider blocks
+#: take the generic runtime-k body, or, in the CSR sweep, column tiles.
 _BLOCK_K = tuple(range(2, 9))
 
-_BLOCK_ROWS_TEMPLATE = """
-static void ssor_rows_k{kk}(
-    long n, long qa, long qb, long g0, long ne,
-    const long *rows, const double *diag, const long *offs, const double *cm,
-    double alpha, const double *r, double *rt, double *y,
-    int use_y, int do_solve, int store_y, int clip)
+#: Entry counts with a generated interior stencil-sweep body, per width.
+#: A constant trip count unrolls each row's short gather chain.  A vector
+#: takes every count the stencils have: 4 per half on the 5-point scalar
+#: stencils, 1–11 on the 15-diagonal interleaved plate.  A block takes the
+#: counts where that measured faster than the runtime-count body (plate
+#: a = 100 and Poisson g = 256): the 5-point stencils' 4 at every width,
+#: the plate's 5, 6, 10 and 11 only below k = 8 (at k = 8 the runtime
+#: loop measured faster for them).
+_SWEEP_NE = {
+    1: tuple(range(1, 13)),
+    **{kk: (4, 5, 6, 10, 11) if kk < 8 else (4,) for kk in _BLOCK_K},
+}
+
+#: One row body of the merged sweep, written once and generated per width
+#: ``{kk}`` (a number, or the runtime ``k``), row stride ``{ld}`` and
+#: operator representation: ``{head}`` names the scheduled row,
+#: ``{entries}`` and
+#: ``{gather}`` walk its couplings (coefficient ``cf``, gathered row ``rc``
+#: of r̃).  Every column is its own chain: the entries land on a zero
+#: accumulator in plan order and the solve is ``((α·r − y) − acc) / d``.
+#: The quotients go through the local ``z`` so the divides vectorize — a
+#: store straight to ``rt`` could alias ``r`` or ``y`` as far as the
+#: compiler knows — in the same association, so with the same bits.
+_ROWS_TEMPLATE = """
+static void {name}({params})
 {{
     long q, e, j;
+    double a[{kk}], acc[{kk}], z[{kk}];
+    for (j = 0; j < {kk}; ++j)
+        a[j] = al[j];
     for (q = qa; q < qb; ++q) {{
-        const long row = rows[q];
-        const double *crow = cm + (size_t)(q - g0) * (size_t)ne;
-        double *yq = y + (size_t)q * {kk};
-        double acc[{kk}];
-        for (j = 0; j < {kk}; ++j)
+        double *yq = y + (size_t)q * {ld};
+{head}        for (j = 0; j < {kk}; ++j)
             acc[j] = 0.0;
-        for (e = 0; e < ne; ++e) {{
-            long col = row + offs[e];
-            const double cf = crow[e];
-            const double *rc;
-            if (clip) {{
-                if (col < 0) col = 0; else if (col >= n) col = n - 1;
-            }}
-            rc = rt + (size_t)col * {kk};
-            for (j = 0; j < {kk}; ++j)
+        for ({entries}) {{
+{gather}            for (j = 0; j < {kk}; ++j)
                 acc[j] += cf * rc[j];
         }}
         if (do_solve) {{
-            const double *rr = r + (size_t)row * {kk};
-            double *rtr = rt + (size_t)row * {kk};
+            const double *rr = r + (size_t)row * {ld};
+            double *rtr = rt + (size_t)row * {ld};
             const double d = diag[q];
-            for (j = 0; j < {kk}; ++j) {{
-                double ar = alpha * rr[j];
-                double z = use_y ? ((ar - yq[j]) - acc[j]) : (ar - acc[j]);
-                rtr[j] = z / d;
-            }}
+            if (use_y)
+                for (j = 0; j < {kk}; ++j)
+                    z[j] = ((a[j] * rr[j] - yq[j]) - acc[j]) / d;
+            else
+                for (j = 0; j < {kk}; ++j)
+                    z[j] = (a[j] * rr[j] - acc[j]) / d;
+            for (j = 0; j < {kk}; ++j)
+                rtr[j] = z[j];
         }}
         if (store_y)
             for (j = 0; j < {kk}; ++j)
@@ -189,6 +181,99 @@ static void ssor_rows_k{kk}(
     }}
 }}
 """
+
+_SWEEP_TAIL = (
+    "const double *al, const double *r, double *rt, double *y, "
+    "int use_y, int do_solve, int store_y"
+)
+_STENCIL_PARAMS = (
+    "long n, long qa, long qb, long g0, long ne, const long *rows, "
+    "const double *diag, const long *offs, const double *cm, "
+    + _SWEEP_TAIL + ", int clip"
+)
+_STENCIL_ARGS = (
+    "n, qa, qb, g0, ne, rows, diag, offs, cm, al, r, rt, y, "
+    "use_y, do_solve, store_y, clip"
+)
+_CSR_PARAMS = (
+    "long qa, long qb, const int *ptr, const int *col, const double *val, "
+    "const double *diag, " + _SWEEP_TAIL
+)
+_CSR_ARGS = "qa, qb, ptr, col, val, diag, al, r, rt, y, use_y, do_solve, store_y"
+
+
+def _stencil_rows(kk, ne=None) -> str:
+    """The stencil's row body at width ``kk`` (``None``: runtime k).
+
+    With a constant entry count ``ne`` it serves the interior rows only;
+    the runtime-count body also serves the margins, whose gather columns
+    clip into ``[0, n)``.
+    """
+    ld = "k" if kk is None else str(kk)
+    count = "ne" if ne is None else str(ne)
+    if ne is None:
+        gather = (
+            "            long col = row + offs[e];\n"
+            "            const double cf = crow[e];\n"
+            "            const double *rc;\n"
+            "            if (clip) {\n"
+            "                if (col < 0) col = 0; else if (col >= n) col = n - 1;\n"
+            "            }\n"
+            f"            rc = rt + (size_t)col * {ld};\n"
+        )
+    else:
+        gather = (
+            "            const double cf = crow[e];\n"
+            f"            const double *rc = rt + (size_t)(row + offs[e]) * {ld};\n"
+        )
+    return _ROWS_TEMPLATE.format(
+        name=f"ssor_rows_{'any' if kk is None else f'k{kk}'}"
+        + ("" if ne is None else f"_e{ne}"),
+        params=("long k, " if kk is None else "") + _STENCIL_PARAMS,
+        kk=ld,
+        ld=ld,
+        head=(
+            "        const long row = rows[q];\n"
+            "        const double *crow = cm + (size_t)(q - g0) * (size_t)"
+            f"{count};\n"
+        ),
+        entries=f"e = 0; e < {count}; ++e",
+        gather=gather,
+    )
+
+
+def _csr_rows(kk: int, tiled=False) -> str:
+    """The CSR row body at width ``kk``; a ``tiled`` body walks ``kk``
+    columns of a wider block whose rows are ``ld`` apart."""
+    ld = "ld" if tiled else str(kk)
+    return _ROWS_TEMPLATE.format(
+        name=f"csr_rows_{'t' if tiled else 'k'}{kk}",
+        params=("long ld, " if tiled else "") + _CSR_PARAMS,
+        kk=kk,
+        ld=ld,
+        head="        const long row = q;\n",
+        entries="e = ptr[q]; e < ptr[q + 1]; ++e",
+        gather=(
+            "            const double cf = val[e];\n"
+            f"            const double *rc = rt + (size_t)col[e] * {ld};\n"
+        ),
+    )
+
+
+def _column_tiles(body: str, args: str) -> str:
+    """Blocks wider than 8 as column tiles of at most 8 through the tiled
+    ``body<w>`` bodies: the columns are independent chains, so the order
+    of the tiles changes no bit.  The CSR sweep's color-contiguous rows
+    make a tile pass cheap (2–3× the runtime-k body at plate a = 41,
+    k = 16); the stencil's strided rows would touch every cache line once
+    per tile, so it keeps the runtime-k body."""
+    cases = "".join(
+        f"        case {w}: {body}{w}(k, {args}); break;\n" for w in range(1, 9)
+    )
+    return (
+        "    for (j0 = 0; j0 < k; j0 += 8)\n"
+        "        switch (k - j0 < 8 ? k - j0 : 8) {\n" + cases + "        }\n"
+    ).replace("al, r, rt, y,", "al + j0, r + j0, rt + j0, y + j0,")
 
 
 def _width_switch(body: str, args: str, generic: str, widths) -> str:
@@ -356,6 +441,202 @@ void cg_xpay(long n, long k, const double *rt, const double *r, double *rho,
     )
 
 
+def _sweep_source() -> str:
+    """The merged m-step sweeps: one schedule, two row walkers."""
+    stencil_rows = "".join(
+        _stencil_rows(kk, ne)
+        for kk, counts in _SWEEP_NE.items()
+        for ne in (None, *counts)
+    ) + _stencil_rows(None)
+    stencil_cases = "".join(
+        f"    case {kk}:\n        if (!clip)\n            switch (ne) {{\n"
+        + "".join(
+            f"            case {ne}: ssor_rows_k{kk}_e{ne}({_STENCIL_ARGS}); return;\n"
+            for ne in counts
+        )
+        + f"            }}\n        ssor_rows_k{kk}({_STENCIL_ARGS});\n        return;\n"
+        for kk, counts in _SWEEP_NE.items()
+    )
+    csr_rows = "".join(_csr_rows(kk) for kk in (1, *_BLOCK_K)) + "".join(
+        _csr_rows(w, tiled=True) for w in range(1, 9)
+    )
+    return (
+        """
+/* ---- merged multicolor m-step SSOR sweeps -----------------------------
+
+   Algorithm 2's Conrad-Wallach schedule is written once (mstep_sweep) and
+   walks one of two plans: the stencil's constant-offset gathers
+   (stencil_ssor, off a StencilOperator.sweep_plan) or the permuted CSR
+   rows (csr_ssor, off a BlockedMatrix.sweep_plan).  Each is bitwise its
+   numpy twin, StencilSSOR._apply_numpy and MStepSSOR's merged-CSR sweep:
+   the entries of a row land on a zero accumulator in plan order, the
+   solve subtracts in the association ((alpha*r - y) - acc), and
+   -ffp-contract=off keeps every mul -> add unfused.
+
+   alphas is the (m, ka) schedule: ka = 1 for one schedule on every
+   column, ka = k for one per column; step s reads row m - s.  r, rt and
+   y are C-contiguous (n, k), element (i, j) at i*k + j, a vector being
+   the one-column block; y holds each scheduled row's last lower or upper
+   sum.
+
+   stencil_plan (both halves (ep, eoff, ecb, ecoef)):
+     gp[nc+1]   row-range pointers into rows/diag, concatenated by color
+     rows/diag  unknown index and diagonal value per scheduled row
+     ep[nc+1]   entry-range pointers per color
+     eoff       column offset per entry
+     ecb[nc]    base of the color's (len, ne) row-major coefficient
+                matrix inside ecoef
+   Gather columns clip to [0, n-1]; the stored coefficient at a clipped
+   row is exactly 0.0, so the clipped read contributes a signed zero at
+   most -- provided the value read is finite, which is why the caller
+   zeroes rt before every call (a clipped or grid-row-wrap read may land
+   on a row this call has not solved yet).
+
+   csr_plan (both halves (ptr, col, val)):
+     gp[nc+1]   color row ranges; the permuted rows are color-major
+     diag[n]    the D_c diagonals
+     ptr[n+1]   per row, its entries left of its color's columns (lower)
+                or right of them (upper), with columns col and values val
+                in the permuted matrix's stored order -- the order scipy's
+                csr_matvec(s) accumulates the merged block rows in; ptr
+                and col are 32-bit, as scipy's own CSR indices are.
+   Every column read is a row of another color solved earlier in the
+   same call, so rt needs no zeroing. */
+
+struct stencil_half { const long *ep, *eoff, *ecb; const double *ecoef; };
+struct stencil_plan {
+    long n, nc;
+    const long *gp, *rows;
+    const double *diag;
+    struct stencil_half half[2];   /* lower, upper */
+};
+struct csr_half { const int *ptr, *col; const double *val; };
+struct csr_plan {
+    long n, nc;
+    const long *gp;
+    const double *diag;
+    struct csr_half half[2];       /* lower, upper */
+};
+"""
+        + stencil_rows
+        + """
+/* Row dispatch: compile-time widths, and constant entry counts for the
+   interior rows where _SWEEP_NE generated them.  Same arithmetic per
+   column either way -- dispatch is bitwise-neutral. */
+static void ssor_rows(long k, """ + _STENCIL_PARAMS + """)
+{
+    switch (k) {
+"""
+        + stencil_cases
+        + """    }
+    ssor_rows_any(k, """ + _STENCIL_ARGS + """);
+}
+
+static void stencil_color(
+    const void *plan, int upper, long c, long k, """ + _SWEEP_TAIL + """)
+{
+    const struct stencil_plan *p = plan;
+    const struct stencil_half *h = &p->half[upper];
+    const long n = p->n, ne = h->ep[c + 1] - h->ep[c];
+    const long *offs = h->eoff + h->ep[c], *rows = p->rows;
+    const double *cm = h->ecoef + h->ecb[c], *diag = p->diag;
+    const long qa = p->gp[c], qb = p->gp[c + 1];
+    long minoff = 0, maxoff = 0, q_lo, q_hi, e;
+    for (e = 0; e < ne; ++e) {
+        if (offs[e] < minoff) minoff = offs[e];
+        if (offs[e] > maxoff) maxoff = offs[e];
+    }
+    /* rows are sorted ascending, so clipping only bites on a prefix
+       (col < 0) and a suffix (col >= n); the interior runs branch-free.
+       Clipped entries carry coefficient exactly 0.0, so the split does
+       not change any sum. */
+    q_lo = qa;
+    while (q_lo < qb && rows[q_lo] + minoff < 0) ++q_lo;
+    q_hi = qb;
+    while (q_hi > q_lo && rows[q_hi - 1] + maxoff >= n) --q_hi;
+    ssor_rows(k, n, qa, q_lo, qa, ne, rows, diag, offs, cm,
+              al, r, rt, y, use_y, do_solve, store_y, 1);
+    ssor_rows(k, n, q_lo, q_hi, qa, ne, rows, diag, offs, cm,
+              al, r, rt, y, use_y, do_solve, store_y, 0);
+    ssor_rows(k, n, q_hi, qb, qa, ne, rows, diag, offs, cm,
+              al, r, rt, y, use_y, do_solve, store_y, 1);
+}
+"""
+        + csr_rows
+        + """
+static void csr_rows(long k, """ + _CSR_PARAMS + """)
+{
+    long j0;
+    switch (k) {
+"""
+        + "".join(
+            f"    case {kk}: csr_rows_k{kk}({_CSR_ARGS}); return;\n"
+            for kk in (1, *_BLOCK_K)
+        )
+        + """    }
+"""
+        + _column_tiles("csr_rows_t", _CSR_ARGS)
+        + """}
+
+static void csr_color(
+    const void *plan, int upper, long c, long k, """ + _SWEEP_TAIL + """)
+{
+    const struct csr_plan *p = plan;
+    const struct csr_half *h = &p->half[upper];
+    csr_rows(k, p->gp[c], p->gp[c + 1], h->ptr, h->col, h->val, p->diag,
+             al, r, rt, y, use_y, do_solve, store_y);
+}
+
+typedef void (*sweep_color)(
+    const void *plan, int upper, long c, long k, """ + _SWEEP_TAIL + """);
+
+/* The m-step schedule: per step a forward pass over every color (lower
+   sums), a backward pass over colors nc-2 .. 1 (upper sums), then color
+   0's upper sum -- its closing solve on the last step, else stashed for
+   the next forward pass.  The last color has no upper coupling. */
+static void mstep_sweep(
+    const void *plan, sweep_color color, long nc, const long *gp,
+    long k, long m, long ka, const double *alphas,
+    const double *r, double *rt, double *y)
+{
+    long s, c, j, q;
+    if (k < 1)
+        return;  /* nothing to sweep, and no zero-length arrays */
+    {
+        double al[k];
+        for (s = 1; s <= m; ++s) {
+            const double *alpha = alphas + (size_t)(m - s) * (size_t)ka;
+            for (j = 0; j < k; ++j)
+                al[j] = alpha[ka == 1 ? 0 : j];
+            for (c = 0; c < nc; ++c)
+                color(plan, 0, c, k, al, r, rt, y, s > 1, 1, 1);
+            for (c = nc - 2; c >= 1; --c)
+                color(plan, 1, c, k, al, r, rt, y, 1, 1, 1);
+            if (nc >= 2) {
+                for (q = gp[nc - 1] * k; q < gp[nc] * k; ++q)
+                    y[q] = 0.0;
+                color(plan, 1, 0, k, al, r, rt, y, 0, s == m, s != m);
+            }
+        }
+    }
+}
+
+void stencil_ssor(const struct stencil_plan *p, long k, long m, long ka,
+                  const double *alphas, const double *r, double *rt,
+                  double *y)
+{
+    mstep_sweep(p, stencil_color, p->nc, p->gp, k, m, ka, alphas, r, rt, y);
+}
+
+void csr_ssor(const struct csr_plan *p, long k, long m, long ka,
+              const double *alphas, const double *r, double *rt, double *y)
+{
+    mstep_sweep(p, csr_color, p->nc, p->gp, k, m, ka, alphas, r, rt, y);
+}
+"""
+    )
+
+
 def _source() -> str:
     vec_cases = "".join(_CASE_TEMPLATE.format(nd=nd) for nd in _SPECIALIZED)
     values_rows = "".join(_VALUES_ROWS_TEMPLATE.format(kk=kk) for kk in _BLOCK_K)
@@ -363,17 +644,6 @@ def _source() -> str:
         "values_rows_k",
         "n, nd, offs, vals, lo, hi, window, x, out, accumulate",
         "values_rows_any(n, nd, offs, vals, k, lo, hi, window, x, out, accumulate)",
-        _BLOCK_K,
-    )
-    sweep_cases = "".join(_sweep_case(ne) for ne in _SWEEP_NE)
-    block_rows = "".join(_BLOCK_ROWS_TEMPLATE.format(kk=kk) for kk in _BLOCK_K)
-    rows_args = (
-        "qa, qb, g0, ne, rows, diag, offs, cm, alpha, r, rt, y, "
-        "use_y, do_solve, store_y, clip"
-    )
-    sweep_dispatch = _width_switch(
-        "ssor_rows_k", "n, " + rows_args,
-        "ssor_rows_any(n, k, " + rows_args + ")",
         _BLOCK_K,
     )
     return (
@@ -520,210 +790,8 @@ void stencil_apply_v(
         out[srows[t]] = stash[t];
 }
 
-/* ---- fused multicolor m-step SSOR sweep --------------------------------
-
-   One entry point, stencil_ssor, walks the whole color schedule
-   in-kernel for every width: per-color gathers at the stencil's constant
-   offsets, diagonal solve, Horner alpha*r accumulation, and the merged
-   forward/backward Conrad-Wallach passes.  StencilSSOR._apply_numpy is
-   its numpy twin over the same plan — entries accumulate in (target,
-   offset) order, the solve subtracts in the same association
-   ((a*r - y) - acc), and -ffp-contract=off keeps every mul -> add
-   unfused — so the iterate is bitwise identical either way.
-
-   Layout (built once by StencilOperator.sweep_plan):
-     gp[nc+1]   row-range pointers into rows/diag, concatenated by color
-     rows/diag  unknown index and diagonal value per scheduled row
-     ep[nc+1]   entry-range pointers per color (lower or upper half)
-     eoff       column offset per entry
-     ecb[nc]    base of the color's (len, ne) row-major coefficient
-                matrix inside ecoef
-   Gather columns clip to [0, n-1]; the stored coefficient at a clipped
-   row is exactly 0.0, so the clipped read contributes a signed zero at
-   most — provided the value read is finite, which is why the caller
-   zeroes rt before every call (a clipped or grid-row-wrap read may land
-   on a row this call has not solved yet). */
-
-/* Row epilogue of the vector sweep: Horner solve + lower/upper-sum stash.
-   One association only — ((alpha*r - y) - acc) — matching the numpy
-   twin exactly. */
-#define SSOR_TAIL_V \
-    if (do_solve) { \
-        double ar = alpha * r[row]; \
-        double z = use_y ? ((ar - y[q]) - acc) : (ar - acc); \
-        rt[row] = z / diag[q]; \
-    } \
-    if (store_y) y[q] = acc;
-
-static void ssor_rows_v(
-    long n, long qa, long qb, long g0, long ne,
-    const long *rows, const double *diag, const long *offs, const double *cm,
-    double alpha, const double *r, double *rt, double *y,
-    int use_y, int do_solve, int store_y, int clip)
-{
-    long q, e;
-    if (clip) {
-        for (q = qa; q < qb; ++q) {
-            const long row = rows[q];
-            const double *crow = cm + (size_t)(q - g0) * (size_t)ne;
-            double acc = 0.0;
-            for (e = 0; e < ne; ++e) {
-                long col = row + offs[e];
-                if (col < 0) col = 0; else if (col >= n) col = n - 1;
-                acc += crow[e] * rt[col];
-            }
-            SSOR_TAIL_V
-        }
-        return;
-    }
-    switch (ne) {
 """
-        + sweep_cases
-        + """
-        default:
-            for (q = qa; q < qb; ++q) {
-                const long row = rows[q];
-                const double *crow = cm + (size_t)(q - g0) * (size_t)ne;
-                double acc = 0.0;
-                for (e = 0; e < ne; ++e)
-                    acc += crow[e] * rt[row + offs[e]];
-                SSOR_TAIL_V
-            }
-    }
-}
-
-/* Block form over C-contiguous (n, k): element (i, j) at i*k + j.  Each
-   column runs the exact scalar chain of ssor_rows_v.  The generic width
-   keeps its accumulators in a local variable-length array: k doubles of
-   stack, against the n*k each of r, rt and y. */
-static void ssor_rows_any(
-    long n, long k, long qa, long qb, long g0, long ne,
-    const long *rows, const double *diag, const long *offs, const double *cm,
-    double alpha, const double *r, double *rt, double *y,
-    int use_y, int do_solve, int store_y, int clip)
-{
-    double acc[k];
-    long q, e, j;
-    for (q = qa; q < qb; ++q) {
-        const long row = rows[q];
-        const double *crow = cm + (size_t)(q - g0) * (size_t)ne;
-        double *yq = y + (size_t)q * k;
-        for (j = 0; j < k; ++j)
-            acc[j] = 0.0;
-        for (e = 0; e < ne; ++e) {
-            long col = row + offs[e];
-            const double cf = crow[e];
-            const double *rc;
-            if (clip) {
-                if (col < 0) col = 0; else if (col >= n) col = n - 1;
-            }
-            rc = rt + (size_t)col * k;
-            for (j = 0; j < k; ++j)
-                acc[j] += cf * rc[j];
-        }
-        if (do_solve) {
-            const double *rr = r + (size_t)row * k;
-            double *rtr = rt + (size_t)row * k;
-            const double d = diag[q];
-            for (j = 0; j < k; ++j) {
-                double ar = alpha * rr[j];
-                double z = use_y ? ((ar - yq[j]) - acc[j]) : (ar - acc[j]);
-                rtr[j] = z / d;
-            }
-        }
-        if (store_y)
-            for (j = 0; j < k; ++j)
-                yq[j] = acc[j];
-    }
-}
-"""
-        + block_rows
-        + """
-/* Column-loop trip counts are compile-time for the common widths: a
-   vector takes the entry-count-specialized ssor_rows_v, and the generated
-   ssor_rows_k<K> bodies unroll to straight-line SIMD over
-   register-resident accumulators.  Same arithmetic per column either
-   way — dispatch is bitwise-neutral. */
-static void ssor_rows(
-    long n, long k, long qa, long qb, long g0, long ne,
-    const long *rows, const double *diag, const long *offs, const double *cm,
-    double alpha, const double *r, double *rt, double *y,
-    int use_y, int do_solve, int store_y, int clip)
-{
-    if (k == 1) {
-        ssor_rows_v(n, """ + rows_args + """);
-        return;
-    }
-"""
-        + sweep_dispatch
-        + """}
-
-static void ssor_color(
-    long n, long k, long c,
-    const long *gp, const long *rows, const double *diag,
-    const long *ep, const long *eoff, const long *ecb, const double *ecoef,
-    double alpha, const double *r, double *rt, double *y,
-    int use_y, int do_solve, int store_y)
-{
-    const long ne = ep[c + 1] - ep[c];
-    const long *offs = eoff + ep[c];
-    const double *cm = ecoef + ecb[c];
-    const long qa = gp[c], qb = gp[c + 1];
-    long minoff = 0, maxoff = 0, q_lo, q_hi, e;
-    for (e = 0; e < ne; ++e) {
-        if (offs[e] < minoff) minoff = offs[e];
-        if (offs[e] > maxoff) maxoff = offs[e];
-    }
-    /* rows are sorted ascending, so clipping only bites on a prefix
-       (col < 0) and a suffix (col >= n); the interior runs branch-free.
-       Clipped entries carry coefficient exactly 0.0, so the split does
-       not change any sum. */
-    q_lo = qa;
-    while (q_lo < qb && rows[q_lo] + minoff < 0) ++q_lo;
-    q_hi = qb;
-    while (q_hi > q_lo && rows[q_hi - 1] + maxoff >= n) --q_hi;
-    ssor_rows(n, k, qa, q_lo, qa, ne, rows, diag, offs, cm,
-              alpha, r, rt, y, use_y, do_solve, store_y, 1);
-    ssor_rows(n, k, q_lo, q_hi, qa, ne, rows, diag, offs, cm,
-              alpha, r, rt, y, use_y, do_solve, store_y, 0);
-    ssor_rows(n, k, q_hi, qb, qa, ne, rows, diag, offs, cm,
-              alpha, r, rt, y, use_y, do_solve, store_y, 1);
-}
-
-/* The whole m-step schedule over C-contiguous (n, k) blocks; a vector is
-   the one-column block. */
-void stencil_ssor(
-    long n, long k, long m, long nc,
-    const long *gp, const long *rows, const double *diag,
-    const long *lp, const long *loff, const long *lcb, const double *lcoef,
-    const long *up, const long *uoff, const long *ucb, const double *ucoef,
-    const double *alphas, const double *r, double *rt, double *y)
-{
-    long s, c, q;
-    if (k < 1)
-        return;  /* nothing to sweep, and no zero-length accumulator */
-    for (s = 1; s <= m; ++s) {
-        const double alpha = alphas[m - s];
-        const int first = (s == 1);
-        for (c = 0; c < nc; ++c)       /* forward: lower-triangular sums */
-            ssor_color(n, k, c, gp, rows, diag, lp, loff, lcb, lcoef,
-                       alpha, r, rt, y, !first, 1, 1);
-        for (c = nc - 2; c >= 1; --c)  /* backward: upper-triangular sums */
-            ssor_color(n, k, c, gp, rows, diag, up, uoff, ucb, ucoef,
-                       alpha, r, rt, y, 1, 1, 1);
-        if (nc >= 2) {
-            for (q = gp[nc - 1] * k; q < gp[nc] * k; ++q)
-                y[q] = 0.0;            /* last color has no upper coupling */
-            if (s == m)                /* closing color-0 solve */
-                ssor_color(n, k, 0, gp, rows, diag, up, uoff, ucb, ucoef,
-                           alpha, r, rt, y, 0, 1, 0);
-            else                       /* stash color-0 upper sum only */
-                ssor_color(n, k, 0, gp, rows, diag, up, uoff, ucb, ucoef,
-                           alpha, r, rt, y, 0, 0, 1);
-        }
-    }
-}
-"""
+        + _sweep_source()
         + _cg_source()
     )
 
@@ -736,88 +804,121 @@ _FLAG_SETS = (
     ("-O2", "-fPIC", "-shared"),
 )
 
-_I64 = np.ctypeslib.ndpointer(dtype=np.int64, flags="C_CONTIGUOUS")
-_F64 = np.ctypeslib.ndpointer(dtype=np.float64, flags="C_CONTIGUOUS")
+#: The argument type of every ``double *`` parameter.
+_DOUBLES = ctypes.POINTER(ctypes.c_double)
 
 
 def pointer(a: np.ndarray):
-    """``a``'s data pointer, for the reduction entry points.
+    """``a``'s data, as the argument of a ``double *`` parameter.
 
-    ``a`` must be C-contiguous float64.  A writable array goes through the
-    buffer protocol (~0.7 µs), and the pointer holds its memory alive;
-    ``ndarray.ctypes`` (~2 µs) serves read-only and empty ones, which the
-    caller must keep alive while the pointer is in use.
+    ``a`` must be C-contiguous float64.  The result is a ``c_double``
+    aliasing ``a``'s first element, which ctypes passes by reference (the
+    cheapest conversion it has).  A writable array goes through the buffer
+    protocol (~0.6 µs), which holds its memory alive; read-only and empty
+    ones take ``ndarray.ctypes`` (~2 µs), and the caller keeps them alive
+    while the result is in use.
     """
     try:
-        return ctypes.byref(ctypes.c_double.from_buffer(a))
+        return ctypes.c_double.from_buffer(a)
     except (TypeError, ValueError, BufferError):
-        return ctypes.c_void_p(a.ctypes.data)
+        return ctypes.c_double.from_address(a.ctypes.data)
+
+
+def bind(fn, *fixed, keep=()):
+    """``fn`` with its leading arguments converted once.
+
+    Arrays among ``fixed`` pass as their data (:func:`pointer` for a
+    ``double *`` parameter, an address otherwise); the caller has checked
+    their layout, and the bound callable holds them (and ``keep``) alive.
+    A call then converts only the trailing, per-call arguments: with
+    plain ``c_long``/``double *`` argtypes that costs a few µs, where an
+    ``ndpointer`` check costs ~5 µs per argument.
+    """
+    bound = functools.partial(fn, *(
+        (pointer(a) if kind is _DOUBLES else ctypes.c_void_p(a.ctypes.data))
+        if isinstance(a, np.ndarray) else a
+        for kind, a in zip(fn.argtypes, fixed)
+    ))
+    bound.keep = (fixed, keep)
+    return bound
+
+
+@functools.lru_cache(maxsize=None)
+def _plan_type(npointers: int):
+    """The ctypes mirror of a C sweep plan: ``n``, ``nc``, then the plan's
+    array pointers in declaration order."""
+    return type(f"Plan{npointers}", (ctypes.Structure,), {"_fields_": [
+        ("n", ctypes.c_long),
+        ("nc", ctypes.c_long),
+        ("arrays", ctypes.c_void_p * npointers),
+    ]})
 
 
 class NativeKernels:
-    """ctypes facade over the compiled stencil kernels and reductions."""
+    """ctypes facade over the compiled stencil kernels, sweeps and
+    reductions.
+
+    Every entry point takes plain ``c_long``, ``double *`` and address
+    arguments: the callers own the layout checks, and bind an operator's
+    or a plan's fixed arrays once (:func:`bind`), so a call converts only
+    its per-call operands (:func:`pointer`).
+    """
 
     pointer = staticmethod(pointer)
 
     def __init__(self, lib: ctypes.CDLL):
         self._lib = lib
-        # The reductions run several times per PCG iteration, where an
-        # ndpointer argument check (~14 µs a call) would cost more than
-        # the dot itself.  They take plain data pointers, bound once per
-        # operand (:func:`pointer`); callers own the layout checks.
-        _long, _ptr = ctypes.c_long, ctypes.c_void_p
-        self.fixed_dots = lib.fixed_dots
-        self.fixed_dots.restype = None
-        self.fixed_dots.argtypes = [_long, _long, _ptr, _ptr, _ptr]
-        self.cg_axpy = lib.cg_axpy
-        self.cg_axpy.restype = _long
-        self.cg_axpy.argtypes = [_long, _long] + [_ptr] * 7
-        self.cg_xpay = lib.cg_xpay
-        self.cg_xpay.restype = None
-        self.cg_xpay.argtypes = [_long, _long] + [_ptr] * 4
-        lib.stencil_values_b.restype = None
-        lib.stencil_values_b.argtypes = [
-            ctypes.c_long, ctypes.c_long, _I64, _F64,
-            ctypes.c_long, _F64, _F64, ctypes.c_int,
-        ]
-        lib.stencil_apply_v.restype = None
-        lib.stencil_apply_v.argtypes = [
-            ctypes.c_long, ctypes.c_long, _I64, _F64,
-            ctypes.c_long, _I64, _F64, _F64,
-            _F64, _F64, ctypes.c_int,
-        ]
-        _plan = [_I64, _I64, _F64, _I64, _I64, _I64, _F64,
-                 _I64, _I64, _I64, _F64]
-        lib.stencil_ssor.restype = None
-        lib.stencil_ssor.argtypes = [
-            ctypes.c_long, ctypes.c_long, ctypes.c_long, ctypes.c_long,
-            *_plan, _F64, _F64, _F64, _F64,
-        ]
+        long_, int_, ptr, dbl = ctypes.c_long, ctypes.c_int, ctypes.c_void_p, _DOUBLES
+        sweep = [ptr, long_, long_, long_, dbl, dbl, dbl, dbl]
+        for name, restype, argtypes in (
+            ("fixed_dots", None, [long_, long_, dbl, dbl, dbl]),
+            ("cg_axpy", long_, [long_, long_] + [dbl] * 7),
+            ("cg_xpay", None, [long_, long_] + [dbl] * 4),
+            ("stencil_values_b", None,
+             [long_, long_, ptr, dbl, long_, dbl, dbl, int_]),
+            ("stencil_apply_v", None,
+             [long_, long_, ptr, dbl, long_, ptr, dbl, dbl, dbl, dbl, int_]),
+            ("stencil_ssor", None, sweep),
+            ("csr_ssor", None, sweep),
+        ):
+            fn = getattr(lib, name)
+            fn.restype, fn.argtypes = restype, argtypes
+            setattr(self, name, fn)
 
-    def apply_values(self, offs, vals, x, out, accumulate):
-        """``out (+)= K·x`` off the ``(nd, n)`` value rows; ``x`` is
-        ``(n,)`` or a C-contiguous ``(n, k)`` block."""
-        k = 1 if x.ndim == 1 else x.shape[1]
-        self._lib.stencil_values_b(
-            vals.shape[1], len(offs), offs, vals, k, x, out,
-            1 if accumulate else 0,
+    def bind_values(self, offs, vals):
+        """The value-row product ``out (+)= K·x`` off one operator's
+        ``(nd, n)`` value rows: ``call(k, x, out, accumulate)``, ``x`` and
+        ``out`` pointers to ``(n,)`` or C-contiguous ``(n, k)``."""
+        return bind(self.stencil_values_b, vals.shape[1], len(offs), offs, vals)
+
+    def bind_constant(self, n, offs, cs, srows, svals, stash):
+        """The constant-diagonal vector product off one operator's
+        recipe: ``call(x, out, accumulate)`` with ``(n,)`` pointers."""
+        return bind(
+            self.stencil_apply_v, n, len(offs), offs, cs, len(srows), srows,
+            svals, stash,
         )
 
-    def apply_constant(self, n, offs, cs, srows, svals, stash, x, out, accumulate):
-        """``out (+)= K·x`` for an ``(n,)`` vector off the dominant
-        constants ``cs``, the special rows ``srows`` patched exactly."""
-        self._lib.stencil_apply_v(
-            n, len(offs), offs, cs, len(srows), srows, svals, stash,
-            x, out, 1 if accumulate else 0,
-        )
+    def bind_sweep(self, plan):
+        """The compiled m-step sweep bound to ``plan``, once per plan.
 
-    def ssor(self, n, k, m, plan, alphas, r, rt, y):
-        """The m-step sweep ``rt ← M_m⁻¹ r`` off a
-        :class:`~repro.kernels.stencil.SweepPlan`; ``r``, ``rt`` and the
-        scratch ``y`` are ``(n,)`` or C-contiguous ``(n, k)``."""
-        self._lib.stencil_ssor(
-            n, k, m, len(plan.lower_counts), *plan.arrays, alphas, r, rt, y
-        )
+        ``plan.entry`` names the walker (``"stencil_ssor"`` or
+        ``"csr_ssor"``); ``plan.gp`` holds its color row pointers and
+        ``plan.arrays`` its arrays in the C plan's field order.  Returns
+        ``call(k, m, ka, alphas, r, rt, y)``, the last four pointers to the
+        ``(m, ka)`` schedule and the ``(n,)``/``(n, k)`` operands.  The
+        binding is cached on the plan, so every sweep on one plan shares it.
+        """
+        call = plan.__dict__.get("_call")
+        if call is None:
+            arrays = plan.arrays
+            struct = _plan_type(len(arrays))(
+                int(plan.gp[-1]), plan.gp.size - 1,
+                (ctypes.c_void_p * len(arrays))(*(a.ctypes.data for a in arrays)),
+            )
+            call = bind(getattr(self, plan.entry), ctypes.byref(struct), keep=arrays)
+            plan.__dict__["_call"] = call
+        return call
 
 
 _CACHE: list = []  # [NativeKernels | None] once resolved
@@ -854,6 +955,11 @@ def _compile(src_text: str, out_path: Path) -> bool:
         c_path.with_suffix(".so").unlink(missing_ok=True)
 
 
+def source_hash() -> str:
+    """The content hash that names the compiled pack (16 hex digits)."""
+    return hashlib.sha256(_source().encode()).hexdigest()[:16]
+
+
 def load_native() -> NativeKernels | None:
     """The compiled kernel pack, or ``None`` when it cannot be had.
 
@@ -866,10 +972,8 @@ def load_native() -> NativeKernels | None:
     native = None
     if not os.environ.get("REPRO_NO_NATIVE"):
         try:
-            text = _source()
-            digest = hashlib.sha256(text.encode()).hexdigest()[:16]
-            so_path = _build_dir() / f"stencil-{digest}.so"
-            if so_path.exists() or _compile(text, so_path):
+            so_path = _build_dir() / f"stencil-{source_hash()}.so"
+            if so_path.exists() or _compile(_source(), so_path):
                 native = NativeKernels(ctypes.CDLL(str(so_path)))
         except OSError:
             native = None

@@ -64,6 +64,9 @@ class SweepPlan:
     lower_counts: tuple
     upper_counts: tuple
 
+    #: The compiled walker over this plan.
+    entry = "stencil_ssor"
+
     @property
     def arrays(self) -> tuple:
         """The C kernel's plan arguments, in order."""
@@ -164,21 +167,30 @@ class StencilOperator:
     # --------------------------------------------------------------- matvec
     @property
     def _native_plan(self):
-        """The compiled kernel pack and its inputs, if the kernel loaded.
+        """The compiled kernel pack and this operator's bound products.
 
-        ``(native, offsets, constant)``: every product can run compiled
-        off the value rows, read in place; ``constant`` is the recipe of
-        the faster constant-diagonal vector kernel, or ``None`` (see
-        :meth:`_constant_recipe`).  ``None`` overall keeps the numpy
-        shifted-slice path, which is always correct.
+        ``(native, values, constant)``: ``values`` is the value-row
+        product, which serves every product off the value rows read in
+        place; ``constant`` is the faster constant-diagonal vector
+        product, or ``None`` (see :meth:`_constant_recipe`).  Both are
+        bound once (:meth:`~repro.kernels._native.NativeKernels
+        .bind_values`).  ``None`` overall keeps the numpy shifted-slice
+        path, which is always correct.
         """
         if self._native is False:
             native = load_native()
-            self._native = None if native is None else (
-                native,
-                np.asarray(self.offsets, dtype=np.int64),
-                self._constant_recipe(),
-            )
+            if native is None:
+                self._native = None
+            else:
+                offs = np.asarray(self.offsets, dtype=np.int64)
+                recipe = self._constant_recipe()
+                self._native = (
+                    native,
+                    native.bind_values(offs, self.values),
+                    None if recipe is None else native.bind_constant(
+                        self.n, offs, *recipe, np.empty(recipe[1].size)
+                    ),
+                )
         return self._native
 
     def _constant_recipe(self):
@@ -236,16 +248,13 @@ class StencilOperator:
             or out.shape != x.shape
         ):
             return None
-        native, offs, constant = plan
+        native, values, constant = plan
         if x.flags.c_contiguous and out.flags.c_contiguous:
+            px, pout, acc = native.pointer(x), native.pointer(out), int(not zero)
             if x.ndim == 1 and constant is not None:
-                cs, srows, svals = constant
-                stash = self.workspace.get("nat_stash", (srows.size,))
-                native.apply_constant(
-                    self.n, offs, cs, srows, svals, stash, x, out, not zero
-                )
+                constant(px, pout, acc)
             else:
-                native.apply_values(offs, self.values, x, out, not zero)
+                values(1 if x.ndim == 1 else x.shape[1], px, pout, acc)
             return out
         if x.ndim == 2 and x.flags.f_contiguous and out.flags.f_contiguous:
             # Column-major block: each column is a contiguous vector.
@@ -425,7 +434,8 @@ class StencilSSOR:
     block_capable = True
 
     def __post_init__(self) -> None:
-        self.coefficients = np.atleast_1d(np.asarray(self.coefficients, dtype=float))
+        # Contiguous: the compiled walker reads the α's through a pointer.
+        self.coefficients = np.ascontiguousarray(self.coefficients, dtype=float)
         require(self.coefficients.ndim == 1, "coefficients must be a vector")
         require(self.coefficients.size >= 1, "need at least one step (m ≥ 1)")
         if self.workspace is None:
@@ -466,35 +476,23 @@ class StencilSSOR:
             self._apply_native(plan, r, rt, y)
         else:
             self._apply_numpy(plan, r, rt, y)
-        self._charge(plan, 1 if r.ndim == 1 else int(r.shape[1]))
+        self.counter.charge_sweep(
+            self.m,
+            1 if r.ndim == 1 else int(r.shape[1]),
+            len(plan.lower_counts),
+            sum(plan.lower_counts) + sum(plan.upper_counts),
+        )
         return rt
-
-    def _charge(self, plan: SweepPlan, ncols: int) -> None:
-        """:class:`~repro.multicolor.sor.MStepSSOR`'s charges, per column.
-
-        Each step multiplies every color's lower and upper half once (the
-        last color has no upper half), solves every color forward and
-        colors ``nc − 2 … 1`` backward; the closing color-0 solve comes
-        once per apply.
-        """
-        nc, m = len(plan.lower_counts), self.m
-        multiplies = m * (sum(plan.lower_counts) + sum(plan.upper_counts))
-        solves = m * (nc + max(nc - 2, 0)) + (1 if nc >= 2 else 0)
-        self.counter.precond_applications += ncols
-        self.counter.precond_steps += self.m * ncols
-        self.counter.extra["block_multiplies"] = (
-            self.counter.extra.get("block_multiplies", 0) + multiplies * ncols
-        )
-        self.counter.extra["diag_solves"] = (
-            self.counter.extra.get("diag_solves", 0) + solves * ncols
-        )
 
     def _apply_native(self, plan: SweepPlan, r, rt, y) -> None:
         """One fused C call for the whole m-step schedule, any width."""
         r = np.ascontiguousarray(r)
         k = 1 if r.ndim == 1 else int(r.shape[1])
         native = self.operator._native_plan[0]
-        native.ssor(self.operator.n, k, self.m, plan, self.coefficients, r, rt, y)
+        ptr = native.pointer
+        native.bind_sweep(plan)(
+            k, self.m, 1, ptr(self.coefficients), ptr(r), ptr(rt), ptr(y)
+        )
 
     def _apply_numpy(self, plan: SweepPlan, r, rt, y) -> None:
         """The C walker (``stencil_ssor``) line for line, in numpy.

@@ -27,7 +27,68 @@ from repro.multicolor.coloring import validate_groups
 from repro.multicolor.ordering import MulticolorOrdering
 from repro.util import is_diagonal, require
 
-__all__ = ["BlockedMatrix"]
+__all__ = ["BlockedMatrix", "CSRSweepPlan"]
+
+
+@dataclass(frozen=True)
+class CSRSweepPlan:
+    """The merged multicolor sweep's schedule over the permuted CSR rows.
+
+    ``gp[c]:gp[c + 1]`` is color ``c``'s row range and ``diag`` holds the
+    ``D_c`` diagonals, concatenated.  Each half, ``lower`` and ``upper``,
+    is ``(ptr, col, val)`` over all ``n`` rows (32-bit ``ptr``/``col``,
+    as scipy's own indices): row ``i``'s stored entries
+    left of its color's columns, or right of them, with absolute column
+    indices, in the permuted matrix's stored order.  That is the order in
+    which ``csr_matvec``/``csr_matvecs`` accumulate the merged block rows
+    (:attr:`BlockedMatrix.lower_merged`), so the compiled walker is
+    bitwise the merged-CSR sweep.
+    """
+
+    gp: np.ndarray
+    diag: np.ndarray
+    lower: tuple
+    upper: tuple
+
+    #: The compiled walker over this plan.
+    entry = "csr_ssor"
+
+    @classmethod
+    def from_blocked(cls, blocked: "BlockedMatrix") -> "CSRSweepPlan":
+        a = blocked.permuted
+        nnz = int(a.indptr[-1])
+        require(nnz < 2**31, "the compiled sweep indexes entries with 32 bits")
+        sizes = [s.stop - s.start for s in blocked.group_slices]
+        gp = np.zeros(len(sizes) + 1, dtype=np.int64)
+        np.cumsum(sizes, out=gp[1:])
+        # Per color, its rows' entries are one contiguous span: an entry is
+        # lower when its column precedes the color, upper when it follows.
+        lower, upper = np.empty(nnz, dtype=bool), np.empty(nnz, dtype=bool)
+        for c in range(len(sizes)):
+            span = slice(a.indptr[gp[c]], a.indptr[gp[c + 1]])
+            np.less(a.indices[span], gp[c], out=lower[span])
+            np.greater_equal(a.indices[span], gp[c + 1], out=upper[span])
+
+        def half(keep: np.ndarray) -> tuple:
+            kept = np.zeros(nnz + 1, dtype=np.int32)
+            np.cumsum(keep, dtype=np.int32, out=kept[1:])
+            return (
+                kept[a.indptr],  # row pointers: kept entries before each row
+                np.ascontiguousarray(a.indices[:nnz][keep], dtype=np.int32),
+                np.ascontiguousarray(a.data[:nnz][keep], dtype=np.float64),
+            )
+
+        return cls(
+            gp=gp,
+            diag=np.concatenate(blocked.diagonals).astype(np.float64),
+            lower=half(lower),
+            upper=half(upper),
+        )
+
+    @property
+    def arrays(self) -> tuple:
+        """The C kernel's plan arguments, in order."""
+        return (self.gp, self.diag, *self.lower, *self.upper)
 
 
 @dataclass(frozen=True)
@@ -166,6 +227,13 @@ class BlockedMatrix:
             block = self.permuted[slices[c], stop:].tocsr() if stop < self.n else None
             merged.append(block if block is not None and block.nnz else None)
         return tuple(merged)
+
+    @cached_property
+    def sweep_plan(self) -> CSRSweepPlan:
+        """The compiled merged sweep's plan (:class:`CSRSweepPlan`), built
+        once from :attr:`permuted` and shared by every
+        :class:`~repro.multicolor.sor.MStepSSOR` on this system."""
+        return CSRSweepPlan.from_blocked(self)
 
     @cached_property
     def offdiag_block_list(self) -> tuple[tuple[tuple[int, sp.csr_matrix], ...], ...]:

@@ -41,6 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.kernels._native import load_native
 from repro.kernels.ops import bind_matvec_accumulate, matvec_accumulate
 from repro.kernels.workspace import WorkspacePool
 from repro.multicolor.blocked import BlockedMatrix
@@ -199,7 +200,8 @@ class MStepSSOR:
     block_capable = True
 
     def __post_init__(self) -> None:
-        self.coefficients = np.atleast_1d(np.asarray(self.coefficients, dtype=float))
+        # Contiguous: the compiled walker reads the α's through a pointer.
+        self.coefficients = np.ascontiguousarray(self.coefficients, dtype=float)
         require(self.coefficients.ndim == 1, "coefficients must be a vector")
         require(self.coefficients.size >= 1, "need at least one step (m ≥ 1)")
 
@@ -207,21 +209,108 @@ class MStepSSOR:
     def m(self) -> int:
         return int(self.coefficients.size)
 
-    def _bound_sweep_ops(self):
-        """Per-color sweep kernels over the *merged* block rows.
+    # ------------------------------------------------------- fast application
+    def apply(self, r: np.ndarray) -> np.ndarray:
+        """``M_m⁻¹ r`` via the Conrad–Wallach merged sweeps (Algorithm 2).
 
-        ``(lower_ops, upper_ops, lower_counts, upper_counts)``:
-        ``lower_ops[c]`` is an ``accumulate(x, out)`` closure for the whole
-        lower block row (``None`` when empty), acting on the contiguous
-        color prefix — one compiled-kernel call per color per sweep instead
-        of one per block, bit-identical by construction (see
-        :attr:`~repro.multicolor.blocked.BlockedMatrix.lower_merged`).  The
-        guards are bound once (:func:`~repro.kernels.ops.bind_matvec_accumulate`),
-        so the per-call cost no longer depends on the block width — which
-        is what lets narrow sharded column groups pay serial-identical
-        per-iteration overhead.  The count tables preserve the *logical*
-        block-multiply numbers the paper's operation counts charge.
-        Built lazily, cached for the applicator's lifetime.
+        Accepts a vector ``(n,)`` or an ``(n, k)`` block of right-hand
+        sides (one batched pass, per-column bit-identical to single
+        applications); counters are charged **per column**, so a block
+        application books exactly what ``k`` solo applications would.
+        One compiled call runs the whole schedule off the system's
+        :attr:`~repro.multicolor.blocked.BlockedMatrix.sweep_plan` when
+        the kernel pack loads; otherwise the merged block rows run in
+        Python (:meth:`_sweep_numpy`), with the same bits.  Either way the
+        buffers are pooled, so a PCG solve's steady state allocates
+        nothing here.  The returned array is a pooled buffer, valid until
+        the next application on this object — copy it if it must outlive
+        that.
+        """
+        return self.apply_schedule(self.coefficients, r)
+
+    def apply_schedule(self, coefficients: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """:meth:`apply` with a per-call α schedule instead of the bound one.
+
+        ``coefficients`` is ``(m,)`` — one schedule for every right-hand
+        side — or ``(m, k)`` for an ``(n, k)`` block ``r`` whose columns
+        carry *different* schedules of the same length (the batched
+        Table-2 cells of :meth:`repro.machines.cyber.CyberMachine
+        .solve_schedule`).  The α's enter only through the per-step
+        ``α·r`` product, column by column, so each column's arithmetic is
+        bit-identical to a single-vector application with its own
+        schedule.
+        """
+        alphas = np.ascontiguousarray(coefficients, dtype=float)
+        r = np.asarray(r, dtype=float)
+        blocked = self.blocked
+        # The compiled walker indexes r, rt and the α's unchecked.
+        require(
+            r.ndim in (1, 2) and r.shape[0] == blocked.n,
+            "r must be (n,) or (n, k)",
+        )
+        require(
+            alphas.ndim in (1, 2) and alphas.shape[0] >= 1,
+            "coefficients must be (m,) or (m, k) with m ≥ 1",
+        )
+        if alphas.ndim == 2:
+            require(
+                r.ndim == 2 and r.shape[1] == alphas.shape[1],
+                "per-column coefficients need an (n, k) block with "
+                "matching column count",
+            )
+        rt_pooled = self.workspace.peek("rt")
+        if rt_pooled is not None and np.may_share_memory(r, rt_pooled):
+            # The caller fed us our own pooled result; overwriting it below
+            # would silently destroy the input.
+            r = r.copy()
+        native = load_native()
+        if native is None:
+            rt = self._sweep_numpy(alphas, r)
+        else:
+            rt = self._sweep_native(native, alphas, np.ascontiguousarray(r))
+        m = int(alphas.shape[0])
+        ncols = 1 if r.ndim == 1 else int(r.shape[1])
+        self.counter.charge_sweep(
+            m, ncols, blocked.n_groups, blocked.n_offdiagonal_blocks
+        )
+        return rt
+
+    def _sweep_native(self, native, alphas: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """One compiled call (``csr_ssor``) for the whole m-step schedule.
+
+        The result ``rt`` and the scratch ``y`` (each row's last lower or
+        upper sum) are pooled and memoized per input shape with their
+        data pointers; no zero-fill is needed, since every entry the walker
+        reads was written earlier in the same call.
+        """
+        cache = self.__dict__.get("_native_buffers")
+        if cache is None or cache[0] != r.shape:
+            rt = self.workspace.get("rt", r.shape)
+            y = self.workspace.get("sweep_y", r.shape)
+            cache = (r.shape, rt, native.pointer(rt), native.pointer(y))
+            self.__dict__["_native_buffers"] = cache
+        _, rt, prt, py = cache
+        k = 1 if r.ndim == 1 else int(r.shape[1])
+        ka = 1 if alphas.ndim == 1 else k
+        ptr = native.pointer
+        native.bind_sweep(self.blocked.sweep_plan)(
+            k, int(alphas.shape[0]), ka, ptr(alphas), ptr(r), prt, py
+        )
+        return rt
+
+    def _bound_sweep_ops(self):
+        """Per-color products over the *merged* block rows, for
+        :meth:`_sweep_numpy`.
+
+        ``(lower_ops, upper_ops)``: ``lower_ops[c]`` is an
+        ``accumulate(x, out)`` closure for the whole lower block row
+        (``None`` when empty), acting on the contiguous color prefix — one
+        compiled scipy call per color per sweep instead of one per block,
+        bit-identical by construction (see
+        :attr:`~repro.multicolor.blocked.BlockedMatrix.lower_merged`).
+        The guards are bound once
+        (:func:`~repro.kernels.ops.bind_matvec_accumulate`).  Built
+        lazily, cached for the applicator's lifetime.
         """
         cached = self.__dict__.get("_sweep_kernels")
         if cached is None:
@@ -239,71 +328,32 @@ class MStepSSOR:
             cached = (
                 bind(self.blocked.lower_merged),
                 bind(self.blocked.upper_merged),
-                tuple(len(pairs) for pairs in self.blocked.lower_block_list),
-                tuple(len(pairs) for pairs in self.blocked.upper_block_list),
             )
             self.__dict__["_sweep_kernels"] = cached
         return cached
 
-    # ------------------------------------------------------- fast application
-    def apply(self, r: np.ndarray) -> np.ndarray:
-        """``M_m⁻¹ r`` via the Conrad–Wallach merged sweeps (Algorithm 2).
+    def _sweep_numpy(self, alphas: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """The compiled walker's twin: the merged sweep in Python.
 
-        Accepts a vector ``(n,)`` or an ``(n, k)`` block of right-hand
-        sides (one batched pass, per-column bit-identical to single
-        applications); counters are charged **per column**, so a block
-        application books exactly what ``k`` solo applications would.
-        The inner loops run off the :class:`BlockedMatrix`'s cached sweep
-        tables (per-color block lists, no dict probing) and out of pooled
-        workspace buffers: the result vector, the per-color ``y``
-        auxiliaries and the block-sum accumulators are all reused across
-        applications, so a PCG solve's steady state allocates nothing here.
-        The returned array is a pooled buffer, valid until the next
-        application on this object — copy it if it must outlive that.
+        Per color, one scipy product of the merged block row on the
+        contiguous color prefix or suffix, and the solve
+        ``((α·r − y) − x) / D_c``.  It runs where the kernel pack does not
+        load (``REPRO_NO_NATIVE``, no compiler), bitwise the same.
         """
-        return self.apply_schedule(self.coefficients, r)
-
-    def apply_schedule(self, coefficients: np.ndarray, r: np.ndarray) -> np.ndarray:
-        """:meth:`apply` with a per-call α schedule instead of the bound one.
-
-        ``coefficients`` is ``(m,)`` — one schedule for every right-hand
-        side — or ``(m, k)`` for an ``(n, k)`` block ``r`` whose columns
-        carry *different* schedules of the same length (the batched
-        Table-2 cells of :meth:`repro.machines.cyber.CyberMachine
-        .solve_schedule`).  The α's enter only through the per-step
-        ``α·r`` product, which broadcasts a ``(k,)`` row across the block,
-        so each column's arithmetic is bit-identical to a single-vector
-        application with its own schedule.
-        """
-        alphas = np.asarray(coefficients, dtype=float)
-        r = np.asarray(r, dtype=float)
-        if alphas.ndim == 2:
-            require(
-                r.ndim == 2 and r.shape[1] == alphas.shape[1],
-                "per-column coefficients need an (n, k) block with "
-                "matching column count",
-            )
         blocked = self.blocked
         nc = blocked.n_groups
         m = int(alphas.shape[0])
-        lower_ops, upper_ops, lower_counts, upper_counts = self._bound_sweep_ops()
+        lower_ops, upper_ops = self._bound_sweep_ops()
         slices = blocked.group_slices
         diagonals = blocked.diagonals
         pool = self.workspace
-
-        rt_pooled = pool.peek("rt")
-        if rt_pooled is not None and np.may_share_memory(r, rt_pooled):
-            # The caller fed us our own pooled result; overwriting it below
-            # would silently destroy the input.
-            r = r.copy()
 
         # Buffer bundle, memoized per input shape: the result rt, the α·r
         # scratch, and the per-color y/x auxiliaries.  None needs a
         # zero-fill — every element is written before it is read (the first
         # Horner step skips the then-empty upper sums outright, and every
         # later read sees a buffer block_sum fully rewrote) — and memoizing
-        # skips the per-apply pool lookups, which a narrow sharded group
-        # pays as a pure fixed cost thousands of times per solve.
+        # skips the per-apply pool lookups.
         cache = self.__dict__.get("_apply_buffers")
         if cache is None or cache[0] != r.shape:
             tail = r.shape[1:]
@@ -320,8 +370,6 @@ class MStepSSOR:
         _, rt, ar, y, xs, divisors = cache
         xg = _group_views(blocked, rt)
         arg = _group_views(blocked, ar)
-        multiplies = 0
-        solves = 0
 
         def lower_sum(c: int, buf: np.ndarray) -> np.ndarray:
             # Σ_{j<c} B_cj x_j as one merged product on the color prefix.
@@ -341,9 +389,7 @@ class MStepSSOR:
 
         def solve_into(c: int, x: np.ndarray, yc) -> None:
             # zc ← (α·r_c − y_c − x) / D_c, reading α·r from the per-step
-            # batched product.  Subtracting the positive sums is bitwise
-            # what adding pre-negated ones was (IEEE a − s ≡ a + (−s)) and
-            # saves the sweeps one negation pass per sum.
+            # batched product.
             zc = xg[c]
             if yc is None:
                 np.subtract(arg[c], x, out=zc)
@@ -353,9 +399,7 @@ class MStepSSOR:
             zc /= divisors[c]
 
         for s in range(1, m + 1):
-            # One batched α_{m−s}·r for the whole step — per-color solves
-            # then read their slice, same elementwise product, fewer
-            # dispatches than a per-color multiply.  A (k,) row of
+            # One batched α_{m−s}·r for the whole step; a (k,) row of
             # per-column α's broadcasts across the block.
             np.multiply(r, alphas[m - s], out=ar)
             first = s == 1
@@ -364,43 +408,26 @@ class MStepSSOR:
             # accumulates the lower sum.
             for c in range(nc):
                 x = lower_sum(c, xs[c])
-                multiplies += lower_counts[c]
                 solve_into(c, x, None if first else y[c])
-                solves += 1
                 y[c], xs[c] = xs[c], y[c]
             # Backward sweep over interior colors nc−2 … 1; y[c] holds the
             # lower sum from the forward pass.
             for c in range(nc - 2, 0, -1):
                 x = upper_sum(c, xs[c])
-                multiplies += upper_counts[c]
                 solve_into(c, x, y[c])
-                solves += 1
                 y[c], xs[c] = xs[c], y[c]
-            # The last color's upper sum is empty; reset for the next forward.
             if nc >= 2:
+                # The last color's upper sum is empty; reset for the next
+                # forward.  Then the first color's upper sum with this
+                # step's final values closes the step (coefficient α₀) on
+                # the last step — the paper's explicit step (3) — and
+                # otherwise feeds the next forward sweep's first solve.
                 y[nc - 1].fill(0.0)
-            # First color: compute its upper sum with the final values of this
-            # step.  It closes the step (coefficient α₀) on the last step —
-            # the paper's explicit step (3) — and otherwise feeds the next
-            # forward sweep's first solve.
-            if nc >= 2:
                 x = upper_sum(0, xs[0])
-                multiplies += upper_counts[0]
                 if s == m:
                     solve_into(0, x, None)
-                    solves += 1
                 else:
                     y[0], xs[0] = xs[0], y[0]
-
-        ncols = 1 if r.ndim == 1 else int(r.shape[1])
-        self.counter.precond_applications += ncols
-        self.counter.precond_steps += m * ncols
-        self.counter.extra["block_multiplies"] = (
-            self.counter.extra.get("block_multiplies", 0) + multiplies * ncols
-        )
-        self.counter.extra["diag_solves"] = (
-            self.counter.extra.get("diag_solves", 0) + solves * ncols
-        )
         return rt
 
     # -------------------------------------------------- reference application

@@ -19,7 +19,6 @@ thread count.
 
 from __future__ import annotations
 
-import ctypes
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,6 +35,7 @@ __all__ = [
 
 
 _LOADER: list = []  # [repro.kernels._native.load_native] once imported
+_F64 = np.dtype(np.float64)
 
 
 def _pack():
@@ -70,14 +70,20 @@ def dots_numpy(x: np.ndarray, y: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
+def _operand(a) -> np.ndarray:
+    """``a`` as a C-contiguous float64 array; no conversion if it is one."""
+    if type(a) is np.ndarray and a.dtype == _F64 and a.flags.c_contiguous:
+        return a
+    return np.ascontiguousarray(a, dtype=np.float64)
+
+
 def column_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """The fixed-order dots of the columns of two ``(n, k)`` blocks.
 
     Returns ``(k,)``; column ``j`` is bitwise ``inner(x[:, j], y[:, j])``.
     ``(n,)`` vectors count as one column.
     """
-    x = np.ascontiguousarray(x, dtype=np.float64)
-    y = np.ascontiguousarray(y, dtype=np.float64)
+    x, y = _operand(x), _operand(y)
     if x.shape != y.shape or x.ndim not in (1, 2):
         raise ValueError("column_dots needs two (n,) or (n, k) arrays of one shape")
     k = 1 if x.ndim == 1 else x.shape[1]
@@ -86,9 +92,7 @@ def column_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     if pack is None:
         return dots_numpy(x, y, out)
     ptr = pack.pointer
-    pack.fixed_dots(
-        ctypes.c_long(x.shape[0]), ctypes.c_long(k), ptr(x), ptr(y), ptr(out)
-    )
+    pack.fixed_dots(x.shape[0], k, ptr(x), ptr(y), ptr(out))
     return out
 
 
@@ -170,6 +174,24 @@ class OperationCounter:
         self.axpys += other.axpys
         for key, value in other.extra.items():
             self.extra[key] = self.extra.get(key, 0) + value
+
+    def charge_sweep(self, m: int, ncols: int, nc: int, couplings: int) -> None:
+        """Book ``ncols`` applications of the m-step merged multicolor
+        sweep (Algorithm 2) over ``nc`` colors whose block rows hold
+        ``couplings`` nonzero off-diagonal blocks in all.
+
+        Each step multiplies every block once and solves every color
+        forward and colors ``nc − 2 … 1`` backward; the closing color-0
+        solve comes once per application.  These are the counts the
+        sweep's loop performs, in closed form.
+        """
+        solves = m * (nc + max(nc - 2, 0)) + (1 if nc >= 2 else 0)
+        self.precond_applications += ncols
+        self.precond_steps += m * ncols
+        self.extra["block_multiplies"] = (
+            self.extra.get("block_multiplies", 0) + m * couplings * ncols
+        )
+        self.extra["diag_solves"] = self.extra.get("diag_solves", 0) + solves * ncols
 
     def as_dict(self) -> dict:
         out = {

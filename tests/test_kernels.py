@@ -578,3 +578,38 @@ class TestPerfReportCLI:
         assert report["results"]["table2_sweep"]["a=5"]["cells"] == len(TABLE2_SCHEDULE)
         for row in report["results"]["apply_p_inv"].values():
             assert row["vectorized_s"] > 0 and row["reference_s"] > 0
+
+    @staticmethod
+    def _perf_report():
+        import importlib.util
+        from pathlib import Path
+
+        path = Path(__file__).parent.parent / "benchmarks" / "perf_report.py"
+        spec = importlib.util.spec_from_file_location("perf_report", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    def test_ratio_sides_are_timed_interleaved(self):
+        """Each pair times both sides back to back, the order alternating,
+        and the row carries the median per-pair ratio with its quartiles."""
+        order = []
+        row = self._perf_report()._time_pair(
+            "a", lambda: order.append("a"), "b", lambda: order.append("b"),
+            4, min_seconds=0.0,
+        )
+        assert set(row) == {"a_s", "b_s", "speedup", "speedup_iqr"}
+        assert order[4:] == ["a", "b", "b", "a", "a", "b", "b", "a"]
+        low, high = row["speedup_iqr"]
+        assert low <= row["speedup"] <= high
+
+    def test_check_names_a_changed_host_fingerprint(self):
+        perf_report = self._perf_report()
+        host = perf_report.host_fingerprint()
+        assert {"cpu_count", "cpu_model", "repro_no_native",
+                "native_source_hash"} <= set(host)
+        other = dict(host, cpu_count=host["cpu_count"] + 2)
+        assert perf_report.fingerprint_differences(
+            {"host": host}, {"host": other}
+        ) == [f"cpu_count: {host['cpu_count']!r} → {host['cpu_count'] + 2!r}"]
+        assert perf_report.fingerprint_differences({"host": host}, {"host": host}) == []

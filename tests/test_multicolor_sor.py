@@ -238,3 +238,183 @@ class TestMStepSSOR:
         assert applicator.apply(r) == pytest.approx(
             applicator.apply_reference(r), rel=1e-10, abs=1e-10
         )
+
+
+# --------------------------------------------------------------------------
+# The compiled merged sweep (csr_ssor) against its Python twin.
+
+
+def _sweep_systems():
+    from repro.driver import build_blocked_system
+    from repro.pipeline import build_scenario
+
+    yield "plate", lambda: build_blocked_system(build_scenario("plate", nrows=8))
+    yield "stretched-plate", lambda: build_blocked_system(
+        build_scenario("stretched-plate", nrows=8)
+    )
+    yield "lshape", lambda: build_blocked_system(build_scenario("lshape"))
+    yield "perforated", lambda: build_blocked_system(build_scenario("perforated"))
+    for a in (12, 20):
+        yield f"cyber-a{a}", lambda a=a: _cyber_blocked(a)
+
+
+def _cyber_blocked(a):
+    """The CYBER's padded system, constrained couplings masked out."""
+    from repro.machines import CyberMachine
+
+    return CyberMachine(plate_problem(a))._sweep_kernel().blocked
+
+
+SWEEP_SYSTEMS = dict(_sweep_systems())
+
+
+def _native_or_skip():
+    from repro.kernels._native import load_native
+
+    native = load_native()
+    if native is None:
+        pytest.skip("no compiled kernel in this environment")
+    return native
+
+
+def _fallback(blocked, coefficients, monkeypatch):
+    """An MStepSSOR whose applies take the Python sweep."""
+    import repro.multicolor.sor as sor_mod
+
+    monkeypatch.setattr(sor_mod, "load_native", lambda: None)
+    return MStepSSOR(blocked, coefficients)
+
+
+class TestCompiledSweep:
+    @pytest.mark.parametrize("name", sorted(SWEEP_SYSTEMS))
+    def test_compiled_equals_python_sweep_bitwise(self, name, monkeypatch):
+        """Results and counters of the one-call compiled sweep equal the
+        merged-CSR Python sweep's bit for bit: vectors and blocks at the
+        vector and generated (2, 3, 8) widths and in column tiles past 8
+        (every tile width 1…8 from k = 9…16, and 23), under a shared
+        (m,) and a per-column (m, k) schedule."""
+        _native_or_skip()
+        blocked = SWEEP_SYSTEMS[name]()
+        rng = np.random.default_rng(7)
+        coefficients = rng.uniform(0.5, 1.5, size=3)
+        compiled = MStepSSOR(blocked, coefficients)
+        results = []
+        for k in (1, 2, 3, 8, *range(9, 17), 23):
+            r = rng.normal(size=(blocked.n,) if k == 1 else (blocked.n, k))
+            block = r.reshape(blocked.n, k)
+            alphas = rng.uniform(0.5, 1.5, size=(3, k))
+            applied = np.array(compiled.apply(r))
+            scheduled = np.array(compiled.apply_schedule(alphas, block))
+            results.append((r, block, alphas, applied, scheduled))
+        python = _fallback(blocked, coefficients, monkeypatch)
+        for r, block, alphas, applied, scheduled in results:
+            assert np.array(python.apply(r)).tobytes() == applied.tobytes()
+            again = np.array(python.apply_schedule(alphas, block))
+            assert again.tobytes() == scheduled.tobytes()
+        assert python.counter == compiled.counter
+
+    @pytest.mark.parametrize("m", [1, 2, 4, 10])
+    def test_every_step_count(self, m, monkeypatch):
+        _native_or_skip()
+        blocked = SWEEP_SYSTEMS["cyber-a12"]()
+        coefficients = np.random.default_rng(m).uniform(0.5, 1.5, size=m)
+        r = np.random.default_rng(3).normal(size=(blocked.n, 8))
+        compiled = np.array(MStepSSOR(blocked, coefficients).apply(r))
+        python = _fallback(blocked, coefficients, monkeypatch)
+        assert np.array(python.apply(r)).tobytes() == compiled.tobytes()
+
+    def test_one_native_call_and_no_scipy_product(self, monkeypatch):
+        """A warm apply is one compiled call: no merged-block products."""
+        import scipy.sparse._sparsetools as tools
+
+        import repro.kernels.ops as ops
+
+        native = _native_or_skip()
+        blocked = SWEEP_SYSTEMS["plate"]()
+        sweep = MStepSSOR(blocked, np.ones(3))
+        plan = blocked.sweep_plan
+        call = native.bind_sweep(plan)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return call(*args)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a scipy CSR product ran")
+
+        monkeypatch.setitem(plan.__dict__, "_call", counted)
+        for module, name in [(ops, "_csr_matvec"), (ops, "_csr_matvecs"),
+                             (tools, "csr_matvec"), (tools, "csr_matvecs")]:
+            monkeypatch.setattr(module, name, refuse)
+        for shape in [(blocked.n,), (blocked.n, 4)]:
+            calls.clear()
+            sweep.apply(np.ones(shape))
+            assert len(calls) == 1, shape
+        assert "lower_merged" not in blocked.__dict__  # no merged blocks built
+
+    @pytest.mark.parametrize("path", ["native", "python"])
+    def test_misshapen_operands_are_refused(self, path, monkeypatch):
+        if path == "native":
+            _native_or_skip()
+        blocked = SWEEP_SYSTEMS["plate"]()
+        sweep = (
+            MStepSSOR(blocked, np.ones(2)) if path == "native"
+            else _fallback(blocked, np.ones(2), monkeypatch)
+        )
+        n = blocked.n
+        for r in (np.ones(n - 1), np.ones((n + 1, 2)), np.ones((n, 2, 2)), np.ones(())):
+            with pytest.raises(ValueError):
+                sweep.apply(r)
+        for alphas in (np.ones((2, 3)), np.ones(0), np.ones((0, 2)), np.ones((2, 2, 2))):
+            with pytest.raises(ValueError):
+                sweep.apply_schedule(alphas, np.ones((n, 2)))
+        with pytest.raises(ValueError):
+            sweep.apply_schedule(np.ones((2, 2)), np.ones(n))
+
+    def test_nan_propagates_alike(self, monkeypatch):
+        _native_or_skip()
+        blocked = SWEEP_SYSTEMS["plate"]()
+        r = np.random.default_rng(5).normal(size=(blocked.n, 2))
+        r[blocked.n // 3, 1] = np.nan
+        compiled = np.array(MStepSSOR(blocked, np.ones(3)).apply(r))
+        python = _fallback(blocked, np.ones(3), monkeypatch)
+        assert np.isnan(compiled[:, 1]).any() and not np.isnan(compiled[:, 0]).any()
+        assert np.array(python.apply(r)).tobytes() == compiled.tobytes()
+
+    def test_sweeps_of_any_m_share_one_plan(self):
+        native = _native_or_skip()
+        blocked = SWEEP_SYSTEMS["plate"]()
+        r = np.ones(blocked.n)
+        two, three = MStepSSOR(blocked, np.ones(2)), MStepSSOR(blocked, np.ones(3))
+        two.apply(r)
+        plan, call = blocked.sweep_plan, native.bind_sweep(blocked.sweep_plan)
+        three.apply(r)
+        assert blocked.sweep_plan is plan and native.bind_sweep(plan) is call
+
+    def test_warm_block_apply_allocates_nothing(self):
+        import gc
+        import tracemalloc
+
+        _native_or_skip()
+        blocked = build_blocked(plate_problem(24))
+        sweep = MStepSSOR(blocked, np.ones(3))
+        R = np.random.default_rng(2).normal(size=(blocked.n, 8))
+        alphas = np.ones((3, 8))
+        for _ in range(2):
+            sweep.apply(R)
+            sweep.apply_schedule(alphas, R)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            for _ in range(5):
+                sweep.apply(R)
+                sweep.apply_schedule(alphas, R)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # A few hundred bytes of ctypes argument objects; any pooled
+        # buffer rebuilt would be at least one column (n · 8 bytes).
+        assert peak - base < blocked.n * 8

@@ -121,26 +121,26 @@ static void values_rows_k{kk}(
 #: straight-line SIMD over a register-resident accumulator (the runtime-k
 #: loop pays ~2× at k ≤ 6, and an accumulator behind a pointer that may
 #: alias the operands costs a load and store per term).  Wider blocks
-#: take the generic runtime-k body, or, in the CSR sweep, column tiles.
+#: take the generic runtime-k body.
 _BLOCK_K = tuple(range(2, 9))
 
 #: Entry counts with a generated interior stencil-sweep body, per width.
 #: A constant trip count unrolls each row's short gather chain.  A vector
 #: takes every count the stencils have: 4 per half on the 5-point scalar
-#: stencils, 1–11 on the 15-diagonal interleaved plate.  A block takes the
-#: counts where that measured faster than the runtime-count body (plate
-#: a = 100 and Poisson g = 256): the 5-point stencils' 4 at every width,
-#: the plate's 5, 6, 10 and 11 only below k = 8 (at k = 8 the runtime
-#: loop measured faster for them).
-_SWEEP_NE = {
-    1: tuple(range(1, 13)),
-    **{kk: (4, 5, 6, 10, 11) if kk < 8 else (4,) for kk in _BLOCK_K},
-}
+#: stencils, 1–11 on the 15-diagonal interleaved plate.  A block takes
+#: the 5-point stencils' 4 only, which measured ~1.15× faster than the
+#: runtime count at k = 4 on Poisson g = 256; the plate's counts gain
+#: nothing measurable over the branch-free runtime-count body.
+_SWEEP_NE = {1: tuple(range(1, 13)), **{kk: (4,) for kk in _BLOCK_K}}
+
+#: Fewest natural rows per block of the stencil sweep's wavefront (see
+#: ``stencil_ssor``); a block is at least the plan's reach.
+_WAVE_ROWS = 64
 
 #: One row body of the merged sweep, written once and generated per width
 #: ``{kk}`` (a number, or the runtime ``k``), row stride ``{ld}`` and
-#: operator representation: ``{head}`` names the scheduled row,
-#: ``{entries}`` and
+#: operator representation: ``{attrs}`` is ``ROW_BODY`` on a fixed width,
+#: ``{head}`` names the scheduled row, ``{entries}`` and
 #: ``{gather}`` walk its couplings (coefficient ``cf``, gathered row ``rc``
 #: of r̃).  Every column is its own chain: the entries land on a zero
 #: accumulator in plan order and the solve is ``((α·r − y) − acc) / d``.
@@ -148,7 +148,7 @@ _SWEEP_NE = {
 #: store straight to ``rt`` could alias ``r`` or ``y`` as far as the
 #: compiler knows — in the same association, so with the same bits.
 _ROWS_TEMPLATE = """
-static void {name}({params})
+{attrs}static void {name}({params})
 {{
     long q, e, j;
     double a[{kk}], acc[{kk}], z[{kk}];
@@ -188,12 +188,11 @@ _SWEEP_TAIL = (
 )
 _STENCIL_PARAMS = (
     "long n, long qa, long qb, long g0, long ne, const long *rows, "
-    "const double *diag, const long *offs, const double *cm, "
-    + _SWEEP_TAIL + ", int clip"
+    "const double *diag, const long *offs, const double *cm, " + _SWEEP_TAIL
 )
 _STENCIL_ARGS = (
     "n, qa, qb, g0, ne, rows, diag, offs, cm, al, r, rt, y, "
-    "use_y, do_solve, store_y, clip"
+    "use_y, do_solve, store_y"
 )
 _CSR_PARAMS = (
     "long qa, long qb, const int *ptr, const int *col, const double *val, "
@@ -202,23 +201,22 @@ _CSR_PARAMS = (
 _CSR_ARGS = "qa, qb, ptr, col, val, diag, al, r, rt, y, use_y, do_solve, store_y"
 
 
-def _stencil_rows(kk, ne=None) -> str:
+def _stencil_rows(kk, ne=None, clip=False) -> str:
     """The stencil's row body at width ``kk`` (``None``: runtime k).
 
-    With a constant entry count ``ne`` it serves the interior rows only;
-    the runtime-count body also serves the margins, whose gather columns
-    clip into ``[0, n)``.
+    An interior body gathers inside ``[0, n)``, over the runtime entry
+    count or a constant one ``ne``; a ``clip`` body serves the margins,
+    whose gather columns clip into ``[0, n)``.  Kept apart, the interior
+    gather is one branch-free SIMD load per entry.
     """
     ld = "k" if kk is None else str(kk)
     count = "ne" if ne is None else str(ne)
-    if ne is None:
+    if clip:
         gather = (
             "            long col = row + offs[e];\n"
             "            const double cf = crow[e];\n"
             "            const double *rc;\n"
-            "            if (clip) {\n"
-            "                if (col < 0) col = 0; else if (col >= n) col = n - 1;\n"
-            "            }\n"
+            "            if (col < 0) col = 0; else if (col >= n) col = n - 1;\n"
             f"            rc = rt + (size_t)col * {ld};\n"
         )
     else:
@@ -227,8 +225,10 @@ def _stencil_rows(kk, ne=None) -> str:
             f"            const double *rc = rt + (size_t)(row + offs[e]) * {ld};\n"
         )
     return _ROWS_TEMPLATE.format(
+        attrs="" if kk is None else "ROW_BODY ",
         name=f"ssor_rows_{'any' if kk is None else f'k{kk}'}"
-        + ("" if ne is None else f"_e{ne}"),
+        + ("" if ne is None else f"_e{ne}")
+        + ("_clip" if clip else ""),
         params=("long k, " if kk is None else "") + _STENCIL_PARAMS,
         kk=ld,
         ld=ld,
@@ -242,14 +242,14 @@ def _stencil_rows(kk, ne=None) -> str:
     )
 
 
-def _csr_rows(kk: int, tiled=False) -> str:
-    """The CSR row body at width ``kk``; a ``tiled`` body walks ``kk``
-    columns of a wider block whose rows are ``ld`` apart."""
-    ld = "ld" if tiled else str(kk)
+def _csr_rows(kk) -> str:
+    """The CSR row body at width ``kk`` (``None``: runtime k)."""
+    ld = "k" if kk is None else str(kk)
     return _ROWS_TEMPLATE.format(
-        name=f"csr_rows_{'t' if tiled else 'k'}{kk}",
-        params=("long ld, " if tiled else "") + _CSR_PARAMS,
-        kk=kk,
+        attrs="" if kk is None else "ROW_BODY ",
+        name=f"csr_rows_{'any' if kk is None else f'k{kk}'}",
+        params=("long k, " if kk is None else "") + _CSR_PARAMS,
+        kk=ld,
         ld=ld,
         head="        const long row = q;\n",
         entries="e = ptr[q]; e < ptr[q + 1]; ++e",
@@ -258,22 +258,6 @@ def _csr_rows(kk: int, tiled=False) -> str:
             f"            const double *rc = rt + (size_t)col[e] * {ld};\n"
         ),
     )
-
-
-def _column_tiles(body: str, args: str) -> str:
-    """Blocks wider than 8 as column tiles of at most 8 through the tiled
-    ``body<w>`` bodies: the columns are independent chains, so the order
-    of the tiles changes no bit.  The CSR sweep's color-contiguous rows
-    make a tile pass cheap (2–3× the runtime-k body at plate a = 41,
-    k = 16); the stencil's strided rows would touch every cache line once
-    per tile, so it keeps the runtime-k body."""
-    cases = "".join(
-        f"        case {w}: {body}{w}(k, {args}); break;\n" for w in range(1, 9)
-    )
-    return (
-        "    for (j0 = 0; j0 < k; j0 += 8)\n"
-        "        switch (k - j0 < 8 ? k - j0 : 8) {\n" + cases + "        }\n"
-    ).replace("al, r, rt, y,", "al + j0, r + j0, rt + j0, y + j0,")
 
 
 def _width_switch(body: str, args: str, generic: str, widths) -> str:
@@ -444,27 +428,18 @@ void cg_xpay(long n, long k, const double *rt, const double *r, double *rho,
 def _sweep_source() -> str:
     """The merged m-step sweeps: one schedule, two row walkers."""
     stencil_rows = "".join(
-        _stencil_rows(kk, ne)
-        for kk, counts in _SWEEP_NE.items()
-        for ne in (None, *counts)
-    ) + _stencil_rows(None)
-    stencil_cases = "".join(
-        f"    case {kk}:\n        if (!clip)\n            switch (ne) {{\n"
-        + "".join(
-            f"            case {ne}: ssor_rows_k{kk}_e{ne}({_STENCIL_ARGS}); return;\n"
-            for ne in counts
-        )
-        + f"            }}\n        ssor_rows_k{kk}({_STENCIL_ARGS});\n        return;\n"
-        for kk, counts in _SWEEP_NE.items()
+        _stencil_rows(kk, clip=clip)
+        for kk in (*_SWEEP_NE, None)
+        for clip in (False, True)
+    ) + "".join(
+        _stencil_rows(kk, ne) for kk, counts in _SWEEP_NE.items() for ne in counts
     )
-    csr_rows = "".join(_csr_rows(kk) for kk in (1, *_BLOCK_K)) + "".join(
-        _csr_rows(w, tiled=True) for w in range(1, 9)
-    )
+    csr_rows = "".join(_csr_rows(kk) for kk in (1, *_BLOCK_K)) + _csr_rows(None)
     return (
         """
 /* ---- merged multicolor m-step SSOR sweeps -----------------------------
 
-   Algorithm 2's Conrad-Wallach schedule is written once (mstep_sweep) and
+   Algorithm 2's Conrad-Wallach schedule is written once (mstep_pass) and
    walks one of two plans: the stencil's constant-offset gathers
    (stencil_ssor, off a StencilOperator.sweep_plan) or the permuted CSR
    rows (csr_ssor, off a BlockedMatrix.sweep_plan).  Each is bitwise its
@@ -488,9 +463,9 @@ def _sweep_source() -> str:
                 matrix inside ecoef
    Gather columns clip to [0, n-1]; the stored coefficient at a clipped
    row is exactly 0.0, so the clipped read contributes a signed zero at
-   most -- provided the value read is finite, which is why the caller
-   zeroes rt before every call (a clipped or grid-row-wrap read may land
-   on a row this call has not solved yet).
+   most -- provided the value read is finite, which is why the walker
+   zeroes rt as it goes (a clipped or grid-row-wrap read may land on a
+   row this call has not solved yet).
 
    csr_plan (both halves (ptr, col, val)):
      gp[nc+1]   color row ranges; the permuted rows are color-major
@@ -502,6 +477,16 @@ def _sweep_source() -> str:
                 and col are 32-bit, as scipy's own CSR indices are.
    Every column read is a row of another color solved earlier in the
    same call, so rt needs no zeroing. */
+
+/* A fixed-width row body vectorizes across its unrolled columns.  Left
+   to itself, GCC vectorizes a runtime-count entry loop across the entries
+   instead (an in-order reduction, with a scalar path for short rows),
+   which made the plate's blocks ~1.5x slower at k = 2 and 4. */
+#if defined(__GNUC__) && !defined(__clang__)
+#define ROW_BODY __attribute__((optimize("no-tree-loop-vectorize")))
+#else
+#define ROW_BODY
+#endif
 
 struct stencil_half { const long *ep, *eoff, *ecb; const double *ecoef; };
 struct stencil_plan {
@@ -517,121 +502,240 @@ struct csr_plan {
     const double *diag;
     struct csr_half half[2];       /* lower, upper */
 };
+
+/* One color pass of the m-step schedule: step s, color c, its lower
+   (upper = 0) or upper sums, and the row bodies' flags.  zero_y marks the
+   last color's forward pass: that color has no upper coupling, so its y
+   is zeroed for the next step's forward pass to subtract nothing. */
+struct pass { long s, c; int upper, use_y, do_solve, store_y, zero_y; };
+
+/* Pass i of the schedule.  Per step a forward pass over every color
+   (lower sums), a backward pass over colors nc-2 .. 1 (upper sums), then
+   color 0's upper sum -- its closing solve on the last step, else stashed
+   for the next forward pass: 2 nc - 1 passes per step (one if nc = 1). */
+static long passes_per_step(long nc) { return nc >= 2 ? 2 * nc - 1 : 1; }
+
+static struct pass mstep_pass(long nc, long m, long i)
+{
+    const long per = passes_per_step(nc), s = i / per + 1, j = i % per;
+    struct pass p = {s, j, 0, s > 1, 1, 1, nc >= 2 && j == nc - 1};
+    if (j >= nc) {
+        p.c = 2 * nc - 2 - j;
+        p.upper = 1;
+        p.use_y = p.c != 0;
+        p.do_solve = p.c != 0 || s == m;
+        p.store_y = p.c != 0 || s != m;
+    }
+    return p;
+}
+
+/* The step's coefficient per column. */
+static void step_alphas(long k, long m, long ka, const double *alphas,
+                        long s, double *al)
+{
+    const double *alpha = alphas + (size_t)(m - s) * (size_t)ka;
+    long j;
+    for (j = 0; j < k; ++j)
+        al[j] = alpha[ka == 1 ? 0 : j];
+}
+
+/* The first q in [qa, qb) with rows[q] >= end; rows ascend. */
+static long rows_below(const long *rows, long qa, long qb, long end)
+{
+    while (qa < qb) {
+        const long mid = qa + (qb - qa) / 2;
+        if (rows[mid] < end)
+            qa = mid + 1;
+        else
+            qb = mid;
+    }
+    return qa;
+}
+
+static void zero_rows(double *a, long qa, long qb, long k)
+{
+    long q;
+    for (q = qa * k; q < qb * k; ++q)
+        a[q] = 0.0;
+}
 """
         + stencil_rows
         + """
-/* Row dispatch: compile-time widths, and constant entry counts for the
-   interior rows where _SWEEP_NE generated them.  Same arithmetic per
-   column either way -- dispatch is bitwise-neutral. */
-static void ssor_rows(long k, """ + _STENCIL_PARAMS + """)
+/* Row dispatch: compile-time widths, the margins apart, and constant
+   entry counts for the interior rows where _SWEEP_NE generated them.
+   Same arithmetic per column either way -- dispatch is bitwise-neutral. */
+static void ssor_rows(long k, """ + _STENCIL_PARAMS + """, int clip)
 {
+    if (clip) {
+        switch (k) {
+"""
+        + "".join(
+            f"        case {kk}: ssor_rows_k{kk}_clip({_STENCIL_ARGS}); return;\n"
+            for kk in _SWEEP_NE
+        )
+        + """        }
+        ssor_rows_any_clip(k, """ + _STENCIL_ARGS + """);
+        return;
+    }
     switch (k) {
 """
-        + stencil_cases
+        + "".join(
+            f"    case {kk}:\n        switch (ne) {{\n"
+            + "".join(
+                f"        case {ne}: ssor_rows_k{kk}_e{ne}({_STENCIL_ARGS}); "
+                "return;\n"
+                for ne in counts
+            )
+            + f"        }}\n        ssor_rows_k{kk}({_STENCIL_ARGS});\n        return;\n"
+            for kk, counts in _SWEEP_NE.items()
+        )
         + """    }
     ssor_rows_any(k, """ + _STENCIL_ARGS + """);
 }
 
-static void stencil_color(
-    const void *plan, int upper, long c, long k, """ + _SWEEP_TAIL + """)
+/* Scheduled rows [lo, hi) of color c exclude the margins, whose gathers
+   clip: rows are sorted ascending, so clipping only bites on a prefix
+   (col < 0) and a suffix (col >= n). */
+static void clip_bounds(const struct stencil_plan *p, int upper, long c,
+                        long *lo, long *hi)
 {
-    const struct stencil_plan *p = plan;
     const struct stencil_half *h = &p->half[upper];
-    const long n = p->n, ne = h->ep[c + 1] - h->ep[c];
-    const long *offs = h->eoff + h->ep[c], *rows = p->rows;
-    const double *cm = h->ecoef + h->ecb[c], *diag = p->diag;
-    const long qa = p->gp[c], qb = p->gp[c + 1];
-    long minoff = 0, maxoff = 0, q_lo, q_hi, e;
+    const long *offs = h->eoff + h->ep[c], ne = h->ep[c + 1] - h->ep[c];
+    long minoff = 0, maxoff = 0, q_lo = p->gp[c], q_hi = p->gp[c + 1], e;
     for (e = 0; e < ne; ++e) {
         if (offs[e] < minoff) minoff = offs[e];
         if (offs[e] > maxoff) maxoff = offs[e];
     }
-    /* rows are sorted ascending, so clipping only bites on a prefix
-       (col < 0) and a suffix (col >= n); the interior runs branch-free.
-       Clipped entries carry coefficient exactly 0.0, so the split does
-       not change any sum. */
-    q_lo = qa;
-    while (q_lo < qb && rows[q_lo] + minoff < 0) ++q_lo;
-    q_hi = qb;
-    while (q_hi > q_lo && rows[q_hi - 1] + maxoff >= n) --q_hi;
-    ssor_rows(k, n, qa, q_lo, qa, ne, rows, diag, offs, cm,
-              al, r, rt, y, use_y, do_solve, store_y, 1);
-    ssor_rows(k, n, q_lo, q_hi, qa, ne, rows, diag, offs, cm,
-              al, r, rt, y, use_y, do_solve, store_y, 0);
-    ssor_rows(k, n, q_hi, qb, qa, ne, rows, diag, offs, cm,
-              al, r, rt, y, use_y, do_solve, store_y, 1);
+    while (q_lo < q_hi && p->rows[q_lo] + minoff < 0) ++q_lo;
+    while (q_hi > q_lo && p->rows[q_hi - 1] + maxoff >= p->n) --q_hi;
+    *lo = q_lo;
+    *hi = q_hi;
+}
+
+/* Scheduled rows [qa, qb) of one pass: the margins through the clipping
+   body, the interior branch-free.  Clipped entries carry coefficient
+   exactly 0.0, so the split does not change any sum. */
+static void stencil_span(
+    const struct stencil_plan *p, const struct pass *ps, long qa, long qb,
+    long lo, long hi, long k, const double *al, const double *r,
+    double *rt, double *y)
+{
+    const struct stencil_half *h = &p->half[ps->upper];
+    const long n = p->n, c = ps->c, ne = h->ep[c + 1] - h->ep[c];
+    const long g0 = p->gp[c], *offs = h->eoff + h->ep[c], *rows = p->rows;
+    const double *cm = h->ecoef + h->ecb[c], *diag = p->diag;
+    const int use_y = ps->use_y, do_solve = ps->do_solve;
+    const int store_y = ps->store_y;
+    const long q0 = qa;
+    long z = qb < lo ? qb : lo;
+    if (qa < z) {
+        ssor_rows(k, n, qa, z, g0, ne, rows, diag, offs, cm,
+                  al, r, rt, y, use_y, do_solve, store_y, 1);
+        qa = z;
+    }
+    z = qb < hi ? qb : hi;
+    if (qa < z) {
+        ssor_rows(k, n, qa, z, g0, ne, rows, diag, offs, cm,
+                  al, r, rt, y, use_y, do_solve, store_y, 0);
+        qa = z;
+    }
+    if (qa < qb)
+        ssor_rows(k, n, qa, qb, g0, ne, rows, diag, offs, cm,
+                  al, r, rt, y, use_y, do_solve, store_y, 1);
+    if (ps->zero_y)
+        zero_rows(y, q0, qb, k);
+}
+
+/* The stencil sweep as a wavefront.  The natural rows are cut into
+   blocks of at least the plan's reach (its largest |offset|), and the
+   passes run as a pipeline behind a pass that zeroes rt: at tick t,
+   block t of rt is zeroed, then pass i = 0, 1, ... sweeps its rows of
+   block t - 1 - i.  A row of block b gathers only rows of blocks
+   b-1 .. b+1: every earlier pass (the zeroing included) has swept them
+   already, and every later pass none of them, so each gather reads
+   exactly the value the pass-by-pass schedule over a zeroed rt reads --
+   the same bits, NaN included -- while the arrays stream through the
+   cache once per call instead of once per color pass. */
+void stencil_ssor(const struct stencil_plan *p, long k, long m, long ka,
+                  const double *alphas, const double *r, double *rt,
+                  double *y)
+{
+    const long n = p->n, nc = p->nc, np = m * passes_per_step(nc);
+    long span = """ + str(_WAVE_ROWS) + """, nb, i, t, e;
+    if (k < 1 || n < 1 || nc < 1 || m < 1)
+        return;  /* nothing to sweep, and no zero-length arrays */
+    for (i = 0; i < 2; ++i)
+        for (e = 0; e < p->half[i].ep[nc]; ++e) {
+            const long o = p->half[i].eoff[e];
+            if (o > span) span = o;
+            if (-o > span) span = -o;
+        }
+    if (k == 1 || span > n)
+        span = n;  /* a vector's passes are too cheap to pipeline */
+    nb = (n + span - 1) / span;
+    {
+        long next[np], lo[2 * nc], hi[2 * nc];
+        double al[k];
+        for (i = 0; i < 2 * nc; ++i)
+            clip_bounds(p, i % 2, i / 2, &lo[i], &hi[i]);
+        for (i = 0; i < np; ++i)
+            next[i] = p->gp[mstep_pass(nc, m, i).c];
+        for (t = 0; t < nb + np; ++t) {
+            if (t < nb)
+                zero_rows(rt, t * span, t + 1 < nb ? (t + 1) * span : n, k);
+            for (i = 0; i < np && t - 1 - i >= 0; ++i) {
+                const struct pass ps = mstep_pass(nc, m, i);
+                const long b = t - 1 - i, end = (b + 1) * span;
+                const long qa = next[i], last = p->gp[ps.c + 1];
+                long qb;
+                if (b >= nb)
+                    continue;
+                qb = b == nb - 1 ? last
+                   : rows_below(p->rows, qa, last - qa > span ? qa + span : last,
+                                end);
+                next[i] = qb;
+                if (qa == qb)
+                    continue;
+                step_alphas(k, m, ka, alphas, ps.s, al);
+                stencil_span(p, &ps, qa, qb, lo[2 * ps.c + ps.upper],
+                             hi[2 * ps.c + ps.upper], k, al, r, rt, y);
+            }
+        }
+    }
 }
 """
         + csr_rows
         + """
 static void csr_rows(long k, """ + _CSR_PARAMS + """)
 {
-    long j0;
-    switch (k) {
 """
-        + "".join(
-            f"    case {kk}: csr_rows_k{kk}({_CSR_ARGS}); return;\n"
-            for kk in (1, *_BLOCK_K)
+        + _width_switch(
+            "csr_rows_k", _CSR_ARGS, f"csr_rows_any(k, {_CSR_ARGS})", (1, *_BLOCK_K)
         )
-        + """    }
-"""
-        + _column_tiles("csr_rows_t", _CSR_ARGS)
         + """}
 
-static void csr_color(
-    const void *plan, int upper, long c, long k, """ + _SWEEP_TAIL + """)
-{
-    const struct csr_plan *p = plan;
-    const struct csr_half *h = &p->half[upper];
-    csr_rows(k, p->gp[c], p->gp[c + 1], h->ptr, h->col, h->val, p->diag,
-             al, r, rt, y, use_y, do_solve, store_y);
-}
-
-typedef void (*sweep_color)(
-    const void *plan, int upper, long c, long k, """ + _SWEEP_TAIL + """);
-
-/* The m-step schedule: per step a forward pass over every color (lower
-   sums), a backward pass over colors nc-2 .. 1 (upper sums), then color
-   0's upper sum -- its closing solve on the last step, else stashed for
-   the next forward pass.  The last color has no upper coupling. */
-static void mstep_sweep(
-    const void *plan, sweep_color color, long nc, const long *gp,
-    long k, long m, long ka, const double *alphas,
-    const double *r, double *rt, double *y)
-{
-    long s, c, j, q;
-    if (k < 1)
-        return;  /* nothing to sweep, and no zero-length arrays */
-    {
-        double al[k];
-        for (s = 1; s <= m; ++s) {
-            const double *alpha = alphas + (size_t)(m - s) * (size_t)ka;
-            for (j = 0; j < k; ++j)
-                al[j] = alpha[ka == 1 ? 0 : j];
-            for (c = 0; c < nc; ++c)
-                color(plan, 0, c, k, al, r, rt, y, s > 1, 1, 1);
-            for (c = nc - 2; c >= 1; --c)
-                color(plan, 1, c, k, al, r, rt, y, 1, 1, 1);
-            if (nc >= 2) {
-                for (q = gp[nc - 1] * k; q < gp[nc] * k; ++q)
-                    y[q] = 0.0;
-                color(plan, 1, 0, k, al, r, rt, y, 0, s == m, s != m);
-            }
-        }
-    }
-}
-
-void stencil_ssor(const struct stencil_plan *p, long k, long m, long ka,
-                  const double *alphas, const double *r, double *rt,
-                  double *y)
-{
-    mstep_sweep(p, stencil_color, p->nc, p->gp, k, m, ka, alphas, r, rt, y);
-}
-
+/* The assembled sweep pass by pass: its permuted rows are color-major,
+   so a pass already streams one contiguous range. */
 void csr_ssor(const struct csr_plan *p, long k, long m, long ka,
               const double *alphas, const double *r, double *rt, double *y)
 {
-    mstep_sweep(p, csr_color, p->nc, p->gp, k, m, ka, alphas, r, rt, y);
+    const long nc = p->nc, np = m * passes_per_step(nc);
+    long i;
+    if (k < 1 || nc < 1)
+        return;
+    {
+        double al[k];
+        for (i = 0; i < np; ++i) {
+            const struct pass ps = mstep_pass(nc, m, i);
+            const struct csr_half *h = &p->half[ps.upper];
+            const long qa = p->gp[ps.c], qb = p->gp[ps.c + 1];
+            step_alphas(k, m, ka, alphas, ps.s, al);
+            csr_rows(k, qa, qb, h->ptr, h->col, h->val, p->diag, al, r, rt, y,
+                     ps.use_y, ps.do_solve, ps.store_y);
+            if (ps.zero_y)
+                zero_rows(y, qa, qb, k);
+        }
+    }
 }
 """
     )

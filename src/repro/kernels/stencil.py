@@ -466,15 +466,17 @@ class StencilSSOR:
         if rt_pooled is not None and np.may_share_memory(r, rt_pooled):
             r = r.copy()
         plan = op.sweep_plan
-        # Zeroed per apply: the gathers also read zero-coefficient positions
-        # (clipped margins, grid-row wraps) that this apply may not have
-        # solved yet, and 0·x is ±0 only for finite x — a fresh buffer's
-        # garbage or an earlier apply's NaN would otherwise poison the sum.
-        rt = pool.zeros("rt", r.shape)
+        # Both walkers zero rt before they gather from it: the gathers also
+        # read zero-coefficient positions (clipped margins, grid-row wraps)
+        # that this apply may not have solved yet, and 0·x is ±0 only for
+        # finite x — a fresh buffer's garbage or an earlier apply's NaN
+        # would otherwise poison the sum.
+        rt = pool.get("rt", r.shape)
         y = pool.get("ssor_y", r.shape)
         if op._native_plan is not None:
             self._apply_native(plan, r, rt, y)
         else:
+            rt.fill(0.0)
             self._apply_numpy(plan, r, rt, y)
         self.counter.charge_sweep(
             self.m,
@@ -495,12 +497,14 @@ class StencilSSOR:
         )
 
     def _apply_numpy(self, plan: SweepPlan, r, rt, y) -> None:
-        """The C walker (``stencil_ssor``) line for line, in numpy.
+        """The C walker (``stencil_ssor``) in numpy, pass by pass.
 
         Same plan arrays, same color schedule, same per-row chains: the
         gathered terms land on a zero accumulator in entry order, and the
         solve is ``((α·r − y) − acc) / d``.  ``y`` holds each scheduled
-        row's last lower/upper sum, indexed like ``rows``.
+        row's last lower/upper sum, indexed like ``rows``.  The C walker
+        pipelines the passes over blocks of rows; every gather still reads
+        the value this pass-by-pass order gives it.
         """
         m, alphas = self.m, self.coefficients
         gp, rows, diag = plan.gp, plan.rows, plan.diag

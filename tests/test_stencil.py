@@ -286,6 +286,36 @@ def test_fused_sweep_native_vs_fallback_bitwise(name, kw, m, monkeypatch):
     assert sweep_native.counter == sweep_plain.counter
 
 
+@pytest.mark.parametrize(
+    "name,kw", [("poisson", {"n_grid": 40}), ("plate", {"nrows": 20})],
+    ids=["poisson", "plate"],
+)
+def test_pipelined_sweep_matches_pass_by_pass(name, kw, monkeypatch):
+    """The compiled block sweep pipelines its color passes over blocks of
+    rows (a dozen and more here); every gather must still read the value
+    the numpy twin's pass-by-pass order gives it, a NaN's spread
+    included."""
+    import repro.kernels.stencil as stencil_mod
+
+    problem = build_scenario(name, **kw)
+    coeffs = mstep_coefficients(3, False, None)
+    sweep_native = StencilSSOR(stencil_operator(problem), coeffs)
+    if sweep_native.operator._native_plan is None:
+        pytest.skip("no compiled kernel in this environment")
+    monkeypatch.setattr(stencil_mod, "load_native", lambda: None)
+    sweep_plain = StencilSSOR(stencil_operator(problem), coeffs)
+    n = sweep_native.operator.n
+    rng = np.random.default_rng(41)
+    for k in (2, 5, 8):
+        R = rng.normal(size=(n, k))
+        R[n // 2, k // 2] = np.nan
+        native = np.array(sweep_native.apply(R))
+        assert np.isnan(native).any() and not np.isnan(native).all()
+        assert np.array_equal(
+            native, np.array(sweep_plain.apply(R)), equal_nan=True
+        ), k
+
+
 @pytest.mark.parametrize("name,kw", SCENARIOS, ids=[s[0] for s in SCENARIOS])
 def test_sweep_ignores_stale_pool_contents(name, kw):
     """The gathers read zero-coefficient positions (clipped margins,

@@ -2,10 +2,11 @@
 
 The paper's vectorization argument, realized in numpy: under a multicolor
 ordering the SSOR triangular solves decompose into a handful of dense
-color-block operations (:mod:`repro.kernels.triangular`), the PCG loop is
-two fused passes over resident blocks (:mod:`repro.kernels.ops`), and
-the steady state runs out of preallocated workspaces
-(:mod:`repro.kernels.workspace`).
+color-block operations (:mod:`repro.kernels.triangular`), the m-step
+sweep walks one pass schedule through one apply front
+(:mod:`repro.kernels.sweep`), the PCG loop is two fused passes over
+resident blocks (:mod:`repro.kernels.ops`), and the steady state runs
+out of preallocated workspaces (:mod:`repro.kernels.workspace`).
 
 Every consumer dispatches on a backend name
 (:mod:`repro.kernels.backend`): ``"vectorized"`` is the default fast

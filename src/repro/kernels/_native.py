@@ -442,8 +442,9 @@ def _sweep_source() -> str:
    Algorithm 2's Conrad-Wallach schedule is written once (mstep_pass) and
    walks one of two plans: the stencil's constant-offset gathers
    (stencil_ssor, off a StencilOperator.sweep_plan) or the permuted CSR
-   rows (csr_ssor, off a BlockedMatrix.sweep_plan).  Each is bitwise its
-   numpy twin, StencilSSOR._apply_numpy and MStepSSOR's merged-CSR sweep:
+   rows (csr_ssor, off a BlockedMatrix.sweep_plan).  Both are bitwise
+   the one numpy twin, repro.kernels.sweep.sweep_numpy, which walks the
+   same passes (mstep_passes) off the same plans:
    the entries of a row land on a zero accumulator in plan order, the
    solve subtracts in the association ((alpha*r - y) - acc), and
    -ffp-contract=off keeps every mul -> add unfused.

@@ -44,7 +44,6 @@ __all__ = [
     "supports_matvec_block",
     "matvec_into",
     "matvec_accumulate",
-    "bind_matvec_accumulate",
 ]
 
 
@@ -169,50 +168,6 @@ def matvec_accumulate(a, x: np.ndarray, out: np.ndarray) -> np.ndarray:
             return out
     out += a @ x
     return out
-
-
-def bind_matvec_accumulate(a):
-    """``out += a @ x`` with the operand's guards hoisted out of the loop.
-
-    :func:`matvec_accumulate` re-validates format, dtype and shapes on
-    every call — ~µs of pure Python per invocation, which the multicolor
-    sweeps pay tens of thousands of times per solve over the *same* small
-    color blocks.  For a fixed float64 CSR operand those checks are loop
-    invariants: this binds them once and returns an ``accumulate(x, out)``
-    closure that goes straight to the compiled kernels.  The per-call cost
-    is width-independent, so narrow right-hand-side blocks (the sharded
-    column groups) gain the most.
-
-    Returns ``None`` when the operand has no fully-guarded fast path —
-    callers keep :func:`matvec_accumulate` for those.  Callers must
-    guarantee what the binding no longer checks: float64 C-contiguous
-    ``x``/``out`` with matching dimensions (the sweeps' pooled workspace
-    buffers and group views satisfy this by construction).  The compiled
-    kernels are the very ones :func:`matvec_accumulate` dispatches to, so
-    results are bitwise identical.
-    """
-    if not (
-        sp.issparse(a)
-        and a.format == "csr"
-        and a.dtype == np.float64
-        and _csr_matvec is not None
-        and _csr_matvecs is not None
-    ):
-        return None
-    nrow, ncol = int(a.shape[0]), int(a.shape[1])
-    indptr, indices, data = a.indptr, a.indices, a.data
-
-    def accumulate(x: np.ndarray, out: np.ndarray) -> np.ndarray:
-        if x.ndim == 1:
-            _csr_matvec(nrow, ncol, indptr, indices, data, x, out)
-        else:
-            _csr_matvecs(
-                nrow, ncol, x.shape[1], indptr, indices, data,
-                x.ravel(), out.ravel(),
-            )
-        return out
-
-    return accumulate
 
 
 def bind_cg_updates(u, r, p, kp, rho, denom, delta):

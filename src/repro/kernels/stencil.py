@@ -15,8 +15,8 @@ diagonals (a few ``(n,)`` vectors instead of CSR data/indices/indptr) and
   diagonal and coupling coefficients) that :class:`StencilSSOR` runs
   Algorithm 2's Conrad–Wallach merged double sweep on, directly in
   natural ordering — no permutation, no ``ColorBlockTriangularSolver``
-  factors, no CSR.  The compiled walker and its numpy twin take the same
-  plan.
+  factors, no CSR.  The compiled walker and its numpy twin
+  (:mod:`repro.kernels.sweep`) take the same plan.
 
 Both paths handle ``(n,)`` vectors and ``(n, k)`` blocks; the block forms
 are per-column bitwise identical to the single-vector forms (same
@@ -32,6 +32,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.kernels._native import load_native
+from repro.kernels.sweep import apply_sweep
 from repro.kernels.workspace import WorkspacePool
 from repro.util import OperationCounter, require
 
@@ -49,11 +50,11 @@ class SweepPlan:
     ``ep[c]:ep[c + 1]``, with column offsets ``eoff`` and a row-major
     ``(rows, entries)`` coefficient matrix at ``ecoef[ecb[c]:]``.  The
     entries are sorted by ``(target color, offset)`` — per row ascending
-    permuted-column order, the order the merged CSR block rows of
-    :class:`~repro.multicolor.blocked.BlockedMatrix` accumulate in, which
-    keeps the sweeps bitwise comparable.  ``lower_counts``/
-    ``upper_counts`` give each color half's number of coupled colors,
-    which the operation counters charge.
+    permuted-column order, the order the rows of
+    :class:`~repro.multicolor.blocked.CSRSweepPlan` accumulate in, which
+    keeps the sweeps bitwise comparable.  ``couplings`` counts the
+    coupled (color, color) pairs over both halves, which the operation
+    counters charge.
     """
 
     gp: np.ndarray
@@ -61,8 +62,7 @@ class SweepPlan:
     diag: np.ndarray
     lower: tuple
     upper: tuple
-    lower_counts: tuple
-    upper_counts: tuple
+    couplings: int
 
     #: The compiled walker over this plan.
     entry = "stencil_ssor"
@@ -387,18 +387,17 @@ class StencilOperator:
                     cm = ecoef[ecb[c] : ecb[c] + sizes[c]].reshape(rc.size, len(es))
                     for e, (_, _, d) in enumerate(es):
                         cm[:, e] = self.values[d, rc]
-                counts = tuple(len({t for t, _, _ in es}) for es in entries)
-                return (ep, eoff, ecb, ecoef), counts
+                return ep, eoff, ecb, ecoef
 
-            (lo, lcounts), (up, ucounts) = half(lower), half(upper)
             self._sweep_plan = SweepPlan(
                 gp=gp,
                 rows=rows,
                 diag=np.ascontiguousarray(self.diag[rows]),
-                lower=lo,
-                upper=up,
-                lower_counts=lcounts,
-                upper_counts=ucounts,
+                lower=half(lower),
+                upper=half(upper),
+                couplings=sum(
+                    len({t for t, _, _ in es}) for es in lower + upper
+                ),
             )
         return self._sweep_plan
 
@@ -411,9 +410,9 @@ class StencilSSOR:
     the same Horner recurrence over the same Conrad–Wallach merged double
     sweep (Algorithm 2), with the per-color block products realized as
     gather-multiply-accumulates over the operator's
-    :attr:`~StencilOperator.sweep_plan` instead of merged CSR block rows.
+    :attr:`~StencilOperator.sweep_plan` instead of permuted CSR rows.
     Per color and offset the gathered terms accumulate in the same
-    ascending permuted-column order as the merged CSR rows, so on
+    ascending permuted-column order as the CSR rows, so on
     a stencil whose coefficients bitwise match the assembled matrix the
     application is bitwise identical to ``unpermute ∘ MStepSSOR.apply ∘
     permute``.  Counters charge identically (per column for blocks).
@@ -449,7 +448,8 @@ class StencilSSOR:
         """``M_m⁻¹ r`` in natural ordering; ``(n,)`` or ``(n, k)``.
 
         Runs the fused native sweep when the compiled kernel is
-        available, else its numpy twin — the two walk the same
+        available, else its numpy twin (:func:`repro.kernels.sweep
+        .sweep_numpy`) — the two walk the same
         :attr:`StencilOperator.sweep_plan` and are bitwise identical
         (same per-row accumulation order and subtraction association;
         ``-ffp-contract=off`` keeps the C chain unfused).  The returned
@@ -458,101 +458,8 @@ class StencilSSOR:
         operator) — copy it if it must outlive that.
         """
         op = self.operator
-        pool = self.workspace
-        r = np.asarray(r, dtype=float)
-        # The compiled walker indexes r by the plan's rows unchecked.
-        require(r.ndim in (1, 2) and r.shape[0] == op.n, "r must be (n,) or (n, k)")
-        rt_pooled = pool.peek("rt")
-        if rt_pooled is not None and np.may_share_memory(r, rt_pooled):
-            r = r.copy()
-        plan = op.sweep_plan
-        # Both walkers zero rt before they gather from it: the gathers also
-        # read zero-coefficient positions (clipped margins, grid-row wraps)
-        # that this apply may not have solved yet, and 0·x is ±0 only for
-        # finite x — a fresh buffer's garbage or an earlier apply's NaN
-        # would otherwise poison the sum.
-        rt = pool.get("rt", r.shape)
-        y = pool.get("ssor_y", r.shape)
-        if op._native_plan is not None:
-            self._apply_native(plan, r, rt, y)
-        else:
-            rt.fill(0.0)
-            self._apply_numpy(plan, r, rt, y)
-        self.counter.charge_sweep(
-            self.m,
-            1 if r.ndim == 1 else int(r.shape[1]),
-            len(plan.lower_counts),
-            sum(plan.lower_counts) + sum(plan.upper_counts),
+        native = op._native_plan
+        return apply_sweep(
+            self, op.sweep_plan, None if native is None else native[0],
+            self.coefficients, r,
         )
-        return rt
-
-    def _apply_native(self, plan: SweepPlan, r, rt, y) -> None:
-        """One fused C call for the whole m-step schedule, any width."""
-        r = np.ascontiguousarray(r)
-        k = 1 if r.ndim == 1 else int(r.shape[1])
-        native = self.operator._native_plan[0]
-        ptr = native.pointer
-        native.bind_sweep(plan)(
-            k, self.m, 1, ptr(self.coefficients), ptr(r), ptr(rt), ptr(y)
-        )
-
-    def _apply_numpy(self, plan: SweepPlan, r, rt, y) -> None:
-        """The C walker (``stencil_ssor``) in numpy, pass by pass.
-
-        Same plan arrays, same color schedule, same per-row chains: the
-        gathered terms land on a zero accumulator in entry order, and the
-        solve is ``((α·r − y) − acc) / d``.  ``y`` holds each scheduled
-        row's last lower/upper sum, indexed like ``rows``.  The C walker
-        pipelines the passes over blocks of rows; every gather still reads
-        the value this pass-by-pass order gives it.
-        """
-        m, alphas = self.m, self.coefficients
-        gp, rows, diag = plan.gp, plan.rows, plan.diag
-        nc = gp.size - 1
-        one_d = r.ndim == 1
-        pool = self.workspace
-        most = int(np.diff(gp).max()) if nc else 0
-        cols = pool.get("ssor_cols", (most,), np.int64)
-        acc_buf = pool.get("ssor_sum", (most,) + r.shape[1:])
-        g_buf = pool.get("ssor_g", (most,) + r.shape[1:])
-        z_buf = pool.get("ssor_z", (most,) + r.shape[1:])
-
-        def color(c, half, alpha, use_y, do_solve, store_y):
-            ep, eoff, ecb, ecoef = half
-            qa, qb = gp[c], gp[c + 1]
-            ne = ep[c + 1] - ep[c]
-            rc = rows[qa:qb]
-            cm = ecoef[ecb[c] : ecb[c] + (qb - qa) * ne].reshape(qb - qa, ne)
-            acc, g, col = acc_buf[: qb - qa], g_buf[: qb - qa], cols[: qb - qa]
-            acc.fill(0.0)
-            for e in range(ne):
-                # Columns clip into [0, n − 1]; a clipped one's coefficient
-                # is exactly 0.0, as in the C walker.
-                np.add(rc, eoff[ep[c] + e], out=col)
-                np.take(rt, col, axis=0, out=g, mode="clip")
-                g *= cm[:, e] if one_d else cm[:, e, None]
-                acc += g
-            if do_solve:
-                z = np.take(r, rc, axis=0, out=z_buf[: qb - qa])
-                z *= alpha
-                if use_y:
-                    z -= y[qa:qb]
-                z -= acc
-                z /= diag[qa:qb] if one_d else diag[qa:qb, None]
-                rt[rc] = z
-            if store_y:
-                y[qa:qb] = acc
-
-        for s in range(1, m + 1):
-            alpha = alphas[m - s]
-            first = s == 1
-            for c in range(nc):  # forward: lower-triangular sums
-                color(c, plan.lower, alpha, not first, True, True)
-            for c in range(nc - 2, 0, -1):  # backward: upper-triangular sums
-                color(c, plan.upper, alpha, True, True, True)
-            if nc >= 2:
-                y[gp[nc - 1] : gp[nc]] = 0.0  # last color has no upper coupling
-                if s == m:  # closing color-0 solve
-                    color(0, plan.upper, alpha, False, True, False)
-                else:  # stash color 0's upper sum only
-                    color(0, plan.upper, alpha, False, False, True)

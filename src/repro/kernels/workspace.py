@@ -52,35 +52,6 @@ class WorkspacePool:
         self._views[name] = view
         return view
 
-    def zeros(self, name: str, shape, dtype=np.float64) -> np.ndarray:
-        """Like :meth:`get` but zero-filled on every call."""
-        buf = self.get(name, shape, dtype)
-        buf.fill(0.0)
-        return buf
-
-    def get_list(self, name: str, shapes, dtype=np.float64) -> list[np.ndarray]:
-        """One buffer per entry of ``shapes``, named ``name0``, ``name1``, …
-
-        The per-color auxiliary vectors of the multicolor sweeps (one ``y``
-        and one scratch accumulator per color) pool through this; callers
-        may freely swap the returned list's elements between roles — the
-        buffers stay owned by the pool either way.
-        """
-        return [self.get(f"{name}{i}", s, dtype) for i, s in enumerate(shapes)]
-
-    def broadcast_list(self, name: str, vectors, tail) -> list[np.ndarray]:
-        """Each ``(g,)`` vector of ``vectors`` repeated across the trailing
-        shape ``tail``, in pooled C-contiguous ``(g, *tail)`` buffers.
-
-        The block sweeps divide by their color diagonals this way: a
-        contiguous ``(g, k)`` divisor is ~2× faster than broadcasting the
-        ``(g, 1)`` view, with bit-identical quotients.
-        """
-        out = self.get_list(name, [v.shape + tuple(tail) for v in vectors])
-        for buf, v in zip(out, vectors):
-            np.copyto(buf, v.reshape(v.shape + (1,) * len(tail)))
-        return out
-
     def peek(self, name: str) -> np.ndarray | None:
         """The storage pooled under ``name``, if any (no allocation).
 

@@ -38,6 +38,7 @@ from repro.fem.model_problems import PlateProblem
 from repro.fem.plane_stress import assemble_plate_full
 from repro.kernels import ops as kernel_ops
 from repro.kernels.backend import REFERENCE, resolve_backend
+from repro.kernels.sweep import mstep_passes
 from repro.kernels.workspace import WorkspacePool
 from repro.machines.cells import SchedulePreconditioner, normalize_cell
 from repro.machines.diagonals import DiagonalStorage
@@ -262,38 +263,26 @@ class CyberMachine:
         application: the same operations at block width, each paying a
         single pipeline startup (:meth:`VectorTimingModel.block_op_time`).
 
-        The loop skeleton mirrors :meth:`_precondition_reference` step for
-        step (and, through it, :meth:`MStepSSOR.apply_schedule
-        <repro.multicolor.sor.MStepSSOR.apply_schedule>`); the
-        backend-equivalence suite pins the three in lockstep.
+        The passes are the schedule every sweep walks
+        (:func:`~repro.kernels.sweep.mstep_passes`), the one
+        :meth:`_precondition_reference` spells out by hand; the
+        backend-equivalence suite pins the two in lockstep.
         """
         nc = self.n_groups
-
-        def charge_sums(c: int, js) -> None:
-            for j in js:
+        for p in mstep_passes(nc, m):
+            c = p.c
+            for j in range(c + 1, nc) if p.upper else range(c):
                 storage = self.blocks[c].get(j)
                 if storage is None:
                     continue
                 for index in range(storage.n_diagonals):
                     start, stop = storage.diagonal_span(index)
                     vm.charge("diag_madd", stop - start, width)
-
-        def charge_solve(c: int) -> None:
-            n = self.diagonals[c].shape[0]
-            vm.charge("axpy", n, width)
-            vm.charge("add", n, width)
-            vm.charge("divide", n, width)
-
-        for s in range(1, m + 1):
-            for c in range(nc):
-                charge_sums(c, range(c))
-                charge_solve(c)
-            for c in range(nc - 2, 0, -1):
-                charge_sums(c, range(c + 1, nc))
-                charge_solve(c)
-            charge_sums(0, range(1, nc))
-            if s == m:
-                charge_solve(0)
+            if p.do_solve:
+                n = self.diagonals[c].shape[0]
+                vm.charge("axpy", n, width)
+                vm.charge("add", n, width)
+                vm.charge("divide", n, width)
 
     # ------------------------------------------------ preconditioner numerics
     def _precondition_reference(

@@ -39,16 +39,19 @@ class CSRSweepPlan:
     is ``(ptr, col, val)`` over all ``n`` rows (32-bit ``ptr``/``col``,
     as scipy's own indices): row ``i``'s stored entries
     left of its color's columns, or right of them, with absolute column
-    indices, in the permuted matrix's stored order.  That is the order in
-    which ``csr_matvec``/``csr_matvecs`` accumulate the merged block rows
-    (:attr:`BlockedMatrix.lower_merged`), so the compiled walker is
-    bitwise the merged-CSR sweep.
+    indices, in the permuted matrix's stored order.  The compiled walker
+    accumulates them in that order, as scipy's ``csr_matvec``/
+    ``csr_matvecs`` do when the numpy twin
+    (:func:`repro.kernels.sweep.sweep_numpy`) runs them straight off a
+    half.  ``couplings`` counts the nonzero off-diagonal blocks, which
+    the operation counters charge.
     """
 
     gp: np.ndarray
     diag: np.ndarray
     lower: tuple
     upper: tuple
+    couplings: int
 
     #: The compiled walker over this plan.
     entry = "csr_ssor"
@@ -83,6 +86,7 @@ class CSRSweepPlan:
             diag=np.concatenate(blocked.diagonals).astype(np.float64),
             lower=half(lower),
             upper=half(upper),
+            couplings=blocked.n_offdiagonal_blocks,
         )
 
     @property
@@ -194,44 +198,9 @@ class BlockedMatrix:
         )
 
     @cached_property
-    def lower_merged(self) -> tuple[sp.csr_matrix | None, ...]:
-        """``lower_merged[c]`` = ``K[rows_c, :start_c]`` — the whole lower
-        block row as **one** CSR operand.
-
-        Because the multicolor groups occupy contiguous ascending slices,
-        ``lower_merged[c] @ x[:start_c]`` equals the sequential per-block
-        sum ``Σ_{j<c} B_cj x_j`` *bitwise*: each CSR row holds the blocks'
-        entries in ascending column order, which is exactly the addition
-        sequence the per-block loop performs.  One kernel call per color
-        instead of one per block — the sweeps' per-call fixed cost is what
-        narrow sharded column groups are most sensitive to.
-
-        ``None`` marks an empty row (color 0, or no lower coupling).
-        """
-        slices = self.group_slices
-        merged: list[sp.csr_matrix | None] = []
-        for c in range(self.n_groups):
-            start = slices[c].start
-            block = self.permuted[slices[c], :start].tocsr() if start else None
-            merged.append(block if block is not None and block.nnz else None)
-        return tuple(merged)
-
-    @cached_property
-    def upper_merged(self) -> tuple[sp.csr_matrix | None, ...]:
-        """``upper_merged[c]`` = ``K[rows_c, stop_c:]`` — the whole upper
-        block row as one CSR operand (see :attr:`lower_merged`)."""
-        slices = self.group_slices
-        merged: list[sp.csr_matrix | None] = []
-        for c in range(self.n_groups):
-            stop = slices[c].stop
-            block = self.permuted[slices[c], stop:].tocsr() if stop < self.n else None
-            merged.append(block if block is not None and block.nnz else None)
-        return tuple(merged)
-
-    @cached_property
     def sweep_plan(self) -> CSRSweepPlan:
-        """The compiled merged sweep's plan (:class:`CSRSweepPlan`), built
-        once from :attr:`permuted` and shared by every
+        """The merged sweep's plan (:class:`CSRSweepPlan`), built once
+        from :attr:`permuted` and shared by every
         :class:`~repro.multicolor.sor.MStepSSOR` on this system."""
         return CSRSweepPlan.from_blocked(self)
 

@@ -416,12 +416,6 @@ class TestWorkspacePool:
         assert b is not a and b.shape == (20,)
         assert pool.allocated_bytes == b.nbytes
 
-    def test_zeros(self):
-        pool = WorkspacePool()
-        z = pool.zeros("z", 4)
-        z += 1.0
-        assert np.array_equal(pool.zeros("z", 4), np.zeros(4))
-
     def test_mstep_apply_steady_state_reuses_return_buffer(self, blocked):
         precond = MStepPreconditioner(
             SSORSplitting(blocked.permuted), neumann_coefficients(3)
@@ -430,13 +424,6 @@ class TestWorkspacePool:
         first = precond.apply(r)
         second = precond.apply(r)
         assert second is first  # same workspace buffer, by design
-
-    def test_get_list_names_and_reuses(self):
-        pool = WorkspacePool()
-        buffers = pool.get_list("y", [(3,), (5,)])
-        assert [b.shape for b in buffers] == [(3,), (5,)]
-        again = pool.get_list("y", [(3,), (5,)])
-        assert all(a is b for a, b in zip(buffers, again))
 
     def test_widths_share_one_buffer_grown_to_the_widest(self):
         # A narrower request is a C-contiguous view of the storage a wider
@@ -451,9 +438,6 @@ class TestWorkspacePool:
             assert np.may_share_memory(view, pool.peek("a"))
         assert pool.allocated_bytes == wide.nbytes
         assert np.may_share_memory(pool.get("a", (10, 4)), wide)
-        expanded = pool.broadcast_list("d", [np.arange(3.0)], (2,))[0]
-        assert np.array_equal(expanded, [[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
-        assert expanded.flags.c_contiguous
 
     def test_warm_cyber_schedule_pass_reallocates_nothing(self, monkeypatch):
         # The CYBER schedule's per-m groups alternate block widths every

@@ -256,6 +256,19 @@ def _sweep_systems():
     yield "perforated", lambda: build_blocked_system(build_scenario("perforated"))
     for a in (12, 20):
         yield f"cyber-a{a}", lambda a=a: _cyber_blocked(a)
+    # Two colors (no interior backward pass) and one color (no couplings,
+    # one pass per step): the short schedules of mstep_passes.
+    yield "poisson", lambda: build_blocked_system(build_scenario("poisson", n_grid=12))
+    yield "diagonal", _diagonal_blocked
+
+
+def _diagonal_blocked():
+    """A diagonal SPD matrix: a single color, no off-diagonal block."""
+    n = 40
+    ordering = MulticolorOrdering.from_groups(np.zeros(n, dtype=np.int64))
+    return BlockedMatrix.from_matrix(
+        sp.diags(np.linspace(1.0, 3.0, n)).tocsr(), ordering
+    )
 
 
 def _cyber_blocked(a):
@@ -278,21 +291,48 @@ def _native_or_skip():
 
 
 def _fallback(blocked, coefficients, monkeypatch):
-    """An MStepSSOR whose applies take the Python sweep."""
+    """An MStepSSOR whose applies take the numpy twin.
+
+    The plan's compiled call raises from here on, so a fallback pin
+    cannot pass by running the compiled walker twice.
+    """
     import repro.multicolor.sor as sor_mod
 
+    def refuse(*args):
+        raise AssertionError("the compiled sweep ran on the fallback path")
+
     monkeypatch.setattr(sor_mod, "load_native", lambda: None)
+    monkeypatch.setitem(blocked.sweep_plan.__dict__, "_call", refuse)
     return MStepSSOR(blocked, coefficients)
+
+
+@pytest.mark.parametrize("nc", [1, 2, 3, 6])
+@pytest.mark.parametrize("m", [1, 2, 5])
+def test_mstep_passes_is_the_compiled_schedule(nc, m):
+    """The Python pass list is the C ``mstep_pass(nc, m, i)``, transcribed
+    here from its index arithmetic."""
+    from repro.kernels.sweep import mstep_passes
+
+    per = 2 * nc - 1 if nc >= 2 else 1
+    expected = []
+    for i in range(m * per):
+        s, j = i // per + 1, i % per
+        if j < nc:
+            expected.append((s, j, False, s > 1, True, True, nc >= 2 and j == nc - 1))
+        else:
+            c = 2 * nc - 2 - j
+            expected.append((s, c, True, c != 0, c != 0 or s == m, c != 0 or s != m, False))
+    assert [tuple(p) for p in mstep_passes(nc, m)] == expected
 
 
 class TestCompiledSweep:
     @pytest.mark.parametrize("name", sorted(SWEEP_SYSTEMS))
     def test_compiled_equals_python_sweep_bitwise(self, name, monkeypatch):
         """Results and counters of the one-call compiled sweep equal the
-        merged-CSR Python sweep's bit for bit: vectors and blocks at the
-        vector and generated (2, 3, 8) widths and in column tiles past 8
-        (every tile width 1…8 from k = 9…16, and 23), under a shared
-        (m,) and a per-column (m, k) schedule."""
+        numpy twin's bit for bit: vectors and blocks at the vector and
+        generated (2, 3, 8) widths and the runtime-width body past 8
+        (k = 9…16 and 23), under a shared (m,) and a per-column (m, k)
+        schedule."""
         _native_or_skip()
         blocked = SWEEP_SYSTEMS[name]()
         rng = np.random.default_rng(7)
@@ -351,7 +391,6 @@ class TestCompiledSweep:
             calls.clear()
             sweep.apply(np.ones(shape))
             assert len(calls) == 1, shape
-        assert "lower_merged" not in blocked.__dict__  # no merged blocks built
 
     @pytest.mark.parametrize("path", ["native", "python"])
     def test_misshapen_operands_are_refused(self, path, monkeypatch):

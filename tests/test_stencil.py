@@ -255,23 +255,51 @@ def test_sweep_matches_mstep_ssor(name, kw, m):
     assert st_sweep.counter == csr_sweep.counter
 
 
-@pytest.mark.parametrize("name,kw", SCENARIOS, ids=[s[0] for s in SCENARIOS])
+def _refuse_compiled(sweep, monkeypatch):
+    """Make the compiled call on ``sweep``'s plan raise, so a fallback pin
+    cannot pass by running the compiled walker twice."""
+
+    def refuse(*args):
+        raise AssertionError("the compiled sweep ran on the fallback path")
+
+    monkeypatch.setitem(sweep.operator.sweep_plan.__dict__, "_call", refuse)
+
+
+def _one_color_stencil():
+    """A diagonal stencil: a single color, no couplings."""
+    n = 40
+    return StencilOperator(
+        offsets=(0,), values=np.linspace(1.0, 3.0, n)[None],
+        groups=np.zeros(n, dtype=np.int64),
+    )
+
+
+#: Every scenario's stencil, and the one-color schedule of one pass per step.
+SWEEP_OPERATORS = [
+    (name, lambda kw=kw, name=name: stencil_operator(build_scenario(name, **kw)))
+    for name, kw in SCENARIOS
+] + [("one-color", _one_color_stencil)]
+
+
+@pytest.mark.parametrize(
+    "name,make", SWEEP_OPERATORS, ids=[s[0] for s in SWEEP_OPERATORS]
+)
 @pytest.mark.parametrize("m", [1, 2, 4])
-def test_fused_sweep_native_vs_fallback_bitwise(name, kw, m, monkeypatch):
+def test_fused_sweep_native_vs_fallback_bitwise(name, make, m, monkeypatch):
     """The fused native sweep and its numpy twin are the same arithmetic:
     vector and block applications agree to the last bit and charge
     identical operation counts, for every step count — at every
     generated block width k ≤ 8 and the generic body (k = 9, 16)."""
     import repro.kernels.stencil as stencil_mod
 
-    problem = build_scenario(name, **kw)
     coeffs = mstep_coefficients(m, False, None)
-    sweep_native = StencilSSOR(stencil_operator(problem), coeffs)
+    sweep_native = StencilSSOR(make(), coeffs)
     if sweep_native.operator._native_plan is None:
         pytest.skip("no compiled kernel in this environment")
     monkeypatch.setattr(stencil_mod, "load_native", lambda: None)
-    sweep_plain = StencilSSOR(stencil_operator(problem), coeffs)
+    sweep_plain = StencilSSOR(make(), coeffs)
     assert sweep_plain.operator._native_plan is None  # fallback really in force
+    _refuse_compiled(sweep_plain, monkeypatch)
 
     rng = np.random.default_rng(13)
     r = rng.normal(size=sweep_native.operator.n)
@@ -304,6 +332,7 @@ def test_pipelined_sweep_matches_pass_by_pass(name, kw, monkeypatch):
         pytest.skip("no compiled kernel in this environment")
     monkeypatch.setattr(stencil_mod, "load_native", lambda: None)
     sweep_plain = StencilSSOR(stencil_operator(problem), coeffs)
+    _refuse_compiled(sweep_plain, monkeypatch)
     n = sweep_native.operator.n
     rng = np.random.default_rng(41)
     for k in (2, 5, 8):

@@ -114,6 +114,13 @@ TARGET_STENCIL_SWEEP_SPEEDUP = 1.0
 #: replaced ran ~0.26×); the k = 1 row is recorded, not gated.
 TARGET_STENCIL_PLATE_APPLY_SPEEDUP = 1.0
 STENCIL_PLATE_ROWS = 100  # plate a for the plate-product rows (n = 19,800)
+#: The compiled CSR block product (``csr_product``, the K·P of every
+#: assembled block solve of 2–8 columns) must beat scipy's
+#: ``csr_matvecs`` into a zeroed block, its bitwise reference, by at least
+#: this factor on the permuted plate system (measured ~3×).
+TARGET_CSR_PRODUCT_SPEEDUP = 2.0
+CSR_PRODUCT_ROWS = 41  # plate a for the csr_product row (n = 3,280)
+CSR_PRODUCT_WIDTH = 8  # RHS width of the csr_product row
 #: A fresh parametrized session — build, compile, one solve — may cost at
 #: most twice the unparametrized one (``speedup`` is m = 3 time ÷ 3P
 #: time): the spectral interval must stay a minor compile phase, not the
@@ -633,6 +640,48 @@ def bench_stencil_plate_apply(repeats: int) -> dict:
     return rows
 
 
+def bench_csr_product(repeats: int) -> dict:
+    """The compiled CSR block product vs scipy's ``csr_matvecs``.
+
+    ``K·X`` on the permuted plate system (the operator of every assembled
+    block solve) over ``CSR_PRODUCT_WIDTH`` columns:
+    :func:`repro.kernels.ops.matvec_into`, which runs the pack's
+    ``csr_product``, against scipy's ``csr_matvecs`` into a zeroed block.
+    The two are asserted bitwise equal before timing; the ratio is gated
+    absolutely at ``TARGET_CSR_PRODUCT_SPEEDUP``.
+    """
+    from scipy.sparse import _sparsetools
+
+    from repro.kernels.ops import matvec_into
+
+    k = build_blocked_system(plate_problem(CSR_PRODUCT_ROWS)).permuted
+    n, width = k.shape[0], CSR_PRODUCT_WIDTH
+    x = np.random.default_rng(41).normal(size=(n, width))
+    compiled, reference = np.empty((n, width)), np.empty((n, width))
+
+    def run_scipy() -> None:
+        reference.fill(0.0)
+        _sparsetools.csr_matvecs(
+            n, n, width, k.indptr, k.indices, k.data, x.ravel(),
+            reference.ravel(),
+        )
+
+    def run_compiled() -> None:
+        matvec_into(k, x, compiled)
+
+    run_scipy()
+    run_compiled()
+    if compiled.tobytes() != reference.tobytes():
+        raise AssertionError(
+            "the compiled CSR block product is not bitwise scipy's csr_matvecs"
+        )
+    out = _time_pair("scipy", run_scipy, "compiled", run_compiled, repeats)
+    out["n"] = n
+    out["nnz"] = int(k.nnz)
+    out["width"] = width
+    return out
+
+
 def bench_stencil_sweep(repeats: int) -> dict:
     """Multicolor m-step SSOR: fused native sweep vs the merged CSR sweep.
 
@@ -797,6 +846,7 @@ def build_report(
         "stencil_block_sweep": {},
         "stencil_solve": {},
         "cold_solve": {},
+        "csr_product": {},
     }
     for a in meshes:
         problem = plate_problem(a)
@@ -833,6 +883,8 @@ def build_report(
     results["stencil_solve"][gkey] = bench_stencil_solve(repeats, eps)
     ckey = f"a={COLD_SOLVE_ROWS}"
     results["cold_solve"][ckey] = bench_cold_solve(repeats, eps)
+    pkey = f"a={CSR_PRODUCT_ROWS}"
+    results["csr_product"][pkey] = bench_csr_product(repeats)
 
     largest = f"a={max(meshes)}"
     table2_key = f"a={table2_mesh}"
@@ -852,6 +904,7 @@ def build_report(
     )
     stencil_memory_ratio = results["stencil_solve"][gkey]["speedup"]
     cold_solve_speedup = results["cold_solve"][ckey]["speedup"]
+    csr_product_speedup = results["csr_product"][pkey]["speedup"]
     host = host_fingerprint()
     sharded_enforced = host["cpu_count"] >= SHARDED_MIN_CORES
     return {
@@ -875,6 +928,8 @@ def build_report(
             "stencil_plate_rows": STENCIL_PLATE_ROWS,
             "stencil_m": STENCIL_M,
             "cold_solve_rows": COLD_SOLVE_ROWS,
+            "csr_product_rows": CSR_PRODUCT_ROWS,
+            "csr_product_width": CSR_PRODUCT_WIDTH,
         },
         "results": results,
         "targets": {
@@ -905,6 +960,8 @@ def build_report(
             "stencil_solve_memory_ratio": stencil_memory_ratio,
             "cold_solve_speedup_min": TARGET_COLD_SOLVE_SPEEDUP,
             "cold_solve_speedup": cold_solve_speedup,
+            "csr_product_speedup_min": TARGET_CSR_PRODUCT_SPEEDUP,
+            "csr_product_speedup": csr_product_speedup,
             "met": bool(
                 apply_speedup >= TARGET_APPLY_P_INV_SPEEDUP
                 and table2_speedup >= TARGET_TABLE2_SPEEDUP
@@ -921,6 +978,7 @@ def build_report(
                 and stencil_block_sweep_speedup >= TARGET_STENCIL_SWEEP_SPEEDUP
                 and stencil_memory_ratio >= TARGET_STENCIL_SOLVE_MEMORY_RATIO
                 and cold_solve_speedup >= TARGET_COLD_SOLVE_SPEEDUP
+                and csr_product_speedup >= TARGET_CSR_PRODUCT_SPEEDUP
             ),
         },
     }
@@ -983,7 +1041,10 @@ def render(report: dict) -> str:
         f"stencil solve memory ≥{t['stencil_solve_memory_ratio_min']:.1f}× "
         f"(measured {t['stencil_solve_memory_ratio']:.1f}×), "
         f"cold 3P solve ≥{t['cold_solve_speedup_min']:.1f}× the m=3 one "
-        f"(measured {t['cold_solve_speedup']:.2f}×) — "
+        f"(measured {t['cold_solve_speedup']:.2f}×), "
+        f"csr block product ≥{t['csr_product_speedup_min']:.1f}× scipy "
+        f"(measured {t['csr_product_speedup']:.2f}× at "
+        f"k={CSR_PRODUCT_WIDTH}) — "
         + ("MET" if t["met"] else "NOT MET"),
     ]
     return "\n".join(lines)
@@ -1052,7 +1113,9 @@ def check_against_baseline(
             f"stencil solve memory {t['stencil_solve_memory_ratio']:.1f}× "
             f"(need ≥{t['stencil_solve_memory_ratio_min']:g}×), "
             f"cold 3P solve {t['cold_solve_speedup']:.2f}× the m=3 one "
-            f"(need ≥{t['cold_solve_speedup_min']:g}×)"
+            f"(need ≥{t['cold_solve_speedup_min']:g}×), "
+            f"csr block product {t['csr_product_speedup']:.2f}× scipy "
+            f"(need ≥{t['csr_product_speedup_min']:g}×)"
         )
     return failures
 

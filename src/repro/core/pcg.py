@@ -41,6 +41,7 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
+import scipy.sparse as sp
 
 from repro.core.convergence import DeltaInfNorm, StoppingRule
 from repro.core.mstep import IdentityPreconditioner
@@ -410,6 +411,11 @@ def block_pcg(
                 return lambda: matvec_into(k, x1, out1)
             return lambda: np.copyto(out1, k @ x1)
         if block_matvec:
+            if sp.issparse(k):
+                # One compiled product at 2–8 columns, scipy's
+                # csr_matvecs in place otherwise: the same bits.
+                return lambda: matvec_into(k, x, out)
+
             def batched():
                 out.fill(0.0)
                 matvec_accumulate(k, x, out)

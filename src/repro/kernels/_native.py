@@ -1,5 +1,5 @@
-"""Optional compiled kernels: the stencil products and sweeps, and the
-fixed-order reductions of the PCG loop.
+"""Optional compiled kernels: the stencil products, the m-step sweeps, the
+CSR block product and the fixed-order reductions of the PCG loop.
 
 The pure-numpy stencil product pays one multiply pass and one add pass
 per diagonal; at solver sizes the arrays are cache-resident, so those
@@ -28,7 +28,11 @@ vectors and blocks alike: one schedule over two row walkers, generated
 from one row template per width.  ``stencil_ssor`` gathers at the
 stencil's constant offsets off a :class:`~repro.kernels.stencil.SweepPlan`;
 ``csr_ssor`` walks the permuted CSR rows off a
-:class:`~repro.multicolor.blocked.CSRSweepPlan`.
+:class:`~repro.multicolor.blocked.CSRSweepPlan`.  ``csr_product`` runs
+the CSR row bodies with no solve over a matrix's own arrays: ``K·X`` with
+scipy's ``csr_matvecs`` bits.  Blocks wider than the generated widths go
+column tile by column tile, so no kernel keeps scratch sized by the
+block width on the stack.
 
 The pack also owns Algorithm 1's reductions.  ``fixed_dots`` is the one
 inner product of the package (:func:`repro.util.column_dots`): 8 lanes,
@@ -116,13 +120,21 @@ static void values_rows_k{kk}(
 """
 
 
-#: Generated RHS widths of the block sweeps and block product.  A
+#: Generated RHS widths of the block sweeps and block products.  A
 #: compile-time k turns the per-row column loops into fully unrolled
 #: straight-line SIMD over a register-resident accumulator (the runtime-k
 #: loop pays ~2× at k ≤ 6, and an accumulator behind a pointer that may
 #: alias the operands costs a load and store per term).  Wider blocks
-#: take the generic runtime-k body.
+#: run column tiles of at most ``_COL_TILE`` through the same widths.
 _BLOCK_K = tuple(range(2, 9))
+
+#: Columns per tile of a block wider than the generated widths.  A tile
+#: runs a fixed-width body at the block's row stride, so no scratch is
+#: sized by the block width (no block is too wide for the stack), and the
+#: columns are independent chains, so the tiles compute exactly the bits
+#: of the whole block.  Measured at plate a = 41, m = 3, k = 16, the tiled
+#: sweep takes about 0.56 of the time of the runtime-k body it replaced.
+_COL_TILE = _BLOCK_K[-1]
 
 #: Entry counts with a generated interior stencil-sweep body, per width.
 #: A constant trip count unrolls each row's short gather chain.  A vector
@@ -138,22 +150,23 @@ _SWEEP_NE = {1: tuple(range(1, 13)), **{kk: (4,) for kk in _BLOCK_K}}
 _WAVE_ROWS = 64
 
 #: One row body of the merged sweep, written once and generated per width
-#: ``{kk}`` (a number, or the runtime ``k``), row stride ``{ld}`` and
-#: operator representation: ``{attrs}`` is ``ROW_BODY`` on a fixed width,
-#: ``{head}`` names the scheduled row, ``{entries}`` and
-#: ``{gather}`` walk its couplings (coefficient ``cf``, gathered row ``rc``
-#: of r̃).  Every column is its own chain: the entries land on a zero
-#: accumulator in plan order and the solve is ``((α·r − y) − acc) / d``.
-#: The quotients go through the local ``z`` so the divides vectorize — a
-#: store straight to ``rt`` could alias ``r`` or ``y`` as far as the
-#: compiler knows — in the same association, so with the same bits.
+#: ``{kk}``, row stride ``{ld}`` (``kk``, or a runtime ``ld`` for a column
+#: tile of a wider block) and operator representation: ``{head}`` names
+#: the scheduled row, ``{entries}`` and ``{gather}`` walk its couplings
+#: (coefficient ``cf``, gathered row ``rc`` of r̃).  Every column is its own
+#: chain: the entries land on a zero accumulator in plan order and the
+#: solve is ``((α·r − y) − acc) / d``.  ``al`` holds the step's α, one
+#: (``ka`` = 1) or one per column.  The quotients go through the local
+#: ``z`` so the divides vectorize — a store straight to ``rt`` could alias
+#: ``r`` or ``y`` as far as the compiler knows — in the same association,
+#: so with the same bits.
 _ROWS_TEMPLATE = """
-{attrs}static void {name}({params})
+ROW_BODY static void {name}({params})
 {{
     long q, e, j;
     double a[{kk}], acc[{kk}], z[{kk}];
     for (j = 0; j < {kk}; ++j)
-        a[j] = al[j];
+        a[j] = al[ka == 1 ? 0 : j];
     for (q = qa; q < qb; ++q) {{
         double *yq = y + (size_t)q * {ld};
 {head}        for (j = 0; j < {kk}; ++j)
@@ -183,33 +196,65 @@ _ROWS_TEMPLATE = """
 """
 
 _SWEEP_TAIL = (
-    "const double *al, const double *r, double *rt, double *y, "
+    "const double *al, long ka, const double *r, double *rt, double *y, "
     "int use_y, int do_solve, int store_y"
+)
+_TAIL_ARGS = "al, ka, r, rt, y, use_y, do_solve, store_y"
+#: The same arguments shifted to the column tile starting at ``j0``.
+_TILE_TAIL_ARGS = (
+    "ka == 1 ? al : al + j0, ka, r + j0, rt + j0, y + j0, "
+    "use_y, do_solve, store_y"
 )
 _STENCIL_PARAMS = (
     "long n, long qa, long qb, long g0, long ne, const long *rows, "
     "const double *diag, const long *offs, const double *cm, " + _SWEEP_TAIL
 )
-_STENCIL_ARGS = (
-    "n, qa, qb, g0, ne, rows, diag, offs, cm, al, r, rt, y, "
-    "use_y, do_solve, store_y"
-)
+_STENCIL_ARGS = "n, qa, qb, g0, ne, rows, diag, offs, cm, " + _TAIL_ARGS
+_STENCIL_TILE_ARGS = "n, qa, qb, g0, ne, rows, diag, offs, cm, " + _TILE_TAIL_ARGS
 _CSR_PARAMS = (
     "long qa, long qb, const int *ptr, const int *col, const double *val, "
     "const double *diag, " + _SWEEP_TAIL
 )
-_CSR_ARGS = "qa, qb, ptr, col, val, diag, al, r, rt, y, use_y, do_solve, store_y"
+_CSR_ARGS = "qa, qb, ptr, col, val, diag, " + _TAIL_ARGS
+_CSR_TILE_ARGS = "qa, qb, ptr, col, val, diag, " + _TILE_TAIL_ARGS
 
 
-def _stencil_rows(kk, ne=None, clip=False) -> str:
-    """The stencil's row body at width ``kk`` (``None``: runtime k).
+def _column_tiles(*calls: str) -> str:
+    """``calls`` once per column tile ``[j0, j0 + w)`` of a ``k``-wide
+    block."""
+    return (
+        "{\n"
+        "        long j0;\n"
+        "        for (j0 = 0; j0 < k; j0 += COL_TILE) {\n"
+        "            const long w = k - j0 < COL_TILE ? k - j0 : COL_TILE;\n"
+        + "".join(f"            {call};\n" for call in calls)
+        + "        }\n"
+        "    }"
+    )
+
+
+def _width_fields(kk: int, strided: bool) -> dict:
+    """Template fields of a body at width ``kk``: its own row stride, or
+    (``strided``, name suffix ``s<kk>``) a runtime ``ld``, which lets it
+    run one column tile of a wider block."""
+    return {
+        "sfx": f"s{kk}" if strided else f"k{kk}",
+        "kparam": "long ld, " if strided else "",
+        "kk": kk,
+        "ld": "ld" if strided else kk,
+    }
+
+
+def _stencil_rows(kk: int, ne=None, clip=False, strided=False) -> str:
+    """The stencil's row body at width ``kk``.
 
     An interior body gathers inside ``[0, n)``, over the runtime entry
     count or a constant one ``ne``; a ``clip`` body serves the margins,
     whose gather columns clip into ``[0, n)``.  Kept apart, the interior
     gather is one branch-free SIMD load per entry.
     """
-    ld = "k" if kk is None else str(kk)
+    t = _width_fields(kk, strided)
+    ld = t["ld"]
     count = "ne" if ne is None else str(ne)
     if clip:
         gather = (
@@ -225,13 +270,10 @@ def _stencil_rows(kk, ne=None, clip=False) -> str:
             f"            const double *rc = rt + (size_t)(row + offs[e]) * {ld};\n"
         )
     return _ROWS_TEMPLATE.format(
-        attrs="" if kk is None else "ROW_BODY ",
-        name=f"ssor_rows_{'any' if kk is None else f'k{kk}'}"
+        name=f"ssor_rows_{t.pop('sfx')}"
         + ("" if ne is None else f"_e{ne}")
         + ("_clip" if clip else ""),
-        params=("long k, " if kk is None else "") + _STENCIL_PARAMS,
-        kk=ld,
-        ld=ld,
+        params=t.pop("kparam") + _STENCIL_PARAMS,
         head=(
             "        const long row = rows[q];\n"
             "        const double *crow = cm + (size_t)(q - g0) * (size_t)"
@@ -239,44 +281,46 @@ def _stencil_rows(kk, ne=None, clip=False) -> str:
         ),
         entries=f"e = 0; e < {count}; ++e",
         gather=gather,
+        **t,
     )
 
 
-def _csr_rows(kk) -> str:
-    """The CSR row body at width ``kk`` (``None``: runtime k)."""
-    ld = "k" if kk is None else str(kk)
+def _csr_rows(kk: int, strided=False) -> str:
+    """The CSR row body at width ``kk``."""
+    t = _width_fields(kk, strided)
     return _ROWS_TEMPLATE.format(
-        attrs="" if kk is None else "ROW_BODY ",
-        name=f"csr_rows_{'any' if kk is None else f'k{kk}'}",
-        params=("long k, " if kk is None else "") + _CSR_PARAMS,
-        kk=ld,
-        ld=ld,
+        name=f"csr_rows_{t.pop('sfx')}",
+        params=t.pop("kparam") + _CSR_PARAMS,
         head="        const long row = q;\n",
         entries="e = ptr[q]; e < ptr[q + 1]; ++e",
         gather=(
             "            const double cf = val[e];\n"
-            f"            const double *rc = rt + (size_t)col[e] * {ld};\n"
+            f"            const double *rc = rt + (size_t)col[e] * {t['ld']};\n"
         ),
+        **t,
     )
 
 
-def _width_switch(body: str, args: str, generic: str, widths) -> str:
-    """``switch (k)`` onto the generated ``body<k>``, else ``generic``."""
+def _width_switch(body: str, args: str, generic: str, widths, var="k") -> str:
+    """``switch (var)`` onto the generated ``body.format(var)``, else the
+    statement ``generic``."""
     cases = "".join(
-        f"    case {kk}: {body}{kk}({args}); return;\n" for kk in widths
+        f"    case {kk}: {body.format(kk)}({args}); return;\n" for kk in widths
     )
-    return f"    switch (k) {{\n{cases}    }}\n    {generic};\n"
+    tail = f"    {generic}\n" if generic else ""
+    return f"    switch ({var}) {{\n{cases}    }}\n{tail}"
 
 
 #: Specialized widths of the reductions and fused CG updates: the vector
 #: and the sweep widths.  A compile-time width keeps the 8 lanes × k
 #: partial sums in registers; a one-column block is the vector form, and
-#: wider blocks take the generic runtime-k body.
+#: wider blocks take the column-tile bodies.
 _DOT_K = (1,) + _BLOCK_K
 
 #: Bodies of the dot and the two fused CG passes over a C-ordered (n, K)
-#: block, once per specialized width (``sfx`` = ``k<K>``, no width
-#: parameter) and once generic (``sfx`` = ``any``, runtime ``k``).
+#: block, per specialized width: at row stride K (``sfx`` = ``k<K>``) and
+#: at a runtime stride ``ld`` (``sfx`` = ``s<K>``), K columns of a wider
+#: block.
 _CG_TEMPLATE = """
 static void dots_{sfx}(
     long n, {kparam}const double *x, const double *y, double *out)
@@ -289,14 +333,14 @@ static void dots_{sfx}(
             l[t][j] = 0.0;
     for (i = 0; i < n8; i += DOT_LANES)
         for (t = 0; t < DOT_LANES; ++t) {{
-            const double *xr = x + (size_t)(i + t) * {kk};
-            const double *yr = y + (size_t)(i + t) * {kk};
+            const double *xr = x + (size_t)(i + t) * {ld};
+            const double *yr = y + (size_t)(i + t) * {ld};
             for (j = 0; j < {kk}; ++j)
                 l[t][j] += xr[j] * yr[j];
         }}
     for (t = 0; n8 + t < n; ++t) {{
-        const double *xr = x + (size_t)(n8 + t) * {kk};
-        const double *yr = y + (size_t)(n8 + t) * {kk};
+        const double *xr = x + (size_t)(n8 + t) * {ld};
+        const double *yr = y + (size_t)(n8 + t) * {ld};
         for (j = 0; j < {kk}; ++j)
             l[t][j] += xr[j] * yr[j];
     }}
@@ -316,7 +360,7 @@ static void axpy_{sfx}(
         top[j] = 0.0;
     }}
     for (i = 0; i < n; ++i) {{
-        const size_t o = (size_t)i * {kk};
+        const size_t o = (size_t)i * {ld};
         for (j = 0; j < {kk}; ++j) {{
             const double s = alpha[j] * p[o + j];
             const double a = __builtin_fabs(s);
@@ -340,7 +384,7 @@ static void xpay_{sfx}(
         rho[j] = rho_new[j];
     }}
     for (i = 0; i < n; ++i) {{
-        const size_t o = (size_t)i * {kk};
+        const size_t o = (size_t)i * {ld};
         for (j = 0; j < {kk}; ++j)
             p[o + j] = rt[o + j] + beta[j] * p[o + j];
     }}
@@ -351,14 +395,21 @@ static void xpay_{sfx}(
 def _cg_source() -> str:
     """The fixed-order dot and the fused CG passes, width-dispatched."""
     bodies = "".join(
-        _CG_TEMPLATE.format(sfx=f"k{kk}", kparam="", kk=kk) for kk in _DOT_K
-    ) + _CG_TEMPLATE.format(sfx="any", kparam="long k, ", kk="k")
+        _CG_TEMPLATE.format(**_width_fields(kk, strided))
+        for strided in (False, True)
+        for kk in _DOT_K
+    )
 
-    def dispatch(name: str, params: str, args: str) -> str:
+    def dispatch(name: str, params: str, args: str, tiled: str) -> str:
+        """``name(n, k, …)`` onto the width-``k`` body, or tile by tile
+        through ``name_tile(n, w, ld, …)`` onto the strided ones."""
         return (
-            f"static void {name}(long n, long k, {params})\n{{\n"
+            f"static void {name}_tile(long n, long w, long ld, {params})\n{{\n"
+            + _width_switch(f"{name}_s{{}}", "n, ld, " + args, "", _DOT_K, var="w")
+            + f"}}\n\nstatic void {name}(long n, long k, {params})\n{{\n"
             + _width_switch(
-                f"{name}_k", "n, " + args, f"{name}_any(n, k, {args})", _DOT_K
+                f"{name}_k{{}}", "n, " + args,
+                _column_tiles(f"{name}_tile(n, w, k, {tiled})"), _DOT_K,
             )
             + "}\n"
         )
@@ -367,17 +418,19 @@ def _cg_source() -> str:
         "\n#define DOT_LANES 8\n"
         + bodies
         + dispatch("dots", "const double *x, const double *y, double *out",
-                   "x, y, out")
+                   "x, y, out", "x + j0, y + j0, out + j0")
         + dispatch(
             "axpy",
             "const double *p, const double *kp, const double *rho, "
             "const double *denom, double *u, double *r, double *delta",
             "p, kp, rho, denom, u, r, delta",
+            "p + j0, kp + j0, rho + j0, denom + j0, u + j0, r + j0, delta + j0",
         )
         + dispatch(
             "xpay",
             "const double *rt, const double *rho_new, double *rho, double *p",
             "rt, rho_new, rho, p",
+            "rt + j0, rho_new + j0, rho + j0, p + j0",
         )
         + """
 /* out[j] = (x[:, j], y[:, j]) for C-ordered (n, k) blocks, in the fixed
@@ -411,15 +464,23 @@ long cg_axpy(long n, long k, const double *p, const double *kp,
 }
 
 /* Steps (6) and (7): rho_new = (rt, r), beta = rho_new / rho, rho = rho_new,
-   p = rt + beta p. */
+   p = rt + beta p -- the whole block at once when it is one column tile,
+   else tile by tile, so rho_new never outgrows COL_TILE. */
 void cg_xpay(long n, long k, const double *rt, const double *r, double *rho,
              double *p)
 {
-    if (k >= 1) {
-        double rho_new[k];
+    double rho_new[COL_TILE];
+    if (k < 1)
+        return;
+    if (k <= COL_TILE) {
         dots(n, k, rt, r, rho_new);
         xpay(n, k, rt, rho_new, rho, p);
+        return;
     }
+    """ + _column_tiles(
+            "dots_tile(n, w, k, rt + j0, r + j0, rho_new)",
+            "xpay_tile(n, w, k, rt + j0, rho_new, rho + j0, p + j0)",
+        ) + """
 }
 """
     )
@@ -427,14 +488,18 @@ void cg_xpay(long n, long k, const double *rt, const double *r, double *rho,
 
 def _sweep_source() -> str:
     """The merged m-step sweeps: one schedule, two row walkers."""
+    tile_widths = range(1, _COL_TILE + 1)
     stencil_rows = "".join(
-        _stencil_rows(kk, clip=clip)
-        for kk in (*_SWEEP_NE, None)
+        _stencil_rows(kk, clip=clip, strided=strided)
+        for strided in (False, True)
+        for kk in (tile_widths if strided else _SWEEP_NE)
         for clip in (False, True)
     ) + "".join(
         _stencil_rows(kk, ne) for kk, counts in _SWEEP_NE.items() for ne in counts
     )
-    csr_rows = "".join(_csr_rows(kk) for kk in (1, *_BLOCK_K)) + _csr_rows(None)
+    csr_rows = "".join(
+        _csr_rows(kk, strided) for strided in (False, True) for kk in tile_widths
+    )
     return (
         """
 /* ---- merged multicolor m-step SSOR sweeps -----------------------------
@@ -530,14 +595,10 @@ static struct pass mstep_pass(long nc, long m, long i)
     return p;
 }
 
-/* The step's coefficient per column. */
-static void step_alphas(long k, long m, long ka, const double *alphas,
-                        long s, double *al)
+/* Step s's row of the (m, ka) alpha schedule. */
+static const double *step_row(const double *alphas, long m, long ka, long s)
 {
-    const double *alpha = alphas + (size_t)(m - s) * (size_t)ka;
-    long j;
-    for (j = 0; j < k; ++j)
-        al[j] = alpha[ka == 1 ? 0 : j];
+    return alphas + (size_t)(m - s) * (size_t)ka;
 }
 
 /* The first q in [qa, qb) with rows[q] >= end; rows ascend. */
@@ -562,11 +623,30 @@ static void zero_rows(double *a, long qa, long qb, long k)
 """
         + stencil_rows
         + """
+/* One column tile of a wider block, w <= COL_TILE columns at row
+   stride ld: the strided bodies. */
+static void ssor_tile(long w, long ld, """ + _STENCIL_PARAMS + """, int clip)
+{
+    if (clip) {
+"""
+        + _width_switch("ssor_rows_s{}_clip", "ld, " + _STENCIL_ARGS, "",
+                        tile_widths, var="w")
+        + """    }
+"""
+        + _width_switch("ssor_rows_s{}", "ld, " + _STENCIL_ARGS, "", tile_widths,
+                        var="w")
+        + """}
+
 /* Row dispatch: compile-time widths, the margins apart, and constant
-   entry counts for the interior rows where _SWEEP_NE generated them.
-   Same arithmetic per column either way -- dispatch is bitwise-neutral. */
+   entry counts for the interior rows where _SWEEP_NE generated them;
+   a block wider than COL_TILE goes tile by tile.  Same arithmetic per
+   column either way -- dispatch is bitwise-neutral. */
 static void ssor_rows(long k, """ + _STENCIL_PARAMS + """, int clip)
 {
+    if (k > COL_TILE) {
+        """ + _column_tiles(f"ssor_tile(w, k, {_STENCIL_TILE_ARGS}, clip)") + """
+        return;
+    }
     if (clip) {
         switch (k) {
 """
@@ -575,8 +655,6 @@ static void ssor_rows(long k, """ + _STENCIL_PARAMS + """, int clip)
             for kk in _SWEEP_NE
         )
         + """        }
-        ssor_rows_any_clip(k, """ + _STENCIL_ARGS + """);
-        return;
     }
     switch (k) {
 """
@@ -591,7 +669,6 @@ static void ssor_rows(long k, """ + _STENCIL_PARAMS + """, int clip)
             for kk, counts in _SWEEP_NE.items()
         )
         + """    }
-    ssor_rows_any(k, """ + _STENCIL_ARGS + """);
 }
 
 /* Scheduled rows [lo, hi) of color c exclude the margins, whose gathers
@@ -618,7 +695,7 @@ static void clip_bounds(const struct stencil_plan *p, int upper, long c,
    exactly 0.0, so the split does not change any sum. */
 static void stencil_span(
     const struct stencil_plan *p, const struct pass *ps, long qa, long qb,
-    long lo, long hi, long k, const double *al, const double *r,
+    long lo, long hi, long k, const double *al, long ka, const double *r,
     double *rt, double *y)
 {
     const struct stencil_half *h = &p->half[ps->upper];
@@ -631,18 +708,18 @@ static void stencil_span(
     long z = qb < lo ? qb : lo;
     if (qa < z) {
         ssor_rows(k, n, qa, z, g0, ne, rows, diag, offs, cm,
-                  al, r, rt, y, use_y, do_solve, store_y, 1);
+                  al, ka, r, rt, y, use_y, do_solve, store_y, 1);
         qa = z;
     }
     z = qb < hi ? qb : hi;
     if (qa < z) {
         ssor_rows(k, n, qa, z, g0, ne, rows, diag, offs, cm,
-                  al, r, rt, y, use_y, do_solve, store_y, 0);
+                  al, ka, r, rt, y, use_y, do_solve, store_y, 0);
         qa = z;
     }
     if (qa < qb)
         ssor_rows(k, n, qa, qb, g0, ne, rows, diag, offs, cm,
-                  al, r, rt, y, use_y, do_solve, store_y, 1);
+                  al, ka, r, rt, y, use_y, do_solve, store_y, 1);
     if (ps->zero_y)
         zero_rows(y, q0, qb, k);
 }
@@ -676,7 +753,6 @@ void stencil_ssor(const struct stencil_plan *p, long k, long m, long ka,
     nb = (n + span - 1) / span;
     {
         long next[np], lo[2 * nc], hi[2 * nc];
-        double al[k];
         for (i = 0; i < 2 * nc; ++i)
             clip_bounds(p, i % 2, i / 2, &lo[i], &hi[i]);
         for (i = 0; i < np; ++i)
@@ -697,9 +773,9 @@ void stencil_ssor(const struct stencil_plan *p, long k, long m, long ka,
                 next[i] = qb;
                 if (qa == qb)
                     continue;
-                step_alphas(k, m, ka, alphas, ps.s, al);
                 stencil_span(p, &ps, qa, qb, lo[2 * ps.c + ps.upper],
-                             hi[2 * ps.c + ps.upper], k, al, r, rt, y);
+                             hi[2 * ps.c + ps.upper], k,
+                             step_row(alphas, m, ka, ps.s), ka, r, rt, y);
             }
         }
     }
@@ -707,11 +783,18 @@ void stencil_ssor(const struct stencil_plan *p, long k, long m, long ka,
 """
         + csr_rows
         + """
+static void csr_tile(long w, long ld, """ + _CSR_PARAMS + """)
+{
+"""
+        + _width_switch("csr_rows_s{}", "ld, " + _CSR_ARGS, "", tile_widths, var="w")
+        + """}
+
 static void csr_rows(long k, """ + _CSR_PARAMS + """)
 {
 """
         + _width_switch(
-            "csr_rows_k", _CSR_ARGS, f"csr_rows_any(k, {_CSR_ARGS})", (1, *_BLOCK_K)
+            "csr_rows_k{}", _CSR_ARGS,
+            _column_tiles(f"csr_tile(w, k, {_CSR_TILE_ARGS})"), tile_widths,
         )
         + """}
 
@@ -724,19 +807,30 @@ void csr_ssor(const struct csr_plan *p, long k, long m, long ka,
     long i;
     if (k < 1 || nc < 1)
         return;
-    {
-        double al[k];
-        for (i = 0; i < np; ++i) {
-            const struct pass ps = mstep_pass(nc, m, i);
-            const struct csr_half *h = &p->half[ps.upper];
-            const long qa = p->gp[ps.c], qb = p->gp[ps.c + 1];
-            step_alphas(k, m, ka, alphas, ps.s, al);
-            csr_rows(k, qa, qb, h->ptr, h->col, h->val, p->diag, al, r, rt, y,
-                     ps.use_y, ps.do_solve, ps.store_y);
-            if (ps.zero_y)
-                zero_rows(y, qa, qb, k);
-        }
+    for (i = 0; i < np; ++i) {
+        const struct pass ps = mstep_pass(nc, m, i);
+        const struct csr_half *h = &p->half[ps.upper];
+        const long qa = p->gp[ps.c], qb = p->gp[ps.c + 1];
+        csr_rows(k, qa, qb, h->ptr, h->col, h->val, p->diag,
+                 step_row(alphas, m, ka, ps.s), ka, r, rt, y,
+                 ps.use_y, ps.do_solve, ps.store_y);
+        if (ps.zero_y)
+            zero_rows(y, qa, qb, k);
     }
+}
+
+/* out = K x for C-contiguous (n, k) blocks off a CSR matrix's own arrays
+   (32-bit ptr and col, as scipy's): the sweep's row bodies with no solve,
+   rt = x and y = out.  Each row's entries land on a zero accumulator in
+   stored order, unfused -- exactly scipy's csr_matvecs into a zeroed out,
+   so every column has its bits. */
+void csr_product(long n, long k, const int *ptr, const int *col,
+                 const double *val, const double *x, double *out)
+{
+    static const double unused_alpha = 0.0;
+    if (k >= 1)
+        csr_rows(k, 0, n, ptr, col, val, NULL, &unused_alpha, 1, x,
+                 (double *)x, out, 0, 0, 1);
 }
 """
     )
@@ -746,9 +840,9 @@ def _source() -> str:
     vec_cases = "".join(_CASE_TEMPLATE.format(nd=nd) for nd in _SPECIALIZED)
     values_rows = "".join(_VALUES_ROWS_TEMPLATE.format(kk=kk) for kk in _BLOCK_K)
     values_dispatch = _width_switch(
-        "values_rows_k",
+        "values_rows_k{}",
         "n, nd, offs, vals, lo, hi, window, x, out, accumulate",
-        "values_rows_any(n, nd, offs, vals, k, lo, hi, window, x, out, accumulate)",
+        "values_rows_any(n, nd, offs, vals, k, lo, hi, window, x, out, accumulate);",
         _BLOCK_K,
     )
     return (
@@ -757,6 +851,9 @@ def _source() -> str:
 
 #define VALUES_TILE """
         + str(_VALUES_TILE)
+        + """
+#define COL_TILE """
+        + str(_COL_TILE)
         + """
 
 /* out (+)= K x for contiguous (n,) vectors off the value rows
@@ -903,10 +1000,11 @@ void stencil_apply_v(
 
 _FLAG_SETS = (
     # -march=native buys SIMD width; -ffp-contract=off keeps the mul→add
-    # chain un-fused in both, so the rounding matches numpy/scipy exactly.
+    # chain un-fused in every set, so the rounding matches numpy/scipy
+    # exactly.  A compiler that takes neither set builds nothing, and the
+    # bitwise numpy fallback runs instead.
     ("-O3", "-march=native", "-ffp-contract=off", "-fPIC", "-shared"),
     ("-O3", "-ffp-contract=off", "-fPIC", "-shared"),
-    ("-O2", "-fPIC", "-shared"),
 )
 
 #: The argument type of every ``double *`` parameter.
@@ -960,8 +1058,8 @@ def _plan_type(npointers: int):
 
 
 class NativeKernels:
-    """ctypes facade over the compiled stencil kernels, sweeps and
-    reductions.
+    """ctypes facade over the compiled stencil kernels, sweeps, CSR block
+    product and reductions.
 
     Every entry point takes plain ``c_long``, ``double *`` and address
     arguments: the callers own the layout checks, and bind an operator's
@@ -985,6 +1083,7 @@ class NativeKernels:
              [long_, long_, ptr, dbl, long_, ptr, dbl, dbl, dbl, dbl, int_]),
             ("stencil_ssor", None, sweep),
             ("csr_ssor", None, sweep),
+            ("csr_product", None, [long_, long_, ptr, ptr, dbl, dbl, dbl]),
         ):
             fn = getattr(lib, name)
             fn.restype, fn.argtypes = restype, argtypes
@@ -1003,6 +1102,23 @@ class NativeKernels:
             self.stencil_apply_v, n, len(offs), offs, cs, len(srows), srows,
             svals, stash,
         )
+
+    def bind_product(self, indptr, indices, data):
+        """The compiled block product ``out ← K·x`` off one CSR matrix's
+        arrays (32-bit ``indptr``/``indices``, float64 ``data``, all
+        contiguous): ``call(k, x, out)``, ``x`` and ``out`` pointers to
+        C-contiguous ``(n, k)`` blocks.  The arrays are converted once;
+        the callable holds them alive."""
+        fn = self.csr_product
+        n = ctypes.c_long(indptr.size - 1)
+        ptr_, col_ = (ctypes.c_void_p(a.ctypes.data) for a in (indptr, indices))
+        val_ = pointer(data)
+
+        def call(k, x, out):
+            fn(n, k, ptr_, col_, val_, x, out)
+
+        call.keep = (indptr, indices, data)
+        return call
 
     def bind_sweep(self, plan):
         """The compiled m-step sweep bound to ``plan``, once per plan.

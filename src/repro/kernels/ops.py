@@ -14,17 +14,20 @@ commutative, so ``β·y + x`` equals ``x + β·y`` bitwise).
 :func:`bind_cg_updates` fuses Algorithm 1's axpy and xpay updates with
 the fixed-order dot (:func:`repro.util.column_dots`) over resident
 ``(n, a)`` blocks — compiled where the kernel pack loads, numpy
-otherwise, bitwise the same.
+otherwise, bitwise the same.  :func:`matvec_into` runs a CSR block
+product of 2–8 columns as one compiled call (``csr_product``), which
+sums each row in scipy's ``csr_matvecs`` order.
 """
 
 from __future__ import annotations
 
 import ctypes
+import weakref
 
 import numpy as np
 import scipy.sparse as sp
 
-from repro.kernels._native import load_native
+from repro.kernels._native import load_native, pointer
 from repro.util.linalg import dots_numpy
 
 try:  # scipy's compiled CSR kernels; absent only on exotic builds.
@@ -71,18 +74,7 @@ def supports_matvec_into(a, x: np.ndarray, out: np.ndarray) -> bool:
         # Matrix-free operators (repro.kernels.stencil.StencilOperator)
         # bring their own fused in-place product.
         return True
-    return (
-        _csr_matvec is not None
-        and sp.issparse(a)
-        and a.format == "csr"
-        and a.dtype == np.float64
-        and x.ndim == 1
-        and out.ndim == 1
-        and x.dtype == np.float64
-        and out.dtype == np.float64
-        and x.flags.c_contiguous
-        and out.flags.c_contiguous
-    )
+    return _csr_fits(a, x, out)
 
 
 def supports_matvec_block(a) -> bool:
@@ -107,23 +99,106 @@ def supports_matvec_block(a) -> bool:
     )
 
 
+def _csr_fits(a, x: np.ndarray, out: np.ndarray) -> bool:
+    """Whether ``a @ x`` can run in place into ``out`` on scipy's compiled
+    CSR kernels: a float64 CSR ``a`` and C-ordered float64 ``(n,)`` or
+    ``(n, k)`` operands of matching shapes, ``out`` writable.  The
+    kernels trust their dimensions blindly, so anything else must take
+    ``a @ x``, which raises on a mismatch."""
+    return (
+        (_csr_matvec if x.ndim == 1 else _csr_matvecs) is not None
+        and sp.issparse(a)
+        and a.format == "csr"
+        and a.dtype == np.float64
+        and x.dtype == np.float64
+        and out.dtype == np.float64
+        and x.flags.c_contiguous
+        and out.flags.c_contiguous
+        and out.flags.writeable
+        and x.ndim in (1, 2)
+        and a.shape == (out.shape[0], x.shape[0])
+        and x.shape[1:] == out.shape[1:]
+    )
+
+
+def _csr_accumulate(a, x: np.ndarray, out: np.ndarray) -> None:
+    """``out += a @ x`` on scipy's ``csr_matvec(s)``, for operands that
+    :func:`_csr_fits`."""
+    if x.ndim == 1:
+        _csr_matvec(a.shape[0], a.shape[1], a.indptr, a.indices, a.data, x, out)
+    else:
+        _csr_matvecs(
+            a.shape[0], a.shape[1], x.shape[1],
+            a.indptr, a.indices, a.data, x.ravel(), out.ravel(),
+        )
+
+
+#: Block widths of the compiled CSR product: the generated fixed-width
+#: row bodies, 2.7× (k = 2) to 3.9× (k = 8) scipy's ``csr_matvecs`` at
+#: plate a = 41.  A vector stays on scipy's ``csr_matvec``, which is as
+#: fast (25.7 µs against 27.1 µs there); so do wider blocks, whose
+#: column-tile path (1.8–2.5× at k = 9–24) is not gated yet.
+PRODUCT_WIDTHS = range(2, 9)
+
+#: id(matrix) → (a weak reference to it, the (indptr, indices, data) it
+#: was bound over, the bound compiled product).  Keyed by id because a
+#: ``csr_matrix`` is unhashable, and kept off the matrix so it still
+#: pickles; an entry goes with its matrix, and rebinds when any of the
+#: three arrays is reassigned.
+_PRODUCTS: dict[int, tuple] = {}
+
+
+def _bound_product(a, pack):
+    """The compiled block product bound to ``a``'s arrays, or ``None``
+    when they are not the contiguous 32-bit-indexed ones it takes."""
+    key = id(a)
+    entry = _PRODUCTS.get(key)
+    if entry is not None:
+        ref, (indptr, indices, data), call = entry
+        if ref() is a and indptr is a.indptr and indices is a.indices and data is a.data:
+            return call
+    arrays = (a.indptr, a.indices, a.data)
+    if not (
+        all(arr.dtype == np.int32 for arr in arrays[:2])
+        and all(arr.flags.c_contiguous for arr in arrays)
+        and arrays[0].size == a.shape[0] + 1
+    ):
+        return None
+    call = pack.bind_product(*arrays)
+    _PRODUCTS[key] = (
+        weakref.ref(a, lambda _, key=key, table=_PRODUCTS: table.pop(key, None)),
+        arrays,
+        call,
+    )
+    return call
+
+
 def matvec_into(a, x: np.ndarray, out: np.ndarray) -> np.ndarray:
     """``out ← a @ x`` without allocating the result when possible.
 
-    CSR matrices go through scipy's compiled ``csr_matvec`` (which
-    accumulates, hence the zero-fill); dense operators through
-    ``np.matmul(..., out=)``; anything else falls back to ``a @ x``.
+    CSR matrices go through scipy's compiled ``csr_matvec`` /
+    ``csr_matvecs`` (which accumulate, hence the zero-fill), except a
+    C-ordered block of 2–8 columns off 32-bit indices, which runs the
+    pack's ``csr_product`` with the same bits; dense operators go
+    through ``np.matmul(..., out=)``; anything else falls back to
+    ``a @ x``.
     """
     if isinstance(a, np.ndarray):
         np.matmul(a, x, out=out)
         return out
     if not sp.issparse(a) and callable(getattr(a, "matvec_into", None)):
         return a.matvec_into(x, out)
-    if supports_matvec_into(a, x, out):
-        out[:] = 0.0
-        _csr_matvec(a.shape[0], a.shape[1], a.indptr, a.indices, a.data, x, out)
+    if not _csr_fits(a, x, out):
+        out[:] = a @ x
         return out
-    out[:] = a @ x
+    if x.ndim == 2 and x.shape[1] in PRODUCT_WIDTHS:
+        pack = load_native()
+        call = None if pack is None else _bound_product(a, pack)
+        if call is not None:
+            call(x.shape[1], pointer(x), pointer(out))
+            return out
+    out.fill(0.0)
+    _csr_accumulate(a, x, out)
     return out
 
 
@@ -139,33 +214,9 @@ def matvec_accumulate(a, x: np.ndarray, out: np.ndarray) -> np.ndarray:
     """
     if not sp.issparse(a) and callable(getattr(a, "matvec_accumulate", None)):
         return a.matvec_accumulate(x, out)
-    if (
-        sp.issparse(a)
-        and a.format == "csr"
-        and a.dtype == np.float64
-        and x.dtype == np.float64
-        and out.dtype == np.float64
-        and x.flags.c_contiguous
-        and out.flags.c_contiguous
-        # The compiled kernels trust their dimensions blindly; mismatched
-        # shapes must fall through to `out += a @ x`, which raises.
-        and a.shape[1] == x.shape[0]
-        and a.shape[0] == out.shape[0]
-    ):
-        if x.ndim == 1 and out.ndim == 1 and _csr_matvec is not None:
-            _csr_matvec(a.shape[0], a.shape[1], a.indptr, a.indices, a.data, x, out)
-            return out
-        if (
-            x.ndim == 2
-            and out.ndim == 2
-            and x.shape[1] == out.shape[1]
-            and _csr_matvecs is not None
-        ):
-            _csr_matvecs(
-                a.shape[0], a.shape[1], x.shape[1],
-                a.indptr, a.indices, a.data, x.ravel(), out.ravel(),
-            )
-            return out
+    if _csr_fits(a, x, out):
+        _csr_accumulate(a, x, out)
+        return out
     out += a @ x
     return out
 

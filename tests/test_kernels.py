@@ -540,6 +540,307 @@ class TestMStepSSORAllocationFree:
 
 
 # --------------------------------------------------------------------------
+def _compiled_pack():
+    from repro.kernels._native import load_native
+
+    pack = load_native()
+    if pack is None:
+        pytest.skip("no compiled kernel in this environment")
+    return pack
+
+
+def _bits(x) -> bytes:
+    return np.ascontiguousarray(x, dtype=np.float64).tobytes()
+
+
+def _scipy_product(k, x):
+    """``K·X`` by scipy's ``csr_matvecs`` into a zeroed block (``k @ x``)."""
+    return k @ np.ascontiguousarray(x)
+
+
+def _special_block(n, width, seed):
+    """A random ``(n, width)`` block carrying NaN, ±inf and −0.0."""
+    x = np.random.default_rng(seed).normal(size=(n, width))
+    x[0, 0], x[1, -1], x[2, width // 2] = np.nan, np.inf, -np.inf
+    x[3, :] = -0.0
+    return x
+
+
+@pytest.fixture(scope="module")
+def product_systems():
+    """The permuted plate, l-shape and Poisson systems (32-bit CSR)."""
+    from repro.pipeline import build_scenario
+
+    return {
+        name: build_blocked_system(build_scenario(name, **kw)).permuted
+        for name, kw in (
+            ("plate", {"nrows": 10}),
+            ("lshape", {"a": 10}),
+            ("poisson", {"n_grid": 12}),
+        )
+    }
+
+
+class TestCompiledCSRProduct:
+    """``matvec_into`` runs a C-ordered float64 block of 2–8 columns off a
+    32-bit float64 CSR through the pack's ``csr_product``; every column
+    must be bitwise scipy's ``csr_matvecs``.  Everything else stays on
+    scipy, with the same bits."""
+
+    @pytest.mark.parametrize("name", ["plate", "lshape", "poisson"])
+    @pytest.mark.parametrize("width", list(ops.PRODUCT_WIDTHS))
+    def test_bitwise_scipy_with_special_values(self, product_systems, name, width):
+        _compiled_pack()
+        k = product_systems[name]
+        x = _special_block(k.shape[0], width, seed=width)
+        out = np.full(x.shape, 7.0)
+        with np.errstate(invalid="ignore"):
+            expected = _scipy_product(k, x)
+            assert ops.matvec_into(k, x, out) is out
+        assert id(k) in ops._PRODUCTS  # the compiled call ran
+        assert _bits(out) == _bits(expected)
+
+    @pytest.mark.parametrize("width", [2, 5, 8])
+    def test_unsorted_duplicate_entries_and_empty_rows(self, width):
+        _compiled_pack()
+        indptr = np.array([0, 3, 3, 6, 6, 8], dtype=np.int32)
+        indices = np.array([4, 0, 4, 2, 1, 2, 3, 0], dtype=np.int32)
+        data = np.array([1e16, 3.0, -1e16, 0.1, 0.2, 0.3, -0.0, 2.5])
+        k = sp.csr_matrix((data, indices, indptr), shape=(5, 5))
+        assert not k.has_sorted_indices and not k.has_canonical_format
+        x = np.random.default_rng(width).normal(size=(5, width))
+        out = np.empty_like(x)
+        ops.matvec_into(k, x, out)
+        assert id(k) in ops._PRODUCTS
+        # Row 0 stores its 3.0 term between the ±1e16 ones, so summed in
+        # stored order (as scipy does) it is mostly rounded away; a sorted
+        # or duplicate-merged sum would keep it.
+        assert _bits(out) == _bits(_scipy_product(k, x))
+        assert not out[1].any() and not out[3].any()  # empty rows: +0.0
+
+    def _refuse_binding(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the compiled product ran")
+
+        monkeypatch.setattr(ops, "_bound_product", refuse)
+
+    @pytest.mark.parametrize("case", [
+        "vector", "one-column", "nine", "sixteen", "fortran", "strided",
+        "float32",
+    ])
+    def test_other_operands_take_scipy(self, product_systems, case, monkeypatch):
+        k = product_systems["plate"]
+        n = k.shape[0]
+        rng = np.random.default_rng(4)
+        shape = {"vector": (n,), "one-column": (n, 1), "nine": (n, 9),
+                 "sixteen": (n, 16)}.get(case, (n, 4))
+        x = rng.normal(size=shape)
+        out = np.empty(shape)
+        if case == "fortran":
+            x = np.asfortranarray(x)
+        elif case == "strided":
+            x = rng.normal(size=(n, 8))[:, ::2]
+            out = np.empty((n, 8))[:, ::2]
+        elif case == "float32":
+            k = k.astype(np.float32)
+        expected = k @ np.asarray(x)
+        self._refuse_binding(monkeypatch)
+        ops.matvec_into(k, x, out)
+        assert _bits(out) == _bits(expected)
+
+    @pytest.mark.parametrize(
+        "x_rows, x_cols, out_cols", [(-5, None, None), (-5, 4, 4), (0, 4, 5)]
+    )
+    def test_mismatched_operands_raise(self, product_systems, x_rows, x_cols, out_cols):
+        """The compiled kernels trust their dimensions: a short x or a
+        wrong-width out must raise, not read past an array's end."""
+        k = product_systems["plate"]
+        n = k.shape[0]
+        x = np.ones((n + x_rows,) if x_cols is None else (n + x_rows, x_cols))
+        out = np.empty((n,) if out_cols is None else (n, out_cols))
+        for product in (ops.matvec_into, ops.matvec_accumulate):
+            with pytest.raises(ValueError):
+                product(k, x, out)
+
+    def test_int64_indices_take_scipy(self, product_systems):
+        _compiled_pack()
+        k = product_systems["poisson"].copy()
+        k.indices, k.indptr = k.indices.astype(np.int64), k.indptr.astype(np.int64)
+        x = np.random.default_rng(5).normal(size=(k.shape[0], 4))
+        out = np.empty_like(x)
+        ops.matvec_into(k, x, out)
+        assert id(k) not in ops._PRODUCTS
+        assert _bits(out) == _bits(_scipy_product(k, x))
+
+    def test_read_only_shared_memory_matrix(self, product_systems):
+        _compiled_pack()
+        from repro.parallel.shm import SegmentRegistry, attach_operator
+
+        source = product_systems["lshape"]
+        registry = SegmentRegistry()
+        try:
+            shared = attach_operator(registry.publish_operator("product", source))
+            assert not shared.data.flags.writeable
+            x = _special_block(source.shape[0], 6, seed=6)
+            out = np.empty_like(x)
+            with np.errstate(invalid="ignore"):
+                ops.matvec_into(shared, x, out)
+                expected = _scipy_product(source, x)
+            assert id(shared) in ops._PRODUCTS
+            assert _bits(out) == _bits(expected)
+            del shared  # its binding goes with it, before the segments do
+        finally:
+            registry.release_all()
+
+    def test_reassigned_arrays_rebind(self, product_systems):
+        _compiled_pack()
+        k = product_systems["plate"].copy()
+        x = np.random.default_rng(7).normal(size=(k.shape[0], 3))
+        out = np.empty_like(x)
+        ops.matvec_into(k, x, out)
+        k.data = k.data * 3.0  # a new array: the old pointer must not stay
+        ops.matvec_into(k, x, out)
+        assert ops._PRODUCTS[id(k)][1][2] is k.data
+        assert _bits(out) == _bits(_scipy_product(k, x))
+
+    def test_binding_leaves_the_matrix_picklable_and_dies_with_it(
+        self, product_systems
+    ):
+        import gc
+        import pickle
+
+        _compiled_pack()
+        k = product_systems["poisson"].copy()
+        x = np.random.default_rng(8).normal(size=(k.shape[0], 2))
+        ops.matvec_into(k, x, np.empty_like(x))
+        clone = pickle.loads(pickle.dumps(k))
+        assert _bits(clone @ x) == _bits(k @ x)
+        key = id(k)
+        del k
+        gc.collect()
+        assert key not in ops._PRODUCTS
+
+    def test_fallback_refuses_the_compiled_call(self, product_systems, monkeypatch):
+        """With the pack gone, a product bound earlier must not run."""
+        _compiled_pack()
+        k = product_systems["plate"]
+        x = np.random.default_rng(9).normal(size=(k.shape[0], 8))
+        out = np.empty_like(x)
+        ops.matvec_into(k, x, out)
+
+        def refuse(*args):
+            raise AssertionError("the compiled product ran on the fallback path")
+
+        ref, arrays, _ = ops._PRODUCTS[id(k)]
+        monkeypatch.setitem(ops._PRODUCTS, id(k), (ref, arrays, refuse))
+        monkeypatch.setattr(ops, "load_native", lambda: None)
+        ops.matvec_into(k, x, out)
+        assert _bits(out) == _bits(_scipy_product(k, x))
+
+    @pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "fallback"])
+    @pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 6, 7, 8, 9, 16])
+    def test_block_pcg_matches_per_column_pcg(
+        self, product_systems, width, compiled, monkeypatch
+    ):
+        from repro.core.pcg import block_pcg
+        from repro.kernels import _native
+
+        if compiled:
+            _compiled_pack()
+        else:
+            monkeypatch.setattr(_native, "_CACHE", [None])
+        blocked_k = product_systems["plate"]
+        F = np.random.default_rng(width).normal(size=(blocked_k.shape[0], width))
+        coeffs = neumann_coefficients(3)
+        block = block_pcg(
+            blocked_k, F, preconditioner=MStepPreconditioner(
+                SSORSplitting(blocked_k), coeffs
+            ), eps=1e-8,
+        )
+        for j in range(width):
+            solo = pcg(
+                blocked_k, np.ascontiguousarray(F[:, j]),
+                preconditioner=MStepPreconditioner(SSORSplitting(blocked_k), coeffs),
+                eps=1e-8,
+            )
+            column = block.column(j)
+            assert column.iterations == solo.iterations
+            assert _bits(column.u) == _bits(solo.u)
+            assert _bits(column.delta_history) == _bits(solo.delta_history)
+            assert column.counter.as_dict() == solo.counter.as_dict()
+
+    def test_block_pcg_products_go_through_the_module_names(
+        self, product_systems, monkeypatch
+    ):
+        """A tracer rebinds ``repro.core.pcg.matvec_into``; the batched
+        CSR product must reach it."""
+        import importlib
+
+        pcg_mod = importlib.import_module("repro.core.pcg")
+        widths = []
+
+        def counted(a, x, out):
+            widths.append(1 if x.ndim == 1 else x.shape[1])
+            return ops.matvec_into(a, x, out)
+
+        monkeypatch.setattr(pcg_mod, "matvec_into", counted)
+        k = product_systems["poisson"]
+        F = np.random.default_rng(10).normal(size=(k.shape[0], 4))
+        pcg_mod.block_pcg(k, F, eps=1e-8)
+        assert widths and widths[0] == 4
+
+
+class TestNativeBuild:
+    def test_every_flag_set_keeps_multiply_add_unfused(self):
+        from repro.kernels import _native
+
+        assert _native._FLAG_SETS
+        for flags in _native._FLAG_SETS:
+            assert "-ffp-contract=off" in flags
+
+    def test_wide_block_needs_no_stack_per_column(self, tmp_path, monkeypatch):
+        """A block far wider than the kernels' column tiles, solved with a
+        256 KiB stack: no kernel may size stack scratch by the width, and
+        the result is the numpy fallback's, bitwise."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        from repro.kernels import _native
+        from repro.pipeline import SolverPlan, SolverSession, build_scenario
+
+        resource = pytest.importorskip("resource")
+        _compiled_pack()  # built here, so the child only loads it
+        script = (
+            "import sys\nimport numpy as np\n"
+            "from repro.pipeline import SolverPlan, SolverSession, build_scenario\n"
+            "problem = build_scenario('poisson', n_grid=4)\n"
+            "F = np.random.default_rng(5).normal(size=(problem.k.shape[0], 6000))\n"
+            "session = SolverSession(problem, plan=SolverPlan.single(2, eps=1e-8))\n"
+            "np.save(sys.argv[1], session.solve_cell_block(2, F=F).u)\n"
+        )
+
+        def small_stack():
+            resource.setrlimit(resource.RLIMIT_STACK, (256 * 1024, 256 * 1024))
+
+        src = Path(__file__).resolve().parent.parent / "src"
+        out = tmp_path / "u.npy"
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(out)], preexec_fn=small_stack,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+
+        monkeypatch.setattr(_native, "_CACHE", [None])  # the numpy fallback
+        problem = build_scenario("poisson", n_grid=4)
+        F = np.random.default_rng(5).normal(size=(problem.k.shape[0], 6000))
+        session = SolverSession(problem, plan=SolverPlan.single(2, eps=1e-8))
+        assert _bits(np.load(out)) == _bits(session.solve_cell_block(2, F=F).u)
+
+
+# --------------------------------------------------------------------------
 class TestPerfReportCLI:
     def test_build_report_tiny_mesh(self, tmp_path):
         import importlib.util

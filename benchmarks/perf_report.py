@@ -356,11 +356,12 @@ def bench_table2_sweep(problem, blocked, repeats: int, eps: float) -> dict:
 
 
 def bench_cyber_schedule(problem, repeats: int, eps: float) -> dict:
-    """The CYBER Table-2 sweep: cell-at-a-time vs one batched lockstep pass.
+    """The CYBER Table-2 sweep: cell-at-a-time vs one batched pass.
 
     Both passes share one compiled :class:`SolverSession` (same machine
     layout, same cached kernels); the recorded ``speedup`` is the wall-time
-    win of :meth:`CyberMachine.solve_schedule` over per-cell ``solve``
+    win of :meth:`CyberMachine.solve_schedule` (one ``block_pcg`` call,
+    its 13 cells in lockstep groups of 8 and 5) over per-cell ``solve``
     calls.  Iteration counts are recorded per mode — the gate flags any
     drift between them (they are bitwise identical by contract) or against
     the baseline.
@@ -450,8 +451,10 @@ def bench_sharded_block_pcg(
 
     A ``SHARD_WIDTH``-wide load block through
     :meth:`SolverSession.solve_cell_block` serially (one ``block_pcg``
-    lockstep) versus sharded over ``SHARD_WORKERS`` worker processes in
-    ``SHARD_GROUP``-column groups (:func:`repro.parallel.sharded_block_pcg`).
+    call, which runs the 16 columns as two lockstep groups of 8, one after
+    the other) versus sharded over ``SHARD_WORKERS`` worker processes in
+    ``SHARD_GROUP``-column groups (:func:`repro.parallel.sharded_block_pcg`):
+    the same two groups, run side by side.
 
     ``steady`` (the default) measures the service-loop steady state: the
     session pre-publishes the operator's shared-memory segments and
@@ -535,12 +538,13 @@ def bench_sharded_block_pcg(
 
 
 def bench_fem_schedule(problem, blocked, repeats: int, eps: float) -> dict:
-    """The FEM Table-3 schedule: per-cell solves vs one lockstep pass.
+    """The FEM Table-3 schedule: per-cell solves vs one batched pass.
 
     Both modes share one machine layout and blocked system; the batched
-    pass (:meth:`FiniteElementMachine.solve_schedule`) stacks active
-    cells into ``(n, k)`` blocks and shares one zero-padded splitting
-    applicator, bitwise identical to per-cell ``solve`` calls in
+    pass (:meth:`FiniteElementMachine.solve_schedule`, its 10 cells in
+    lockstep groups of 8 and 2) stacks active cells into ``(n, k)``
+    blocks and shares one zero-padded splitting applicator, bitwise
+    identical to per-cell ``solve`` calls in
     iterations, clocks and ledgers (the gate flags iteration drift).
     """
     from repro.machines import FiniteElementMachine

@@ -145,6 +145,8 @@ def _cmd_table1(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    from repro.kernels import BLOCK_WIDTH
+
     workload_spec = None
     if args.workload is not None:
         from repro.pipeline import workload
@@ -212,11 +214,14 @@ def _cmd_solve(args) -> int:
     block = session.solve_cell_block(m, parametrized, F=F, sharding=sharding)
     resid = float(np.max(np.abs(F - operator @ block.u)))
     iters = ", ".join(str(int(i)) for i in block.iterations)
-    mode = (
-        f"sharded over {workers} worker processes"
-        if workers > 1
-        else "in one lockstep"
-    )
+    if workers > 1:
+        mode = f"sharded over {workers} worker processes"
+    elif F.shape[1] <= BLOCK_WIDTH:
+        mode = "in one lockstep"
+    else:  # block_pcg's groups
+        sizes = [min(BLOCK_WIDTH, F.shape[1] - j)
+                 for j in range(0, F.shape[1], BLOCK_WIDTH)]
+        mode = "in lockstep groups of " + " + ".join(map(str, sizes))
     print(f"method  : m = {block.label} ({block.result.stop_rule}), "
           f"block of {width} right-hand sides {mode}")
     print(f"iterations per column: {iters}")

@@ -23,12 +23,13 @@ The driver is ordering- and storage-agnostic: ``k`` may be any object with
 ``@`` (scipy sparse, ndarray, LinearOperator) and the preconditioner any
 object with ``apply(r) → r̃``.
 
-:func:`block_pcg` is the one loop: ``k`` independent Algorithm-1
-iterations advance in lockstep over C-ordered ``(n, a)`` blocks of the
-``a`` still-active columns, which stay resident for the whole solve.  The
-matrix product and the preconditioner run through the ``(n, k)`` kernel
-paths, and every inner product is the fixed-order dot of
-:func:`repro.util.column_dots`, fused with the vector updates
+:func:`block_pcg` is the one loop: up to ``BLOCK_WIDTH`` (8) independent
+Algorithm-1 iterations advance in lockstep over C-ordered ``(n, a)``
+blocks of the ``a`` still-active columns, which stay resident for the
+whole solve; a wider block runs as consecutive lockstep groups of at most
+8 columns.  The matrix product and the preconditioner run through the
+``(n, k)`` kernel paths, and every inner product is the fixed-order dot
+of :func:`repro.util.column_dots`, fused with the vector updates
 (:func:`repro.kernels.ops.bind_cg_updates`).  Columns retire individually
 as they converge; each column's iterate, iteration count, histories and
 operation counters are bitwise those of the column solved alone.
@@ -46,6 +47,7 @@ import scipy.sparse as sp
 from repro.core.convergence import DeltaInfNorm, StoppingRule
 from repro.core.mstep import IdentityPreconditioner
 from repro.kernels import (
+    BLOCK_WIDTH,
     matvec_accumulate,
     matvec_into,
     supports_matvec_block,
@@ -324,7 +326,12 @@ def block_pcg(
 ) -> BlockPCGResult:
     """Solve SPD ``K U = F`` for every column of an ``(n, k)`` block.
 
-    All ``k`` Algorithm-1 iterations advance in lockstep.  ``U``, ``R``,
+    Up to ``BLOCK_WIDTH`` (8) columns advance in one lockstep; a wider
+    block runs as consecutive lockstep groups of at most 8 columns, joined
+    into one result.  The columns are independent chains, so the grouping
+    changes no bit, and each group's kernels stream only its own columns
+    (the compiled kernels take at most 8).  Within a lockstep, all its
+    Algorithm-1 iterations advance together.  ``U``, ``R``,
     ``P`` and ``K·P`` stay resident as C-ordered ``(n, a)`` blocks over
     the ``a`` active columns: per outer iteration ``K`` multiplies ``P``
     in **one** batched product written straight into ``K·P``, the
@@ -354,7 +361,8 @@ def block_pcg(
     preconditioner:
         As in :func:`pcg`.  One that sets ``takes_columns`` is called as
         ``apply(r, columns=cols)``, ``cols`` listing the block columns
-        ``r`` holds (one index for an ``(n,)`` residual) — all a per-column
+        ``r`` holds, as indices into ``F`` (one index for an ``(n,)``
+        residual) — all a per-column
         α schedule needs (:class:`repro.machines.cells.SchedulePreconditioner`).
         It must not write to ``r``; its result is read before the next
         application.
@@ -367,8 +375,8 @@ def block_pcg(
         without ``needs_residual`` may see ``r`` already updated.
     callback:
         Optional ``callback(iteration, column, u, delta_norm)`` hook,
-        invoked per active column per iteration; ``u`` is a live view of
-        the column's iterate.
+        invoked per active column per iteration; ``column`` indexes ``F``
+        and ``u`` is a live view of the column's iterate.
     """
     F = np.asarray(F, dtype=float)
     require(F.ndim == 2, "block_pcg needs an (n, k) right-hand-side block")
@@ -389,6 +397,35 @@ def block_pcg(
         )
     m = preconditioner if preconditioner is not None else IdentityPreconditioner()
     maxiter = maxiter if maxiter is not None else 5 * n + 100
+    u0 = None if u0 is None else np.asarray(u0, dtype=float)
+    parts = [
+        _lockstep(
+            k, F[:, j0 : j0 + BLOCK_WIDTH], m,
+            u0 if u0 is None or u0.ndim == 1 else u0[:, j0 : j0 + BLOCK_WIDTH],
+            rule, maxiter, track_residual, callback, base=j0,
+        )
+        for j0 in range(0, ncols, BLOCK_WIDTH)
+    ]
+    if len(parts) == 1:
+        return parts[0]
+    return BlockPCGResult(
+        u=np.concatenate([part.u for part in parts], axis=1),
+        iterations=np.concatenate([part.iterations for part in parts]),
+        converged=np.concatenate([part.converged for part in parts]),
+        delta_histories=[h for part in parts for h in part.delta_histories],
+        residual_histories=[h for part in parts for h in part.residual_histories],
+        counters=[c for part in parts for c in part.counters],
+        stop_rule=rule.describe(),
+    )
+
+
+def _lockstep(
+    k, F, m, u0, rule, maxiter, track_residual, callback, base
+) -> BlockPCGResult:
+    """:func:`block_pcg` on one group of at most ``BLOCK_WIDTH`` columns,
+    columns ``base …`` of the caller's block (the indices the
+    preconditioner and the callback see)."""
+    n, ncols = F.shape
     block_matvec = supports_matvec_block(k)
     block_precond = bool(getattr(m, "block_capable", False))
     takes_columns = bool(getattr(m, "takes_columns", False))
@@ -434,6 +471,7 @@ def block_pcg(
     def precondition(r: np.ndarray, cols: list[int]):
         """``M⁻¹`` on the residual block of columns ``cols``, as a bound
         callable: one batched pass, or the vector form on one column."""
+        cols = [base + j for j in cols]
         if len(cols) == 1:
             r1 = r[:, 0]
             if takes_columns:
@@ -460,7 +498,6 @@ def block_pcg(
     if u0 is None:
         U.fill(0.0)
     else:
-        u0 = np.asarray(u0, dtype=float)
         U[...] = u0 if u0.ndim == 2 else u0[:, None]
         product(U, KP)()
         R -= KP
@@ -485,7 +522,7 @@ def block_pcg(
         denom, delta = denom_all[:a], delta_all[:a]
         axpy, xpay = bind_cg_updates(U, R, P, KP, rho_all[:a], denom, delta)
         return _Width(
-            R, denom, delta, product(P, KP), precondition(R, list(cols)), axpy, xpay,
+            R, denom, delta, product(P, KP), precondition(R, cols), axpy, xpay,
             [R[:, i] for i in range(a)],
             [U[:, i] for i in range(a)] if callback is not None else None,
             [delta_histories[j] for j in cols],
@@ -536,7 +573,7 @@ def block_pcg(
         for i, delta_norm in enumerate(deltas):
             w.histories[i].append(delta_norm)
             if callback is not None:
-                callback(iteration, cols[i], w.u_cols[i], delta_norm)
+                callback(iteration, base + cols[i], w.u_cols[i], delta_norm)
             if not needs_residual and rule.converged(delta_norm, w.r_cols[i], w.f_norms[i]):
                 done[i] = _DELTA  # steps (4)–(7) skipped, as in Algorithm 1
         if track_residual:

@@ -14,6 +14,7 @@ path, ``"reference"`` the paper-faithful row-sequential formulation that
 the equivalence test-suite pins the fast path against.
 """
 
+from repro.kernels._native import BLOCK_WIDTH
 from repro.kernels.backend import (
     BACKENDS,
     REFERENCE,
@@ -43,6 +44,7 @@ from repro.kernels.stencil import StencilOperator, StencilSSOR
 from repro.kernels.workspace import WorkspacePool
 
 __all__ = [
+    "BLOCK_WIDTH",
     "BACKENDS",
     "REFERENCE",
     "SOLVER_BACKENDS",

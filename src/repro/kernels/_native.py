@@ -30,9 +30,12 @@ stencil's constant offsets off a :class:`~repro.kernels.stencil.SweepPlan`;
 ``csr_ssor`` walks the permuted CSR rows off a
 :class:`~repro.multicolor.blocked.CSRSweepPlan`.  ``csr_product`` runs
 the CSR row bodies with no solve over a matrix's own arrays: ``K·X`` with
-scipy's ``csr_matvecs`` bits.  Blocks wider than the generated widths go
-column tile by column tile, so no kernel keeps scratch sized by the
-block width on the stack.
+scipy's ``csr_matvecs`` bits.  Every entry point but the value-row product
+takes blocks of at most :data:`BLOCK_WIDTH` columns:
+:func:`repro.core.pcg.block_pcg` runs a wider block as groups of that
+many, and the Python fronts split a direct wider call the same way or
+take their numpy twins, so no kernel keeps scratch sized by the block
+width on the stack.
 
 The pack also owns Algorithm 1's reductions.  ``fixed_dots`` is the one
 inner product of the package (:func:`repro.util.column_dots`): 8 lanes,
@@ -65,7 +68,7 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["load_native"]
+__all__ = ["BLOCK_WIDTH", "load_native"]
 
 #: Generated cases of the constant-diagonal vector loop.  A constant trip
 #: count lets the compiler unroll the diagonal chain and vectorize the
@@ -124,17 +127,19 @@ static void values_rows_k{kk}(
 #: compile-time k turns the per-row column loops into fully unrolled
 #: straight-line SIMD over a register-resident accumulator (the runtime-k
 #: loop pays ~2× at k ≤ 6, and an accumulator behind a pointer that may
-#: alias the operands costs a load and store per term).  Wider blocks
-#: run column tiles of at most ``_COL_TILE`` through the same widths.
+#: alias the operands costs a load and store per term).
 _BLOCK_K = tuple(range(2, 9))
 
-#: Columns per tile of a block wider than the generated widths.  A tile
-#: runs a fixed-width body at the block's row stride, so no scratch is
-#: sized by the block width (no block is too wide for the stack), and the
-#: columns are independent chains, so the tiles compute exactly the bits
-#: of the whole block.  Measured at plate a = 41, m = 3, k = 16, the tiled
-#: sweep takes about 0.56 of the time of the runtime-k body it replaced.
-_COL_TILE = _BLOCK_K[-1]
+#: The widest block the sweeps, the CSR product, the dots and the fused
+#: CG passes take: their widest generated body.  Columns are independent
+#: chains, so a wider block runs as consecutive groups of at most this
+#: many columns with exactly the bits of the whole block.
+#: :func:`repro.core.pcg.block_pcg` groups its lockstep so (at CSR plate
+#: a = 41, m = 3, k = 16 that solved 1.5× faster than one 16-wide
+#: lockstep, whose every kernel re-streamed the block once per 8
+#: columns); narrower groups lose (plate a = 100, 3P: 0.77× at k = 8 run
+#: as 4 + 4).
+BLOCK_WIDTH = _BLOCK_K[-1]
 
 #: Entry counts with a generated interior stencil-sweep body, per width.
 #: A constant trip count unrolls each row's short gather chain.  A vector
@@ -150,8 +155,7 @@ _SWEEP_NE = {1: tuple(range(1, 13)), **{kk: (4,) for kk in _BLOCK_K}}
 _WAVE_ROWS = 64
 
 #: One row body of the merged sweep, written once and generated per width
-#: ``{kk}``, row stride ``{ld}`` (``kk``, or a runtime ``ld`` for a column
-#: tile of a wider block) and operator representation: ``{head}`` names
+#: ``{kk}`` and operator representation: ``{head}`` names
 #: the scheduled row, ``{entries}`` and ``{gather}`` walk its couplings
 #: (coefficient ``cf``, gathered row ``rc`` of r̃).  Every column is its own
 #: chain: the entries land on a zero accumulator in plan order and the
@@ -168,7 +172,7 @@ ROW_BODY static void {name}({params})
     for (j = 0; j < {kk}; ++j)
         a[j] = al[ka == 1 ? 0 : j];
     for (q = qa; q < qb; ++q) {{
-        double *yq = y + (size_t)q * {ld};
+        double *yq = y + (size_t)q * {kk};
 {head}        for (j = 0; j < {kk}; ++j)
             acc[j] = 0.0;
         for ({entries}) {{
@@ -176,8 +180,8 @@ ROW_BODY static void {name}({params})
                 acc[j] += cf * rc[j];
         }}
         if (do_solve) {{
-            const double *rr = r + (size_t)row * {ld};
-            double *rtr = rt + (size_t)row * {ld};
+            const double *rr = r + (size_t)row * {kk};
+            double *rtr = rt + (size_t)row * {kk};
             const double d = diag[q];
             if (use_y)
                 for (j = 0; j < {kk}; ++j)
@@ -200,52 +204,19 @@ _SWEEP_TAIL = (
     "int use_y, int do_solve, int store_y"
 )
 _TAIL_ARGS = "al, ka, r, rt, y, use_y, do_solve, store_y"
-#: The same arguments shifted to the column tile starting at ``j0``.
-_TILE_TAIL_ARGS = (
-    "ka == 1 ? al : al + j0, ka, r + j0, rt + j0, y + j0, "
-    "use_y, do_solve, store_y"
-)
 _STENCIL_PARAMS = (
     "long n, long qa, long qb, long g0, long ne, const long *rows, "
     "const double *diag, const long *offs, const double *cm, " + _SWEEP_TAIL
 )
 _STENCIL_ARGS = "n, qa, qb, g0, ne, rows, diag, offs, cm, " + _TAIL_ARGS
-_STENCIL_TILE_ARGS = "n, qa, qb, g0, ne, rows, diag, offs, cm, " + _TILE_TAIL_ARGS
 _CSR_PARAMS = (
     "long qa, long qb, const int *ptr, const int *col, const double *val, "
     "const double *diag, " + _SWEEP_TAIL
 )
 _CSR_ARGS = "qa, qb, ptr, col, val, diag, " + _TAIL_ARGS
-_CSR_TILE_ARGS = "qa, qb, ptr, col, val, diag, " + _TILE_TAIL_ARGS
 
 
-def _column_tiles(*calls: str) -> str:
-    """``calls`` once per column tile ``[j0, j0 + w)`` of a ``k``-wide
-    block."""
-    return (
-        "{\n"
-        "        long j0;\n"
-        "        for (j0 = 0; j0 < k; j0 += COL_TILE) {\n"
-        "            const long w = k - j0 < COL_TILE ? k - j0 : COL_TILE;\n"
-        + "".join(f"            {call};\n" for call in calls)
-        + "        }\n"
-        "    }"
-    )
-
-
-def _width_fields(kk: int, strided: bool) -> dict:
-    """Template fields of a body at width ``kk``: its own row stride, or
-    (``strided``, name suffix ``s<kk>``) a runtime ``ld``, which lets it
-    run one column tile of a wider block."""
-    return {
-        "sfx": f"s{kk}" if strided else f"k{kk}",
-        "kparam": "long ld, " if strided else "",
-        "kk": kk,
-        "ld": "ld" if strided else kk,
-    }
-
-
-def _stencil_rows(kk: int, ne=None, clip=False, strided=False) -> str:
+def _stencil_rows(kk: int, ne=None, clip=False) -> str:
     """The stencil's row body at width ``kk``.
 
     An interior body gathers inside ``[0, n)``, over the runtime entry
@@ -253,8 +224,6 @@ def _stencil_rows(kk: int, ne=None, clip=False, strided=False) -> str:
     whose gather columns clip into ``[0, n)``.  Kept apart, the interior
     gather is one branch-free SIMD load per entry.
     """
-    t = _width_fields(kk, strided)
-    ld = t["ld"]
     count = "ne" if ne is None else str(ne)
     if clip:
         gather = (
@@ -262,18 +231,18 @@ def _stencil_rows(kk: int, ne=None, clip=False, strided=False) -> str:
             "            const double cf = crow[e];\n"
             "            const double *rc;\n"
             "            if (col < 0) col = 0; else if (col >= n) col = n - 1;\n"
-            f"            rc = rt + (size_t)col * {ld};\n"
+            f"            rc = rt + (size_t)col * {kk};\n"
         )
     else:
         gather = (
             "            const double cf = crow[e];\n"
-            f"            const double *rc = rt + (size_t)(row + offs[e]) * {ld};\n"
+            f"            const double *rc = rt + (size_t)(row + offs[e]) * {kk};\n"
         )
     return _ROWS_TEMPLATE.format(
-        name=f"ssor_rows_{t.pop('sfx')}"
+        name=f"ssor_rows_k{kk}"
         + ("" if ne is None else f"_e{ne}")
         + ("_clip" if clip else ""),
-        params=t.pop("kparam") + _STENCIL_PARAMS,
+        params=_STENCIL_PARAMS,
         head=(
             "        const long row = rows[q];\n"
             "        const double *crow = cm + (size_t)(q - g0) * (size_t)"
@@ -281,49 +250,45 @@ def _stencil_rows(kk: int, ne=None, clip=False, strided=False) -> str:
         ),
         entries=f"e = 0; e < {count}; ++e",
         gather=gather,
-        **t,
+        kk=kk,
     )
 
 
-def _csr_rows(kk: int, strided=False) -> str:
+def _csr_rows(kk: int) -> str:
     """The CSR row body at width ``kk``."""
-    t = _width_fields(kk, strided)
     return _ROWS_TEMPLATE.format(
-        name=f"csr_rows_{t.pop('sfx')}",
-        params=t.pop("kparam") + _CSR_PARAMS,
+        name=f"csr_rows_k{kk}",
+        params=_CSR_PARAMS,
         head="        const long row = q;\n",
         entries="e = ptr[q]; e < ptr[q + 1]; ++e",
         gather=(
             "            const double cf = val[e];\n"
-            f"            const double *rc = rt + (size_t)col[e] * {t['ld']};\n"
+            f"            const double *rc = rt + (size_t)col[e] * {kk};\n"
         ),
-        **t,
+        kk=kk,
     )
 
 
-def _width_switch(body: str, args: str, generic: str, widths, var="k") -> str:
-    """``switch (var)`` onto the generated ``body.format(var)``, else the
+def _width_switch(body: str, args: str, generic: str, widths) -> str:
+    """``switch (k)`` onto the generated ``body.format(k)``, else the
     statement ``generic``."""
     cases = "".join(
         f"    case {kk}: {body.format(kk)}({args}); return;\n" for kk in widths
     )
     tail = f"    {generic}\n" if generic else ""
-    return f"    switch ({var}) {{\n{cases}    }}\n{tail}"
+    return f"    switch (k) {{\n{cases}    }}\n{tail}"
 
 
-#: Specialized widths of the reductions and fused CG updates: the vector
-#: and the sweep widths.  A compile-time width keeps the 8 lanes × k
-#: partial sums in registers; a one-column block is the vector form, and
-#: wider blocks take the column-tile bodies.
-_DOT_K = (1,) + _BLOCK_K
+#: Every generated width: the vector and the block widths.  A one-column
+#: block is the vector form; a compile-time width keeps the dot's 8 lanes
+#: × k partial sums, and every row body's accumulator, in registers.
+_WIDTHS = (1,) + _BLOCK_K
 
 #: Bodies of the dot and the two fused CG passes over a C-ordered (n, K)
-#: block, per specialized width: at row stride K (``sfx`` = ``k<K>``) and
-#: at a runtime stride ``ld`` (``sfx`` = ``s<K>``), K columns of a wider
-#: block.
+#: block, per width.
 _CG_TEMPLATE = """
-static void dots_{sfx}(
-    long n, {kparam}const double *x, const double *y, double *out)
+static void dots_k{kk}(
+    long n, const double *x, const double *y, double *out)
 {{
     double l[DOT_LANES][{kk}];
     long i, t, j;
@@ -333,14 +298,14 @@ static void dots_{sfx}(
             l[t][j] = 0.0;
     for (i = 0; i < n8; i += DOT_LANES)
         for (t = 0; t < DOT_LANES; ++t) {{
-            const double *xr = x + (size_t)(i + t) * {ld};
-            const double *yr = y + (size_t)(i + t) * {ld};
+            const double *xr = x + (size_t)(i + t) * {kk};
+            const double *yr = y + (size_t)(i + t) * {kk};
             for (j = 0; j < {kk}; ++j)
                 l[t][j] += xr[j] * yr[j];
         }}
     for (t = 0; n8 + t < n; ++t) {{
-        const double *xr = x + (size_t)(n8 + t) * {ld};
-        const double *yr = y + (size_t)(n8 + t) * {ld};
+        const double *xr = x + (size_t)(n8 + t) * {kk};
+        const double *yr = y + (size_t)(n8 + t) * {kk};
         for (j = 0; j < {kk}; ++j)
             l[t][j] += xr[j] * yr[j];
     }}
@@ -349,8 +314,8 @@ static void dots_{sfx}(
                + ((l[4][j] + l[5][j]) + (l[6][j] + l[7][j]));
 }}
 
-static void axpy_{sfx}(
-    long n, {kparam}const double *p, const double *kp, const double *rho,
+static void axpy_k{kk}(
+    long n, const double *p, const double *kp, const double *rho,
     const double *denom, double *u, double *r, double *delta)
 {{
     double alpha[{kk}], top[{kk}];
@@ -360,7 +325,7 @@ static void axpy_{sfx}(
         top[j] = 0.0;
     }}
     for (i = 0; i < n; ++i) {{
-        const size_t o = (size_t)i * {ld};
+        const size_t o = (size_t)i * {kk};
         for (j = 0; j < {kk}; ++j) {{
             const double s = alpha[j] * p[o + j];
             const double a = __builtin_fabs(s);
@@ -373,8 +338,8 @@ static void axpy_{sfx}(
         delta[j] = top[j];
 }}
 
-static void xpay_{sfx}(
-    long n, {kparam}const double *rt, const double *rho_new, double *rho,
+static void xpay_k{kk}(
+    long n, const double *rt, const double *rho_new, double *rho,
     double *p)
 {{
     double beta[{kk}];
@@ -384,7 +349,7 @@ static void xpay_{sfx}(
         rho[j] = rho_new[j];
     }}
     for (i = 0; i < n; ++i) {{
-        const size_t o = (size_t)i * {ld};
+        const size_t o = (size_t)i * {kk};
         for (j = 0; j < {kk}; ++j)
             p[o + j] = rt[o + j] + beta[j] * p[o + j];
     }}
@@ -394,23 +359,13 @@ static void xpay_{sfx}(
 
 def _cg_source() -> str:
     """The fixed-order dot and the fused CG passes, width-dispatched."""
-    bodies = "".join(
-        _CG_TEMPLATE.format(**_width_fields(kk, strided))
-        for strided in (False, True)
-        for kk in _DOT_K
-    )
+    bodies = "".join(_CG_TEMPLATE.format(kk=kk) for kk in _WIDTHS)
 
-    def dispatch(name: str, params: str, args: str, tiled: str) -> str:
-        """``name(n, k, …)`` onto the width-``k`` body, or tile by tile
-        through ``name_tile(n, w, ld, …)`` onto the strided ones."""
+    def dispatch(name: str, params: str, args: str) -> str:
+        """``name(n, k, …)`` onto the width-``k`` body."""
         return (
-            f"static void {name}_tile(long n, long w, long ld, {params})\n{{\n"
-            + _width_switch(f"{name}_s{{}}", "n, ld, " + args, "", _DOT_K, var="w")
-            + f"}}\n\nstatic void {name}(long n, long k, {params})\n{{\n"
-            + _width_switch(
-                f"{name}_k{{}}", "n, " + args,
-                _column_tiles(f"{name}_tile(n, w, k, {tiled})"), _DOT_K,
-            )
+            f"static void {name}(long n, long k, {params})\n{{\n"
+            + _width_switch(f"{name}_k{{}}", "n, " + args, "", _WIDTHS)
             + "}\n"
         )
 
@@ -418,23 +373,22 @@ def _cg_source() -> str:
         "\n#define DOT_LANES 8\n"
         + bodies
         + dispatch("dots", "const double *x, const double *y, double *out",
-                   "x, y, out", "x + j0, y + j0, out + j0")
+                   "x, y, out")
         + dispatch(
             "axpy",
             "const double *p, const double *kp, const double *rho, "
             "const double *denom, double *u, double *r, double *delta",
             "p, kp, rho, denom, u, r, delta",
-            "p + j0, kp + j0, rho + j0, denom + j0, u + j0, r + j0, delta + j0",
         )
         + dispatch(
             "xpay",
             "const double *rt, const double *rho_new, double *rho, double *p",
             "rt, rho_new, rho, p",
-            "rt + j0, rho_new + j0, rho + j0, p + j0",
         )
         + """
 /* out[j] = (x[:, j], y[:, j]) for C-ordered (n, k) blocks, in the fixed
-   lane order; a vector is the one-column block. */
+   lane order; a vector is the one-column block.  Every entry below takes
+   k <= """ + str(BLOCK_WIDTH) + """. */
 void fixed_dots(long n, long k, const double *x, const double *y,
                 double *out)
 {
@@ -464,23 +418,15 @@ long cg_axpy(long n, long k, const double *p, const double *kp,
 }
 
 /* Steps (6) and (7): rho_new = (rt, r), beta = rho_new / rho, rho = rho_new,
-   p = rt + beta p -- the whole block at once when it is one column tile,
-   else tile by tile, so rho_new never outgrows COL_TILE. */
+   p = rt + beta p. */
 void cg_xpay(long n, long k, const double *rt, const double *r, double *rho,
              double *p)
 {
-    double rho_new[COL_TILE];
-    if (k < 1)
+    double rho_new[""" + str(BLOCK_WIDTH) + """];
+    if (k < 1 || k > """ + str(BLOCK_WIDTH) + """)
         return;
-    if (k <= COL_TILE) {
-        dots(n, k, rt, r, rho_new);
-        xpay(n, k, rt, rho_new, rho, p);
-        return;
-    }
-    """ + _column_tiles(
-            "dots_tile(n, w, k, rt + j0, r + j0, rho_new)",
-            "xpay_tile(n, w, k, rt + j0, rho_new, rho + j0, p + j0)",
-        ) + """
+    dots(n, k, rt, r, rho_new);
+    xpay(n, k, rt, rho_new, rho, p);
 }
 """
     )
@@ -488,18 +434,12 @@ void cg_xpay(long n, long k, const double *rt, const double *r, double *rho,
 
 def _sweep_source() -> str:
     """The merged m-step sweeps: one schedule, two row walkers."""
-    tile_widths = range(1, _COL_TILE + 1)
     stencil_rows = "".join(
-        _stencil_rows(kk, clip=clip, strided=strided)
-        for strided in (False, True)
-        for kk in (tile_widths if strided else _SWEEP_NE)
-        for clip in (False, True)
+        _stencil_rows(kk, clip=clip) for kk in _SWEEP_NE for clip in (False, True)
     ) + "".join(
         _stencil_rows(kk, ne) for kk, counts in _SWEEP_NE.items() for ne in counts
     )
-    csr_rows = "".join(
-        _csr_rows(kk, strided) for strided in (False, True) for kk in tile_widths
-    )
+    csr_rows = "".join(_csr_rows(kk) for kk in _WIDTHS)
     return (
         """
 /* ---- merged multicolor m-step SSOR sweeps -----------------------------
@@ -623,30 +563,11 @@ static void zero_rows(double *a, long qa, long qb, long k)
 """
         + stencil_rows
         + """
-/* One column tile of a wider block, w <= COL_TILE columns at row
-   stride ld: the strided bodies. */
-static void ssor_tile(long w, long ld, """ + _STENCIL_PARAMS + """, int clip)
-{
-    if (clip) {
-"""
-        + _width_switch("ssor_rows_s{}_clip", "ld, " + _STENCIL_ARGS, "",
-                        tile_widths, var="w")
-        + """    }
-"""
-        + _width_switch("ssor_rows_s{}", "ld, " + _STENCIL_ARGS, "", tile_widths,
-                        var="w")
-        + """}
-
 /* Row dispatch: compile-time widths, the margins apart, and constant
-   entry counts for the interior rows where _SWEEP_NE generated them;
-   a block wider than COL_TILE goes tile by tile.  Same arithmetic per
-   column either way -- dispatch is bitwise-neutral. */
+   entry counts for the interior rows where _SWEEP_NE generated them.
+   Same arithmetic per column either way -- dispatch is bitwise-neutral. */
 static void ssor_rows(long k, """ + _STENCIL_PARAMS + """, int clip)
 {
-    if (k > COL_TILE) {
-        """ + _column_tiles(f"ssor_tile(w, k, {_STENCIL_TILE_ARGS}, clip)") + """
-        return;
-    }
     if (clip) {
         switch (k) {
 """
@@ -783,19 +704,10 @@ void stencil_ssor(const struct stencil_plan *p, long k, long m, long ka,
 """
         + csr_rows
         + """
-static void csr_tile(long w, long ld, """ + _CSR_PARAMS + """)
-{
-"""
-        + _width_switch("csr_rows_s{}", "ld, " + _CSR_ARGS, "", tile_widths, var="w")
-        + """}
-
 static void csr_rows(long k, """ + _CSR_PARAMS + """)
 {
 """
-        + _width_switch(
-            "csr_rows_k{}", _CSR_ARGS,
-            _column_tiles(f"csr_tile(w, k, {_CSR_TILE_ARGS})"), tile_widths,
-        )
+        + _width_switch("csr_rows_k{}", _CSR_ARGS, "", _WIDTHS)
         + """}
 
 /* The assembled sweep pass by pass: its permuted rows are color-major,
@@ -851,9 +763,6 @@ def _source() -> str:
 
 #define VALUES_TILE """
         + str(_VALUES_TILE)
-        + """
-#define COL_TILE """
-        + str(_COL_TILE)
         + """
 
 /* out (+)= K x for contiguous (n,) vectors off the value rows
@@ -998,13 +907,19 @@ void stencil_apply_v(
     )
 
 
+#: Functions and loops start on a 64-byte line, so a body's speed does
+#: not hang on the code generated before it (unaligned, removing unused
+#: bodies left the vector CSR sweep's instructions unchanged but 17%
+#: slower on an Intel Xeon; aligned, it ran as before).
+_ALIGN = ("-falign-functions=64", "-falign-loops=64")
+
 _FLAG_SETS = (
     # -march=native buys SIMD width; -ffp-contract=off keeps the mul→add
     # chain un-fused in every set, so the rounding matches numpy/scipy
     # exactly.  A compiler that takes neither set builds nothing, and the
     # bitwise numpy fallback runs instead.
-    ("-O3", "-march=native", "-ffp-contract=off", "-fPIC", "-shared"),
-    ("-O3", "-ffp-contract=off", "-fPIC", "-shared"),
+    ("-O3", "-march=native", "-ffp-contract=off", *_ALIGN, "-fPIC", "-shared"),
+    ("-O3", "-ffp-contract=off", *_ALIGN, "-fPIC", "-shared"),
 )
 
 #: The argument type of every ``double *`` parameter.
@@ -1177,8 +1092,9 @@ def _compile(src_text: str, out_path: Path) -> bool:
 
 
 def source_hash() -> str:
-    """The content hash that names the compiled pack (16 hex digits)."""
-    return hashlib.sha256(_source().encode()).hexdigest()[:16]
+    """The content hash that names the compiled pack (16 hex digits): of
+    its source and the flag sets that build it."""
+    return hashlib.sha256((_source() + repr(_FLAG_SETS)).encode()).hexdigest()[:16]
 
 
 def load_native() -> NativeKernels | None:

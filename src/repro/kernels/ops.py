@@ -16,7 +16,9 @@ the fixed-order dot (:func:`repro.util.column_dots`) over resident
 ``(n, a)`` blocks — compiled where the kernel pack loads, numpy
 otherwise, bitwise the same.  :func:`matvec_into` runs a CSR block
 product of 2–8 columns as one compiled call (``csr_product``), which
-sums each row in scipy's ``csr_matvecs`` order.
+sums each row in scipy's ``csr_matvecs`` order.  Blocks wider than
+:data:`~repro.kernels._native.BLOCK_WIDTH` take the numpy and scipy
+paths: :func:`repro.core.pcg.block_pcg` never makes them.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import weakref
 import numpy as np
 import scipy.sparse as sp
 
-from repro.kernels._native import load_native, pointer
+from repro.kernels._native import BLOCK_WIDTH, load_native, pointer
 from repro.util.linalg import dots_numpy
 
 try:  # scipy's compiled CSR kernels; absent only on exotic builds.
@@ -136,9 +138,9 @@ def _csr_accumulate(a, x: np.ndarray, out: np.ndarray) -> None:
 #: Block widths of the compiled CSR product: the generated fixed-width
 #: row bodies, 2.7× (k = 2) to 3.9× (k = 8) scipy's ``csr_matvecs`` at
 #: plate a = 41.  A vector stays on scipy's ``csr_matvec``, which is as
-#: fast (25.7 µs against 27.1 µs there); so do wider blocks, whose
-#: column-tile path (1.8–2.5× at k = 9–24) is not gated yet.
-PRODUCT_WIDTHS = range(2, 9)
+#: fast (25.7 µs against 27.1 µs there); so does a direct product wider
+#: than ``BLOCK_WIDTH``, which no solve makes.
+PRODUCT_WIDTHS = range(2, BLOCK_WIDTH + 1)
 
 #: id(matrix) → (a weak reference to it, the (indptr, indices, data) it
 #: was bound over, the bound compiled product).  Keyed by id because a
@@ -240,7 +242,8 @@ def bind_cg_updates(u, r, p, kp, rho, denom, delta):
     Each pass is bitwise the numpy spelling it replaces (the same
     multiply → add chain per element; the max is exact).  The compiled
     passes and the resident blocks are bound here once; ``xpay`` takes
-    r̃'s pointer per call.
+    r̃'s pointer per call.  Blocks wider than ``BLOCK_WIDTH`` take the
+    numpy twin.
     """
     n, a = u.shape
     blocks, scalars = (u, r, p, kp), (rho, denom, delta)
@@ -250,7 +253,7 @@ def bind_cg_updates(u, r, p, kp, rho, denom, delta):
         for x in group
     ):
         raise ValueError("bind_cg_updates needs C-ordered float64 (n, a) and (a,) arrays")
-    pack = load_native()
+    pack = load_native() if a <= BLOCK_WIDTH else None
     if pack is None:
         return _cg_updates_numpy(u, r, p, kp, rho, denom, delta)
     ptr = pack.pointer

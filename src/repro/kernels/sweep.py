@@ -10,7 +10,9 @@ the permuted CSR rows (:class:`~repro.multicolor.blocked.CSRSweepPlan`).
 :class:`~repro.multicolor.sor.MStepSSOR` and
 :class:`~repro.kernels.stencil.StencilSSOR`: it runs the plan's compiled
 walker (``plan.entry``) or, without the kernel pack, its numpy twin
-(:func:`sweep_numpy`), bitwise the same, and books the counters.
+(:func:`sweep_numpy`), bitwise the same, and books the counters.  The
+walkers take at most ``BLOCK_WIDTH`` (8) columns; the front runs a
+wider block through them as contiguous groups of that many.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.sparse import _sparsetools
 
-from repro.kernels._native import pointer
+from repro.kernels._native import BLOCK_WIDTH, pointer
 from repro.util import require
 
 __all__ = ["Pass", "mstep_passes", "sweep_numpy", "apply_sweep"]
@@ -179,6 +181,12 @@ def apply_sweep(sweep, plan, native, alphas, r) -> np.ndarray:
     column.  The result is the pooled ``rt`` of ``sweep.workspace``; it
     and the scratch ``y`` are memoized per shape with their pointers, for
     as long as the pool keeps their storage.
+
+    A block wider than ``BLOCK_WIDTH`` meets the compiled walker as
+    contiguous copies of at most that many columns (and of their α
+    columns), each applied as above; the groups' results land in the
+    pooled ``sweep_wide``, since each group's own ``rt`` is the head of
+    the storage the next group overwrites.
     """
     alphas = np.ascontiguousarray(alphas, dtype=float)
     r = np.asarray(r, dtype=float)
@@ -203,6 +211,17 @@ def apply_sweep(sweep, plan, native, alphas, r) -> np.ndarray:
         # The caller fed the sweep its own pooled result; overwriting it
         # would destroy the input.
         r = r.copy()
+    if native is not None and k > BLOCK_WIDTH:
+        wide = pool.get("sweep_wide", r.shape)
+        if np.may_share_memory(r, wide):
+            r = r.copy()
+        for j0 in range(0, k, BLOCK_WIDTH):
+            cols = slice(j0, j0 + BLOCK_WIDTH)
+            wide[:, cols] = apply_sweep(
+                sweep, plan, native, alphas if alphas.ndim == 1 else alphas[:, cols],
+                np.ascontiguousarray(r[:, cols]),
+            )
+        return wide
     memo = sweep.__dict__.get("_sweep_operands")
     if (
         memo is None

@@ -173,9 +173,7 @@ class CyberMachine:
             acc = kernel_ops.row_scale(x[sc], self.diagonals[c], out=out[sc])
             for j, storage in self.blocks[c].items():
                 xj = x[self.slices[j]]
-                for index, k in enumerate(storage.offsets):
-                    start, stop = storage.diagonal_span(index)
-                    seg = storage.data[index]
+                for k, start, stop, seg in storage.terms:
                     acc[start:stop] += np.multiply(
                         seg if x.ndim == 1 else seg[:, None],
                         xj[start + k : stop + k],
@@ -200,8 +198,7 @@ class CyberMachine:
         for c in range(self.n_groups):
             vm.charge("multiply", self.diagonals[c].shape[0])
             for storage in self.blocks[c].values():
-                for index in range(storage.n_diagonals):
-                    start, stop = storage.diagonal_span(index)
+                for _, start, stop, _ in storage.terms:
                     vm.charge("diag_madd", stop - start)
 
     # -------------------------------------------------- charge-stream replay
@@ -275,8 +272,7 @@ class CyberMachine:
                 storage = self.blocks[c].get(j)
                 if storage is None:
                     continue
-                for index in range(storage.n_diagonals):
-                    start, stop = storage.diagonal_span(index)
+                for _, start, stop, _ in storage.terms:
                     vm.charge("diag_madd", stop - start, width)
             if p.do_solve:
                 n = self.diagonals[c].shape[0]

@@ -13,6 +13,7 @@ that color in the Figure-2 stencil).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -67,10 +68,16 @@ class DiagonalStorage:
     def n_diagonals(self) -> int:
         return len(self.offsets)
 
-    def diagonal_span(self, index: int) -> tuple[int, int]:
-        """Valid row range ``(start, stop)`` of diagonal ``index``."""
-        k = self.offsets[index]
-        return max(0, -k), min(self.shape[0], self.shape[1] - k)
+    @cached_property
+    def terms(self) -> tuple[tuple[int, int, int, np.ndarray], ...]:
+        """``(offset, start, stop, values)`` per diagonal, ``start … stop``
+        its valid row range: resolved once, for the products and charge
+        streams that walk every diagonal per call."""
+        nrows, ncols = self.shape
+        return tuple(
+            (k, max(0, -k), min(nrows, ncols - k), seg)
+            for k, seg in zip(self.offsets, self.data)
+        )
 
     def matvec(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """``y (+)= block @ x`` one diagonal at a time.
@@ -89,9 +96,7 @@ class DiagonalStorage:
         else:
             y = out
         require(y.shape[0] == self.shape[0], "output length mismatch")
-        for index, k in enumerate(self.offsets):
-            start, stop = self.diagonal_span(index)
-            seg = self.data[index]
+        for k, start, stop, seg in self.terms:
             if x.ndim == 2:
                 seg = seg[:, None]
             y[start:stop] += seg * x[start + k : stop + k]
@@ -102,12 +107,11 @@ class DiagonalStorage:
         rows = []
         cols = []
         vals = []
-        for index, k in enumerate(self.offsets):
-            start, stop = self.diagonal_span(index)
+        for k, start, stop, seg in self.terms:
             r = np.arange(start, stop)
             rows.append(r)
             cols.append(r + k)
-            vals.append(self.data[index])
+            vals.append(seg)
         if not rows:
             return sp.csr_matrix(self.shape)
         return sp.csr_matrix(

@@ -433,10 +433,10 @@ class FiniteElementMachine:
         and *all* active preconditioned cells — whatever their m — run
         through **one** application of the machine's cached splitting
         applicator (:meth:`~repro.core.mstep.MStepPreconditioner.apply`
-        with an ``(m_max, k)`` per-column coefficient block, smaller-m
-        schedules zero-padded at the top so their columns sit at exactly
-        zero until their own first Horner step; a lone cell runs its
-        schedule unpadded).
+        with an ``(m, k)`` per-column coefficient block, ``m`` the longest
+        active schedule, smaller-m schedules zero-padded at the top so
+        their columns sit at exactly zero until their own first Horner
+        step; a lone cell runs its schedule unpadded).
 
         Numerics per cell are bit-identical to :meth:`solve`'s — every
         batched kernel is per-column bitwise equal to its single-vector
@@ -459,10 +459,11 @@ class FiniteElementMachine:
         def sweep(columns: list[int], r: np.ndarray) -> np.ndarray:
             if r.ndim == 1:
                 return precond.apply(r, coefficients=schedules[columns[0]])
+            active = [steps[j] for j in columns]
+            # Padding rows no active column reaches are skipped: the
+            # Horner then runs only the longest active schedule's steps.
             return precond.apply(
-                r,
-                coefficients=padded[:, columns],
-                column_steps=[steps[j] for j in columns],
+                r, coefficients=padded[: max(active), columns], column_steps=active
             )
 
         n = self.blocked.n

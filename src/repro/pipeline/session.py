@@ -9,9 +9,10 @@ per cell; a :class:`SolverSession` does each piece exactly once and then
 serves:
 
 * :meth:`solve_cell_block` / :meth:`execute_block` — the session's one
-  solve path: all ``k`` columns of an ``(n, k)`` right-hand-side block
-  advance through **one** :func:`repro.core.pcg.block_pcg` lockstep per
-  cell on the plan's operator (the permuted CSR block system, or the
+  solve path: the ``k`` columns of an ``(n, k)`` right-hand-side block
+  advance through one :func:`repro.core.pcg.block_pcg` call per cell
+  (lockstep groups of at most 8 columns) on the plan's operator (the
+  permuted CSR block system, or the
   matrix-free stencil), batched through the compiled kernels, per-column
   bitwise identical to ``k`` separate Algorithm-1 solves
   (:meth:`execute_many` routes through this path, and
@@ -502,11 +503,12 @@ class SolverSession:
     ) -> BlockMStepSolve:
         """One cell against an ``(n, k)`` block of right-hand sides.
 
-        The session's one solve path: all ``k`` columns advance through
-        one :func:`~repro.core.pcg.block_pcg` lockstep against the
-        compiled caches — one batched matrix product and one batched
-        preconditioner application per outer iteration, columns retiring
-        individually as they converge.  Per-column iterates, iteration
+        The session's one solve path: the ``k`` columns advance through
+        one :func:`~repro.core.pcg.block_pcg` call against the compiled
+        caches, in lockstep groups of at most 8 columns — one batched
+        matrix product and one batched preconditioner application per
+        group and outer iteration, columns retiring individually as they
+        converge.  Per-column iterates, iteration
         counts and counters are bitwise identical to ``k`` separate
         :meth:`solve_cell` calls (the acceptance contract of the block
         path, pinned in the tests).

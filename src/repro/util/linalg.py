@@ -34,19 +34,20 @@ __all__ = [
 ]
 
 
-_LOADER: list = []  # [repro.kernels._native.load_native] once imported
+_LOADER: list = []  # [load_native, BLOCK_WIDTH] of repro.kernels._native
 _F64 = np.dtype(np.float64)
 
 
-def _pack():
-    """The compiled kernel pack, or ``None``: loaded on the first dot."""
+def _pack(k: int):
+    """The compiled kernel pack for ``k`` columns, or ``None``: loaded on
+    the first dot, and ``None`` past the widest compiled dot."""
     if not _LOADER:
         # Imported here: repro.kernels imports repro.util, and importing
         # the package must not build or load the pack.
-        from repro.kernels._native import load_native
+        from repro.kernels._native import BLOCK_WIDTH, load_native
 
-        _LOADER.append(load_native)
-    return _LOADER[0]()
+        _LOADER[:] = [load_native, BLOCK_WIDTH]
+    return _LOADER[0]() if k <= _LOADER[1] else None
 
 
 def dots_numpy(x: np.ndarray, y: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -81,14 +82,15 @@ def column_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """The fixed-order dots of the columns of two ``(n, k)`` blocks.
 
     Returns ``(k,)``; column ``j`` is bitwise ``inner(x[:, j], y[:, j])``.
-    ``(n,)`` vectors count as one column.
+    ``(n,)`` vectors count as one column.  Compiled up to 8 columns; a
+    wider block takes the numpy twin.
     """
     x, y = _operand(x), _operand(y)
     if x.shape != y.shape or x.ndim not in (1, 2):
         raise ValueError("column_dots needs two (n,) or (n, k) arrays of one shape")
     k = 1 if x.ndim == 1 else x.shape[1]
     out = np.empty(k)
-    pack = _pack()
+    pack = _pack(k)
     if pack is None:
         return dots_numpy(x, y, out)
     ptr = pack.pointer

@@ -9,7 +9,8 @@ one-column case).  Covered: column retirement (converged columns leave
 the resident block while the rest keep iterating), breakdown next to live
 columns, several columns retiring in one iteration out of column order,
 degenerate columns (f = 0), k = 1 blocks, ``u0`` blocks, residual rules
-with tracking, and non-contiguous / Fortran-ordered input blocks.
+with tracking, non-contiguous / Fortran-ordered input blocks, and blocks
+wider than 8 columns, which run as consecutive lockstep groups of 8.
 """
 
 import math
@@ -397,3 +398,103 @@ class TestResultObject:
             block, blocked.permuted, F, precond=precond, rule=rule,
             track_residual=True,
         )
+
+
+@pytest.fixture(params=["compiled", "numpy"])
+def kernels(request, monkeypatch):
+    """The compiled kernel pack, or the numpy twins everywhere."""
+    from repro.kernels import _native
+
+    if request.param == "numpy":
+        monkeypatch.setattr(_native, "_CACHE", [None])
+    elif _native.load_native() is None:
+        pytest.skip("no compiled kernel in this environment")
+    return request.param
+
+
+class TestWideBlocksRunAsGroups:
+    """A block wider than 8 columns runs as consecutive lockstep groups of
+    at most 8, joined into one result: every column is still bitwise the
+    column solved alone, and the preconditioner and callback see the
+    block's own column indices."""
+
+    @pytest.mark.parametrize("start", ["zero", "vector", "block"])
+    @pytest.mark.parametrize("width", [9, 12, 16, 17, 20])
+    def test_wide_block_matches_solo_runs(self, system, kernels, width, start):
+        _, blocked = system
+        rng = np.random.default_rng(width)
+        F = _rhs_block(blocked, ncols=width, seed=width)
+        F[:, ::3] *= 1e3  # columns of one group retire at different iterations
+        u0 = {
+            "zero": None,
+            "vector": np.full(blocked.n, 0.1),
+            "block": 1e-2 * rng.normal(size=(blocked.n, width)),
+        }[start]
+        precond = lambda: _applicator(blocked, neumann_coefficients(3))  # noqa: E731
+        block = block_pcg(
+            blocked.permuted, F, preconditioner=precond(), u0=u0, eps=EPS,
+            track_residual=True,
+        )
+        assert block.k == width and block.all_converged
+        for j in range(width):
+            solo = algorithm1(
+                blocked.permuted, np.ascontiguousarray(F[:, j]), precond=precond(),
+                u0=u0 if u0 is None or u0.ndim == 1 else u0[:, j],
+                track_residual=True,
+            )
+            _assert_column_matches(block.column(j), solo)
+
+    def test_breakdown_column_in_the_second_group(self, kernels):
+        # The diagonal K of test_breakdown_column_next_to_live_ones, its
+        # negative eigenvector loaded on column 10 of 12.
+        n = 40
+        d = np.arange(1.0, n + 1.0)
+        d[-1] = -3.0
+        k = sp.diags(d).tocsr()
+        F = np.random.default_rng(19).normal(size=(n, 12))
+        F[-1] = 0.0
+        F[:, 10] = np.eye(n)[-1]
+        block = block_pcg(k, F, eps=1e-10)
+        assert int(block.iterations[10]) == 1
+        assert not bool(block.converged[10])
+        assert block.delta_histories[10] == []
+        assert all(int(block.iterations[j]) > 1 for j in range(12) if j != 10)
+        _assert_block_matches_oracle(block, k, F, eps=1e-10)
+
+    def test_preconditioner_and_callback_see_block_columns(self, system):
+        _, blocked = system
+        sweep = _applicator(blocked, neumann_coefficients(2))
+
+        class Columns:
+            block_capable = True
+            takes_columns = True
+
+            def __init__(self):
+                self.calls = []
+
+            def apply(self, r, columns):
+                self.calls.append(list(columns))
+                return sweep.apply(r)
+
+        F = _rhs_block(blocked, ncols=12, seed=29)
+        F[:, 5] *= 1e4
+        seen: dict = {}
+        precond = Columns()
+        block = block_pcg(
+            blocked.permuted, F, preconditioner=precond, eps=EPS,
+            callback=lambda it, j, u, d: seen.setdefault(j, []).append(
+                (it, d, u.copy())
+            ),
+        )
+        calls = precond.calls
+        second = calls.index(list(range(8, 12)))  # the second group's start
+        assert calls[0] == list(range(8))
+        assert all(max(c) < 8 for c in calls[:second])
+        assert all(min(c) >= 8 for c in calls[second:])
+        assert sorted(seen) == list(range(12))
+        for j, trace in seen.items():
+            assert [it for it, _, _ in trace] == list(
+                range(1, int(block.iterations[j]) + 1)
+            )
+            assert [d for _, d, _ in trace] == block.delta_histories[j]
+            assert _bits(trace[-1][2]) == _bits(block.u[:, j])

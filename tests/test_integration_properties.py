@@ -8,12 +8,12 @@ problem it was given.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import plate_problem, solve_mstep_ssor
 from repro.core import (
-    AbsoluteResidual,
+    DeltaInfNorm,
     MStepPreconditioner,
     SSORSplitting,
     neumann_coefficients,
@@ -25,21 +25,42 @@ from repro.util import permutation_matrix
 
 class TestPermutationInvariance:
     @given(st.integers(0, 2**31 - 1))
+    @example(28082581)  # stopped after 43 and 42 iterations under ‖r‖₂ ≤ 1e-10
     @settings(max_examples=8, deadline=None)
     def test_pcg_commutes_with_renumbering(self, seed):
-        # Solve(P K Pᵀ, P f) must equal P·Solve(K, f): CG is basis-blind.
+        # Solve(P K Pᵀ, P f) equals P·Solve(K, f) iterate by iterate: CG is
+        # basis-blind, in exact arithmetic.  The two numberings round
+        # differently, so a stopping test near its threshold may fire one
+        # iteration apart, and CG's loss of orthogonality amplifies the
+        # difference mid-solve (at most 3.7e-4·‖u‖∞, at iteration 27, over
+        # 2,000 seeds) before both runs settle on the solution.  So both
+        # solves run a fixed 1.5·n iterations, past convergence: every
+        # iterate pair stays within 1e-2·‖u‖∞, and the last pair agrees
+        # to the solve's rounding.
         prob = plate_problem(5)
         rng = np.random.default_rng(seed)
         perm = rng.permutation(prob.n)
         p = permutation_matrix(perm)
         k_perm = (p @ prob.k @ p.T).tocsr()
         f_perm = np.asarray(p @ prob.f)
+        iterations = 3 * prob.n // 2
 
-        direct = pcg(prob.k, prob.f, stopping=AbsoluteResidual(1e-10))
-        renumbered = pcg(k_perm, f_perm, stopping=AbsoluteResidual(1e-10))
-        assert renumbered.iterations == direct.iterations
-        assert np.asarray(p @ direct.u) == pytest.approx(
-            renumbered.u, rel=1e-6, abs=1e-9
+        def iterates(k, f):
+            seen = []
+            result = pcg(
+                k, f, stopping=DeltaInfNorm(np.finfo(float).tiny),  # never fires
+                maxiter=iterations,
+                callback=lambda _it, u, _delta: seen.append(u.copy()),
+            )
+            assert result.iterations == len(seen) == iterations
+            return seen
+
+        direct, renumbered = iterates(prob.k, prob.f), iterates(k_perm, f_perm)
+        for u, u_perm in zip(direct, renumbered):
+            drift = np.max(np.abs(p @ u - u_perm))
+            assert drift <= 1e-2 * np.max(np.abs(u_perm))
+        assert np.asarray(p @ direct[-1]) == pytest.approx(
+            renumbered[-1], rel=1e-6, abs=1e-9
         )
 
     def test_multicolor_reordering_preserves_solution(self):

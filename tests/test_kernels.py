@@ -738,7 +738,7 @@ class TestCompiledCSRProduct:
         assert _bits(out) == _bits(_scipy_product(k, x))
 
     @pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "fallback"])
-    @pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 6, 7, 8, 9, 16])
+    @pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 16, 17, 20])
     def test_block_pcg_matches_per_column_pcg(
         self, product_systems, width, compiled, monkeypatch
     ):
@@ -838,6 +838,74 @@ class TestNativeBuild:
         F = np.random.default_rng(5).normal(size=(problem.k.shape[0], 6000))
         session = SolverSession(problem, plan=SolverPlan.single(2, eps=1e-8))
         assert _bits(np.load(out)) == _bits(session.solve_cell_block(2, F=F).u)
+
+
+#: Where each compiled entry point takes its column count (``None``: a
+#: vector kernel).
+_WIDTH_ARG = {
+    "fixed_dots": 1, "cg_axpy": 1, "cg_xpay": 1, "stencil_values_b": 4,
+    "stencil_apply_v": None, "stencil_ssor": 1, "csr_ssor": 1, "csr_product": 1,
+}
+
+
+class TestCompiledCallsStayNarrow:
+    """``block_pcg`` runs a block wider than ``BLOCK_WIDTH`` as lockstep
+    groups, and the sweep front and the dots split or hand over a direct
+    wider call: no compiled entry point ever gets more than 8 columns."""
+
+    @pytest.fixture
+    def widths(self, monkeypatch):
+        """Every compiled call's ``(entry point, columns)`` from here on,
+        through a pack whose entry points record them."""
+        from repro.kernels import _native
+
+        lib = _compiled_pack()._lib
+        seen = []
+
+        class Recording:
+            def __getattr__(self, name):
+                fn, at = getattr(lib, name), _WIDTH_ARG[name]
+
+                def call(*args):
+                    k = 1 if at is None else args[at]
+                    seen.append((name, getattr(k, "value", k)))
+                    return fn(*args)
+
+                return call
+
+        monkeypatch.setattr(_native, "_CACHE", [_native.NativeKernels(Recording())])
+        return seen
+
+    def test_solves_schedules_and_direct_applies(self, widths):
+        from repro.fem.matrixfree import stencil_operator
+        from repro.kernels import BLOCK_WIDTH, StencilSSOR
+        from repro.pipeline import SolverPlan, SolverSession, build_scenario
+        from repro.util import column_dots
+
+        problem = build_scenario("plate", nrows=10)
+        rng = np.random.default_rng(3)
+        F = rng.normal(size=(problem.f.shape[0], 20))
+        for backend in ("vectorized", "stencil"):
+            plan = SolverPlan.single(3, backend=backend, eps=1e-6)
+            SolverSession(problem, plan=plan).solve_cell_block(3, F=F)
+        # 13 cells: groups of 8 + 5; 10 cells: 8 + 2.
+        SolverSession(problem, plan=SolverPlan.table2(eps=1e-6)).run_cyber_schedule()
+        SolverSession(problem, plan=SolverPlan.table3(eps=1e-6)).run_fem_schedule()
+        blocked = build_blocked_system(problem)
+        R = rng.normal(size=(blocked.n, 16))
+        sweep = MStepSSOR(blocked, np.ones(3))
+        sweep.apply(R)
+        sweep.apply_schedule(rng.uniform(0.5, 1.5, size=(3, 16)), R)
+        StencilSSOR(stencil_operator(problem), np.ones(2)).apply(R)
+        column_dots(R, R)
+
+        names = {name for name, _ in widths}
+        assert names >= {
+            "fixed_dots", "cg_axpy", "cg_xpay", "stencil_values_b",
+            "stencil_ssor", "csr_ssor", "csr_product",
+        }
+        assert max(k for _, k in widths) == BLOCK_WIDTH
+        assert [call for call in widths if call[1] > BLOCK_WIDTH] == []
 
 
 # --------------------------------------------------------------------------

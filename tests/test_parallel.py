@@ -240,6 +240,17 @@ class TestSessionSharding:
         assert session.stats.compile_counts()["colorings"] == 1
         assert session.stats.compile_counts()["applicator_builds"] == 1
 
+    def test_wide_shards_run_lockstep_groups_bitwise(self, plate):
+        # Each worker's 16 columns run as two lockstep groups of 8, as
+        # the serial solve's 32 run as four.
+        session = SolverSession(plate, plan=SolverPlan.single(M, True, eps=EPS))
+        F = synthetic_load_block(plate, 32)
+        serial = session.solve_cell_block(M, True, F=F)
+        sharded = session.solve_cell_block(M, True, F=F, sharding=(2, 16))
+        assert_block_results_bitwise(sharded.result, serial.result)
+        assert np.array_equal(sharded.u, serial.u)
+        assert session.stats.shard_dispatches == 2
+
     def test_execute_block_sharded_over_plan(self, plate):
         plan = SolverPlan(schedule=((0, False), (2, True)), eps=EPS, block_rhs=4)
         session = SolverSession(plate, plan=plan)

@@ -46,7 +46,7 @@ def build_table():
         row = [n_procs, problem.n]
         for mode in ("software", "circuit"):
             machine = FiniteElementMachine(problem, n_procs, reduction=mode)
-            a_cost, b_cost = machine.iteration_costs(1)
+            a_cost, b_cost = machine.iteration_costs()
             ratios[mode].append(b_cost / a_cost)
             row.append(b_cost / a_cost)
         for mode in ("software", "circuit"):

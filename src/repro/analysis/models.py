@@ -74,33 +74,15 @@ class PerformanceModel:
         )
 
     @classmethod
-    def from_fem_machine(cls, machine, m: int = 1) -> "PerformanceModel":
-        """Calibrate (A, B, B_marginal) from a simulated machine.
+    def from_machine(cls, machine) -> "PerformanceModel":
+        """Calibrate (A, B, B_marginal) on a simulated machine.
 
-        ``machine`` is a :class:`~repro.machines.FiniteElementMachine`
-        (anything with ``iteration_costs`` and
-        ``preconditioner_block_seconds``).  The marginal cost is the exact
-        width-derivative of the machine's block cost model — one extra
-        right-hand side's flops and link words, with the per-phase setup
-        and per-record latency already paid.
-        """
-        a, b = machine.iteration_costs(m)
-        b_width2 = machine.preconditioner_block_seconds(1, 2)
-        return cls(a=a, b=b, b_marginal=b_width2 - b)
-
-    @classmethod
-    def from_cyber_machine(cls, machine) -> "PerformanceModel":
-        """Calibrate (A, B, B_marginal) from the CYBER vector simulator.
-
-        The vector-machine counterpart of :meth:`from_fem_machine`:
-        ``machine`` is a :class:`~repro.machines.CyberMachine`, whose
-        ``iteration_costs`` charge the (4.1) quantities on the pipeline
-        clock — ``A`` dominated by the partial-sum inner products, ``B``
-        by the per-diagonal multiply-add streams of Algorithm 2 (both
-        structural constants, hence no ``m`` argument here).  The
-        marginal cost is the width-derivative of the batched block
-        application (one extra right-hand side streams through already-
-        started pipes), clipped into the model's ``[0, B]`` domain.
+        ``machine`` is a :class:`~repro.machines.FiniteElementMachine` or
+        a :class:`~repro.machines.CyberMachine`, whose ``iteration_costs()``
+        reads A and B off the charges its solves replay.  The marginal cost
+        is the width-derivative of the batched application (one extra
+        right-hand side with the fixed per-operation costs already paid),
+        clipped into the model's ``[0, B]`` domain.
         """
         a, b = machine.iteration_costs()
         marginal = machine.preconditioner_block_seconds(

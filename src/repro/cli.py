@@ -38,7 +38,7 @@ multi-load case family (:class:`repro.pipeline.WorkloadSpec`) instead.
 ``--m auto`` picks m from the width-aware inequality-(4.2) cost model —
 ``--auto-model fem`` (default) calibrates on the Finite Element Machine,
 ``--auto-model cyber`` on the CYBER vector timing model
-(:meth:`repro.analysis.models.PerformanceModel.from_cyber_machine`).
+(:meth:`repro.analysis.models.PerformanceModel.from_machine`).
 ``table2 --m auto`` prints the model recommendation next to each mesh's
 measured optimum.
 

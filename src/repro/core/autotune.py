@@ -23,7 +23,7 @@ per right-hand side while the preconditioner step amortizes
 (:meth:`~repro.analysis.models.PerformanceModel.step_cost`), so wider
 blocks move the inequality-(4.2) break-even toward *more* steps — the
 machine-calibrated path
-(:meth:`~repro.analysis.models.PerformanceModel.from_fem_machine`) feeds
+(:meth:`~repro.analysis.models.PerformanceModel.from_machine`) feeds
 ``repro solve/table2 --m auto --rhs K``.
 """
 
@@ -137,7 +137,7 @@ def recommend_m(
 
     ``width`` tunes m for a ``width``-wide right-hand-side block solved by
     :func:`repro.core.pcg.block_pcg`: pair a machine-calibrated model
-    (:meth:`~repro.analysis.models.PerformanceModel.from_fem_machine`)
+    (:meth:`~repro.analysis.models.PerformanceModel.from_machine`)
     with the block width actually planned
     (:attr:`~repro.pipeline.SolverPlan.block_rhs`) and the recommendation
     accounts for the amortized per-step cost — the ``--m auto --rhs K``

@@ -6,11 +6,14 @@ a calibrated cost model charges time to every primitive the paper's
 implementation performs — vector pipelines, control-vector masking and
 matvec-by-diagonals on the CYBER (§3.1); local-link record exchanges, the
 signal-flag network and global reductions on the Finite Element Machine
-(§3.2).  DESIGN.md §4 documents the calibration and why it preserves the
-paper's conclusions.
+(§3.2).  :mod:`repro.machines.timing` documents the calibration.  Each
+machine records its charge stream once per segment
+(:mod:`repro.machines.charges`) and replays it per solve; the model's A and
+B are read off the same recordings.
 """
 
 from repro.machines.cells import normalize_cell
+from repro.machines.charges import ChargedMachine, ChargeLog, ChargeStream, Recording
 from repro.machines.comm import CommLog
 from repro.machines.cyber import CyberMachine, CyberResult
 from repro.machines.diagonals import DiagonalStorage
@@ -24,10 +27,14 @@ from repro.machines.timing import (
     VectorTimingModel,
 )
 from repro.machines.topology import LINK_DIRECTIONS, Assignment, ProcessorGrid
-from repro.machines.vector import VectorMachine, VectorOpLog
+from repro.machines.vector import VectorMachine
 
 __all__ = [
     "normalize_cell",
+    "ChargedMachine",
+    "ChargeLog",
+    "ChargeStream",
+    "Recording",
     "CommLog",
     "CyberMachine",
     "CyberResult",
@@ -47,5 +54,4 @@ __all__ = [
     "Assignment",
     "ProcessorGrid",
     "VectorMachine",
-    "VectorOpLog",
 ]

@@ -27,6 +27,7 @@ the eliminated system, which the tests verify.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +42,7 @@ from repro.kernels.backend import REFERENCE, resolve_backend
 from repro.kernels.sweep import mstep_passes
 from repro.kernels.workspace import WorkspacePool
 from repro.machines.cells import SchedulePreconditioner, normalize_cell
+from repro.machines.charges import ChargedMachine, ChargeLog, ChargeStream, Recording
 from repro.machines.diagonals import DiagonalStorage
 from repro.machines.timing import CYBER_203, VectorTimingModel
 from repro.machines.vector import VectorMachine
@@ -75,7 +77,7 @@ class CyberResult:
         )
 
 
-class CyberMachine:
+class CyberMachine(ChargedMachine):
     """The plate problem laid out for the CYBER, ready to solve repeatedly.
 
     The machine is also its own operator ``K`` — ``shape``, ``dtype``,
@@ -150,7 +152,6 @@ class CyberMachine:
             (s.stop - s.start) for s in self.slices
         )
         self._merged_sweep: MStepSSOR | None = None
-        self._charge_stream_cache: dict = {}
         self.workspace = WorkspacePool()  # matvec_accumulate's K·x block
 
     # ------------------------------------------------------------- primitives
@@ -188,69 +189,24 @@ class CyberMachine:
         out += self.matvec_into(x, self.workspace.get("kx", out.shape))
         return out
 
-    def _charge_matvec(self, vm: VectorMachine) -> None:
-        """Charge one ``K x`` by diagonals (:meth:`matvec_into`) to ``vm``.
+    def _charge_matvec(self, out) -> None:
+        """Charge one ``K x`` by diagonals (:meth:`matvec_into`) to ``out``.
 
         One ``multiply`` per color row and one ``diag_madd`` per stored
         diagonal, each at its own length: the vector-op stream the
-        matrix-by-diagonals product issues on the machine.
+        matrix-by-diagonals product issues on the machine.  ``out`` is a
+        live :class:`~repro.machines.charges.ChargeLog` or a
+        :class:`~repro.machines.charges.Recording`.
         """
         for c in range(self.n_groups):
-            vm.charge("multiply", self.diagonals[c].shape[0])
+            out.charge("multiply", self.timing.vector_op_time(self.diagonals[c].shape[0]))
             for storage in self.blocks[c].values():
                 for _, start, stop, _ in storage.terms:
-                    vm.charge("diag_madd", stop - start)
-
-    # -------------------------------------------------- charge-stream replay
-    def _recorded_stream(self, key, builder) -> dict[str, list[float]]:
-        """The per-kind charge times one structural replay emits (cached).
-
-        A solve's charge stream is purely structural, so for a fixed
-        ``key`` — ``("matvec",)`` or ``("precond", m)`` — the sequence of
-        ``(kind, seconds)`` events never changes.  Recording it once and
-        replaying per kind (:meth:`_replay_stream`) keeps the ledger
-        bitwise identical — each kind's additions happen in the same order
-        with the same floats, and kinds first appear in stream order — at
-        a fraction of the Python cost of re-deriving every event.
-        """
-        cached = self._charge_stream_cache.get(key)
-        if cached is not None:
-            return cached
-        events: list[tuple[str, float]] = []
-        timing = self.timing
-
-        class _Recorder:
-            @staticmethod
-            def charge(kind: str, n: int, width: int = 1) -> None:
-                t = (
-                    timing.vector_op_time(n)
-                    if width == 1
-                    else timing.block_op_time(n, width)
-                )
-                events.append((kind, t))
-
-        builder(_Recorder())
-        stream: dict[str, list[float]] = {}
-        for kind, t in events:
-            stream.setdefault(kind, []).append(t)
-        self._charge_stream_cache[key] = stream
-        return stream
-
-    @staticmethod
-    def _replay_stream(vm: VectorMachine, stream: dict[str, list[float]]) -> None:
-        """Charge a recorded stream to ``vm`` — ledger-bitwise-identical."""
-        counts = vm.log.counts
-        seconds = vm.log.seconds
-        for kind, times in stream.items():
-            s = seconds.get(kind, 0.0)
-            for t in times:
-                s += t
-            seconds[kind] = s
-            counts[kind] = counts.get(kind, 0) + len(times)
+                    out.charge("diag_madd", self.timing.vector_op_time(stop - start))
 
     # -------------------------------------------------- preconditioner charge
-    def _charge_precondition(self, vm: VectorMachine, m: int, width: int = 1) -> None:
-        """Replay Algorithm 2's charge stream without executing it.
+    def _charge_precondition(self, out, m: int, width: int = 1):
+        """Charge Algorithm 2's stream to ``out`` without executing it.
 
         The cost of the merged Conrad–Wallach sweeps is purely structural —
         one multiply-add per stored diagonal of each touched block, one
@@ -263,22 +219,28 @@ class CyberMachine:
         The passes are the schedule every sweep walks
         (:func:`~repro.kernels.sweep.mstep_passes`), the one
         :meth:`_precondition_reference` spells out by hand; the
-        backend-equivalence suite pins the two in lockstep.
+        backend-equivalence suite pins the two in lockstep.  Returns
+        ``out``.
         """
-        nc = self.n_groups
-        for p in mstep_passes(nc, m):
+        return self._charge_passes(out, mstep_passes(self.n_groups, m), width)
+
+    def _charge_passes(self, out, passes, width: int = 1):
+        """Charge color passes of the m-step schedule to ``out``; returns it."""
+        op_seconds = self.timing.block_op_time  # width 1: vector_op_time
+        for p in passes:
             c = p.c
-            for j in range(c + 1, nc) if p.upper else range(c):
+            for j in range(c + 1, self.n_groups) if p.upper else range(c):
                 storage = self.blocks[c].get(j)
                 if storage is None:
                     continue
                 for _, start, stop, _ in storage.terms:
-                    vm.charge("diag_madd", stop - start, width)
+                    out.charge("diag_madd", op_seconds(stop - start, width))
             if p.do_solve:
-                n = self.diagonals[c].shape[0]
-                vm.charge("axpy", n, width)
-                vm.charge("add", n, width)
-                vm.charge("divide", n, width)
+                seconds = op_seconds(self.diagonals[c].shape[0], width)
+                out.charge("axpy", seconds)
+                out.charge("add", seconds)
+                out.charge("divide", seconds)
+        return out
 
     # ------------------------------------------------ preconditioner numerics
     def _precondition_reference(
@@ -376,63 +338,59 @@ class CyberMachine:
         :meth:`_sweep_kernel`'s merged sweep.  Iterates agree to roundoff
         (summation order differs), clocks and op counts exactly.
         """
-        self._charge_precondition(vm, coefficients.size)
+        self._charge_precondition(vm.log, coefficients.size)
         if backend == REFERENCE:
             return self._precondition_reference(coefficients, r)
         # The kernel returns a pooled workspace buffer; Algorithm 1 never
         # holds r̃ across preconditioner applications, so no copy is needed.
         return self._sweep_kernel().apply_schedule(coefficients, r)
 
-    # ----------------------------------------------------------- cost model
-    def iteration_costs(self) -> tuple[float, float]:
-        """(A, B) of the performance model (4.1) on the CYBER clock.
-
-        The vector-machine analogue of
-        :meth:`~repro.machines.fem_machine.FiniteElementMachine.iteration_costs`:
-        ``A`` is the charged cost of one steady-state outer CG iteration
-        (the matvec-by-diagonals stream, two partial-sum inner products,
-        the ``‖Δu‖∞`` reduction, four full-length vector updates and the
-        two scalar-unit results), exactly the per-iteration charge stream
-        of :meth:`solve`; ``B`` is the marginal cost of one further
-        preconditioner step, the per-``m`` slope of Algorithm 2's charge
-        stream.  Both are structural constants of the layout — unlike the
-        FEM counterpart there is no ``m`` parameter, since neither
-        quantity depends on it.  Feeds
-        :meth:`repro.analysis.models.PerformanceModel.from_cyber_machine`
-        — the CYBER-calibrated ``--m auto`` path.
-        """
-        vm = VectorMachine(self.timing)
-        self._charge_matvec(vm)
-        t_matvec = vm.elapsed_seconds
-        t = self.timing
-        n = self.n_padded
-        a = (
-            t_matvec
-            + 2 * t.dot_time(n)  # (p, Kp) and (r̃, r)
-            + t.dot_time(n)  # ‖Δu‖∞ via the abs/max hardware
-            + 4 * t.vector_op_time(n)  # scale, add, two axpys
-            + 2 * t.scalar_op_time()  # α, β
+    # ------------------------------------------------------- recorded stream
+    @functools.cached_property
+    def _stream(self) -> ChargeStream:
+        """:meth:`solve`'s outer charges, recorded once per segment."""
+        return ChargeStream(
+            startup=(self._record("fill", "copy"), self._record("copy", "dot")),
+            iteration=(
+                self._record(
+                    "matvec", "dot", "scalar", "scale", "add", "abs_max", "axpy"
+                ),
+                self._record("dot", "scalar", "axpy"),
+            ),
+            converged=self._record(
+                "matvec", "dot", "scalar", "scale", "add", "abs_max"
+            ),
+            breakdown=self._record("matvec", "dot"),
         )
-        b = self.preconditioner_block_seconds(
-            2, 1
-        ) - self.preconditioner_block_seconds(1, 1)
-        return a, b
 
-    def preconditioner_block_seconds(self, m: int, width: int = 1) -> float:
-        """Charged seconds of one batched m-step application on ``(n, width)``.
+    def _record(self, *kinds: str) -> Recording:
+        """One segment: ``"matvec"`` (:meth:`_charge_matvec`) or one op of
+        the named kind at full padded length, the charge of the
+        :class:`VectorMachine` primitive :meth:`solve` calls."""
+        t, n = self.timing, self.n_padded
+        seconds = {"dot": t.dot_time(n), "abs_max": t.dot_time(n),
+                   "scalar": t.scalar_op_time()}
+        recording = Recording()
+        for kind in kinds:
+            if kind == "matvec":
+                self._charge_matvec(recording)
+            else:
+                recording.charge(kind, seconds.get(kind, t.vector_op_time(n)))
+        return recording
 
-        The CYBER analogue of the Finite Element Machine's block cost:
-        every color-block operation streams the whole ``(n, width)`` block
-        through the pipe for a single startup
-        (:meth:`~repro.machines.timing.VectorTimingModel.block_op_time`),
-        so the per-right-hand-side cost falls as the block widens — the
-        amortization the width-aware (4.2) autotuner prices.
-        """
-        require(m >= 1, "m must be at least 1")
-        require(width >= 1, "width must be at least 1")
-        vm = VectorMachine(self.timing)
-        self._charge_precondition(vm, m, width=width)
-        return vm.elapsed_seconds
+    def _application(self, m: int, width: int = 1) -> Recording:
+        """One recorded m-step application on an ``(n, width)`` block."""
+        return self._stream.recorded(
+            (m, width), lambda: self._charge_precondition(Recording(), m, width)
+        )
+
+    def _step(self) -> Recording:
+        """One recorded non-final step: the first of a two-step sweep (a
+        last step adds color 0's closing solve)."""
+        first = [p for p in mstep_passes(self.n_groups, 2) if p.s == 1]
+        return self._stream.recorded(
+            "step", lambda: self._charge_passes(Recording(), first)
+        )
 
     # ------------------------------------------------------------------ solve
     def solve(
@@ -483,7 +441,7 @@ class CyberMachine:
         converged = False
         iterations = 0
         for iteration in range(1, maxiter + 1):
-            self._charge_matvec(vm)
+            self._charge_matvec(vm.log)
             self.matvec_into(p, kp)
             denom = vm.dot(p, kp)
             if denom <= 0.0:
@@ -510,7 +468,7 @@ class CyberMachine:
             p = vm.axpy(beta, p, rt)
 
         return self._result(
-            vm, m, parametrized, iterations, converged, u, precond_seconds
+            vm.log, m, parametrized, iterations, converged, u, precond_seconds
         )
 
     def solve_schedule(
@@ -578,75 +536,33 @@ class CyberMachine:
     ) -> CyberResult:
         """Charge one cell's clock and package the :class:`CyberResult`.
 
-        Replays the stream :meth:`solve` emits, in its order: the recorded
-        matvec and preconditioner streams (:meth:`_recorded_stream`) and
-        the vector ops.  The stream is structural — it depends only on
-        ``m``, the iteration count and how the last iteration ended:
-        converged, broke down (``(p, Kp) ≤ 0``, so only the product and
-        that inner product ran; ``solve.delta_history`` is one short) or
-        stopped by ``maxiter`` (a full iteration) — so the ledger and clock
-        are bitwise those of :meth:`solve`.
+        Replays the recorded stream of :meth:`solve` in its order
+        (:meth:`~repro.machines.charges.ChargeStream.replay`).  The stream
+        depends only on ``m``, the iteration count and how the last
+        iteration ended: converged, broke down (``(p, Kp) ≤ 0``, so only
+        the product and that inner product ran; ``solve.delta_history`` is
+        one short) or stopped by ``maxiter`` (a full iteration).  So the
+        ledger and clock are bitwise those of :meth:`solve`.
         """
-        vm = VectorMachine(self.timing)
-        log = vm.log
-        n = self.n_padded
-        t_vec = self.timing.vector_op_time(n)
-        t_dot = self.timing.dot_time(n)
-        t_scalar = self.timing.scalar_op_time()
-        matvec = self._recorded_stream(("matvec",), self._charge_matvec)
-        precond = (
-            self._recorded_stream(
-                ("precond", m), lambda v: self._charge_precondition(v, m)
-            )
+        stream = self._stream
+        application = (
+            self._application(m)
             if preconditioned
-            else None
+            # r̃ = r: a copy, not preconditioner time
+            else stream.recorded("copy", lambda: self._record("copy"))
         )
-        precond_seconds = 0.0
-
-        def precondition() -> None:
-            nonlocal precond_seconds
-            if precond is None:
-                log.charge("copy", t_vec)  # r̃ = r: not preconditioner time
-                return
-            before = vm.elapsed_seconds
-            self._replay_stream(vm, precond)
-            precond_seconds += vm.elapsed_seconds - before
-
-        iterations = solve.iterations
-        broke_down = len(solve.delta_history) < iterations
-        log.charge("fill", t_vec)  # u⁰ = 0
-        log.charge("copy", t_vec)  # r⁰ = f
-        precondition()
-        log.charge("copy", t_vec)  # p⁰ = r̃⁰
-        log.charge("dot", t_dot)  # ρ₀
-        for it in range(1, iterations + 1):
-            last = it == iterations
-            self._replay_stream(vm, matvec)
-            log.charge("dot", t_dot)  # (p, Kp)
-            if last and broke_down:
-                break
-            log.charge("scalar", t_scalar)  # α
-            log.charge("scale", t_vec)
-            log.charge("add", t_vec)
-            log.charge("abs_max", t_dot)
-            if last and solve.converged:
-                break
-            log.charge("axpy", t_vec)  # r update
-            precondition()
-            log.charge("dot", t_dot)  # (r̃, r)
-            log.charge("scalar", t_scalar)  # β
-            log.charge("axpy", t_vec)  # p update
+        log, precond_seconds = stream.replay(application, solve, preconditioned)
         return self._result(
-            vm, m, parametrized, iterations, solve.converged, solve.u,
+            log, m, parametrized, solve.iterations, solve.converged, solve.u,
             precond_seconds,
         )
 
     def _result(
-        self, vm: VectorMachine, m: int, parametrized: bool, iterations: int,
+        self, log: ChargeLog, m: int, parametrized: bool, iterations: int,
         converged: bool, u: np.ndarray, precond_seconds: float,
     ) -> CyberResult:
-        """Package one cell's :class:`CyberResult` off its charged ``vm``."""
-        seconds = vm.elapsed_seconds
+        """Package one cell's :class:`CyberResult` off its charged ledger."""
+        seconds = log.total_seconds()
         return CyberResult(
             label=cell_label(m, parametrized),
             m=m,
@@ -655,7 +571,7 @@ class CyberMachine:
             converged=converged,
             seconds=seconds,
             max_vector_length=self.max_vector_length,
-            op_breakdown=vm.log.breakdown(),
+            op_breakdown=log.breakdown(),
             u_natural=self._to_natural(u),
             preconditioner_seconds=precond_seconds,
             outer_seconds=seconds - precond_seconds,

@@ -24,6 +24,7 @@ partition, not on values.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,7 @@ from repro.core.splittings import SSORSplitting
 from repro.driver import build_blocked_system, cell_label
 from repro.fem.model_problems import PlateProblem
 from repro.machines.cells import SchedulePreconditioner, normalize_cell
+from repro.machines.charges import ChargedMachine, ChargeStream, Recording
 from repro.machines.comm import CommLog
 from repro.machines.timing import FEM_1983, ArrayTimingModel
 from repro.machines.topology import Assignment, ProcessorGrid
@@ -68,7 +70,7 @@ class FEMResult:
         )
 
 
-class FiniteElementMachine:
+class FiniteElementMachine(ChargedMachine):
     """The plate problem distributed over a processor array."""
 
     def __init__(
@@ -139,16 +141,13 @@ class FiniteElementMachine:
             self._bwd_words[(p, q)] = [2 * int(per_color[2]), 2 * int(per_color[1])]
 
     def _exchange_phase_time(
-        self, words: dict[tuple[int, int], int], comm: CommLog | None
+        self, words: dict[tuple[int, int], int], comm: CommLog
     ) -> float:
-        """Max over processors of (send + receive) time for one exchange."""
+        """Max over processors of (send + receive) time for one exchange,
+        each record logged on ``comm``."""
         per_proc = np.zeros(self.assignment.n_procs)
         for (p, q), w in words.items():
-            t = (
-                comm.add_record(p, q, w)
-                if comm is not None
-                else self.timing.record_time(w)
-            )
+            t = comm.add_record(p, q, w)
             per_proc[p] += t  # send
             per_proc[q] += t  # matching receive
         return float(per_proc.max()) if per_proc.size else 0.0
@@ -178,89 +177,100 @@ class FiniteElementMachine:
             + phases * self.timing.color_phase_overhead
         )
 
-    def _precond_step_time(self, comm: CommLog | None, width: int = 1) -> float:
-        """One merged Conrad–Wallach step: compute + the 5 border exchanges.
+    # ------------------------------------------------------- recorded stream
+    @functools.cached_property
+    def _stream(self) -> ChargeStream:
+        """The outer charges of a solve, recorded once per segment.
 
-        At ``width > 1`` each border exchange still packages one record per
-        neighbor — the per-record latency amortizes over the block — with
-        ``width`` times the words.
+        Startup: ``K u⁰``, ``r⁰ = f − K u⁰``, then after ``M r̃⁰ = r⁰`` the
+        inner product ``ρ₀``.  Each iteration: ``K p``, ``(p, Kp)``, the
+        ``u`` update with its ``|Δu|`` pass and the flag-network test, the
+        ``r`` update; then after ``M r̃ = r``, ``(r̃, r)`` and the ``p``
+        update.  A converged last iteration stops at the flag test.
         """
-        compute = self._precond_step_compute(width)
-        comm_time = 0.0
-        if self.assignment.n_procs > 1:
-            for event in range(3):  # forward: R, B, G phases
-                words = {
-                    pair: w[event] * width
-                    for pair, w in self._fwd_words.items()
-                    if w[event] > 0
-                }
-                comm_time += self._exchange_phase_time(words, comm)
-            for event in range(2):  # backward pairs
-                words = {
-                    pair: w[event] * width
-                    for pair, w in self._bwd_words.items()
-                    if w[event] > 0
-                }
-                comm_time += self._exchange_phase_time(words, comm)
-        return compute + comm_time
+        return ChargeStream(
+            startup=(self._record("exchange", "matvec", 2), self._record("dot")),
+            iteration=(
+                self._record("exchange", "matvec", "dot", 3, "flag", 2),
+                self._record("dot", 2),
+            ),
+            converged=self._record("exchange", "matvec", "dot", 3, "flag"),
+            kinds=("compute", "comm", "reduction", "flag"),
+        )
 
-    def preconditioner_block_seconds(self, m: int, width: int = 1) -> float:
-        """Modeled seconds of one batched m-step application on ``(n, width)``.
+    def _record(self, *phases) -> Recording:
+        """Charge ``phases`` in order onto a new recording with the traffic
+        they log (``records`` and ``words``, through a :class:`CommLog`).
 
-        The machine analogue of the kernel layer's ``(n, k)`` batched
-        preconditioning: per-phase setup and per-record link latency are
-        charged once per color-block operation, so the per-right-hand-side
-        cost falls as the block widens.
+        A phase is ``"exchange"`` (the border ``p`` components ``K p``
+        needs), ``"matvec"``, ``"dot"`` (local partial sums, then the global
+        reduction), ``"flag"`` (the convergence test) or an int ``k``: a
+        vector update of ``k`` flops per owned unknown.
         """
-        require(m >= 1, "m must be at least 1")
-        require(width >= 1, "width must be at least 1")
-        return m * self._precond_step_time(None, width=width)
-
-    def _outer_phase_times(self, comm: CommLog | None) -> dict[str, float]:
-        """Static per-iteration costs of the outer CG phases."""
+        recording, comm = Recording(), CommLog(self.timing)
         t_flop = self.timing.flop_time
         n_procs = self.assignment.n_procs
         max_owned = max(self._owned)
-        matvec = max(self._matvec_flops) * t_flop
-        exchange = (
-            self._exchange_phase_time(self._kp_exchange_words, comm)
-            if n_procs > 1
-            else 0.0
-        )
-        dot = 2 * max_owned * t_flop + (
-            comm.add_reduction(n_procs, self.reduction)
-            if comm is not None
-            else self.timing.reduction_time(n_procs, self.reduction)
-        )
-        update_delta = 3 * max_owned * t_flop + (
-            comm.add_flag_sync() if comm is not None else self.timing.flag_sync_time
-        )
-        axpy = 2 * max_owned * t_flop
-        return {
-            "exchange": exchange,
-            "matvec": matvec,
-            "dot": dot,
-            "update_delta": update_delta,
-            "axpy": axpy,
-        }
+        for phase in phases:
+            if phase == "exchange":  # 0.0 on one processor: no border pairs
+                words = self._kp_exchange_words
+                recording.charge("comm", self._exchange_phase_time(words, comm))
+            elif phase == "matvec":
+                recording.charge("compute", max(self._matvec_flops) * t_flop)
+            elif phase == "dot":
+                recording.charge("compute", 2 * max_owned * t_flop)
+                recording.charge(
+                    "reduction", comm.add_reduction(n_procs, self.reduction)
+                )
+            elif phase == "flag":
+                recording.charge("flag", comm.add_flag_sync())
+            else:
+                recording.charge("compute", phase * max_owned * t_flop)
+        recording.tally("records", comm.total_records)
+        recording.tally("words", comm.total_words)
+        return recording
 
-    def iteration_costs(self, m: int) -> tuple[float, float]:
-        """(A, B) of the performance model (4.1): T_m = (A + m·B)·N_m.
+    def _application(self, m: int, width: int = 1) -> Recording:
+        """One recorded m-step application on an ``(n, width)`` block.
 
-        A is the outer-iteration cost (exchange, matvec, two inner products,
-        three vector updates, convergence test); B is one preconditioner
-        step.
+        Each merged Conrad–Wallach step is its compute plus the 5 border
+        exchanges.  At ``width > 1`` each exchange still packages one
+        record per neighbor — the per-record latency amortizes over the
+        block — with ``width`` times the words.  The application charges
+        compute and communication once each, summed step by step, and a
+        step's communication as its total less its compute: the rounding
+        the pinned clocks have.
         """
-        phases = self._outer_phase_times(None)
-        a = (
-            phases["exchange"]
-            + phases["matvec"]
-            + 2 * phases["dot"]
-            + phases["update_delta"]
-            + 2 * phases["axpy"]
-        )
-        b = self._precond_step_time(None) if m >= 0 else 0.0
-        return a, b
+
+        def build() -> Recording:
+            recording, comm = Recording(), CommLog(self.timing)
+            compute = self._precond_step_compute(width)
+            exchanges = 0.0  # stays 0.0 on one processor: no border pairs
+            # forward: the R, B and G phases; backward: (Gv, Gu), (Bv, Bu)
+            for events, n_events in ((self._fwd_words, 3), (self._bwd_words, 2)):
+                for event in range(n_events):
+                    words = {
+                        pair: w[event] * width
+                        for pair, w in events.items()
+                        if w[event] > 0
+                    }
+                    exchanges += self._exchange_phase_time(words, comm)
+            step_comm = (compute + exchanges) - compute
+            total_compute = total_comm = 0.0
+            for _ in range(m):
+                total_compute += compute
+                total_comm += step_comm
+            recording.charge("compute", total_compute)
+            recording.charge("comm", total_comm)
+            recording.tally("records", m * comm.total_records)
+            recording.tally("words", m * comm.total_words)
+            return recording
+
+        return self._stream.recorded((m, width), build)
+
+    def _step(self) -> Recording:
+        """One recorded preconditioner step (every step charges alike)."""
+        return self._application(1)
 
     # ------------------------------------------------------------------ solve
     def solve(
@@ -311,93 +321,35 @@ class FiniteElementMachine:
     ) -> FEMResult:
         """Charge one solve's clock and package the :class:`FEMResult`.
 
-        The charge stream is purely structural — it depends only on
+        Replays the recorded stream (:attr:`_stream`): it depends only on
         ``m``, whether a preconditioner ran, the iteration count and the
-        convergence flag — so any execution path that reproduces the
+        convergence flag, so any execution path that reproduces the
         iteration count (the per-cell :meth:`solve` or the one
         ``block_pcg`` of :meth:`solve_schedule`) lands on the
         bitwise-identical clock and communication ledger by construction.
         """
-        iterations = solve.iterations
-        converged = solve.converged
-        comm = CommLog(self.timing)
-        compute_seconds = 0.0
-        comm_seconds = 0.0
-        reduction_seconds = 0.0
-        flag_seconds = 0.0
-        t_flop = self.timing.flop_time
-        n_procs = self.assignment.n_procs
-        max_owned = max(self._owned)
-
-        def charge_exchange() -> float:
-            if n_procs <= 1:
-                return 0.0
-            return self._exchange_phase_time(self._kp_exchange_words, comm)
-
-        def charge_dot() -> tuple[float, float]:
-            partial = 2 * max_owned * t_flop
-            red = comm.add_reduction(n_procs, self.reduction)
-            return partial, red
-
-        step_compute = self._precond_step_compute()
-
-        def charge_precond() -> tuple[float, float]:
-            """Returns (compute seconds, comm seconds) of one application."""
-            if not preconditioned:
-                return 0.0, 0.0
-            total_compute = total_comm = 0.0
-            for _ in range(m):
-                step_total = self._precond_step_time(comm)
-                total_compute += step_compute
-                total_comm += step_total - step_compute
-            return total_compute, total_comm
-
-        # Startup: K u⁰, r⁰ = f − K u⁰, M r̃⁰ = r⁰, p⁰ = r̃⁰, ρ₀.
-        comm_seconds += charge_exchange()
-        compute_seconds += max(self._matvec_flops) * t_flop
-        compute_seconds += 2 * max_owned * t_flop  # r = f − K u
-        pc, pm = charge_precond()
-        compute_seconds += pc
-        comm_seconds += pm
-        partial, red = charge_dot()
-        compute_seconds += partial
-        reduction_seconds += red
-
-        for it in range(1, iterations + 1):
-            final = it == iterations and converged
-            comm_seconds += charge_exchange()
-            compute_seconds += max(self._matvec_flops) * t_flop  # K p
-            partial, red = charge_dot()  # (p, Kp)
-            compute_seconds += partial
-            reduction_seconds += red
-            compute_seconds += 3 * max_owned * t_flop  # u update + |Δu| pass
-            flag_seconds += comm.add_flag_sync()
-            if final:
-                break
-            compute_seconds += 2 * max_owned * t_flop  # r update
-            pc, pm = charge_precond()
-            compute_seconds += pc
-            comm_seconds += pm
-            partial, red = charge_dot()  # (r̃, r)
-            compute_seconds += partial
-            reduction_seconds += red
-            compute_seconds += 2 * max_owned * t_flop  # p update
-
-        seconds = compute_seconds + comm_seconds + reduction_seconds + flag_seconds
+        stream = self._stream
+        log, _ = stream.replay(
+            self._application(m)
+            if preconditioned
+            else stream.recorded("plain CG", Recording),  # r̃ = r charges nothing
+            solve,
+        )
+        seconds = log.seconds
         return FEMResult(
             label=cell_label(m, parametrized),
             m=m,
             parametrized=parametrized,
-            n_procs=n_procs,
-            iterations=iterations,
-            converged=converged,
-            seconds=seconds,
-            compute_seconds=compute_seconds,
-            comm_seconds=comm_seconds,
-            reduction_seconds=reduction_seconds,
-            flag_seconds=flag_seconds,
-            total_records=comm.total_records,
-            total_words=comm.total_words,
+            n_procs=self.assignment.n_procs,
+            iterations=solve.iterations,
+            converged=solve.converged,
+            seconds=log.total_seconds(),
+            compute_seconds=seconds["compute"],
+            comm_seconds=seconds["comm"],
+            reduction_seconds=seconds["reduction"],
+            flag_seconds=seconds["flag"],
+            total_records=log.counts.get("records", 0),
+            total_words=log.counts.get("words", 0),
             u_natural=self.blocked.ordering.unpermute_vector(solve.u),
         )
 

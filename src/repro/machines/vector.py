@@ -18,63 +18,26 @@ length ("the actual updating … is prohibited by the control vector feature
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from repro.kernels import ops as kernel_ops
+from repro.machines.charges import ChargeLog
 from repro.machines.timing import VectorTimingModel
 from repro.util import inner
 
-__all__ = ["VectorMachine", "VectorOpLog"]
-
-
-@dataclass
-class VectorOpLog:
-    """Counts and charged seconds per primitive kind."""
-
-    counts: dict[str, int] = field(default_factory=dict)
-    seconds: dict[str, float] = field(default_factory=dict)
-
-    def charge(self, kind: str, seconds: float) -> None:
-        self.counts[kind] = self.counts.get(kind, 0) + 1
-        self.seconds[kind] = self.seconds.get(kind, 0.0) + seconds
-
-    def total_seconds(self) -> float:
-        return float(sum(self.seconds.values()))
-
-    def breakdown(self) -> dict[str, tuple[int, float]]:
-        return {
-            kind: (self.counts[kind], self.seconds[kind])
-            for kind in sorted(self.counts)
-        }
+__all__ = ["VectorMachine"]
 
 
 class VectorMachine:
-    """Executes vector primitives and accounts their cost."""
+    """Executes vector primitives and accounts their cost on :attr:`log`."""
 
     def __init__(self, timing: VectorTimingModel):
         self.timing = timing
-        self.log = VectorOpLog()
+        self.log = ChargeLog()
 
     # ------------------------------------------------------------- elementwise
     def _charge_vec(self, kind: str, n: int, n_ops: int = 1) -> None:
         self.log.charge(kind, self.timing.vector_op_time(n, n_ops))
-
-    def charge(self, kind: str, n: int, width: int = 1) -> None:
-        """Charge one vector (or ``(n, width)``-block) op without executing it.
-
-        The structural charge-replay entry point: backend-dispatched
-        numerics (the kernel-routed preconditioner of the CYBER simulator)
-        compute outside the machine's primitives, while the charge stream
-        stays exactly that of the paper's algorithm.  Block ops pay a
-        single pipeline startup for the whole ``n·width``-element stream —
-        see :meth:`VectorTimingModel.block_op_time`.
-        """
-        if width == 1:
-            self.log.charge(kind, self.timing.vector_op_time(n))
-        else:
-            self.log.charge(kind, self.timing.block_op_time(n, width))
 
     def add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         self._charge_vec("add", a.shape[0])

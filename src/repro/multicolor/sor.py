@@ -17,7 +17,7 @@ for the SSOR splitting (ω = 1) via the Horner recurrence
 ``r̃ ← G r̃ + P⁻¹ (α_{m−s} r)``, ``s = 1…m``, each step realized as the
 Conrad–Wallach double sweep with right-hand side ``α_{m−s}·r``.  The
 published loop bounds are OCR-damaged in the scan; the version here is the
-mathematically forced one (see DESIGN.md §6.1):
+mathematically forced one:
 
 * backward sweeps run over the interior colors ``nc−2 … 1`` — the last
   color's backward solve has identical inputs to its forward solve, and the

@@ -451,9 +451,9 @@ class SolverSession:
             # Matrix-free problem: no assembled system to lay a machine
             # out on — callers fall back to the default B/A ratio.
             return None
-        if which == "cyber":
-            return PerformanceModel.from_cyber_machine(self.cyber())
-        return PerformanceModel.from_fem_machine(self.fem(1))
+        return PerformanceModel.from_machine(
+            self.cyber() if which == "cyber" else self.fem(1)
+        )
 
     def close(self) -> None:
         """Release this session's shared-memory publications (idempotent).

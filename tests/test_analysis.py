@@ -52,7 +52,7 @@ class TestBlockWidthModel:
         # width 13 = the Table-2 schedule column count — the batched
         # multi-RHS sweep the session runs.
         machine = machines[n_procs]
-        model = PerformanceModel.from_fem_machine(machine, m=3)
+        model = PerformanceModel.from_machine(machine)
         for m in (1, 2, 5):
             assert model.preconditioner_block_time(m, width) == pytest.approx(
                 machine.preconditioner_block_seconds(m, width), rel=1e-12
@@ -60,21 +60,21 @@ class TestBlockWidthModel:
 
     def test_width_one_is_the_paper_model(self, machines):
         machine = machines[5]
-        a, b = machine.iteration_costs(3)
-        model = PerformanceModel.from_fem_machine(machine, m=3)
+        a, b = machine.iteration_costs()
+        model = PerformanceModel.from_machine(machine)
         assert model.a == a and model.b == b
         assert model.step_cost(1) == b
         assert model.predicted_time(3, 20) == (a + 3 * b) * 20
         assert model.b_over_a_at(1) == model.b_over_a
 
     def test_per_rhs_cost_falls_with_width(self, machines):
-        model = PerformanceModel.from_fem_machine(machines[5], m=2)
+        model = PerformanceModel.from_machine(machines[5])
         assert model.amortizes
         per_rhs = [model.step_cost(w) / w for w in (1, 4, 13)]
         assert per_rhs[0] > per_rhs[1] > per_rhs[2] > model.b_marginal
 
     def test_batched_decision_widens_the_threshold(self, machines):
-        model = PerformanceModel.from_fem_machine(machines[5], m=3)
+        model = PerformanceModel.from_machine(machines[5])
         narrow = inequality_42(3, 20, 17, model)
         wide = inequality_42(3, 20, 17, model, width=13)
         assert wide.b_over_a < narrow.b_over_a
@@ -268,7 +268,7 @@ class TestReporting:
 
 class TestCyberCalibratedModel:
     """The CYBER-timing-model calibration (ISSUE 5 satellite):
-    ``PerformanceModel.from_cyber_machine`` mirrors the FEM path."""
+    ``PerformanceModel.from_machine`` calibrates on it as on the FEM."""
 
     @pytest.fixture(scope="class")
     def machine(self):
@@ -291,7 +291,7 @@ class TestCyberCalibratedModel:
         assert one < eight < 8 * one
 
     def test_from_cyber_machine_fields(self, machine):
-        model = PerformanceModel.from_cyber_machine(machine)
+        model = PerformanceModel.from_machine(machine)
         a, b = machine.iteration_costs()
         assert model.a == a and model.b == b
         assert model.amortizes
@@ -302,7 +302,7 @@ class TestCyberCalibratedModel:
         from repro.driver import build_blocked_system, ssor_interval
 
         interval = ssor_interval(build_blocked_system(machine.problem))
-        model = PerformanceModel.from_cyber_machine(machine)
+        model = PerformanceModel.from_machine(machine)
         rec = recommend_m(interval, model, m_max=10, rel_tol=0.05)
         assert 1 <= rec.m <= 10
         wide = recommend_m(interval, model, m_max=10, width=13, rel_tol=0.05)

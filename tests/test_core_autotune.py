@@ -135,7 +135,7 @@ class TestWidthAwareRecommendation:
         problem = plate_problem(8)
         blocked = build_blocked_system(problem)
         machine = FiniteElementMachine(problem, 4, blocked=blocked)
-        model = PerformanceModel.from_fem_machine(machine)
+        model = PerformanceModel.from_machine(machine)
         assert model.amortizes  # per-phase setup amortizes over the block
         rec = recommend_m(
             ssor_interval(blocked), model, m_max=10, width=4, rel_tol=0.05

@@ -161,7 +161,7 @@ class TestCyberBlockedPreconditioning:
         # The block pays exactly the per-op startups of ONE charge stream;
         # the element traffic itself is identical.
         vm = VectorMachine(cyber_machine.timing)
-        cyber_machine._charge_precondition(vm, m, width)
+        cyber_machine._charge_precondition(vm.log, m, width)
         t = cyber_machine.timing
         n_ops = sum(count for count, _ in vm.log.breakdown().values())
         expected_gap = (width - 1) * n_ops * t.startup_elements * t.element_time
@@ -218,7 +218,7 @@ class TestFEMBlockCostModel:
         machine = fem_machines[5]
         m = 3
         assert machine.preconditioner_block_seconds(m, 1) == pytest.approx(
-            m * machine._precond_step_time(None)
+            m * machine.iteration_costs()[1]
         )
 
     @pytest.mark.parametrize("n_procs", [1, 5])

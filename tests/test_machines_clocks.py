@@ -16,8 +16,10 @@ import hashlib
 
 import pytest
 
+import repro.machines.cyber as cyber_module
+import repro.machines.fem_machine as fem_module
 from repro.driver import build_blocked_system
-from repro.machines import CyberMachine, FiniteElementMachine
+from repro.machines import CommLog, CyberMachine, FiniteElementMachine, Recording
 from repro.pipeline import build_scenario
 
 #: Per (a, P), per m = 0 … 6: iterations, then ``seconds``,
@@ -231,7 +233,7 @@ class TestFEMClocks:
     def test_iteration_costs(self, fem):
         key, machine = fem
         a, b, blocks = FEM_COSTS[key]
-        assert machine.iteration_costs(1) == pytest.approx((a, b), rel=1e-12)
+        assert machine.iteration_costs() == pytest.approx((a, b), rel=1e-12)
         for (m, width), seconds in blocks.items():
             assert machine.preconditioner_block_seconds(m, width) == pytest.approx(
                 seconds, rel=1e-12
@@ -254,3 +256,67 @@ class TestCyberClocks:
             assert cyber.preconditioner_block_seconds(m, width) == pytest.approx(
                 seconds, rel=1e-12
             )
+
+
+class TestModelMatchesClock:
+    """A solve's clock is the startup, N − 1 iterations of (A + the
+    m-step application) and the converged last iteration: the model of
+    (4.1) and the clock are read off the same recordings."""
+
+    @pytest.fixture(scope="class")
+    def machines(self, plates, cyber):
+        return {
+            "fem P=1": FiniteElementMachine(plates[6][0], 1, blocked=plates[6][1]),
+            "fem P=4": FiniteElementMachine(plates[20][0], 4, blocked=plates[20][1]),
+            "cyber": cyber,
+        }
+
+    @pytest.mark.parametrize("m", [1, 3])
+    @pytest.mark.parametrize("name", ["fem P=1", "fem P=4", "cyber"])
+    def test_clock_is_startup_plus_iterations(self, machines, name, m):
+        machine = machines[name]
+        result = machine.solve(m)
+        assert result.converged and result.iterations > 1
+        a, _ = machine.iteration_costs()
+        apply = machine.preconditioner_block_seconds(m, 1)
+        stream = machine._stream
+        predicted = (
+            stream.seconds(*stream.startup)
+            + apply
+            + (result.iterations - 1) * (a + apply)
+            + stream.seconds(stream.converged)
+        )
+        assert result.seconds == pytest.approx(predicted, rel=1e-12)
+
+
+class TestWarmMachineRecordsNothing:
+    """A second schedule on a warm machine replays its recordings: it
+    records no segment and (on the FEM) walks no border pair."""
+
+    @pytest.mark.parametrize("kind", ["fem", "cyber"])
+    def test_second_schedule(self, plates, cyber, kind, monkeypatch):
+        if kind == "fem":
+            module = fem_module
+            machine = FiniteElementMachine(plates[20][0], 4, blocked=plates[20][1])
+            clock = fem_clock
+        else:
+            module, machine, clock = cyber_module, cyber, cyber_clock
+        cells = [(m, None) for m in range(4)]
+        first = [clock(r) for r in machine.solve_schedule(cells)]
+
+        recorded, walked = [], []
+        add_record = CommLog.add_record
+
+        class SpyRecording(Recording):
+            def __init__(self):
+                recorded.append(self)
+                super().__init__()
+
+        def spy_add_record(log, *args):
+            walked.append(args)
+            return add_record(log, *args)
+
+        monkeypatch.setattr(module, "Recording", SpyRecording)
+        monkeypatch.setattr(CommLog, "add_record", spy_add_record)
+        assert [clock(r) for r in machine.solve_schedule(cells)] == first
+        assert recorded == [] and walked == []

@@ -134,7 +134,7 @@ class TestAccounting:
     def test_iteration_costs_model(self, machines):
         # A and B feed the (4.1)/(4.2) analysis; both positive, and B/A is
         # order one on this machine (Table 3's single-processor column).
-        a, b = machines[1].iteration_costs(1)
+        a, b = machines[1].iteration_costs()
         assert a > 0 and b > 0
         assert 0.4 < b / a < 2.5
 

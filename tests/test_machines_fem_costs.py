@@ -20,8 +20,8 @@ def blocked(plate):
 
 class TestIterationCosts:
     def test_a_scales_down_with_processors(self, plate, blocked):
-        a1, _ = FiniteElementMachine(plate, 1, blocked=blocked).iteration_costs(1)
-        a5, _ = FiniteElementMachine(plate, 5, blocked=blocked).iteration_costs(1)
+        a1, _ = FiniteElementMachine(plate, 1, blocked=blocked).iteration_costs()
+        a5, _ = FiniteElementMachine(plate, 5, blocked=blocked).iteration_costs()
         # Compute dominates on this machine: A shrinks with P (not ∝ 1/P —
         # reductions and exchanges grow).
         assert a5 < a1
@@ -30,8 +30,8 @@ class TestIterationCosts:
     def test_b_includes_comm_only_for_multiproc(self, plate, blocked):
         m1 = FiniteElementMachine(plate, 1, blocked=blocked)
         m5 = FiniteElementMachine(plate, 5, blocked=blocked)
-        _, b1 = m1.iteration_costs(1)
-        _, b5 = m5.iteration_costs(1)
+        _, b1 = m1.iteration_costs()
+        _, b5 = m5.iteration_costs()
         # Per-step compute shrinks 5×, but the border exchanges keep B₅
         # well above B₁/5.
         assert b5 < b1
@@ -54,7 +54,7 @@ class TestIterationCosts:
         machine = FiniteElementMachine(plate, 2, blocked=blocked)
         m = 2
         res = machine.solve(m, np.ones(m))
-        a_cost, b_cost = machine.iteration_costs(m)
+        a_cost, b_cost = machine.iteration_costs()
         predicted = (a_cost + m * b_cost) * res.iterations
         assert res.seconds == pytest.approx(predicted, rel=0.25)
 

@@ -97,56 +97,22 @@ class MStepPreconditioner:
     def m(self) -> int:
         return int(self.coefficients.size)
 
-    def apply(
-        self,
-        r: np.ndarray,
-        coefficients: np.ndarray | None = None,
-        column_steps=None,
-    ) -> np.ndarray:
+    def apply(self, r: np.ndarray) -> np.ndarray:
         """``M_m⁻¹ r`` via the Horner recurrence.
 
         Accepts a vector ``(n,)`` or a block of right-hand sides ``(n, k)``
-        (applied column-wise in one batched pass).  ``coefficients``
-        optionally overrides the constructor's α schedule for this one
-        application: ``(m',)`` shared by every column, or ``(m', k)``
-        giving each column its own schedule — the step count is the
-        override's own length.  The batched multi-cell machine lockstep
-        sweeps exploit this to run cells of *different* m through one
-        block application: a cell with fewer steps gets its schedule
-        zero-padded at the top, which holds its column at exactly zero
-        (``G·0 + 0·q = 0``) until its own first step, so every column's
-        result stays bit-identical to a solo application of its unpadded
-        schedule.  With padded schedules pass ``column_steps`` (each
-        column's *real* step count): counters then charge every column
-        exactly what its solo application would book — padding steps
-        process only zeros and charge nothing — keeping the per-column
-        counter-reconciliation contract of
-        :func:`repro.core.pcg.block_pcg`.
-        The steady state runs entirely out of preallocated
+        (applied column-wise in one batched pass); counters are charged
+        per column.  The steady state runs entirely out of preallocated
         workspace buffers; the returned array is one of them and stays
         valid until the next ``apply`` call — copy it if it must outlive
         that.
         """
         r = np.asarray(r, dtype=float)
         ncols = 1 if r.ndim == 1 else int(r.shape[1])
-        if coefficients is None:
-            coefficients = self.coefficients
-        else:
-            coefficients = np.asarray(coefficients, dtype=float)
-            require(
-                coefficients.shape[0] >= 1,
-                "per-application coefficients need at least one step",
-            )
-            require(
-                coefficients.ndim == 1
-                or (r.ndim == 2 and coefficients.shape[1] == ncols),
-                "per-column coefficients must match the block's column count",
-            )
-        m = int(coefficients.shape[0])
+        coefficients = self.coefficients
+        m = self.m
         ws = self._workspace
         q = self.splitting.apply_p_inv(r, out=ws.get("q", r.shape))
-        solves = 1
-        matvecs = 0
         rt = ws.get("rt", r.shape)
         np.multiply(q, coefficients[m - 1], out=rt)
         kv = ws.get("kv", r.shape)
@@ -157,30 +123,12 @@ class MStepPreconditioner:
             rt -= gz
             np.multiply(q, coefficients[m - s], out=kv)
             rt += kv
-            solves += 1
-            matvecs += 1
-        if column_steps is not None:
-            column_steps = [int(s) for s in column_steps]
-            require(
-                len(column_steps) == ncols and all(
-                    1 <= s <= m for s in column_steps
-                ),
-                "column_steps needs one real step count in [1, m'] per column",
-            )
-            steps = sum(column_steps)
-            p_solves = sum(column_steps)  # one P⁻¹ per executed real step
-            inner_matvecs = sum(s - 1 for s in column_steps)
-        else:
-            steps = m * ncols
-            p_solves = solves * ncols
-            inner_matvecs = matvecs * ncols
-        self.counter.precond_applications += ncols
-        self.counter.precond_steps += steps
-        self.counter.extra["p_solves"] = (
-            self.counter.extra.get("p_solves", 0) + p_solves
-        )
-        self.counter.extra["inner_matvecs"] = (
-            self.counter.extra.get("inner_matvecs", 0) + inner_matvecs
+        counter = self.counter
+        counter.precond_applications += ncols
+        counter.precond_steps += m * ncols
+        counter.extra["p_solves"] = counter.extra.get("p_solves", 0) + m * ncols
+        counter.extra["inner_matvecs"] = (
+            counter.extra.get("inner_matvecs", 0) + (m - 1) * ncols
         )
         return rt
 

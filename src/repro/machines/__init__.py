@@ -9,7 +9,9 @@ signal-flag network and global reductions on the Finite Element Machine
 (§3.2).  :mod:`repro.machines.timing` documents the calibration.  Each
 machine records its charge stream once per segment
 (:mod:`repro.machines.charges`) and replays it per solve; the model's A and
-B are read off the same recordings.
+B are read off the same recordings.  Both run a schedule through one pass
+(:meth:`ChargedMachine.solve_schedule`) over the same compiled merged sweep
+(:class:`~repro.multicolor.sor.MStepSSOR`).
 """
 
 from repro.machines.cells import normalize_cell

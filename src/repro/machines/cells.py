@@ -1,8 +1,10 @@
 """Schedule cells shared by the machine simulators.
 
 A machine schedule runs as one :func:`repro.core.pcg.block_pcg` whose
-column ``j`` is cell ``j``: :func:`normalize_cell` reads each cell, and
-:class:`SchedulePreconditioner` gives every column its own α schedule.
+column ``j`` is cell ``j``
+(:meth:`repro.machines.charges.ChargedMachine.solve_schedule`):
+:func:`normalize_cell` reads each cell, and :class:`SchedulePreconditioner`
+gives every column its own α schedule.
 """
 
 from __future__ import annotations
@@ -35,38 +37,58 @@ def normalize_cell(m: int, coefficients) -> tuple[np.ndarray | None, bool]:
 class SchedulePreconditioner:
     """``M⁻¹`` of a schedule's :func:`~repro.core.pcg.block_pcg`, column by cell.
 
-    ``keys[j]`` is ``None`` for a plain-CG column (``r̃ = r``).  The active
-    columns that share a key go through one ``sweep(columns, r)`` call,
-    ``r`` being the lone column's ``(n,)`` residual or the group's
-    ``(n, len(columns))`` block; the machine's ``sweep`` looks up each
-    column's α schedule from its index.  There is no ``counter``:
-    ``block_pcg`` would split it evenly over columns of unequal step
-    counts, and the machines charge their own clocks.
+    ``schedules[j]`` is cell ``j``'s α schedule, ``None`` for plain CG
+    (``r̃ = r``).  ``sweep`` is the machine's
+    :class:`~repro.multicolor.sor.MStepSSOR`: a lockstep group's active
+    preconditioned columns go through **one**
+    :meth:`~repro.multicolor.sor.MStepSSOR.apply_schedule` call, with the
+    ``(max m, k)`` α block cut to their longest schedule; a lone column
+    passes its own schedule.  Each shorter schedule is zero-padded at the
+    top, so its column solves only zeros until its own first step, and
+    the sums it stashes for that step are +0: the column is bitwise its
+    solo sweep.  On the ``"reference"`` backend ``sweep`` is the machine's
+    hand-written ``sweep(coefficients, r)`` of one vector, so the
+    preconditioner is not block-capable and ``block_pcg`` hands it each
+    column alone.
+
+    There is no ``counter``: ``block_pcg`` would split it evenly over
+    columns of unequal step counts, and the machines charge their own
+    clocks.
     """
 
-    block_capable = True
     takes_columns = True
 
-    def __init__(self, keys, sweep):
-        self.keys = list(keys)
-        self.sweep = sweep
+    def __init__(self, schedules, sweep):
+        self.schedules = list(schedules)
+        self.steps = [0 if s is None else s.size for s in self.schedules]
+        self.alphas = np.zeros((max(self.steps, default=0), len(self.steps)))
+        for j, s in enumerate(self.schedules):
+            if s is not None:
+                self.alphas[: s.size, j] = s
+        self.block_capable = hasattr(sweep, "apply_schedule")
+        self.sweep = sweep.apply_schedule if self.block_capable else sweep
 
     def apply(self, r: np.ndarray, columns) -> np.ndarray:
         if r.ndim == 1:
             [j] = columns
-            return r.copy() if self.keys[j] is None else self.sweep(columns, r)
-        groups: dict = {}
-        for i, j in enumerate(columns):
-            groups.setdefault(self.keys[j], []).append(i)
-        if len(groups) == 1 and None not in groups:
-            return self.sweep(columns, r)  # one call serves the block
+            return r.copy() if self.steps[j] == 0 else self.sweep(self.schedules[j], r)
+        swept = [i for i, j in enumerate(columns) if self.steps[j]]
+        if len(swept) == len(columns):
+            return self._padded(columns, r)  # one call serves the block
         out = r.copy()  # plain-CG columns keep r̃ = r
-        for key, idx in groups.items():
-            if key is None:
-                continue
-            cols = [columns[i] for i in idx]
-            if len(idx) == 1:
-                out[:, idx[0]] = self.sweep(cols, np.ascontiguousarray(r[:, idx[0]]))
-            else:
-                out[:, idx] = self.sweep(cols, np.take(r, idx, axis=1))
+        if len(swept) == 1:
+            [i] = swept
+            out[:, i] = self.sweep(
+                self.schedules[columns[i]], np.ascontiguousarray(r[:, i])
+            )
+        elif swept:
+            out[:, swept] = self._padded(
+                [columns[i] for i in swept], np.take(r, swept, axis=1)
+            )
         return out
+
+    def _padded(self, columns, r: np.ndarray) -> np.ndarray:
+        """One sweep of ``columns`` with the α block cut to their longest
+        schedule, so no step that none of them reaches is run."""
+        steps = max(self.steps[j] for j in columns)
+        return self.sweep(self.alphas[:steps, columns], r)

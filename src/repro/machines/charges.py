@@ -1,4 +1,4 @@
-"""Recorded charge streams: one source for the simulators' clocks and the model.
+"""Recorded charge streams and the one schedule pass of the machine simulators.
 
 A machine's charges depend on its layout, m, the block width and how a
 solve's last iteration ends, never on the values it computes.  So each
@@ -6,13 +6,21 @@ machine records its charge program once per segment of Algorithm 1
 (:class:`Recording`) and charges a solve by replaying the segments in
 stream order (:meth:`ChargeStream.replay`): each kind's charges are added
 in their recorded order, so the ledger is bitwise a live run's.  The
-model's A and B (:class:`ChargedMachine`) are read off the same recordings.
+model's A and B (:class:`ChargedMachine`) are read off the same
+recordings, and :meth:`ChargedMachine.solve_schedule` is both machines'
+schedule pass: one :func:`~repro.core.pcg.block_pcg` over the machine's
+merged sweep, then one replay per cell.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
+from repro.core.pcg import block_pcg
+from repro.kernels.backend import REFERENCE, resolve_backend
+from repro.machines.cells import SchedulePreconditioner, normalize_cell
 from repro.util import require
 
 __all__ = ["ChargeLog", "Recording", "ChargeStream", "ChargedMachine"]
@@ -89,7 +97,7 @@ class ChargeStream:
     startup: tuple[Recording, Recording]
     iteration: tuple[Recording, Recording]
     converged: Recording
-    breakdown: Recording | None = None
+    breakdown: Recording
     kinds: tuple[str, ...] = ()
     _recorded: dict = field(default_factory=dict, repr=False)
 
@@ -115,11 +123,11 @@ class ChargeStream:
         of the applications, each the clock's difference around it.
 
         A breakdown shows as a ``delta_history`` one short of the
-        iteration count; without a ``breakdown`` segment it ends the solve
-        as a full iteration, as the ``maxiter`` cap does.
+        iteration count; the ``maxiter`` cap ends the solve on a full
+        iteration.
         """
         iterations = solve.iterations
-        if self.breakdown is not None and len(solve.delta_history) < iterations:
+        if len(solve.delta_history) < iterations:
             last = self.breakdown
         else:
             last = self.converged if solve.converged else None
@@ -147,7 +155,60 @@ class ChargedMachine:
     ``_application(m, width)`` (one recorded m-step application on an
     ``(n, width)`` block) and ``_step()`` (one non-final step of it); the
     model is read off them, so it prices exactly the clock a solve charges.
+    For :meth:`solve_schedule` it also provides ``_system()`` (its
+    operator and load), ``_sweep_kernel()`` (its cached
+    :class:`~repro.multicolor.sor.MStepSSOR`),
+    ``_precondition_reference(coefficients, r)`` (Algorithm 2 written out
+    by hand, on one vector) and ``_charged_result(m, parametrized,
+    preconditioned, solve)`` (one cell's replayed record).
     """
+
+    def solve_schedule(
+        self,
+        cells,
+        eps: float = 1e-6,
+        maxiter: int | None = None,
+        backend: str | None = None,
+    ) -> list:
+        """All schedule cells through **one** :func:`~repro.core.pcg.block_pcg`.
+
+        ``cells`` is a sequence of ``(m, coefficients)`` pairs, one per
+        table column (``coefficients`` may be ``None`` for all-ones or
+        plain CG).  Column ``j`` of the block solve is cell ``j`` on the
+        machine's operator and load: each iteration runs one batched
+        product over the active block, and a
+        :class:`~repro.machines.cells.SchedulePreconditioner` sends each
+        lockstep group's active preconditioned cells, whatever their m,
+        through one zero-padded merged sweep of :meth:`_sweep_kernel` —
+        or, on the ``"reference"`` backend, through the hand-written
+        sweep one cell at a time.
+
+        Every batched kernel is per-column bitwise its single-vector form,
+        and each cell's clock is the replay of its charge stream, which
+        depends only on m, the iteration count and how the last iteration
+        ended.  So a cell's record does not depend on which cells share
+        its pass, and a one-cell pass is a per-cell solve.
+        """
+        cells = [(m, *normalize_cell(m, coefficients)) for m, coefficients in cells]
+        sweep = (
+            self._precondition_reference
+            if resolve_backend(backend) == REFERENCE
+            else self._sweep_kernel()
+        )
+        operator, load = self._system()
+        result = block_pcg(
+            operator,
+            np.broadcast_to(load[:, None], (load.size, len(cells))),
+            SchedulePreconditioner([c for _, c, _ in cells], sweep),
+            eps=eps,
+            maxiter=maxiter,
+        )
+        return [
+            self._charged_result(
+                m, parametrized, coefficients is not None, result.column(j)
+            )
+            for j, (m, coefficients, parametrized) in enumerate(cells)
+        ]
 
     def iteration_costs(self) -> tuple[float, float]:
         """(A, B) of the performance model (4.1), ``T_m = (A + m·B)·N_m``:

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from repro.core.pcg import PCGResult, block_pcg
+from repro.core.pcg import PCGResult
 from repro.driver import cell_label
 from repro.fem.model_problems import PlateProblem
 from repro.fem.plane_stress import assemble_plate_full
@@ -41,7 +41,7 @@ from repro.kernels import ops as kernel_ops
 from repro.kernels.backend import REFERENCE, resolve_backend
 from repro.kernels.sweep import mstep_passes
 from repro.kernels.workspace import WorkspacePool
-from repro.machines.cells import SchedulePreconditioner, normalize_cell
+from repro.machines.cells import normalize_cell
 from repro.machines.charges import ChargedMachine, ChargeLog, ChargeStream, Recording
 from repro.machines.diagonals import DiagonalStorage
 from repro.machines.timing import CYBER_203, VectorTimingModel
@@ -471,65 +471,10 @@ class CyberMachine(ChargedMachine):
             vm.log, m, parametrized, iterations, converged, u, precond_seconds
         )
 
-    def solve_schedule(
-        self,
-        cells,
-        eps: float = 1e-6,
-        maxiter: int | None = None,
-        backend: str | None = None,
-    ) -> list[CyberResult]:
-        """All schedule cells through **one** :func:`~repro.core.pcg.block_pcg`.
-
-        ``cells`` is a sequence of ``(m, coefficients)`` pairs — one per
-        Table-2 column (``coefficients`` may be ``None`` for all-ones or
-        plain CG).  Column ``j`` of the block solve is cell ``j``: the
-        machine is the operator, so each iteration runs one matvec by
-        diagonals over the whole active block, and a
-        :class:`~repro.machines.cells.SchedulePreconditioner` runs
-        Algorithm 2 once per distinct m (the per-column-α merged sweep of
-        :meth:`~repro.multicolor.sor.MStepSSOR.apply_schedule`) — or, on
-        the ``"reference"`` backend, the hand-rolled per-color solves once
-        per cell.
-
-        Each cell's clock is then charged structurally
-        (:meth:`_charged_result`).  Every batched kernel is per-column
-        bit-identical to its single-vector form, so iteration counts,
-        modeled clocks, op breakdowns and iterates match per-cell
-        :meth:`solve` calls on the same backend bitwise (the tests and the
-        ``cyber_schedule`` perf gate hold both properties).
-        """
-        backend = resolve_backend(backend)
-        cells = [(m, *normalize_cell(m, coefficients)) for m, coefficients in cells]
-        schedules = [coefficients for _, coefficients, _ in cells]
-
-        def sweep(columns: list[int], r: np.ndarray) -> np.ndarray:
-            if backend == REFERENCE:
-                [j] = columns
-                return self._precondition_reference(schedules[j], r)
-            coefficients = (
-                schedules[columns[0]]
-                if r.ndim == 1
-                else np.stack([schedules[j] for j in columns], axis=1)
-            )
-            return self._sweep_kernel().apply_schedule(coefficients, r)
-
-        keys = [
-            None if s is None else (j if backend == REFERENCE else s.size)
-            for j, s in enumerate(schedules)
-        ]
-        result = block_pcg(
-            self,
-            np.broadcast_to(self.f[:, None], (self.n_padded, len(cells))),
-            SchedulePreconditioner(keys, sweep),
-            eps=eps,
-            maxiter=maxiter,
-        )
-        return [
-            self._charged_result(
-                m, parametrized, coefficients is not None, result.column(j)
-            )
-            for j, (m, coefficients, parametrized) in enumerate(cells)
-        ]
+    def _system(self):
+        """The schedule pass's operator and load: the machine itself (its
+        product by diagonals) and the masked right-hand side."""
+        return self, self.f
 
     def _charged_result(
         self, m: int, parametrized: bool, preconditioned: bool, solve: PCGResult

@@ -1,8 +1,11 @@
 """The Finite Element Machine simulator (§3.2, Table 3).
 
-Executes the m-step multicolor SSOR PCG method exactly as the reference
-solver does — so iteration counts are *identical for any processor count*,
-the property Table 3 exhibits — while charging a lockstep (BSP-style) cost
+Executes the m-step multicolor SSOR PCG method as the session's solves do
+— Algorithm 1 over the blocked system with Algorithm 2's merged sweep
+(:class:`~repro.multicolor.sor.MStepSSOR`), a schedule's cells through one
+lockstep pass (:meth:`~repro.machines.charges.ChargedMachine.solve_schedule`)
+— so iteration counts are *identical for any processor count*, the
+property Table 3 exhibits, while charging a lockstep (BSP-style) cost
 model built from the paper's description of the machine:
 
 * each processor owns a color-balanced rectangle of unconstrained nodes and
@@ -30,15 +33,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.mstep import MStepPreconditioner
+from repro.core.pcg import PCGResult
 from repro.core.splittings import SSORSplitting
 from repro.driver import build_blocked_system, cell_label
 from repro.fem.model_problems import PlateProblem
-from repro.machines.cells import SchedulePreconditioner, normalize_cell
+from repro.kernels.backend import REFERENCE
 from repro.machines.charges import ChargedMachine, ChargeStream, Recording
 from repro.machines.comm import CommLog
 from repro.machines.timing import FEM_1983, ArrayTimingModel
 from repro.machines.topology import Assignment, ProcessorGrid
-from repro.core.pcg import PCGResult, block_pcg, pcg
+from repro.multicolor.sor import MStepSSOR
 from repro.util import require
 
 __all__ = ["FEMResult", "FiniteElementMachine", "speedup_table"]
@@ -91,11 +95,7 @@ class FiniteElementMachine(ChargedMachine):
             grid = ProcessorGrid.for_count(n_procs, problem.mesh)
             self.assignment = Assignment.rectangles(problem.mesh, grid)
         self.blocked = blocked if blocked is not None else build_blocked_system(problem)
-        # Shared splitting applicators of the batched schedule pass, one
-        # per kernel backend — factorized once per machine lifetime so
-        # repeated solve_schedule calls (e.g. through a SolverSession's
-        # cached machine) pay no rebuild.
-        self._schedule_applicators: dict = {}
+        self._merged_sweep: MStepSSOR | None = None
         self._precompute_static_costs()
 
     # -------------------------------------------------------- static costing
@@ -186,7 +186,8 @@ class FiniteElementMachine(ChargedMachine):
         inner product ``ρ₀``.  Each iteration: ``K p``, ``(p, Kp)``, the
         ``u`` update with its ``|Δu|`` pass and the flag-network test, the
         ``r`` update; then after ``M r̃ = r``, ``(r̃, r)`` and the ``p``
-        update.  A converged last iteration stops at the flag test.
+        update.  A converged last iteration stops at the flag test, a
+        broken-down one (``(p, Kp) ≤ 0``) at that inner product.
         """
         return ChargeStream(
             startup=(self._record("exchange", "matvec", 2), self._record("dot")),
@@ -195,6 +196,7 @@ class FiniteElementMachine(ChargedMachine):
                 self._record("dot", 2),
             ),
             converged=self._record("exchange", "matvec", "dot", 3, "flag"),
+            breakdown=self._record("exchange", "matvec", "dot"),
             kinds=("compute", "comm", "reduction", "flag"),
         )
 
@@ -281,40 +283,43 @@ class FiniteElementMachine(ChargedMachine):
         maxiter: int | None = None,
         backend: str | None = None,
     ) -> FEMResult:
-        """Run the method; numerics identical to the reference solver.
+        """One cell: a one-cell :meth:`solve_schedule`.
 
-        Algorithm 1 is :func:`~repro.core.pcg.pcg` with a freshly built
-        :class:`~repro.core.mstep.MStepPreconditioner` over the SSOR
-        splitting, whose triangular solves dispatch on ``backend``: the
-        kernel layer's cached
-        :class:`~repro.kernels.ColorBlockTriangularSolver` sweeps
-        (``"vectorized"``) or the row-sequential ``"reference"`` pin.  The
-        charged clock depends only on the iteration count — which every
-        path reproduces — so the cost model is backend-invariant.  This is
-        the per-cell reference :meth:`solve_schedule` is pinned to.
+        Algorithm 1 runs the merged sweep of :meth:`_sweep_kernel`, or on
+        the ``"reference"`` backend the Horner recurrence of
+        :meth:`_precondition_reference`.  The charged clock depends only
+        on the iteration count, which both reproduce, so the cost model
+        is backend-invariant.
         """
-        coefficients, parametrized = normalize_cell(m, coefficients)
-        preconditioner = None
-        if coefficients is not None:
-            preconditioner = MStepPreconditioner(
-                SSORSplitting(self.blocked.permuted, backend=backend), coefficients
-            )
-        result = pcg(
-            self.blocked.permuted,
-            self._load(),
-            preconditioner=preconditioner,
-            eps=eps,
-            maxiter=maxiter,
-        )
-        return self._charged_result(
-            m, parametrized, preconditioner is not None, result
-        )
+        return self.solve_schedule(
+            [(m, coefficients)], eps=eps, maxiter=maxiter, backend=backend
+        )[0]
 
-    def _load(self) -> np.ndarray:
-        """The plate load in the blocked system's multicolor order."""
-        return self.blocked.ordering.permute_vector(
-            np.asarray(self.problem.f, dtype=float)
-        )
+    def _system(self):
+        """The schedule pass's operator and load: the blocked system and
+        the plate load in its multicolor order."""
+        f = np.asarray(self.problem.f, dtype=float)
+        return self.blocked.permuted, self.blocked.ordering.permute_vector(f)
+
+    def _sweep_kernel(self) -> MStepSSOR:
+        """Algorithm 2's merged sweep over the blocked system, built once;
+        it shares ``blocked.sweep_plan`` with the session's solves."""
+        if self._merged_sweep is None:
+            self._merged_sweep = MStepSSOR(self.blocked, np.ones(1))
+        return self._merged_sweep
+
+    @functools.cached_property
+    def _reference_splitting(self) -> SSORSplitting:
+        return SSORSplitting(self.blocked.permuted, backend=REFERENCE)
+
+    def _precondition_reference(
+        self, coefficients: np.ndarray, r: np.ndarray
+    ) -> np.ndarray:
+        """Algorithm 2 as the Horner recurrence of (2.6) over the SSOR
+        splitting: m − 1 products with ``K`` and m row-sequential ``P⁻¹``
+        solves — the paper-faithful pin the merged sweep is tested
+        against."""
+        return MStepPreconditioner(self._reference_splitting, coefficients).apply(r)
 
     def _charged_result(
         self, m: int, parametrized: bool, preconditioned: bool, solve: PCGResult
@@ -322,11 +327,9 @@ class FiniteElementMachine(ChargedMachine):
         """Charge one solve's clock and package the :class:`FEMResult`.
 
         Replays the recorded stream (:attr:`_stream`): it depends only on
-        ``m``, whether a preconditioner ran, the iteration count and the
-        convergence flag, so any execution path that reproduces the
-        iteration count (the per-cell :meth:`solve` or the one
-        ``block_pcg`` of :meth:`solve_schedule`) lands on the
-        bitwise-identical clock and communication ledger by construction.
+        ``m``, whether a preconditioner ran, the iteration count and how
+        the last iteration ended, so a cell's clock and communication
+        ledger are the same whichever cells share its pass.
         """
         stream = self._stream
         log, _ = stream.replay(
@@ -352,88 +355,6 @@ class FiniteElementMachine(ChargedMachine):
             total_words=log.counts.get("words", 0),
             u_natural=self.blocked.ordering.unpermute_vector(solve.u),
         )
-
-    def _schedule_applicator(self, backend: str | None) -> MStepPreconditioner:
-        """The cached shared applicator of :meth:`solve_schedule`.
-
-        Every application overrides the coefficient schedule, so one
-        factorized SSOR splitting per backend serves any mix of cells and
-        any m.
-        """
-        if backend not in self._schedule_applicators:
-            self._schedule_applicators[backend] = MStepPreconditioner(
-                SSORSplitting(self.blocked.permuted, backend=backend),
-                np.ones(1),
-            )
-        return self._schedule_applicators[backend]
-
-    def solve_schedule(
-        self,
-        cells,
-        eps: float = 1e-6,
-        maxiter: int | None = None,
-        backend: str | None = None,
-    ) -> list[FEMResult]:
-        """All schedule cells through **one** :func:`~repro.core.pcg.block_pcg`.
-
-        The Finite Element Machine analogue of
-        :meth:`repro.machines.cyber.CyberMachine.solve_schedule`:
-        ``cells`` is a sequence of ``(m, coefficients)`` pairs — one per
-        Table-3 row (``coefficients`` may be ``None`` for all-ones or
-        plain CG).  Column ``j`` of the block solve is cell ``j``: each
-        iteration runs one batched ``K``-product over the active block,
-        and *all* active preconditioned cells — whatever their m — run
-        through **one** application of the machine's cached splitting
-        applicator (:meth:`~repro.core.mstep.MStepPreconditioner.apply`
-        with an ``(m, k)`` per-column coefficient block, ``m`` the longest
-        active schedule, smaller-m schedules zero-padded at the top so
-        their columns sit at exactly zero until their own first Horner
-        step; a lone cell runs its schedule unpadded).
-
-        Numerics per cell are bit-identical to :meth:`solve`'s — every
-        batched kernel is per-column bitwise equal to its single-vector
-        form — and the clock is charged through the same structural
-        replay (:meth:`_charged_result`), so iteration counts, charged
-        seconds, communication ledgers and iterates all match the
-        per-cell path bitwise (pinned in the tests and gated as
-        ``fem_schedule`` in ``BENCH_kernels.json``).
-        """
-        cells = [(m, *normalize_cell(m, coefficients)) for m, coefficients in cells]
-        schedules = [coefficients for _, coefficients, _ in cells]
-        steps = [0 if s is None else s.size for s in schedules]
-        max_m = max(steps, default=0)
-        padded = np.zeros((max_m, len(cells)))
-        for j, s in enumerate(schedules):
-            if s is not None:
-                padded[: s.size, j] = s
-        precond = self._schedule_applicator(backend) if max_m else None
-
-        def sweep(columns: list[int], r: np.ndarray) -> np.ndarray:
-            if r.ndim == 1:
-                return precond.apply(r, coefficients=schedules[columns[0]])
-            active = [steps[j] for j in columns]
-            # Padding rows no active column reaches are skipped: the
-            # Horner then runs only the longest active schedule's steps.
-            return precond.apply(
-                r, coefficients=padded[: max(active), columns], column_steps=active
-            )
-
-        n = self.blocked.n
-        result = block_pcg(
-            self.blocked.permuted,
-            np.broadcast_to(self._load()[:, None], (n, len(cells))),
-            SchedulePreconditioner(
-                [None if s is None else 0 for s in schedules], sweep
-            ),
-            eps=eps,
-            maxiter=maxiter,
-        )
-        return [
-            self._charged_result(
-                m, parametrized, coefficients is not None, result.column(j)
-            )
-            for j, (m, coefficients, parametrized) in enumerate(cells)
-        ]
 
 
 def speedup_table(results_by_procs: dict[int, FEMResult]) -> dict[int, float]:

@@ -217,12 +217,14 @@ class MStepSSOR:
 
         ``coefficients`` is ``(m,)`` — one schedule for every right-hand
         side — or ``(m, k)`` for an ``(n, k)`` block ``r`` whose columns
-        carry *different* schedules of the same length (the batched
-        Table-2 cells of :meth:`repro.machines.cyber.CyberMachine
-        .solve_schedule`).  The α's enter only through the per-step
-        ``α·r`` product, column by column, so each column's arithmetic is
-        bit-identical to a single-vector application with its own
-        schedule.
+        carry *different* schedules (the batched Table-2 and Table-3 cells
+        of :meth:`repro.machines.charges.ChargedMachine.solve_schedule`).
+        The α's enter only through the per-step ``α·r`` product, column by
+        column, so each column's arithmetic is bit-identical to a
+        single-vector application with its own schedule.  A shorter
+        schedule zero-padded at the top is too: its column solves only
+        zeros until its own first step, and the sums stashed for that
+        step land on a zero accumulator, so they are +0.
         """
         return apply_sweep(
             self, self.blocked.sweep_plan, load_native(), coefficients, r

@@ -721,10 +721,10 @@ class SolverSession:
         bitwise identical to per-cell
         :meth:`~repro.machines.fem_machine.FiniteElementMachine.solve`
         calls in iteration counts, charged clocks, communication ledgers
-        and iterates.  The pass runs the machine's own realization, an
-        m-step Horner over its SSOR splitting (the same operator as the
-        merged sweep); the machine caches its factorized splitting and
-        the session caches the machine, so repeated runs rebuild
+        and iterates.  The pass runs the merged sweep over the session's
+        blocked system (one zero-padded sweep per lockstep group, off the
+        sweep plan the session's own solves use); the machine caches its
+        sweep and the session caches the machine, so repeated runs rebuild
         nothing.  ``timing`` and ``reduction`` configure the
         machine as in :meth:`fem`, on both paths.
         """
@@ -768,7 +768,7 @@ class SolverSession:
     ):
         """One FEM-simulator cell: a one-cell lockstep schedule pass.
 
-        Runs on the session's cached machine, whose factorized splitting
+        Runs on the session's cached machine, whose one merged sweep
         serves every cell and every m, so repeated cells rebuild nothing.
         """
         self._require_machine_plan()

@@ -325,43 +325,6 @@ class TestResultObject:
         assert block.k == 2
         assert str(block)
 
-    def test_padded_block_apply_matches_solos_and_counters(self, system):
-        # The machine lockstep's shared-applicator trick: one apply over
-        # cells of different m via top-zero-padded schedules, results AND
-        # counters per column identical to solo applications.
-        from repro.core.mstep import MStepPreconditioner
-        from repro.core.splittings import SSORSplitting
-
-        _, blocked = system
-        rng = np.random.default_rng(21)
-        R = np.ascontiguousarray(rng.normal(size=(blocked.n, 2)))
-        short = np.array([1.3, 0.4])          # m = 2
-        long = np.array([1.0, 0.9, 0.5, 0.2])  # m = 4
-        padded = np.zeros((4, 2))
-        padded[:2, 0] = short
-        padded[:, 1] = long
-
-        shared = MStepPreconditioner(
-            SSORSplitting(blocked.permuted), np.ones(1)
-        )
-        out = np.array(
-            shared.apply(R, coefficients=padded, column_steps=[2, 4])
-        )
-        expected_counts = None
-        for j, schedule in enumerate((short, long)):
-            solo = MStepPreconditioner(
-                SSORSplitting(blocked.permuted), schedule
-            )
-            col = solo.apply(np.ascontiguousarray(R[:, j]))
-            assert np.array_equal(out[:, j], col)
-            if expected_counts is None:
-                expected_counts = solo.counter.as_dict()
-            else:
-                for key, value in solo.counter.as_dict().items():
-                    expected_counts[key] = expected_counts.get(key, 0) + value
-        # Padding steps processed only zeros and charged nothing.
-        assert shared.counter.as_dict() == expected_counts
-
     def test_u0_broadcast_and_block(self, system):
         _, blocked = system
         F = _rhs_block(blocked, ncols=2, seed=15)

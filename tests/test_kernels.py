@@ -966,3 +966,18 @@ class TestPerfReportCLI:
             {"host": host}, {"host": other}
         ) == [f"cpu_count: {host['cpu_count']!r} → {host['cpu_count'] + 2!r}"]
         assert perf_report.fingerprint_differences({"host": host}, {"host": host}) == []
+
+    def test_committed_targets_are_read_off_its_rows(self):
+        """The committed baseline's ``targets`` block is exactly what the
+        report computes from its own rows, so no re-recorded row can leave
+        a stale ratio or verdict behind."""
+        import json
+        from pathlib import Path
+
+        perf_report = self._perf_report()
+        baseline = json.loads(
+            (Path(__file__).parent.parent / "BENCH_kernels.json").read_text()
+        )
+        assert baseline["targets"] == perf_report.compute_targets(
+            baseline["results"], baseline["host"], baseline["config"]
+        )

@@ -8,12 +8,15 @@ compared bitwise through ``float.hex``.  The model quantities (A, B and the
 batched preconditioner cost) are pinned at 1e-12 relative: they are sums
 of the same charges, and may be summed in another order.
 
-Problems: plate a = 6 is the ``repro table3`` problem; a = 20 is the
-Table-2/3 mesh the batched passes are timed on.
+Problems: plate a = 6 is the ``repro table3`` problem (and, unloaded, the
+FEM's breakdown ending); a = 20 is the Table-2/3 mesh the batched passes
+are timed on.
 """
 
+import dataclasses
 import hashlib
 
+import numpy as np
 import pytest
 
 import repro.machines.cyber as cyber_module
@@ -157,6 +160,16 @@ FEM_COSTS = {
     }),
 }
 
+#: Per P, the unloaded plate a = 6 at m = 3 (:func:`fem_clock`).  With
+#: ``f = 0``, ``(p, Kp) = 0`` stops iteration 1: the breakdown ending, which
+#: charges ``K p`` with its border exchange and that one inner product.
+FEM_BREAKDOWN_CLOCKS = {
+    1: (1, "0x1.4ef9db22d0e55p+2", "0x1.4ef9db22d0e55p+2", "0x0.0p+0",
+        "0x0.0p+0", "0x0.0p+0", 0, 0),
+    4: (1, "0x1.163bcd35a8586p+1", "0x1.ca3d70a3d70a2p+0", "0x1.5de69ad42c3c9p-2",
+        "0x1.5810624dd2f1bp-5", "0x0.0p+0", 140, 336),
+}
+
 #: The same quantities for the CYBER of :data:`CYBER_CLOCKS`.
 CYBER_COSTS = (0.0004442000000000001, 0.0003866400000000006, {
     (1, 1): 0.0003955200000000001,
@@ -238,6 +251,23 @@ class TestFEMClocks:
             assert machine.preconditioner_block_seconds(m, width) == pytest.approx(
                 seconds, rel=1e-12
             )
+
+
+class TestFEMBreakdownClock:
+    @pytest.mark.parametrize("n_procs", sorted(FEM_BREAKDOWN_CLOCKS))
+    def test_unloaded_plate(self, plates, n_procs):
+        problem, blocked = plates[6]
+        unloaded = dataclasses.replace(problem, f=np.zeros(problem.n))
+        machine = FiniteElementMachine(unloaded, n_procs, blocked=blocked)
+        result = machine.solve(3)
+        assert result.converged  # ρ = 0: the zero load is solved exactly
+        assert fem_clock(result) == FEM_BREAKDOWN_CLOCKS[n_procs]
+        stream = machine._stream
+        assert result.seconds == pytest.approx(
+            stream.seconds(stream.startup[0], machine._application(3),
+                           stream.startup[1], stream.breakdown),
+            rel=1e-12,
+        )
 
 
 class TestCyberClocks:

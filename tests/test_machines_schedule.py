@@ -15,8 +15,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-import repro.machines.cyber as cyber_module
-import repro.machines.fem_machine as fem_module
+import repro.machines.charges as charges_module
 from repro.driver import (
     TABLE2_EPS,
     TABLE3_SCHEDULE,
@@ -25,6 +24,7 @@ from repro.driver import (
     ssor_interval,
 )
 from repro.machines import CyberMachine, FiniteElementMachine
+from repro.machines.cells import SchedulePreconditioner
 from repro.machines.spmd import SPMDSolver
 from repro.machines.topology import Assignment, ProcessorGrid
 from repro.pipeline import SolverPlan, SolverSession, build_scenario
@@ -151,22 +151,22 @@ class TestScheduleIsOneBlockPCG:
         problem, blocked, _ = plate
         interval = ssor_interval(blocked)
         return {
-            "cyber": (cyber_module, CyberMachine(problem)),
-            "fem": (fem_module, FiniteElementMachine(problem, 2, blocked=blocked)),
+            "cyber": CyberMachine(problem),
+            "fem": FiniteElementMachine(problem, 2, blocked=blocked),
         }, _mixed_cells(interval)
 
     @pytest.mark.parametrize("kind", ["cyber", "fem"])
     def test_one_block_pcg_call(self, machines, kind, monkeypatch):
         by_kind, cells = machines
-        module, machine = by_kind[kind]
+        machine = by_kind[kind]
         widths = []
-        real = module.block_pcg
+        real = charges_module.block_pcg
 
         def spy(k, F, *args, **kwargs):
             widths.append(F.shape[1])
             return real(k, F, *args, **kwargs)
 
-        monkeypatch.setattr(module, "block_pcg", spy)
+        monkeypatch.setattr(charges_module, "block_pcg", spy)
         results = machine.solve_schedule(cells, eps=EPS)
         assert widths == [len(cells)]  # one call, every cell a column
         _assert_records_equal(
@@ -174,9 +174,39 @@ class TestScheduleIsOneBlockPCG:
         )
 
     @pytest.mark.parametrize("kind", ["cyber", "fem"])
+    def test_one_sweep_per_batched_application(self, machines, kind, monkeypatch):
+        # Every application of the schedule's preconditioner makes exactly
+        # one apply_schedule call, whatever the active cells' m: the
+        # padded α block serves the group (plain-CG cells need none).
+        by_kind, cells = machines
+        machine = by_kind[kind]
+        sweep = machine._sweep_kernel()
+        real_apply = SchedulePreconditioner.apply
+        real_sweep = sweep.apply_schedule
+        calls = []
+
+        def spy_apply(self, r, columns):
+            calls.append((list(columns), []))
+            return real_apply(self, r, columns)
+
+        def spy_sweep(coefficients, r):
+            calls[-1][1].append(np.shape(coefficients))
+            return real_sweep(coefficients, r)
+
+        monkeypatch.setattr(SchedulePreconditioner, "apply", spy_apply)
+        monkeypatch.setattr(sweep, "apply_schedule", spy_sweep)
+        machine.solve_schedule(cells, eps=EPS)
+        steps = [m for m, _ in cells]
+        for columns, sweeps in calls:
+            assert len(sweeps) == any(steps[j] for j in columns)
+        # The startup sweeps all four preconditioned cells, m = 2 and 3,
+        # with one (3, 4) α block, the m = 2 schedules zero-padded.
+        assert calls[0] == ([0, 1, 2, 3, 4], [(3, 4)])
+
+    @pytest.mark.parametrize("kind", ["cyber", "fem"])
     def test_maxiter_cap_on_preconditioned_cells(self, machines, kind):
         by_kind, cells = machines
-        _, machine = by_kind[kind]
+        machine = by_kind[kind]
         capped = machine.solve_schedule(cells, eps=1e-14, maxiter=3)
         assert all(r.iterations == 3 and not r.converged for r in capped)
         _assert_records_equal(
@@ -207,6 +237,54 @@ class TestScheduleIsOneBlockPCG:
         _assert_records_equal(
             broken, [machine.solve(m, c, eps=EPS) for m, c in cells]
         )
+
+
+class TestSchedulePreconditioner:
+    """Plain-CG and mixed-m columns: each column of an application is its
+    solo sweep, or the copy of ``r`` for a plain-CG cell."""
+
+    SCHEDULES = [None, [1.0, 1.0], None, [0.7, 1.2, 0.4], [1.3], [0.9, 1.1]]
+
+    @pytest.fixture(scope="class")
+    def fem(self, plate):
+        problem, blocked, _ = plate
+        return FiniteElementMachine(problem, 1, blocked=blocked)
+
+    @pytest.mark.parametrize("columns", [
+        [0, 1, 2, 3, 4, 5],  # every kind of column
+        [1, 3, 4, 5],  # preconditioned only, m = 1 … 3
+        [1, 5],  # one m: no padding
+        [0, 3, 2],  # a lone sweep among plain-CG columns
+        [0, 2],  # no sweep at all
+        [3],
+        [0],
+    ])
+    @pytest.mark.parametrize("backend", ["vectorized", "reference"])
+    def test_columns_are_solo_sweeps_or_copies(self, fem, backend, columns):
+        schedules = [None if s is None else np.array(s) for s in self.SCHEDULES]
+        sweep = (
+            fem._precondition_reference if backend == "reference" else fem._sweep_kernel()
+        )
+        solo = getattr(sweep, "apply_schedule", sweep)
+        precond = SchedulePreconditioner(schedules, sweep)
+        # The reference sweeps take one vector: block_pcg hands them each
+        # column alone.
+        assert precond.block_capable == (backend == "vectorized")
+        r = np.random.default_rng(len(columns)).normal(size=(fem.blocked.n, len(columns)))
+        per_column = [
+            np.array(precond.apply(np.ascontiguousarray(r[:, i]), [j]))
+            for i, j in enumerate(columns)
+        ]
+        batched = (
+            np.array(precond.apply(r, columns))
+            if precond.block_capable and len(columns) > 1
+            else np.column_stack(per_column)
+        )
+        for i, j in enumerate(columns):
+            column = np.ascontiguousarray(r[:, i])
+            expected = column if schedules[j] is None else np.array(solo(schedules[j], column))
+            for got in (batched[:, i], per_column[i]):
+                assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 
 class TestCyberTable2Iterations:

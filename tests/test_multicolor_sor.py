@@ -457,3 +457,39 @@ class TestCompiledSweep:
         # A few hundred bytes of ctypes argument objects; any pooled
         # buffer rebuilt would be at least one column (n · 8 bytes).
         assert peak - base < blocked.n * 8
+
+
+class TestZeroPaddedSchedule:
+    """Cells of different m in one sweep, as the machine schedules run them.
+
+    Each shorter α schedule is zero-padded at the top of the ``(m, k)``
+    block.  A padded column solves only zeros until its own first step, and
+    every sum it stashes for that step lands on a zero accumulator, so it
+    is +0 and subtracts exactly: each column is bitwise its solo sweep of
+    the unpadded schedule, on both the compiled walker and its numpy twin,
+    signed zeros in ``r`` included.
+    """
+
+    @pytest.mark.parametrize("path", ["compiled", "numpy"])
+    @pytest.mark.parametrize("name", ["plate", "cyber-a12"])
+    @pytest.mark.parametrize("k", [2, 5, 8, 12])
+    def test_each_column_is_its_solo_sweep(self, k, name, path, monkeypatch):
+        blocked = SWEEP_SYSTEMS[name]()
+        rng = np.random.default_rng(k)
+        steps = [1 + (3 * j) % 5 for j in range(k)]  # m = 1 … 5, mixed
+        schedules = [rng.uniform(-0.5, 1.5, size=m) for m in steps]
+        alphas = np.zeros((max(steps), k))
+        for j, schedule in enumerate(schedules):
+            alphas[: schedule.size, j] = schedule
+        r = rng.normal(size=(blocked.n, k))
+        r[rng.random(r.shape) < 0.2] = 0.0
+        r[rng.random(r.shape) < 0.1] = -0.0
+        if path == "compiled":
+            _native_or_skip()
+            sweep = MStepSSOR(blocked, np.ones(1))
+        else:
+            sweep = _fallback(blocked, np.ones(1), monkeypatch)
+        padded = np.array(sweep.apply_schedule(alphas, r))
+        for j, schedule in enumerate(schedules):
+            solo = sweep.apply_schedule(schedule, np.ascontiguousarray(r[:, j]))
+            assert np.array_equal(padded[:, j].view(np.uint64), solo.view(np.uint64))

@@ -278,12 +278,12 @@ class TestSessionMachines:
         )
         first = session.fem_solve(3, True, n_procs=5)
         machine = session.fem(5)
-        [splitting] = machine._schedule_applicators.values()
+        sweep = machine._sweep_kernel()
         session.fem_solve(2, True, n_procs=5)
         second = session.fem_solve(3, True, n_procs=5)
         assert session.stats.machine_builds == 1  # one layout serves all
-        # One factorized splitting serves every cell and every m.
-        assert list(machine._schedule_applicators.values()) == [splitting]
+        # One merged sweep serves every cell and every m.
+        assert machine._sweep_kernel() is sweep
         assert first.iterations == second.iterations
         assert first.seconds == second.seconds
         assert np.array_equal(first.u_natural, second.u_natural)
@@ -570,9 +570,9 @@ class TestPerColumnCoefficientKernels:
         coeffs = np.column_stack([np.ones(2), [0.5, 2.0], [1.3, 0.1]])
         sweep = machine._sweep_kernel()
         # A copy: the sweep's result is pooled, valid until its next apply.
-        block = SchedulePreconditioner(
-            [2, 2, 2], lambda cols, rr: sweep.apply_schedule(coeffs[:, cols], rr)
-        ).apply(r, columns=[0, 1, 2]).copy()
+        block = SchedulePreconditioner(coeffs.T, sweep).apply(
+            r, columns=[0, 1, 2]
+        ).copy()
         for col in range(3):
             single = sweep.apply_schedule(coeffs[:, col], r[:, col].copy())
             assert np.max(np.abs(block[:, col] - single)) == 0.0

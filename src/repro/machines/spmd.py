@@ -16,14 +16,18 @@ data the way Section 3.2 describes and runs per-processor code:
   forward sweep, and after the Gu and Bu solves in the backward sweep
   (same-node couplings are always processor-local, which is why the R pair
   never needs a backward re-send);
-* inner products are computed as per-processor partials reduced in rank
-  order — a deterministic simulation of the machine's global sum.
+* inner products are computed as per-processor partials added one at a
+  time in rank order — a deterministic simulation of the machine's global
+  sum that does not depend on how the interpreter sums a sequence.
 
+:meth:`SPMDSolver.solve` runs one cell of Algorithm 1 on per-processor
+vectors and books every transfer on a :class:`MessageLedger` of its own.
 Because local row kernels sum their columns in a *different order* than the
 global solver, iterates agree with the reference only to roundoff; the
-test-suite pins iteration counts within ±2 and solutions to ~1e-6, and —
-more importantly — cross-validates the *measured* message ledger against
-the static counts the FiniteElementMachine cost model charges.
+test-suite pins iteration counts within ±2 and solutions to ~1e-6, pins
+each solve's iteration count and ledger as literals, and — more
+importantly — cross-validates the *measured* message ledger against the
+static counts the FiniteElementMachine cost model charges.
 """
 
 from __future__ import annotations
@@ -70,25 +74,6 @@ class SPMDResult:
     u_natural: np.ndarray
     ledger: MessageLedger
     n_procs: int
-
-
-class _SPMDCellState:
-    """Per-cell running state of a batched :meth:`SPMDSolver.solve_schedule`."""
-
-    __slots__ = (
-        "m", "coefficients", "padded", "ledger", "ud", "rd", "rtd", "pd",
-        "rho", "iterations", "converged",
-    )
-
-    def __init__(self, m: int, coefficients: np.ndarray | None):
-        self.m = m
-        self.coefficients = coefficients
-        self.padded = None  # α schedule zero-padded to the batch's max m
-        self.ledger = MessageLedger()
-        self.ud = self.rd = self.rtd = self.pd = None
-        self.rho = 0.0
-        self.iterations = 0
-        self.converged = False
 
 
 class _Plan:
@@ -148,7 +133,6 @@ class SPMDSolver:
         self.local_k: list[sp.csr_matrix] = []
         self.local_col_groups: list[np.ndarray] = []
         self.local_diag: list[np.ndarray] = []
-        self.row_groups: list[np.ndarray] = []
         self.rows_of_group: list[list[np.ndarray]] = []
         for p in range(n_procs):
             owned = self.owned_idx[p]
@@ -171,7 +155,6 @@ class SPMDSolver:
             )
             self.local_diag.append(permuted[owned][:, owned].diagonal().copy())
             rg = groups_mc[owned]
-            self.row_groups.append(rg)
             self.rows_of_group.append(
                 [np.flatnonzero(rg == c) for c in range(self.nc)]
             )
@@ -181,7 +164,6 @@ class SPMDSolver:
         for p in range(n_procs):
             per_color: list[dict[int, sp.csr_matrix]] = []
             col_groups = self.local_col_groups[p]
-            owned_count = self.owned_idx[p].size
             for c in range(self.nc):
                 rows_c = self.rows_of_group[p][c]
                 row_block = self.local_k[p][rows_c]
@@ -242,11 +224,9 @@ class SPMDSolver:
             out[idx] = xd[p]
         return out
 
-    def new_halos(self, width: int | None = None) -> list[np.ndarray]:
-        """Fresh halo buffers: ``(halo,)`` vectors or ``(halo, width)`` blocks."""
-        if width is None:
-            return [np.zeros(idx.size) for idx in self.halo_idx]
-        return [np.zeros((idx.size, width)) for idx in self.halo_idx]
+    def new_halos(self) -> list[np.ndarray]:
+        """Fresh ``(halo,)`` buffers, one per processor."""
+        return [np.zeros(idx.size) for idx in self.halo_idx]
 
     def exchange(
         self,
@@ -254,19 +234,15 @@ class SPMDSolver:
         halos: list[np.ndarray],
         kind: str,
         groups=None,
-        ledgers=None,
+        ledger: MessageLedger | None = None,
     ) -> None:
         """Fill halo buffers from owners; optionally only some color groups.
 
-        ``xd``/``halos`` may hold ``(owned,)`` vectors or ``(owned, k)``
-        blocks (the batched lockstep schedule).  ``ledgers`` names the
-        :class:`MessageLedger`\\ s to book the transfer on — by default the
-        solver's own; the batched passes hand in one ledger per live cell
-        so each cell's account matches a solo solve's bitwise (a cell is
-        charged its own words, not the block's).
+        Every transfer is booked on ``ledger`` — by default the solver's
+        own; a solve hands in the ledger of its result.
         """
-        if ledgers is None:
-            ledgers = (self.ledger,)
+        if ledger is None:
+            ledger = self.ledger
         for plan in self.plans:
             if groups is None:
                 src_sel = plan.src_local
@@ -280,13 +256,15 @@ class SPMDSolver:
                 dst_sel = plan.dst_halo[mask]
                 count = int(np.count_nonzero(mask))
             halos[plan.dst][dst_sel] = xd[plan.src][src_sel]
-            for ledger in ledgers:
-                ledger.log(kind, plan.src, plan.dst, count)
+            ledger.log(kind, plan.src, plan.dst, count)
 
     def matvec(
-        self, xd: list[np.ndarray], halos: list[np.ndarray], ledgers=None
+        self,
+        xd: list[np.ndarray],
+        halos: list[np.ndarray],
+        ledger: MessageLedger | None = None,
     ) -> list[np.ndarray]:
-        self.exchange(xd, halos, kind="p_exchange", ledgers=ledgers)
+        self.exchange(xd, halos, kind="p_exchange", ledger=ledger)
         out = []
         for p in range(self.n_procs):
             local = (
@@ -297,8 +275,12 @@ class SPMDSolver:
 
     def dot(self, xd: list[np.ndarray], yd: list[np.ndarray]) -> float:
         # Each processor's partial is the fixed-order local dot; the
-        # partials then add in rank order.
-        return float(sum(inner(xd[p], yd[p]) for p in range(self.n_procs)))
+        # partials then add one at a time in rank order (builtin ``sum``
+        # compensates float sums from Python 3.12 on).
+        total = 0.0
+        for p in range(self.n_procs):
+            total += inner(xd[p], yd[p])
+        return total
 
     def axpy(self, alpha: float, xd, yd) -> list[np.ndarray]:
         return [yd[p] + alpha * xd[p] for p in range(self.n_procs)]
@@ -311,21 +293,16 @@ class SPMDSolver:
         )
 
     # -------------------------------------------------------------- m-step SSOR
-    def _solve_color(self, p, c, x_sum, y_c, alpha, rd, rt_local):
+    def _solve_color(self, p, c, x_sum, y_c, alpha, rd):
         rows_c = self.rows_of_group[p][c]
-        if rows_c.size == 0:
-            return np.empty((0,) + rd[p].shape[1:])
-        rhs = x_sum + y_c + alpha * rd[p][rows_c]
-        diag = self.local_diag[p][rows_c]
-        return rhs / (diag if rhs.ndim == 1 else diag[:, None])
+        return (x_sum + y_c + alpha * rd[p][rows_c]) / self.local_diag[p][rows_c]
 
     def _row_sum(self, p, c, rt_full, js) -> np.ndarray:
         # The same per-color accumulation the kernel layer's color-block
         # sweeps run, here over each processor's local sub-blocks: scipy's
         # compiled CSR matvec accumulates straight into the sum (identical
         # arithmetic to `acc += block @ x`, one temporary less per block).
-        rows_c = self.rows_of_group[p][c]
-        acc = np.zeros((rows_c.size,) + rt_full.shape[1:])
+        acc = np.zeros(self.rows_of_group[p][c].size)
         for j in js:
             block = self.sweep_blocks[p][c].get(j)
             if block is not None:
@@ -336,57 +313,32 @@ class SPMDSolver:
         self,
         coefficients: np.ndarray,
         rd: list[np.ndarray],
-        ledgers=None,
-        column_steps=None,
+        ledger: MessageLedger | None = None,
     ) -> list[np.ndarray]:
         """Distributed Algorithm 3 (merged Conrad–Wallach sweeps).
 
-        ``rd`` holds per-processor ``(owned,)`` vectors — one residual —
-        or ``(owned, k)`` blocks (``k`` cells advancing in lockstep), with
-        ``coefficients`` then ``(m,)`` shared or ``(m, k)`` per-column.
-        Cells of different m batch by zero-padding their schedules at the
-        top: a padded column's state stays exactly zero until its own
-        first step, so every column is bit-identical to a solo sweep.
-        ``ledgers`` (one per column) books each exchange on the cells it
-        belongs to; ``column_steps`` gives each column's *real* step count
-        so padding steps — which move only zeros — charge nothing to the
-        cells still waiting (their solo runs never performed them).
+        ``rd`` holds one residual as per-processor ``(owned,)`` vectors and
+        ``coefficients`` its ``(m,)`` α schedule; every exchange is booked
+        on ``ledger`` (see :meth:`exchange`).
         """
         nc = self.nc
         coefficients = np.asarray(coefficients, dtype=float)
         m = coefficients.shape[0]
         n_procs = self.n_procs
-        tail = rd[0].shape[1:] if rd else ()
-        width = tail[0] if tail else None
         rt = [np.zeros_like(rd[p]) for p in range(n_procs)]
-        halos = self.new_halos(width)
+        halos = self.new_halos()
         # rt_full[p]: local [owned | halo] view of r̃, refreshed lazily.
         rt_full = [
             np.concatenate([rt[p], halos[p]]) if halos[p].size else rt[p].copy()
             for p in range(n_procs)
         ]
         y = [
-            [
-                np.zeros((self.rows_of_group[p][c].size,) + tail)
-                for c in range(nc)
-            ]
+            [np.zeros(self.rows_of_group[p][c].size) for c in range(nc)]
             for p in range(n_procs)
         ]
 
-        def step_ledgers(s):
-            """The ledgers of the cells whose sweep is live at step ``s``."""
-            if ledgers is None or column_steps is None:
-                return ledgers
-            return [
-                ledger
-                for ledger, steps in zip(ledgers, column_steps)
-                if s > m - steps
-            ]
-
-        def refresh(groups, kind, s):
-            self.exchange(
-                rt, halos, kind=kind, groups=groups, ledgers=step_ledgers(s)
-            )
+        def refresh(groups, kind):
+            self.exchange(rt, halos, kind=kind, groups=groups, ledger=ledger)
             for p in range(n_procs):
                 owned_count = self.owned_idx[p].size
                 if halos[p].size:
@@ -401,39 +353,31 @@ class SPMDSolver:
             rt_full[p][rows_c] = values
 
         for s in range(1, m + 1):
-            alpha = coefficients[m - s]
-            if coefficients.ndim == 1:
-                alpha = float(alpha)
+            alpha = float(coefficients[m - s])
             # ---- forward sweep, exchanging after each node-color pair ----
             for c in range(nc):
                 for p in range(n_procs):
                     x = -self._row_sum(p, c, rt_full[p], range(c))
-                    values = self._solve_color(p, c, x, y[p][c], alpha, rd, rt)
-                    set_color(p, c, values)
+                    set_color(p, c, self._solve_color(p, c, x, y[p][c], alpha, rd))
                     y[p][c] = x
                 if c % 2 == 1:  # node-color pair (c−1, c) complete
-                    refresh(groups=[c - 1, c], kind="precond_fwd", s=s)
+                    refresh(groups=[c - 1, c], kind="precond_fwd")
             # ---- backward sweep over interior colors -------------------
             for c in range(nc - 2, 0, -1):
                 for p in range(n_procs):
                     x = -self._row_sum(p, c, rt_full[p], range(c + 1, nc))
-                    values = self._solve_color(p, c, x, y[p][c], alpha, rd, rt)
-                    set_color(p, c, values)
+                    set_color(p, c, self._solve_color(p, c, x, y[p][c], alpha, rd))
                     y[p][c] = x
                 if c % 2 == 0:  # after Gu (c = nc−2) and Bu (c = 2) solves
-                    refresh(groups=[c, c + 1], kind="precond_bwd", s=s)
+                    refresh(groups=[c, c + 1], kind="precond_bwd")
             for p in range(n_procs):
-                y[p][nc - 1] = np.zeros(
-                    (self.rows_of_group[p][nc - 1].size,) + tail
-                )
+                y[p][nc - 1] = np.zeros(self.rows_of_group[p][nc - 1].size)
             # ---- first color: close the step or prepare the next -------
             for p in range(n_procs):
                 x = -self._row_sum(p, 0, rt_full[p], range(1, nc))
                 if s == m:
                     rows_0 = self.rows_of_group[p][0]
-                    diag = self.local_diag[p][rows_0]
-                    rhs = x + alpha * rd[p][rows_0]
-                    values = rhs / (diag if rhs.ndim == 1 else diag[:, None])
+                    values = (x + alpha * rd[p][rows_0]) / self.local_diag[p][rows_0]
                     set_color(p, 0, values)
                 else:
                     y[p][0] = x
@@ -447,146 +391,56 @@ class SPMDSolver:
         eps: float = 1e-6,
         maxiter: int | None = None,
     ) -> SPMDResult:
-        """One cell: a one-cell :meth:`solve_schedule` with its own ledger."""
-        return self.solve_schedule([(m, coefficients)], eps=eps, maxiter=maxiter)[0]
+        """Algorithm 1 for one ``(m, coefficients)`` cell, distributed.
 
-    def solve_schedule(
-        self,
-        cells,
-        eps: float = 1e-6,
-        maxiter: int | None = None,
-    ) -> list[SPMDResult]:
-        """All schedule cells through **one** distributed lockstep pass.
-
-        The SPMD analogue of the CYBER and Finite Element Machine
-        ``solve_schedule`` passes: ``cells`` is a sequence of
-        ``(m, coefficients)`` pairs, every cell's Algorithm 1 advancing
-        one outer iteration per pass.  The still-active cells' direction
-        vectors are stacked into per-processor ``(owned, k)`` blocks for
-        one batched halo exchange + local product, and all preconditioned
-        cells share **one** distributed Algorithm-3 sweep per iteration
-        (per-column α schedules, smaller m zero-padded — see
-        :meth:`precondition`).  Each cell owns a
-        :class:`MessageLedger`; batched exchanges book each cell exactly
-        the words it would move alone, so a cell's iteration count,
-        iterate and message ledger do not depend on which cells share
-        its pass — :meth:`solve` is the one-cell case (pinned in the
-        tests).
+        Every vector lives as per-processor pieces, inner products are
+        rank-order reductions (:meth:`dot`) and the stop test is the flag
+        network's max of local maxima (:meth:`inf_norm`).  The result owns
+        a fresh :class:`MessageLedger`: a second solve on the same solver
+        reports its own traffic, not a running total.
         """
-        states: list[_SPMDCellState] = []
-        for m, coefficients in cells:
-            coefficients, _ = normalize_cell(m, coefficients)
-            states.append(_SPMDCellState(m, coefficients))
-        max_m = max((st.m for st in states if st.m >= 1), default=0)
-        for st in states:
-            if st.m >= 1:
-                st.padded = np.zeros(max_m)
-                st.padded[: st.m] = st.coefficients
-
+        coefficients, _ = normalize_cell(m, coefficients)
+        ledger = MessageLedger()
         n_procs = self.n_procs
         f_mc = self.ordering.permute_vector(np.asarray(self.problem.f, dtype=float))
         maxiter = maxiter if maxiter is not None else 5 * self.n + 100
 
-        def precondition_cells(active: list[_SPMDCellState]) -> None:
-            pre = []
-            for st in active:
-                if st.m == 0:
-                    st.rtd = [x.copy() for x in st.rd]
-                else:
-                    pre.append(st)
-            if not pre:
-                return
-            if len(pre) == 1:
-                st = pre[0]
-                st.rtd = self.precondition(
-                    st.coefficients, st.rd, ledgers=[st.ledger]
-                )
-                return
-            rd_block = [
-                np.stack([st.rd[p] for st in pre], axis=1)
-                for p in range(n_procs)
-            ]
-            coeffs = np.stack([st.padded for st in pre], axis=1)
-            rt_block = self.precondition(
-                coeffs,
-                rd_block,
-                ledgers=[st.ledger for st in pre],
-                column_steps=[st.m for st in pre],
-            )
-            for i, st in enumerate(pre):
-                st.rtd = [
-                    np.ascontiguousarray(rt_block[p][:, i])
-                    for p in range(n_procs)
-                ]
+        def precondition(rd):
+            if m == 0:
+                return [x.copy() for x in rd]
+            return self.precondition(coefficients, rd, ledger=ledger)
 
-        # Startup: u⁰ = 0, r⁰ = f, r̃⁰ = M⁻¹r⁰, p⁰ = r̃⁰, ρ₀ — Algorithm 1's
-        # per-cell sequence.
-        for st in states:
-            fd = self.scatter(f_mc)
-            st.ud = [np.zeros_like(x) for x in fd]
-            st.rd = [x.copy() for x in fd]
-        precondition_cells(states)
-        for st in states:
-            st.pd = [x.copy() for x in st.rtd]
-            st.rho = self.dot(st.rtd, st.rd)
+        # Startup: u⁰ = 0, r⁰ = f, r̃⁰ = M⁻¹r⁰, p⁰ = r̃⁰, ρ₀.
+        rd = self.scatter(f_mc)
+        ud = [np.zeros_like(x) for x in rd]
+        rtd = precondition(rd)
+        pd = [x.copy() for x in rtd]
+        rho = self.dot(rtd, rd)
 
-        active = list(states)
-        for iteration in range(1, maxiter + 1):
-            if not active:
+        iterations, converged = 0, False
+        for iterations in range(1, maxiter + 1):
+            kpd = self.matvec(pd, self.new_halos(), ledger=ledger)
+            denom = self.dot(pd, kpd)
+            if denom <= 0.0:
+                converged = rho == 0.0
                 break
-            if len(active) == 1:
-                st = active[0]
-                halos = self.new_halos()
-                kpd_cols = [self.matvec(st.pd, halos, ledgers=[st.ledger])]
-            else:
-                p_block = [
-                    np.stack([st.pd[p] for st in active], axis=1)
-                    for p in range(n_procs)
-                ]
-                halos = self.new_halos(len(active))
-                kp_block = self.matvec(
-                    p_block, halos, ledgers=[st.ledger for st in active]
-                )
-                kpd_cols = [
-                    [
-                        np.ascontiguousarray(kp_block[p][:, i])
-                        for p in range(n_procs)
-                    ]
-                    for i in range(len(active))
-                ]
-            survivors: list[_SPMDCellState] = []
-            for st, kpd in zip(active, kpd_cols):
-                denom = self.dot(st.pd, kpd)
-                if denom <= 0.0:
-                    st.iterations = iteration
-                    st.converged = st.rho == 0.0
-                    continue
-                alpha = st.rho / denom
-                stepd = [alpha * st.pd[p] for p in range(n_procs)]
-                st.ud = self.axpy(1.0, stepd, st.ud)
-                delta = self.inf_norm(stepd)
-                st.iterations = iteration
-                if delta < eps:
-                    st.converged = True
-                    continue
-                st.rd = self.axpy(-alpha, kpd, st.rd)
-                survivors.append(st)
-            if survivors:
-                precondition_cells(survivors)
-                for st in survivors:
-                    rho_new = self.dot(st.rtd, st.rd)
-                    beta = rho_new / st.rho
-                    st.rho = rho_new
-                    st.pd = self.axpy(beta, st.pd, st.rtd)
-            active = survivors
+            alpha = rho / denom
+            stepd = [alpha * pd[p] for p in range(n_procs)]
+            ud = self.axpy(1.0, stepd, ud)
+            if self.inf_norm(stepd) < eps:
+                converged = True
+                break
+            rd = self.axpy(-alpha, kpd, rd)
+            rtd = precondition(rd)
+            rho_new = self.dot(rtd, rd)
+            beta = rho_new / rho
+            rho = rho_new
+            pd = self.axpy(beta, pd, rtd)
 
-        return [
-            SPMDResult(
-                iterations=st.iterations,
-                converged=st.converged,
-                u_natural=self.ordering.unpermute_vector(self.gather(st.ud)),
-                ledger=st.ledger,
-                n_procs=n_procs,
-            )
-            for st in states
-        ]
+        return SPMDResult(
+            iterations=iterations,
+            converged=converged,
+            u_natural=self.ordering.unpermute_vector(self.gather(ud)),
+            ledger=ledger,
+            n_procs=n_procs,
+        )

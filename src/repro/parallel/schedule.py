@@ -10,7 +10,8 @@ per-cell ``solve``, because the cells never interact numerically (the
 batching is per-column-bitwise).  That same contract makes the schedule
 shardable: any partition of the cells, run through ``solve_schedule`` on
 any machine instance laid out from the same problem, reproduces the exact
-per-cell records.  Here the partitions run on worker processes.
+per-cell records.  Here the partitions run on worker processes, one
+contiguous chunk of cells per worker.
 
 Workers receive a picklable :class:`ScheduleShard` — the *problem* plus
 machine parameters, never a live machine — lay the machine out once, cache
@@ -90,22 +91,9 @@ def run_schedule_shard(shard: ScheduleShard):
     return list(zip(shard.indices, results))
 
 
-def _chunk(cells, workers: int, group: int | None = None) -> list[tuple[int, ...]]:
-    """Contiguous index chunks: one per worker, or ``group`` cells each.
-
-    ``group`` is the within-pass axis of the 2-D shard grid: every chunk
-    becomes one lockstep ``solve_schedule`` pass whose *columns* are its
-    cells, so ``group`` bounds the column count of each pass while the
-    worker fan-out spreads the passes across processes.  ``None`` keeps
-    the 1-D behavior — one balanced chunk per worker.
-    """
+def _chunk(cells, workers: int) -> list[tuple[int, ...]]:
+    """Contiguous, balanced index chunks: one per worker."""
     n = len(cells)
-    if group is not None:
-        require(group >= 1, "group (cells per lockstep pass) must be at least 1")
-        return [
-            tuple(range(start, min(start + group, n)))
-            for start in range(0, n, group)
-        ]
     shards = effective_workers(workers, n)
     bounds = np.linspace(0, n, shards + 1).astype(int)
     return [
@@ -121,7 +109,6 @@ def sharded_schedule(
     machine: str = "cyber",
     *,
     workers: int = 1,
-    group: int | None = None,
     eps: float = 1e-6,
     maxiter: int | None = None,
     n_procs: int = 1,
@@ -138,17 +125,10 @@ def sharded_schedule(
     to a single-process ``solve_schedule`` over the full list — the
     clocks/op-ledger reconciliation contract those passes already pin.
 
-    ``group`` opens the second sharding axis: a lockstep
-    ``solve_schedule`` pass treats its cells as the *columns* of one
-    batched solve, so ``(workers, group)`` is a 2-D shard grid — column
-    groups of ``group`` cells inside each pass, fanned across ``workers``
-    processes (more passes than workers is legal and load-balances).
-    Because the per-cell records are partition-invariant, every grid
-    reproduces the single-pass records bitwise; the tests pin CYBER and
-    FEM grids.
-
-    ``workers=1`` with no ``group`` builds one machine inline and runs
-    the ordinary pass.  The problem object must be picklable (every
+    Each worker runs its contiguous chunk of cells as one lockstep pass,
+    which splits a chunk wider than :data:`repro.kernels.BLOCK_WIDTH`
+    into lockstep groups.  ``workers=1`` builds one machine inline and
+    runs the ordinary pass.  The problem object must be picklable (every
     :class:`~repro.pipeline.ProblemSpec` product is).
     """
     require(machine in MACHINE_KINDS, f"machine must be one of {MACHINE_KINDS}")
@@ -159,7 +139,7 @@ def sharded_schedule(
         f"{matrix_token(problem)}:{machine}:{n_procs}:{reduction}:"
         f"{backend!r}:{timing!r}"
     )
-    chunks = _chunk(cells, workers, group)
+    chunks = _chunk(cells, workers)
     shards = [
         ScheduleShard(
             token=token,

@@ -669,7 +669,6 @@ class SolverSession:
         maxiter: int | None = None,
         timing=None,
         workers: int = 1,
-        group: int | None = None,
     ):
         """The plan's full schedule on the CYBER simulator.
 
@@ -686,17 +685,15 @@ class SolverSession:
         its own machine from the pickled problem and runs its cell chunk
         through ``solve_schedule``, whose partition-invariant per-cell
         contract keeps every record bitwise identical to the
-        single-process pass.  ``group`` bounds the cells per lockstep
-        pass — the ``(workers, group)`` 2-D shard grid of
-        :func:`repro.parallel.sharded_schedule`.
+        single-process pass.
         """
         self._require_machine_plan()
         cells = self.schedule_cells()
         eps = eps if eps is not None else self.plan.eps
-        if workers > 1 or group is not None:
+        if workers > 1:
             return sharded_schedule(
                 self.problem, cells, machine="cyber", workers=workers,
-                group=group, eps=eps, maxiter=maxiter, timing=timing,
+                eps=eps, maxiter=maxiter, timing=timing,
                 backend=self.plan.backend,
             )
         return self.cyber(timing).solve_schedule(
@@ -709,14 +706,13 @@ class SolverSession:
         eps: float | None = None,
         maxiter: int | None = None,
         workers: int = 1,
-        group: int | None = None,
         timing=None,
         reduction: str = "software",
     ):
         """The plan's full schedule on the Finite Element Machine.
 
         The FEM analogue of :meth:`run_cyber_schedule`, sharded the same
-        way by ``workers``/``group``: one lockstep pass
+        way by ``workers``: one lockstep pass
         (:meth:`~repro.machines.fem_machine.FiniteElementMachine.solve_schedule`)
         bitwise identical to per-cell
         :meth:`~repro.machines.fem_machine.FiniteElementMachine.solve`
@@ -731,10 +727,10 @@ class SolverSession:
         self._require_machine_plan()
         cells = self.schedule_cells()
         eps = eps if eps is not None else self.plan.eps
-        if workers > 1 or group is not None:
+        if workers > 1:
             return sharded_schedule(
                 self.problem, cells, machine="fem", workers=workers,
-                group=group, eps=eps, maxiter=maxiter, n_procs=n_procs,
+                eps=eps, maxiter=maxiter, n_procs=n_procs,
                 backend=self.plan.backend, timing=timing, reduction=reduction,
             )
         return self.fem(n_procs, timing, reduction).solve_schedule(

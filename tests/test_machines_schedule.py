@@ -3,11 +3,11 @@
 ``FiniteElementMachine.solve_schedule`` runs the whole Table-3 schedule
 through one batched pass with per-cell clocks, communication ledgers and
 iterates **bitwise identical** to the per-cell ``solve`` path, across
-every cell; ``SPMDSolver.solve_schedule`` does the same for the real
-distributed engine, down to the per-cell message ledgers.  The CYBER and
-FEM passes are each one ``block_pcg`` call plus a structural charge, and
-stay bitwise their per-cell ``solve`` through the ends of a solve that a
-converging schedule never reaches: a breakdown and the ``maxiter`` cap.
+every cell.  The CYBER and FEM passes are each one ``block_pcg`` call
+plus a structural charge, and stay bitwise their per-cell ``solve``
+through the ends of a solve that a converging schedule never reaches: a
+breakdown and the ``maxiter`` cap.  (The SPMD engine solves one cell at a
+time; its solves are pinned in ``tests/test_machines_spmd.py``.)
 """
 
 import dataclasses
@@ -25,8 +25,6 @@ from repro.driver import (
 )
 from repro.machines import CyberMachine, FiniteElementMachine
 from repro.machines.cells import SchedulePreconditioner
-from repro.machines.spmd import SPMDSolver
-from repro.machines.topology import Assignment, ProcessorGrid
 from repro.pipeline import SolverPlan, SolverSession, build_scenario
 
 EPS = 1e-6
@@ -337,59 +335,3 @@ class TestSessionFEMSchedule:
         assert [r.iterations for r in results] == [r.iterations for r in vec]
         for a, b in zip(results, vec):
             assert a.seconds == b.seconds  # charged clock is structural
-
-
-class TestSPMDSolveSchedule:
-    @pytest.fixture(scope="class")
-    def distributed(self, plate):
-        problem, blocked, cells = plate
-        grid = ProcessorGrid.for_count(4, problem.mesh)
-        assignment = Assignment.rectangles(problem.mesh, grid)
-        return problem, blocked, assignment, cells
-
-    @pytest.fixture(scope="class")
-    def results(self, distributed):
-        problem, blocked, assignment, cells = distributed
-        solver = SPMDSolver(problem, assignment, blocked=blocked)
-        solos = [solver.solve(m, c, eps=EPS) for m, c in cells]
-        return solos, solver.solve_schedule(cells, eps=EPS)
-
-    def test_iterations_and_iterates_bitwise(self, results):
-        solos, batched = results
-        for so, b in zip(solos, batched):
-            assert b.iterations == so.iterations
-            assert b.converged == so.converged
-            assert np.array_equal(b.u_natural, so.u_natural)
-
-    def test_message_ledgers_bitwise(self, results):
-        # Each cell's ledger must book exactly what its solo solve moved —
-        # a batched exchange charges each live cell its own words only.
-        solos, batched = results
-        for so, b in zip(solos, batched):
-            assert b.ledger.words_by_kind == so.ledger.words_by_kind
-            assert b.ledger.words_by_pair == so.ledger.words_by_pair
-            assert b.ledger.messages == so.ledger.messages
-
-    def test_single_cell_schedule_matches_solve(self, distributed):
-        problem, blocked, assignment, _ = distributed
-        solo = SPMDSolver(problem, assignment, blocked=blocked).solve(
-            3, np.ones(3), eps=EPS
-        )
-        [batched] = SPMDSolver(
-            problem, assignment, blocked=blocked
-        ).solve_schedule([(3, np.ones(3))], eps=EPS)
-        assert batched.iterations == solo.iterations
-        assert np.array_equal(batched.u_natural, solo.u_natural)
-        assert batched.ledger.words_by_kind == solo.ledger.words_by_kind
-
-    def test_consecutive_solves_report_equal_ledgers(self, distributed):
-        # Every result owns its ledger: a second solve on the same solver
-        # reports its own traffic, not the running total of both.
-        problem, blocked, assignment, _ = distributed
-        solver = SPMDSolver(problem, assignment, blocked=blocked)
-        first = solver.solve(2, np.ones(2), eps=EPS)
-        second = solver.solve(2, np.ones(2), eps=EPS)
-        assert first.ledger is not second.ledger
-        assert second.ledger.words_by_kind == first.ledger.words_by_kind
-        assert second.ledger.words_by_pair == first.ledger.words_by_pair
-        assert second.ledger.messages == first.ledger.messages

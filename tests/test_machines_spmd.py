@@ -96,6 +96,28 @@ class TestDistributedCorrectness:
         assert sim.converged
         assert sim.ledger.total_words == 0
 
+    def test_consecutive_solves_report_equal_ledgers(self, plate, blocked):
+        # Every result owns its ledger: a second solve on the same solver
+        # reports its own traffic, not the running total of both.
+        solver = make_solver(plate, blocked, 4)
+        first = solver.solve(2, np.ones(2), eps=1e-6)
+        second = solver.solve(2, np.ones(2), eps=1e-6)
+        assert first.ledger is not second.ledger
+        assert second.ledger.words_by_kind == first.ledger.words_by_kind
+        assert second.ledger.words_by_pair == first.ledger.words_by_pair
+        assert second.ledger.messages == first.ledger.messages
+
+    def test_dot_adds_rank_partials_in_order(self, plate, blocked):
+        # The partials 1e16, 1 and −1e16 fold left to right to 0.0; a
+        # compensated sum (builtin ``sum`` from Python 3.12 on) gives 1.0,
+        # so the reduction would depend on the interpreter.
+        solver = make_solver(plate, blocked, 3)
+        xd = [np.zeros(idx.size) for idx in solver.owned_idx]
+        for p, partial in enumerate((1e16, 1.0, -1e16)):
+            xd[p][0] = partial
+        yd = [np.ones(idx.size) for idx in solver.owned_idx]
+        assert solver.dot(xd, yd) == 0.0
+
 
 class TestLedgerCrossValidation:
     """Measured SPMD traffic == static counts charged by the cost model."""
@@ -148,6 +170,7 @@ class TestLedgerCrossValidation:
         # may shift the stopping iteration by one at most.
         assert max(iters) - min(iters) <= 1
 
+
 #: Literal α of the non-unit m = 3 cell.  It sits near the plate's fitted
 #: parametrized schedule but is typed in, so no least-squares fit (whose
 #: bits depend on the BLAS kernel) can move a pin.
@@ -158,26 +181,11 @@ ALPHA3 = (1.2474, -2.4682, 8.6942)
 #: ``messages`` of one :meth:`SPMDSolver.solve` at ε = 1e-6.
 SOLVE_PINS = {
     (6, (1, 1)): {
-        ("m0", None): (
-            47, True, {},
-            {}, 0,
-        ),
-        ("m1", None): (
-            21, True, {},
-            {}, 0,
-        ),
-        ("m3", None): (
-            13, True, {},
-            {}, 0,
-        ),
-        ("m3-alpha", None): (
-            10, True, {},
-            {}, 0,
-        ),
-        ("m3-alpha", 4): (
-            4, False, {},
-            {}, 0,
-        ),
+        ("m0", None): (47, True, {}, {}, 0),
+        ("m1", None): (21, True, {}, {}, 0),
+        ("m3", None): (13, True, {}, {}, 0),
+        ("m3-alpha", None): (10, True, {}, {}, 0),
+        ("m3-alpha", 4): (4, False, {}, {}, 0),
     },
     (6, (2, 1)): {
         ("m0", None): (

@@ -1,9 +1,7 @@
-"""Property tests: the SPMD engine across arbitrary processor grids."""
+"""The SPMD engine across every processor grid in a range, exhaustively."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro import plate_problem
 from repro.driver import build_blocked_system, solve_mstep_ssor
@@ -22,8 +20,8 @@ def blocked(plate):
 
 
 class TestArbitraryGrids:
-    @given(st.integers(1, 3), st.integers(1, 4))
-    @settings(max_examples=8, deadline=None)
+    @pytest.mark.parametrize("pcols", [1, 2, 3, 4])
+    @pytest.mark.parametrize("prows", [1, 2, 3])
     def test_any_grid_solves(self, plate, blocked, prows, pcols):
         grid = ProcessorGrid(prows, pcols)
         assignment = Assignment.rectangles(plate.mesh, grid)
@@ -33,8 +31,8 @@ class TestArbitraryGrids:
         resid = np.max(np.abs(plate.f - plate.k @ sim.u_natural))
         assert resid < 1e-5
 
-    @given(st.integers(1, 3), st.integers(1, 3))
-    @settings(max_examples=6, deadline=None)
+    @pytest.mark.parametrize("pcols", [1, 2, 3])
+    @pytest.mark.parametrize("prows", [1, 2, 3])
     def test_matvec_exact_on_any_grid(self, plate, blocked, prows, pcols):
         grid = ProcessorGrid(prows, pcols)
         assignment = Assignment.rectangles(plate.mesh, grid)
@@ -46,8 +44,9 @@ class TestArbitraryGrids:
             blocked.permuted @ x, rel=1e-12, abs=1e-12
         )
 
-    @given(st.integers(2, 3), st.integers(2, 3), st.integers(1, 4))
-    @settings(max_examples=6, deadline=None)
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("pcols", [2, 3])
+    @pytest.mark.parametrize("prows", [2, 3])
     def test_precondition_matches_reference_on_2d_grids(
         self, plate, blocked, prows, pcols, m
     ):

@@ -17,8 +17,6 @@ operator alike:
   behavior).
 * **Start methods** — the transport attaches by name, so ``spawn``
   reproduces the ``fork`` results bitwise (``REPRO_START_METHOD``).
-* **2-D shard grid** — ``(workers, group)`` partitions of the CYBER and
-  FEM schedule cells reproduce the single-pass records bitwise.
 * **Failure surfacing** — a crashed shard re-raises with the failing
   spec's token and columns, not an anonymous pool traceback.
 """
@@ -48,11 +46,9 @@ from repro.parallel import (
     run_shard,
     run_tasks,
     sharded_block_pcg,
-    sharded_schedule,
     shutdown_pools,
 )
 from repro.parallel import shards, shm
-from repro.parallel.schedule import _chunk
 from repro.parallel.shards import matrix_token
 from repro.pipeline import (
     SolverPlan,
@@ -543,56 +539,3 @@ class TestFailureSurfacing:
         assert "doomed-token" in message
         assert "columns=[0, 1]" in message
         assert "ShardSpec" in message
-
-
-# ------------------------------------------------------------- 2-D grid
-class Test2DShardGrid:
-    @pytest.fixture(scope="class")
-    def schedule_session(self):
-        problem = build_scenario("plate", nrows=8)
-        session = SolverSession(problem, plan=SolverPlan.table3(eps=1e-6))
-        return session, session.schedule_cells()
-
-    def test_chunk_group_bounds_cells_per_pass(self):
-        cells = list(range(7))
-        chunks = _chunk(cells, workers=2, group=3)
-        assert chunks == [(0, 1, 2), (3, 4, 5), (6,)]
-        # Without group: one balanced chunk per worker.
-        assert _chunk(cells, workers=2) == [(0, 1, 2), (3, 4, 5, 6)]
-
-    @pytest.mark.parametrize("grid", ((2, 1), (2, 2), (4, 3)))
-    def test_cyber_grid_bitwise(self, schedule_session, grid):
-        session, cells = schedule_session
-        workers, group = grid
-        direct = session.cyber().solve_schedule(cells, eps=1e-6)
-        sharded = sharded_schedule(
-            session.problem, cells, machine="cyber",
-            workers=workers, group=group, eps=1e-6,
-        )
-        for a, b in zip(sharded, direct):
-            assert a.iterations == b.iterations
-            assert a.seconds == b.seconds
-            assert a.op_breakdown == b.op_breakdown
-            assert np.array_equal(a.u_natural, b.u_natural)
-
-    def test_fem_grid_bitwise(self, schedule_session):
-        session, cells = schedule_session
-        direct = session.fem(2).solve_schedule(cells, eps=1e-6)
-        sharded = sharded_schedule(
-            session.problem, cells, machine="fem",
-            workers=2, group=2, eps=1e-6, n_procs=2,
-        )
-        for a, b in zip(sharded, direct):
-            assert a.iterations == b.iterations
-            assert a.seconds == b.seconds
-            assert a.comm_seconds == b.comm_seconds
-            assert np.array_equal(a.u_natural, b.u_natural)
-
-    def test_session_schedule_group_passthrough(self, schedule_session):
-        session, _ = schedule_session
-        direct = session.run_cyber_schedule()
-        gridded = session.run_cyber_schedule(workers=2, group=2)
-        assert [r.seconds for r in gridded] == [r.seconds for r in direct]
-        fem_direct = session.run_fem_schedule(n_procs=2)
-        fem_grid = session.run_fem_schedule(n_procs=2, workers=2, group=2)
-        assert [r.seconds for r in fem_grid] == [r.seconds for r in fem_direct]

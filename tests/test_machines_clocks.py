@@ -10,7 +10,9 @@ of the same charges, and may be summed in another order.
 
 Problems: plate a = 6 is the ``repro table3`` problem (and, unloaded, the
 FEM's breakdown ending); a = 20 is the Table-2/3 mesh the batched passes
-are timed on.
+are timed on; a = 12 is the CYBER's, whose iterates are pinned by digest
+along with its three endings (converged, broken down, capped by
+``maxiter``).
 """
 
 import dataclasses
@@ -98,29 +100,31 @@ FEM_CLOCKS = {
 
 #: CYBER 203 on plate a = 12, per m = 0 … 10: iterations, ``seconds``,
 #: ``preconditioner_seconds`` and ``outer_seconds`` as ``float.hex``, then
-#: the digest of every ``op_breakdown`` entry (:func:`breakdown_digest`).
+#: the digest of every ``op_breakdown`` entry (:func:`breakdown_digest`)
+#: and of the iterate's bytes (:func:`array_digest`).
 CYBER_CLOCKS = [
-    (102, "0x1.79b3aae7caaaap-5", "0x0.0p+0", "0x1.79b3aae7caaaap-5", "de636b90310f353c"),
+    (102, "0x1.79b3aae7caaaap-5", "0x0.0p+0", "0x1.79b3aae7caaaap-5",
+     "de636b90310f353c", "93dc6f3bfe368636"),
     (43, "0x1.27d9023a41f09p-5", "0x1.16a609bf716f9p-6", "0x1.390bfab512719p-6",
-     "76f187756a067381"),
+     "76f187756a067381", "2c8f920680cdb12b"),
     (31, "0x1.377ce42c39f04p-5", "0x1.8d431f0e8e0e3p-6", "0x1.c36d5293cba4ap-7",
-     "0d0d5c40cfd4b538"),
+     "0d0d5c40cfd4b538", "fe66ae4b5f6e3939"),
     (26, "0x1.579b7d1e8eb7cp-5", "0x1.f1e3dd8a8a34dp-6", "0x1.7aa6396526756p-7",
-     "f3d8c01b41262c4d"),
+     "f3d8c01b41262c4d", "1eda45c77af74cec"),
     (23, "0x1.78d0c17906a73p-5", "0x1.2511dd4d229dep-5", "0x1.4efb90af90254p-7",
-     "8f746f9cf7cfc811"),
+     "8f746f9cf7cfc811", "972b7a6c4a88f883"),
     (21, "0x1.9a915b87902b7p-5", "0x1.4e199379efdaap-5", "0x1.31df203681434p-7",
-     "0ee16e2aaf1672c7"),
+     "0ee16e2aaf1672c7", "4dc979214a3f357a"),
     (19, "0x1.afa6968237fc3p-5", "0x1.6a75ea92db630p-5", "0x1.14c2afbd7264cp-7",
-     "b57d04f6ff8c6d18"),
+     "b57d04f6ff8c6d18", "b5fba59cb8cce022"),
     (18, "0x1.d1f28644d3153p-5", "0x1.9065686498587p-5", "0x1.06347780eaf30p-7",
-     "5a6f17194b59c14d"),
+     "5a6f17194b59c14d", "2ed2d44fa73b03c4"),
     (17, "0x1.ede8c67d7d53ap-5", "0x1.afff36ac6472ep-5", "0x1.ef4c7e88c7060p-8",
-     "78599e89f5b08728"),
+     "78599e89f5b08728", "ee0d0e6285a92b77"),
     (16, "0x1.01c4ab961b5c2p-4", "0x1.c943556a3fb3ap-5", "0x1.d2300e0fb8250p-8",
-     "d987c1ea8c4c9490"),
+     "d987c1ea8c4c9490", "e7350ae27cbbec93"),
     (15, "0x1.096a1c287fa1bp-4", "0x1.dc31c49e2a1a9p-5", "0x1.b5139d96a9468p-8",
-     "7f43b449c6968c28"),
+     "7f43b449c6968c28", "3060e4d9fa5a1d4a"),
 ]
 
 #: Per (a, P): A and B of ``iteration_costs``, then
@@ -170,6 +174,20 @@ FEM_BREAKDOWN_CLOCKS = {
         "0x1.5810624dd2f1bp-5", "0x0.0p+0", 140, 336),
 }
 
+#: The CYBER of :data:`CYBER_CLOCKS` with its padded load zeroed, at m = 3:
+#: ``(p, Kp) = 0`` stops iteration 1, charging ``K p`` and that inner
+#: product.  Iterations, convergence, then ``seconds`` and
+#: ``preconditioner_seconds`` as ``float.hex``.
+CYBER_BREAKDOWN_CLOCK = (1, True, "0x1.9bc13c1febd98p-10", "0x1.3264d71a2da91p-10")
+
+#: The CYBER of :data:`CYBER_CLOCKS` stopped by ``maxiter = 3`` at
+#: ``eps = 1e-14``, per m: iterations, convergence, ``seconds`` and
+#: ``preconditioner_seconds`` as ``float.hex``, then the iterate's digest.
+CYBER_CAPPED_CLOCKS = {
+    0: (3, False, "0x1.73d5e5a535da6p-10", "0x0.0p+0", "ba4d7309a9d87074"),
+    3: (3, False, "0x1.8d518cba8e059p-8", "0x1.3264d71a2da88p-8", "13ca694bb7a30ac0"),
+}
+
 #: The same quantities for the CYBER of :data:`CYBER_CLOCKS`.
 CYBER_COSTS = (0.0004442000000000001, 0.0003866400000000006, {
     (1, 1): 0.0003955200000000001,
@@ -188,6 +206,11 @@ def breakdown_digest(breakdown: dict[str, tuple[int, float]]) -> str:
         for kind, (count, seconds) in sorted(breakdown.items())
     )
     return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def array_digest(values: np.ndarray) -> str:
+    """sha256 prefix of an array's bytes."""
+    return hashlib.sha256(values.tobytes()).hexdigest()[:16]
 
 
 def fem_clock(result) -> tuple:
@@ -210,6 +233,7 @@ def cyber_clock(result) -> tuple:
         result.preconditioner_seconds.hex(),
         result.outer_seconds.hex(),
         breakdown_digest(result.op_breakdown),
+        array_digest(result.u_natural),
     )
 
 
@@ -286,6 +310,40 @@ class TestCyberClocks:
             assert cyber.preconditioner_block_seconds(m, width) == pytest.approx(
                 seconds, rel=1e-12
             )
+
+
+class TestCyberEndings:
+    """The CYBER's last iteration ends three ways: converged (above),
+    broken down, or cut by ``maxiter``."""
+
+    def test_unloaded_plate_breaks_down(self, cyber):
+        # The CYBER assembles its padded load from the mesh; zero it.
+        unloaded = CyberMachine(cyber.problem)
+        unloaded.f = np.zeros_like(unloaded.f)
+        result = unloaded.solve(3)
+        assert (
+            result.iterations,
+            result.converged,  # ρ = 0: the zero load is solved exactly
+            result.seconds.hex(),
+            result.preconditioner_seconds.hex(),
+        ) == CYBER_BREAKDOWN_CLOCK
+        stream = unloaded._stream
+        assert result.seconds == pytest.approx(
+            stream.seconds(stream.startup[0], unloaded._application(3),
+                           stream.startup[1], stream.breakdown),
+            rel=1e-12,
+        )
+
+    @pytest.mark.parametrize("m", sorted(CYBER_CAPPED_CLOCKS))
+    def test_maxiter_cap(self, cyber, m):
+        result = cyber.solve(m, eps=1e-14, maxiter=3)
+        assert (
+            result.iterations,
+            result.converged,
+            result.seconds.hex(),
+            result.preconditioner_seconds.hex(),
+            array_digest(result.u_natural),
+        ) == CYBER_CAPPED_CLOCKS[m]
 
 
 class TestModelMatchesClock:

@@ -1,16 +1,18 @@
 """Machine simulators: the CYBER 203/205 and the Finite Element Machine.
 
 Both 1983 machines are gone, so both are simulated the same way: the
-numerics execute for real (NumPy, identical to the reference solver) while
-a calibrated cost model charges time to every primitive the paper's
-implementation performs — vector pipelines, control-vector masking and
-matvec-by-diagonals on the CYBER (§3.1); local-link record exchanges, the
-signal-flag network and global reductions on the Finite Element Machine
-(§3.2).  :mod:`repro.machines.timing` documents the calibration.  Each
-machine records its charge stream once per segment
-(:mod:`repro.machines.charges`) and replays it per solve; the model's A and
-B are read off the same recordings.  Both run a schedule through one pass
-(:meth:`ChargedMachine.solve_schedule`) over the same compiled merged sweep
+numerics execute for real (NumPy, Algorithm 1 as
+:func:`repro.core.pcg.block_pcg`) while a calibrated cost model charges
+time to every primitive the paper's implementation performs — vector
+pipelines, control-vector masking and matvec-by-diagonals on the CYBER
+(§3.1); local-link record exchanges, the signal-flag network and global
+reductions on the Finite Element Machine (§3.2).
+:mod:`repro.machines.timing` documents the calibration.  Each machine
+records its charge stream once per segment (:mod:`repro.machines.charges`)
+and replays it per solve; the model's A and B are read off the same
+recordings.  Both run every solve, one cell (:meth:`ChargedMachine.solve`)
+or a schedule, through one pass (:meth:`ChargedMachine.solve_schedule`)
+over the same compiled merged sweep
 (:class:`~repro.multicolor.sor.MStepSSOR`).
 """
 
@@ -29,7 +31,6 @@ from repro.machines.timing import (
     VectorTimingModel,
 )
 from repro.machines.topology import LINK_DIRECTIONS, Assignment, ProcessorGrid
-from repro.machines.vector import VectorMachine
 
 __all__ = [
     "normalize_cell",
@@ -55,5 +56,4 @@ __all__ = [
     "LINK_DIRECTIONS",
     "Assignment",
     "ProcessorGrid",
-    "VectorMachine",
 ]

@@ -1,15 +1,16 @@
-"""Recorded charge streams and the one schedule pass of the machine simulators.
+"""Recorded charge streams and the one solve pass of the machine simulators.
 
 A machine's charges depend on its layout, m, the block width and how a
 solve's last iteration ends, never on the values it computes.  So each
 machine records its charge program once per segment of Algorithm 1
 (:class:`Recording`) and charges a solve by replaying the segments in
 stream order (:meth:`ChargeStream.replay`): each kind's charges are added
-in their recorded order, so the ledger is bitwise a live run's.  The
-model's A and B (:class:`ChargedMachine`) are read off the same
+in the order Algorithm 1 issues them, whichever cells share the solve.
+The model's A and B (:class:`ChargedMachine`) are read off the same
 recordings, and :meth:`ChargedMachine.solve_schedule` is both machines'
-schedule pass: one :func:`~repro.core.pcg.block_pcg` over the machine's
-merged sweep, then one replay per cell.
+only solve: one :func:`~repro.core.pcg.block_pcg` over the machine's
+merged sweep, then one replay per cell (:meth:`ChargedMachine.solve` is
+the one-cell pass).
 """
 
 from __future__ import annotations
@@ -37,10 +38,6 @@ class ChargeLog:
     def __init__(self, kinds=()):
         self.counts: dict[str, int] = {}
         self.seconds: dict[str, float] = dict.fromkeys(kinds, 0.0)
-
-    def charge(self, kind: str, seconds: float) -> None:
-        self.counts[kind] = self.counts.get(kind, 0) + 1
-        self.seconds[kind] = self.seconds.get(kind, 0.0) + seconds
 
     def replay(self, recording: Recording) -> None:
         """Charge a recorded segment, each kind's charges in recorded order."""
@@ -163,6 +160,29 @@ class ChargedMachine:
     preconditioned, solve)`` (one cell's replayed record).
     """
 
+    def solve(
+        self,
+        m: int,
+        coefficients: np.ndarray | None = None,
+        eps: float = 1e-6,
+        maxiter: int | None = None,
+        backend: str | None = None,
+    ):
+        """One cell: Algorithm 1 + Algorithm 2 with the machine's clock, as a
+        one-cell :meth:`solve_schedule`.
+
+        ``m = 0`` runs plain CG.  For m ≥ 1 supply the αᵢ —
+        :func:`repro.driver.mstep_coefficients` builds them — or all-ones
+        is assumed.  ``backend``: the default ``"vectorized"`` runs the
+        merged sweep of ``_sweep_kernel()``, ``"reference"`` the machine's
+        hand-written Algorithm 2.  The charged clock and ledger depend only
+        on the iteration count and how the last iteration ended, so they
+        are backend-invariant whenever the iterations agree.
+        """
+        return self.solve_schedule(
+            [(m, coefficients)], eps=eps, maxiter=maxiter, backend=backend
+        )[0]
+
     def solve_schedule(
         self,
         cells,
@@ -187,7 +207,7 @@ class ChargedMachine:
         and each cell's clock is the replay of its charge stream, which
         depends only on m, the iteration count and how the last iteration
         ended.  So a cell's record does not depend on which cells share
-        its pass, and a one-cell pass is a per-cell solve.
+        its pass: it is the cell's :meth:`solve`.
         """
         cells = [(m, *normalize_cell(m, coefficients)) for m, coefficients in cells]
         sweep = (

@@ -20,9 +20,13 @@ Reproduces the paper's vector-machine organization faithfully:
   masked, padded system, the ``"reference"`` path hand-rolled per-color
   solves over the diagonal storage; both charge the same vector-op stream.
 
-Numerics are exact (NumPy); only the clock is simulated.  The iterates are
-identical (to roundoff-in-summation-order) to the reference Algorithm 1 on
-the eliminated system, which the tests verify.
+Numerics are exact (NumPy); only the clock is simulated.  Algorithm 1 is
+:func:`repro.core.pcg.block_pcg` over the machine's product by diagonals
+(:meth:`~repro.machines.charges.ChargedMachine.solve_schedule`, one cell
+or a whole schedule), and the clock replays the vector-op stream the
+machine issues (:attr:`CyberMachine._stream`).  The iterates are identical
+(to roundoff-in-summation-order) to the reference Algorithm 1 on the
+eliminated system, which the tests verify.
 """
 
 from __future__ import annotations
@@ -38,14 +42,11 @@ from repro.driver import cell_label
 from repro.fem.model_problems import PlateProblem
 from repro.fem.plane_stress import assemble_plate_full
 from repro.kernels import ops as kernel_ops
-from repro.kernels.backend import REFERENCE, resolve_backend
 from repro.kernels.sweep import mstep_passes
 from repro.kernels.workspace import WorkspacePool
-from repro.machines.cells import normalize_cell
-from repro.machines.charges import ChargedMachine, ChargeLog, ChargeStream, Recording
+from repro.machines.charges import ChargedMachine, ChargeStream, Recording
 from repro.machines.diagonals import DiagonalStorage
 from repro.machines.timing import CYBER_203, VectorTimingModel
-from repro.machines.vector import VectorMachine
 from repro.multicolor.blocked import BlockedMatrix
 from repro.multicolor.ordering import MulticolorOrdering
 from repro.multicolor.sor import MStepSSOR
@@ -82,8 +83,8 @@ class CyberMachine(ChargedMachine):
 
     The machine is also its own operator ``K`` — ``shape``, ``dtype``,
     :meth:`matvec_into` and :meth:`matvec_accumulate` over the matrix by
-    diagonals — so :meth:`solve_schedule` runs its cells through
-    :func:`~repro.core.pcg.block_pcg`.
+    diagonals — so :meth:`solve` and :meth:`solve_schedule` run their cells
+    through :func:`~repro.core.pcg.block_pcg`.
     """
 
     #: Block products are per-column bitwise the vector product
@@ -194,9 +195,8 @@ class CyberMachine(ChargedMachine):
 
         One ``multiply`` per color row and one ``diag_madd`` per stored
         diagonal, each at its own length: the vector-op stream the
-        matrix-by-diagonals product issues on the machine.  ``out`` is a
-        live :class:`~repro.machines.charges.ChargeLog` or a
-        :class:`~repro.machines.charges.Recording`.
+        matrix-by-diagonals product issues on the machine, onto the
+        :class:`~repro.machines.charges.Recording` ``out``.
         """
         for c in range(self.n_groups):
             out.charge("multiply", self.timing.vector_op_time(self.diagonals[c].shape[0]))
@@ -323,32 +323,20 @@ class CyberMachine(ChargedMachine):
             )
         return self._merged_sweep
 
-    def _precondition(
-        self,
-        vm: VectorMachine,
-        coefficients: np.ndarray,
-        r: np.ndarray,
-        backend: str,
-    ) -> np.ndarray:
-        """Algorithm 2 — merged Conrad–Wallach sweeps, backend-dispatched.
-
-        Both backends charge the identical vector-primitive stream (the
-        cost is structural); only the numeric engine differs — the
-        ``"reference"`` per-color diagonal-storage solves, or
-        :meth:`_sweep_kernel`'s merged sweep.  Iterates agree to roundoff
-        (summation order differs), clocks and op counts exactly.
-        """
-        self._charge_precondition(vm.log, coefficients.size)
-        if backend == REFERENCE:
-            return self._precondition_reference(coefficients, r)
-        # The kernel returns a pooled workspace buffer; Algorithm 1 never
-        # holds r̃ across preconditioner applications, so no copy is needed.
-        return self._sweep_kernel().apply_schedule(coefficients, r)
-
     # ------------------------------------------------------- recorded stream
     @functools.cached_property
     def _stream(self) -> ChargeStream:
-        """:meth:`solve`'s outer charges, recorded once per segment."""
+        """The outer charges of a solve, recorded once per segment.
+
+        Startup: ``u⁰ = 0`` (``fill``), ``r⁰ = f`` (``copy``), then after
+        ``M r̃⁰ = r⁰`` the copy ``p⁰ = r̃⁰`` and ``ρ₀``.  Each iteration:
+        ``K p`` by diagonals, ``(p, Kp)``, α on the scalar unit, ``α p``
+        (``scale``), the ``u`` update (``add``) with ``‖Δu‖∞``
+        (``abs_max``), the ``r`` update (``axpy``); then after
+        ``M r̃ = r``, ``(r̃, r)``, β and the ``p`` update.  A converged last
+        iteration stops at ``‖Δu‖∞``, a broken-down one (``(p, Kp) ≤ 0``)
+        at that inner product.
+        """
         return ChargeStream(
             startup=(self._record("fill", "copy"), self._record("copy", "dot")),
             iteration=(
@@ -364,9 +352,10 @@ class CyberMachine(ChargedMachine):
         )
 
     def _record(self, *kinds: str) -> Recording:
-        """One segment: ``"matvec"`` (:meth:`_charge_matvec`) or one op of
-        the named kind at full padded length, the charge of the
-        :class:`VectorMachine` primitive :meth:`solve` calls."""
+        """One segment: per kind, ``"matvec"`` (:meth:`_charge_matvec`) or
+        one op of that kind at full padded length — an inner product or
+        ``abs_max`` with the partial-sum penalty, a ``scalar`` on the
+        scalar unit, any other an elementwise vector op."""
         t, n = self.timing, self.n_padded
         seconds = {"dot": t.dot_time(n), "abs_max": t.dot_time(n),
                    "scalar": t.scalar_op_time()}
@@ -393,84 +382,6 @@ class CyberMachine(ChargedMachine):
         )
 
     # ------------------------------------------------------------------ solve
-    def solve(
-        self,
-        m: int,
-        coefficients: np.ndarray | None = None,
-        eps: float = 1e-6,
-        maxiter: int | None = None,
-        backend: str | None = None,
-    ) -> CyberResult:
-        """Run Algorithm 1 + Algorithm 2 with full cost accounting.
-
-        ``m = 0`` (or empty coefficients) runs plain CG.  For m ≥ 1 supply
-        the ``αᵢ`` — :func:`repro.driver.mstep_coefficients` builds them —
-        or all-ones is assumed.
-
-        ``backend``: the default ``"vectorized"`` runs the preconditioner
-        as :meth:`_sweep_kernel`'s merged sweep,
-        ``"reference"`` keeps the hand-rolled per-color diagonal-storage
-        solves.  The charged clock and operation counts are identical
-        either way (the cost stream is structural); iterates agree to
-        roundoff-in-summation-order.  This is the per-cell reference
-        :meth:`solve_schedule` is pinned to.
-        """
-        coefficients, parametrized = normalize_cell(m, coefficients)
-        backend = resolve_backend(backend)
-
-        vm = VectorMachine(self.timing)
-        precond_seconds = 0.0
-        maxiter = maxiter if maxiter is not None else 5 * self.n_padded + 100
-
-        def precondition(r: np.ndarray) -> np.ndarray:
-            nonlocal precond_seconds
-            if coefficients is None:
-                return vm.copy(r)
-            before = vm.elapsed_seconds
-            out = self._precondition(vm, coefficients, r, backend)
-            precond_seconds += vm.elapsed_seconds - before
-            return out
-
-        u = vm.fill(self.n_padded, 0.0)
-        r = vm.copy(self.f)  # u⁰ = 0 ⇒ r⁰ = f
-        rt = precondition(r)
-        p = vm.copy(rt)
-        rho = vm.dot(rt, r)
-        kp = np.empty(self.n_padded)
-
-        converged = False
-        iterations = 0
-        for iteration in range(1, maxiter + 1):
-            self._charge_matvec(vm.log)
-            self.matvec_into(p, kp)
-            denom = vm.dot(p, kp)
-            if denom <= 0.0:
-                iterations = iteration
-                converged = rho == 0.0
-                break
-            vm.scalar()  # α
-            alpha = rho / denom
-
-            step = vm.scale(alpha, p)
-            u = vm.add(u, step)
-            delta_norm = vm.abs_max(step)
-            iterations = iteration
-            if delta_norm < eps:
-                converged = True
-                break
-
-            r = vm.axpy(-alpha, kp, r)
-            rt = precondition(r)
-            rho_new = vm.dot(rt, r)
-            vm.scalar()  # β
-            beta = rho_new / rho
-            rho = rho_new
-            p = vm.axpy(beta, p, rt)
-
-        return self._result(
-            vm.log, m, parametrized, iterations, converged, u, precond_seconds
-        )
-
     def _system(self):
         """The schedule pass's operator and load: the machine itself (its
         product by diagonals) and the masked right-hand side."""
@@ -481,13 +392,13 @@ class CyberMachine(ChargedMachine):
     ) -> CyberResult:
         """Charge one cell's clock and package the :class:`CyberResult`.
 
-        Replays the recorded stream of :meth:`solve` in its order
-        (:meth:`~repro.machines.charges.ChargeStream.replay`).  The stream
-        depends only on ``m``, the iteration count and how the last
-        iteration ended: converged, broke down (``(p, Kp) ≤ 0``, so only
-        the product and that inner product ran; ``solve.delta_history`` is
-        one short) or stopped by ``maxiter`` (a full iteration).  So the
-        ledger and clock are bitwise those of :meth:`solve`.
+        Replays the recorded stream (:attr:`_stream`,
+        :meth:`~repro.machines.charges.ChargeStream.replay`): it depends
+        only on ``m``, the iteration count and how the last iteration
+        ended — converged, broke down (``(p, Kp) ≤ 0``, so only the
+        product and that inner product ran; ``solve.delta_history`` is one
+        short) or stopped by ``maxiter`` (a full iteration) — so a cell's
+        ledger and clock are the same whichever cells share its pass.
         """
         stream = self._stream
         application = (
@@ -497,27 +408,17 @@ class CyberMachine(ChargedMachine):
             else stream.recorded("copy", lambda: self._record("copy"))
         )
         log, precond_seconds = stream.replay(application, solve, preconditioned)
-        return self._result(
-            log, m, parametrized, solve.iterations, solve.converged, solve.u,
-            precond_seconds,
-        )
-
-    def _result(
-        self, log: ChargeLog, m: int, parametrized: bool, iterations: int,
-        converged: bool, u: np.ndarray, precond_seconds: float,
-    ) -> CyberResult:
-        """Package one cell's :class:`CyberResult` off its charged ledger."""
         seconds = log.total_seconds()
         return CyberResult(
             label=cell_label(m, parametrized),
             m=m,
             parametrized=parametrized,
-            iterations=iterations,
-            converged=converged,
+            iterations=solve.iterations,
+            converged=solve.converged,
             seconds=seconds,
             max_vector_length=self.max_vector_length,
             op_breakdown=log.breakdown(),
-            u_natural=self._to_natural(u),
+            u_natural=self._to_natural(solve.u),
             preconditioner_seconds=precond_seconds,
             outer_seconds=seconds - precond_seconds,
         )

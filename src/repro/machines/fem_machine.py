@@ -275,26 +275,6 @@ class FiniteElementMachine(ChargedMachine):
         return self._application(1)
 
     # ------------------------------------------------------------------ solve
-    def solve(
-        self,
-        m: int,
-        coefficients: np.ndarray | None = None,
-        eps: float = 1e-6,
-        maxiter: int | None = None,
-        backend: str | None = None,
-    ) -> FEMResult:
-        """One cell: a one-cell :meth:`solve_schedule`.
-
-        Algorithm 1 runs the merged sweep of :meth:`_sweep_kernel`, or on
-        the ``"reference"`` backend the Horner recurrence of
-        :meth:`_precondition_reference`.  The charged clock depends only
-        on the iteration count, which both reproduce, so the cost model
-        is backend-invariant.
-        """
-        return self.solve_schedule(
-            [(m, coefficients)], eps=eps, maxiter=maxiter, backend=backend
-        )[0]
-
     def _system(self):
         """The schedule pass's operator and load: the blocked system and
         the plate load in its multicolor order."""

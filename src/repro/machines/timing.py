@@ -63,11 +63,11 @@ class VectorTimingModel:
         require(self.startup_elements >= 0, "startup must be non-negative")
         require(self.element_time > 0, "element time must be positive")
 
-    def vector_op_time(self, n: int, n_ops: int = 1) -> float:
-        """Time for ``n_ops`` elementwise vector operations of length n."""
+    def vector_op_time(self, n: int) -> float:
+        """Time for one elementwise vector operation of length n."""
         if n <= 0:
             return 0.0
-        return n_ops * (self.startup_elements + n) * self.element_time
+        return (self.startup_elements + n) * self.element_time
 
     def block_op_time(self, n: int, width: int) -> float:
         """One elementwise op on an ``(n, width)`` block streamed as a unit.

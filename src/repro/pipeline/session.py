@@ -762,16 +762,17 @@ class SolverSession:
         timing=None,
         reduction: str = "software",
     ):
-        """One FEM-simulator cell: a one-cell lockstep schedule pass.
+        """One FEM-simulator cell
+        (:meth:`~repro.machines.charges.ChargedMachine.solve`).
 
         Runs on the session's cached machine, whose one merged sweep
         serves every cell and every m, so repeated cells rebuild nothing.
         """
         self._require_machine_plan()
         self.stats.solves += 1
-        [result] = self.fem(n_procs, timing, reduction).solve_schedule(
-            [(m, self.coefficients(m, parametrized))],
+        return self.fem(n_procs, timing, reduction).solve(
+            m,
+            self.coefficients(m, parametrized),
             eps=eps if eps is not None else self.plan.eps,
             backend=self.plan.backend,
         )
-        return result

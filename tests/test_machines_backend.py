@@ -24,7 +24,7 @@ from repro.driver import (
     ssor_interval,
 )
 from repro.kernels import BACKENDS, REFERENCE, VECTORIZED
-from repro.machines import CYBER_203, CyberMachine, FiniteElementMachine, VectorMachine
+from repro.machines import CYBER_203, CyberMachine, FiniteElementMachine, Recording
 from repro.multicolor.sor import MStepSSOR
 
 TOL = 1e-12
@@ -160,10 +160,9 @@ class TestCyberBlockedPreconditioning:
         assert block < cols
         # The block pays exactly the per-op startups of ONE charge stream;
         # the element traffic itself is identical.
-        vm = VectorMachine(cyber_machine.timing)
-        cyber_machine._charge_precondition(vm.log, m, width)
+        recording = cyber_machine._charge_precondition(Recording(), m, width)
         t = cyber_machine.timing
-        n_ops = sum(count for count, _ in vm.log.breakdown().values())
+        n_ops = sum(len(charges) for charges in recording.charges.values())
         expected_gap = (width - 1) * n_ops * t.startup_elements * t.element_time
         assert cols - block == pytest.approx(expected_gap, rel=1e-9)
 

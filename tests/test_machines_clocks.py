@@ -1,8 +1,8 @@
 """Exact clocks of the machine simulators, pinned as literals.
 
-The FEM's per-cell ``solve`` and its ``solve_schedule`` share one charging
-path, so comparing the two cannot catch a change to the charging itself;
-these literals can.  Every cell is unparametrized (all
+Each machine's per-cell ``solve`` is a one-cell ``solve_schedule``, so
+comparing the two cannot catch a change to the charging or the numerics
+they share; these literals can.  Every cell is unparametrized (all
 αᵢ = 1), so no α fit moves an iteration count, and every clock field is
 compared bitwise through ``float.hex``.  The model quantities (A, B and the
 batched preconditioner cost) are pinned at 1e-12 relative: they are sums

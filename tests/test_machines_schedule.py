@@ -1,13 +1,15 @@
-"""Machine schedule passes against their per-cell references.
+"""Machine schedule passes against their per-cell solves.
 
 ``FiniteElementMachine.solve_schedule`` runs the whole Table-3 schedule
 through one batched pass with per-cell clocks, communication ledgers and
-iterates **bitwise identical** to the per-cell ``solve`` path, across
-every cell.  The CYBER and FEM passes are each one ``block_pcg`` call
-plus a structural charge, and stay bitwise their per-cell ``solve``
-through the ends of a solve that a converging schedule never reaches: a
-breakdown and the ``maxiter`` cap.  (The SPMD engine solves one cell at a
-time; its solves are pinned in ``tests/test_machines_spmd.py``.)
+iterates **bitwise identical** to the per-cell ``solve`` (a one-cell
+pass), across every cell.  The CYBER and FEM passes are each one
+``block_pcg`` call plus a structural charge, and a cell's record does not
+depend on which cells share its pass, also through the ends of a solve
+that a converging schedule never reaches: a breakdown and the ``maxiter``
+cap.  (The clocks themselves are pinned as literals in
+``tests/test_machines_clocks.py``; the SPMD engine solves one cell at a
+time, and its solves are pinned in ``tests/test_machines_spmd.py``.)
 """
 
 import dataclasses

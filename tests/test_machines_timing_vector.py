@@ -1,4 +1,4 @@
-"""Tests for the timing models, diagonal storage, and the vector machine."""
+"""Tests for the timing models and the diagonal storage."""
 
 import numpy as np
 import pytest
@@ -11,7 +11,6 @@ from repro.machines import (
     FEM_1983,
     ArrayTimingModel,
     DiagonalStorage,
-    VectorMachine,
     VectorTimingModel,
 )
 
@@ -140,23 +139,3 @@ class TestDiagonalStorage:
         storage = DiagonalStorage.from_block(a)
         x = rng.normal(size=cols)
         assert storage.matvec(x) == pytest.approx(a @ x, rel=1e-12, abs=1e-12)
-
-
-class TestVectorMachine:
-    def test_arithmetic_correct_and_charged(self):
-        vm = VectorMachine(CYBER_203)
-        a, b = np.arange(4.0), np.ones(4)
-        assert vm.add(a, b) == pytest.approx(a + b)
-        assert vm.axpy(2.0, a, b) == pytest.approx(b + 2 * a)
-        assert vm.dot(a, a) == pytest.approx(float(a @ a))
-        assert vm.elapsed_seconds > 0
-        counts = vm.log.breakdown()
-        assert counts["add"][0] == 1
-        assert counts["dot"][0] == 1
-
-    def test_dot_charged_more_than_add(self):
-        vm = VectorMachine(CYBER_203)
-        x = np.ones(500)
-        vm.add(x, x)
-        vm.dot(x, x)
-        assert vm.log.seconds["dot"] > vm.log.seconds["add"]

@@ -210,6 +210,10 @@ class SPMDSolver:
                     )
                 )
 
+        # Each plan's (src_local, dst_halo) selection per color-group set,
+        # made on the first exchange of that set (see _transfers).
+        self._selections: dict = {}
+
         # Sink of direct exchange/matvec/precondition calls; every solve
         # result books onto a ledger of its own.
         self.ledger = MessageLedger()
@@ -243,20 +247,30 @@ class SPMDSolver:
         """
         if ledger is None:
             ledger = self.ledger
-        for plan in self.plans:
-            if groups is None:
-                src_sel = plan.src_local
-                dst_sel = plan.dst_halo
-                count = src_sel.size
-            else:
-                mask = np.isin(plan.groups, groups)
-                if not np.any(mask):
-                    continue
-                src_sel = plan.src_local[mask]
-                dst_sel = plan.dst_halo[mask]
-                count = int(np.count_nonzero(mask))
+        for plan, src_sel, dst_sel in self._transfers(groups):
             halos[plan.dst][dst_sel] = xd[plan.src][src_sel]
-            ledger.log(kind, plan.src, plan.dst, count)
+            ledger.log(kind, plan.src, plan.dst, src_sel.size)
+
+    def _transfers(self, groups) -> list[tuple[_Plan, np.ndarray, np.ndarray]]:
+        """Every plan that moves a value of ``groups`` (all groups when
+        ``None``) with its ``(src_local, dst_halo)`` selection, computed
+        once per group set: the sweep refreshes the same color pairs on
+        every step."""
+        key = None if groups is None else tuple(groups)
+        transfers = self._selections.get(key)
+        if transfers is None:
+            transfers = []
+            for plan in self.plans:
+                if key is None:
+                    transfers.append((plan, plan.src_local, plan.dst_halo))
+                    continue
+                mask = np.isin(plan.groups, key)
+                if np.any(mask):
+                    transfers.append(
+                        (plan, plan.src_local[mask], plan.dst_halo[mask])
+                    )
+            self._selections[key] = transfers
+        return transfers
 
     def matvec(
         self,

@@ -361,10 +361,11 @@ def bench_cyber_schedule(problem, repeats: int, eps: float) -> dict:
     Both passes share one compiled :class:`SolverSession` (same machine
     layout, same cached kernels); the recorded ``speedup`` is the wall-time
     win of :meth:`CyberMachine.solve_schedule` (one ``block_pcg`` call,
-    its 13 cells in lockstep groups of 8 and 5) over per-cell ``solve``
-    calls.  Iteration counts are recorded per mode — the gate flags any
-    drift between them (they are bitwise identical by contract) or against
-    the baseline.
+    its 13 cells in lockstep groups of 8 and 5) over 13 one-cell passes
+    (per-cell ``solve`` calls, each a one-column ``block_pcg``).
+    Iteration counts are recorded per mode — the gate flags any drift
+    between them (they are bitwise identical by contract) or against the
+    baseline.
     """
     from repro.pipeline import SolverPlan, SolverSession
 

@@ -4,30 +4,37 @@ Where :class:`~repro.machines.fem_machine.FiniteElementMachine` charges a
 *cost model* while computing globally, this engine actually distributes the
 data the way Section 3.2 describes and runs per-processor code:
 
-* each processor stores only its owned unknowns, its stencil rows (columns
-  remapped to a local ``[owned | halo]`` layout), and halo buffers for the
-  border values it receives;
+* each processor stores only its owned unknowns, its rows of the permuted
+  stiffness matrix (entries in their stored order, columns remapped to a
+  local ``[owned | halo]`` layout), and halo buffers for the border values
+  it receives;
 * every transfer moves through an explicit message plan — (sender-local
   gather indices → receiver-halo positions) per processor pair — at *node*
   granularity (both displacements of a border node travel together, the
   paper's packaged records);
-* the m-step SSOR sweep runs color phase by color phase with exchanges at
-  exactly the points Algorithm 3 prescribes: after each node color in the
-  forward sweep, and after the Gu and Bu solves in the backward sweep
-  (same-node couplings are always processor-local, which is why the R pair
-  never needs a backward re-send);
-* inner products are computed as per-processor partials added one at a
-  time in rank order — a deterministic simulation of the machine's global
-  sum that does not depend on how the interpreter sums a sequence.
+* the m-step SSOR sweep is Algorithm 2's merged pass list
+  (:func:`repro.kernels.sweep.mstep_passes`) run color by color on every
+  processor, with exchanges at exactly the points Algorithm 3 prescribes:
+  after each node color in the forward sweep, and after the Gu and Bu
+  solves in the backward sweep (same-node couplings are always
+  processor-local, which is why the R pair never needs a backward
+  re-send).
 
-:meth:`SPMDSolver.solve` runs one cell of Algorithm 1 on per-processor
-vectors and books every transfer on a :class:`MessageLedger` of its own.
-Because local row kernels sum their columns in a *different order* than the
-global solver, iterates agree with the reference only to roundoff; the
-test-suite pins iteration counts within ±2 and solutions to ~1e-6, pins
-each solve's iteration count and ledger as literals, and — more
-importantly — cross-validates the *measured* message ledger against the
-static counts the FiniteElementMachine cost model charges.
+:meth:`SPMDSolver.solve` is Algorithm 1 itself, one
+:func:`repro.core.pcg.pcg` call over global-vector faces of the two
+distributed operations: K·p scatters p, exchanges its borders, runs each
+processor's rows and gathers; M⁻¹r scatters r, runs the distributed sweep
+and gathers.  Every transfer is booked on the result's own
+:class:`MessageLedger`.  Each local row sums its entries in the global
+matrix's stored order and each sweep pass solves with the serial sweep's
+association, so every distributed product, sweep and solve is **bitwise**
+the serial one — ``pcg(blocked.permuted, f, MStepSSOR(blocked, α))`` — on
+every processor grid.  The inner products are Algorithm 1's global
+fixed-order dots; the FiniteElementMachine charges the sum circuit that
+would form them.  The test-suite pins distributed ≡ serial, pins each
+solve's iteration count and ledger as literals, and cross-validates the
+*measured* message ledger against the static counts the
+FiniteElementMachine cost model charges.
 """
 
 from __future__ import annotations
@@ -36,12 +43,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
+from repro.core.pcg import pcg
 from repro.driver import build_blocked_system
-from repro.kernels.ops import matvec_accumulate
+from repro.kernels.sweep import mstep_passes
 from repro.machines.cells import normalize_cell
 from repro.machines.topology import Assignment
-from repro.util import inner, require
+from repro.util import require
 
 __all__ = ["SPMDSolver", "SPMDResult", "MessageLedger"]
 
@@ -89,6 +98,17 @@ class _Plan:
         self.groups = groups  # color group of each transferred value
 
 
+def _local_rows(ptr, col, val, rows, col_map) -> sp.csr_matrix:
+    """Rows ``rows`` of the square CSR ``(ptr, col, val)``, each row's
+    entries in stored order, over the local columns ``col_map`` (global
+    index → local position, −1 where absent)."""
+    a = sp.csr_matrix((val, col, ptr), shape=(len(ptr) - 1,) * 2)[rows]
+    cols = col_map[a.indices]
+    require(bool(np.all(cols >= 0)), "referenced column missing from halo")
+    n_local = int(np.count_nonzero(col_map >= 0))
+    return sp.csr_matrix((a.data, cols, a.indptr), shape=(rows.size, n_local))
+
+
 class SPMDSolver:
     """Distributed m-step multicolor SSOR PCG on an :class:`Assignment`."""
 
@@ -105,6 +125,7 @@ class SPMDSolver:
         self.n_procs = n_procs
 
         permuted = blocked.permuted.tocsr()
+        plan = blocked.sweep_plan
         groups_mc = np.sort(ordering.groups)  # group of each multicolor index
 
         owner_mc = assignment.proc_of_unknown[ordering.perm]
@@ -122,71 +143,40 @@ class SPMDSolver:
         node_of_mc = mesh.dof_node[ordering.perm]
         self.halo_idx: list[np.ndarray] = []
         for p in range(n_procs):
-            rows = permuted[self.owned_idx[p]]
-            referenced = np.unique(rows.tocoo().col)
+            referenced = np.unique(permuted[self.owned_idx[p]].indices)
             remote = referenced[owner_mc[referenced] != p]
             remote_nodes = np.unique(node_of_mc[remote])
             node_mask = np.isin(node_of_mc, remote_nodes) & (owner_mc != p)
             self.halo_idx.append(np.flatnonzero(node_mask))
 
-        # Local matrices: rows owned by p over columns [owned | halo].
+        # Local rows over columns [owned | halo]: the whole rows for K·p,
+        # and per color the serial sweep plan's lower and upper halves
+        # with the color's D_c, all in the permuted matrix's stored order.
+        # Each half is kept as its csr_matvec arguments, checked once here.
         self.local_k: list[sp.csr_matrix] = []
-        self.local_col_groups: list[np.ndarray] = []
-        self.local_diag: list[np.ndarray] = []
-        self.rows_of_group: list[list[np.ndarray]] = []
+        self._colors: list[list[tuple]] = []
         for p in range(n_procs):
-            owned = self.owned_idx[p]
-            halo = self.halo_idx[p]
-            col_map = -np.ones(self.n, dtype=np.int64)
+            owned, halo = self.owned_idx[p], self.halo_idx[p]
+            col_map = np.full(self.n, -1, dtype=np.int64)
             col_map[owned] = np.arange(owned.size)
             col_map[halo] = owned.size + np.arange(halo.size)
-            rows = permuted[owned].tocoo()
-            keep = col_map[rows.col] >= 0
-            require(bool(np.all(keep)), "referenced column missing from halo")
-            local = sp.csr_matrix(
-                (rows.data, (rows.row, col_map[rows.col])),
-                shape=(owned.size, owned.size + halo.size),
+            self.local_k.append(_local_rows(
+                permuted.indptr, permuted.indices, permuted.data, owned, col_map
+            ))
+            lower, upper = (
+                _local_rows(*half, owned, col_map) for half in (plan.lower, plan.upper)
             )
-            self.local_k.append(local)
-            self.local_col_groups.append(
-                np.concatenate([groups_mc[owned], groups_mc[halo]])
-                if owned.size + halo.size
-                else np.empty(0, dtype=np.int64)
-            )
-            self.local_diag.append(permuted[owned][:, owned].diagonal().copy())
-            rg = groups_mc[owned]
-            self.rows_of_group.append(
-                [np.flatnonzero(rg == c) for c in range(self.nc)]
-            )
-
-        # Per-processor, per-row-color, per-column-group sweep blocks.
-        self.sweep_blocks: list[list[dict[int, sp.csr_matrix]]] = []
-        for p in range(n_procs):
-            per_color: list[dict[int, sp.csr_matrix]] = []
-            col_groups = self.local_col_groups[p]
+            diag = plan.diag[owned]
+            bounds = np.searchsorted(groups_mc[owned], np.arange(self.nc + 1))
+            colors = []
             for c in range(self.nc):
-                rows_c = self.rows_of_group[p][c]
-                row_block = self.local_k[p][rows_c]
-                blocks: dict[int, sp.csr_matrix] = {}
-                for j in range(self.nc):
-                    if j == c:
-                        # Same-group coupling is the diagonal only (proper
-                        # coloring); it is applied through local_diag.
-                        continue
-                    cols = np.flatnonzero(col_groups == j)
-                    if cols.size == 0:
-                        continue
-                    sub = row_block[:, cols].tocsr()
-                    if sub.nnz:
-                        blocks[j] = sub
-                per_color.append(blocks)
-            self.sweep_blocks.append(per_color)
-
-        # Column selections per group (for gathering sweep inputs).
-        self.cols_of_group: list[list[np.ndarray]] = [
-            [np.flatnonzero(self.local_col_groups[p] == j) for j in range(self.nc)]
-            for p in range(n_procs)
-        ]
+                rows = slice(int(bounds[c]), int(bounds[c + 1]))
+                halves = tuple(
+                    (*h.shape, h.indptr, h.indices, h.data)
+                    for h in (lower[rows], upper[rows])
+                )
+                colors.append((rows, halves, diag[rows]))
+            self._colors.append(colors)
 
         # Message plans per directed pair.
         self.plans: list[_Plan] = []
@@ -279,123 +269,63 @@ class SPMDSolver:
         ledger: MessageLedger | None = None,
     ) -> list[np.ndarray]:
         self.exchange(xd, halos, kind="p_exchange", ledger=ledger)
-        out = []
-        for p in range(self.n_procs):
-            local = (
-                np.concatenate([xd[p], halos[p]]) if halos[p].size else xd[p]
-            )
-            out.append(self.local_k[p] @ local)
-        return out
-
-    def dot(self, xd: list[np.ndarray], yd: list[np.ndarray]) -> float:
-        # Each processor's partial is the fixed-order local dot; the
-        # partials then add one at a time in rank order (builtin ``sum``
-        # compensates float sums from Python 3.12 on).
-        total = 0.0
-        for p in range(self.n_procs):
-            total += inner(xd[p], yd[p])
-        return total
-
-    def axpy(self, alpha: float, xd, yd) -> list[np.ndarray]:
-        return [yd[p] + alpha * xd[p] for p in range(self.n_procs)]
-
-    def inf_norm(self, xd) -> float:
-        # The flag network: each processor tests its own portion; the global
-        # verdict is the max of local maxima.
-        return max(
-            (float(np.max(np.abs(x))) if x.size else 0.0) for x in xd
-        )
+        return [
+            k @ np.concatenate([x, halo])
+            for k, x, halo in zip(self.local_k, xd, halos)
+        ]
 
     # -------------------------------------------------------------- m-step SSOR
-    def _solve_color(self, p, c, x_sum, y_c, alpha, rd):
-        rows_c = self.rows_of_group[p][c]
-        return (x_sum + y_c + alpha * rd[p][rows_c]) / self.local_diag[p][rows_c]
-
-    def _row_sum(self, p, c, rt_full, js) -> np.ndarray:
-        # The same per-color accumulation the kernel layer's color-block
-        # sweeps run, here over each processor's local sub-blocks: scipy's
-        # compiled CSR matvec accumulates straight into the sum (identical
-        # arithmetic to `acc += block @ x`, one temporary less per block).
-        acc = np.zeros(self.rows_of_group[p][c].size)
-        for j in js:
-            block = self.sweep_blocks[p][c].get(j)
-            if block is not None:
-                matvec_accumulate(block, rt_full[self.cols_of_group[p][j]], acc)
-        return acc
-
     def precondition(
         self,
         coefficients: np.ndarray,
         rd: list[np.ndarray],
         ledger: MessageLedger | None = None,
     ) -> list[np.ndarray]:
-        """Distributed Algorithm 3 (merged Conrad–Wallach sweeps).
+        """Distributed Algorithm 3: Algorithm 2's merged pass list with the
+        border exchanges.
 
         ``rd`` holds one residual as per-processor ``(owned,)`` vectors and
-        ``coefficients`` its ``(m,)`` α schedule; every exchange is booked
-        on ``ledger`` (see :meth:`exchange`).
+        ``coefficients`` its ``(m,)`` α schedule.  Every processor runs each
+        pass over its rows of the color, and the pass solves
+        ``((α·r − y) − acc) / d`` as the serial sweep
+        (:func:`repro.kernels.sweep.sweep_numpy`) does.  The node pair
+        ``(c − 1, c)`` is sent after each odd color's forward pass, the
+        pair ``(c, c + 1)`` after each even color ``c ≥ 2``'s backward
+        pass; every exchange is booked on ``ledger`` (see
+        :meth:`exchange`).
         """
-        nc = self.nc
         coefficients = np.asarray(coefficients, dtype=float)
         m = coefficients.shape[0]
-        n_procs = self.n_procs
-        rt = [np.zeros_like(rd[p]) for p in range(n_procs)]
-        halos = self.new_halos()
-        # rt_full[p]: local [owned | halo] view of r̃, refreshed lazily.
-        rt_full = [
-            np.concatenate([rt[p], halos[p]]) if halos[p].size else rt[p].copy()
-            for p in range(n_procs)
-        ]
-        y = [
-            [np.zeros(self.rows_of_group[p][c].size) for c in range(nc)]
-            for p in range(n_procs)
-        ]
-
-        def refresh(groups, kind):
-            self.exchange(rt, halos, kind=kind, groups=groups, ledger=ledger)
-            for p in range(n_procs):
-                owned_count = self.owned_idx[p].size
-                if halos[p].size:
-                    rt_full[p][:owned_count] = rt[p]
-                    rt_full[p][owned_count:] = halos[p]
-                else:
-                    rt_full[p][:] = rt[p]
-
-        def set_color(p, c, values):
-            rows_c = self.rows_of_group[p][c]
-            rt[p][rows_c] = values
-            rt_full[p][rows_c] = values
-
-        for s in range(1, m + 1):
-            alpha = float(coefficients[m - s])
-            # ---- forward sweep, exchanging after each node-color pair ----
-            for c in range(nc):
-                for p in range(n_procs):
-                    x = -self._row_sum(p, c, rt_full[p], range(c))
-                    set_color(p, c, self._solve_color(p, c, x, y[p][c], alpha, rd))
-                    y[p][c] = x
-                if c % 2 == 1:  # node-color pair (c−1, c) complete
-                    refresh(groups=[c - 1, c], kind="precond_fwd")
-            # ---- backward sweep over interior colors -------------------
-            for c in range(nc - 2, 0, -1):
-                for p in range(n_procs):
-                    x = -self._row_sum(p, c, rt_full[p], range(c + 1, nc))
-                    set_color(p, c, self._solve_color(p, c, x, y[p][c], alpha, rd))
-                    y[p][c] = x
-                if c % 2 == 0:  # after Gu (c = nc−2) and Bu (c = 2) solves
-                    refresh(groups=[c, c + 1], kind="precond_bwd")
-            for p in range(n_procs):
-                y[p][nc - 1] = np.zeros(self.rows_of_group[p][nc - 1].size)
-            # ---- first color: close the step or prepare the next -------
-            for p in range(n_procs):
-                x = -self._row_sum(p, 0, rt_full[p], range(1, nc))
-                if s == m:
-                    rows_0 = self.rows_of_group[p][0]
-                    values = (x + alpha * rd[p][rows_0]) / self.local_diag[p][rows_0]
-                    set_color(p, 0, values)
-                else:
-                    y[p][0] = x
-        return rt
+        # rt[p] is processor p's [owned | halo] r̃; exchanges fill its halo.
+        rt = [np.zeros(k.shape[1]) for k in self.local_k]
+        owned = [x[: r.size] for x, r in zip(rt, rd)]
+        halos = [x[r.size :] for x, r in zip(rt, rd)]
+        y = [np.zeros_like(r) for r in rd]
+        step = 0
+        for ps in mstep_passes(self.nc, m):
+            if ps.s != step:
+                step = ps.s
+                ar = [r * coefficients[m - step] for r in rd]
+            for p, colors in enumerate(self._colors):
+                rows, halves, diag = colors[ps.c]
+                acc = np.zeros_like(diag)
+                _sparsetools.csr_matvec(*halves[ps.upper], rt[p], acc)
+                if ps.do_solve:
+                    z = ar[p][rows] - y[p][rows] if ps.use_y else ar[p][rows]
+                    rt[p][rows] = (z - acc) / diag
+                if ps.store_y:
+                    y[p][rows] = acc
+                if ps.zero_y:
+                    y[p][rows] = 0.0
+            if ps.c % 2 == 1 and not ps.upper:
+                self.exchange(
+                    owned, halos, "precond_fwd", (ps.c - 1, ps.c), ledger
+                )
+            elif ps.c % 2 == 0 and ps.c >= 2 and ps.upper:
+                self.exchange(
+                    owned, halos, "precond_bwd", (ps.c, ps.c + 1), ledger
+                )
+        return owned
 
     # ------------------------------------------------------------------ solve
     def solve(
@@ -407,54 +337,51 @@ class SPMDSolver:
     ) -> SPMDResult:
         """Algorithm 1 for one ``(m, coefficients)`` cell, distributed.
 
-        Every vector lives as per-processor pieces, inner products are
-        rank-order reductions (:meth:`dot`) and the stop test is the flag
-        network's max of local maxima (:meth:`inf_norm`).  The result owns
-        a fresh :class:`MessageLedger`: a second solve on the same solver
+        One :func:`repro.core.pcg.pcg` call whose K·p and M⁻¹r run on the
+        processors (``m = 0`` is plain CG), so the iterate, iteration count
+        and convergence are bitwise the serial solve's.  The result owns a
+        fresh :class:`MessageLedger`: a second solve on the same solver
         reports its own traffic, not a running total.
         """
         coefficients, _ = normalize_cell(m, coefficients)
         ledger = MessageLedger()
-        n_procs = self.n_procs
         f_mc = self.ordering.permute_vector(np.asarray(self.problem.f, dtype=float))
-        maxiter = maxiter if maxiter is not None else 5 * self.n + 100
-
-        def precondition(rd):
-            if m == 0:
-                return [x.copy() for x in rd]
-            return self.precondition(coefficients, rd, ledger=ledger)
-
-        # Startup: u⁰ = 0, r⁰ = f, r̃⁰ = M⁻¹r⁰, p⁰ = r̃⁰, ρ₀.
-        rd = self.scatter(f_mc)
-        ud = [np.zeros_like(x) for x in rd]
-        rtd = precondition(rd)
-        pd = [x.copy() for x in rtd]
-        rho = self.dot(rtd, rd)
-
-        iterations, converged = 0, False
-        for iterations in range(1, maxiter + 1):
-            kpd = self.matvec(pd, self.new_halos(), ledger=ledger)
-            denom = self.dot(pd, kpd)
-            if denom <= 0.0:
-                converged = rho == 0.0
-                break
-            alpha = rho / denom
-            stepd = [alpha * pd[p] for p in range(n_procs)]
-            ud = self.axpy(1.0, stepd, ud)
-            if self.inf_norm(stepd) < eps:
-                converged = True
-                break
-            rd = self.axpy(-alpha, kpd, rd)
-            rtd = precondition(rd)
-            rho_new = self.dot(rtd, rd)
-            beta = rho_new / rho
-            rho = rho_new
-            pd = self.axpy(beta, pd, rtd)
-
-        return SPMDResult(
-            iterations=iterations,
-            converged=converged,
-            u_natural=self.ordering.unpermute_vector(self.gather(ud)),
-            ledger=ledger,
-            n_procs=n_procs,
+        result = pcg(
+            _Product(self, ledger),
+            f_mc,
+            preconditioner=None if m == 0 else _Sweep(self, coefficients, ledger),
+            eps=eps,
+            maxiter=maxiter,
         )
+        return SPMDResult(
+            iterations=result.iterations,
+            converged=result.converged,
+            u_natural=self.ordering.unpermute_vector(result.u),
+            ledger=ledger,
+            n_procs=self.n_procs,
+        )
+
+
+class _Product:
+    """K·x on global vectors: scatter, :meth:`SPMDSolver.matvec`, gather."""
+
+    def __init__(self, solver: SPMDSolver, ledger: MessageLedger):
+        self.solver, self.ledger = solver, ledger
+        self.shape = (solver.n, solver.n)
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        s = self.solver
+        return s.gather(s.matvec(s.scatter(x), s.new_halos(), ledger=self.ledger))
+
+
+class _Sweep:
+    """M⁻¹r on global vectors: scatter, :meth:`SPMDSolver.precondition`,
+    gather."""
+
+    def __init__(self, solver: SPMDSolver, coefficients, ledger: MessageLedger):
+        self.solver, self.coefficients, self.ledger = solver, coefficients, ledger
+
+    def apply(self, r: np.ndarray) -> np.ndarray:
+        s = self.solver
+        rd = s.precondition(self.coefficients, s.scatter(r), ledger=self.ledger)
+        return s.gather(rd)

@@ -8,8 +8,9 @@ pass), across every cell.  The CYBER and FEM passes are each one
 depend on which cells share its pass, also through the ends of a solve
 that a converging schedule never reaches: a breakdown and the ``maxiter``
 cap.  (The clocks themselves are pinned as literals in
-``tests/test_machines_clocks.py``; the SPMD engine solves one cell at a
-time, and its solves are pinned in ``tests/test_machines_spmd.py``.)
+``tests/test_machines_clocks.py``.  The SPMD engine solves one cell at a
+time through the same Algorithm 1, bitwise the serial solve on every
+processor grid; its solves are pinned in ``tests/test_machines_spmd.py``.)
 """
 
 import dataclasses

@@ -103,22 +103,6 @@ def _build_session(args, schedule=None):
     return SolverSession(spec.build(**params), plan=plan)
 
 
-def _calibrated_model(session, which: str = "fem"):
-    """(A, B, B_marginal) calibrated from a simulated machine layout —
-    :meth:`repro.pipeline.SolverSession.calibrated_model`, shared with the
-    serving daemon's ``m = "auto"`` resolution."""
-    return session.calibrated_model(which)
-
-
-def _rhs_block(problem, width: int):
-    """The scenario's own load plus ``width − 1`` deterministic synthetic
-    load cases (the shared construction of
-    :func:`repro.pipeline.synthetic_load_block`)."""
-    from repro.pipeline import synthetic_load_block
-
-    return synthetic_load_block(problem, width)
-
-
 def _cmd_table1(args) -> int:
     from repro.analysis import Table
     from repro.core import (
@@ -166,19 +150,7 @@ def _cmd_solve(args) -> int:
     workers = max(args.workers, 1)
     m, parametrized = args.m, args.parametrized
     if m == "auto":
-        from repro.analysis import PerformanceModel
-        from repro.core.autotune import recommend_m
-
-        model = _calibrated_model(session, args.auto_model)
-        if model is None:
-            model = PerformanceModel(a=1.0, b=0.7)
-            source = "default B/A = 0.7; scenario has no machine layout"
-        else:
-            source = f"{args.auto_model.upper()}-machine calibrated A, B, B_marginal"
-        rec = recommend_m(
-            session.interval, model, m_max=10, width=width,
-            shards=workers, rel_tol=0.05,
-        )
+        rec, source = session.auto_m(width, args.auto_model, shards=workers)
         m, parametrized = rec.m, True
         print(f"auto-tuned m = {m} for RHS width {width} ({source})")
     desc = getattr(problem, "mesh", None)
@@ -202,7 +174,9 @@ def _cmd_solve(args) -> int:
     if workload_spec is not None:
         F = workload_spec.build_block(problem)
     else:
-        F = _rhs_block(problem, width)
+        from repro.pipeline import synthetic_load_block
+
+        F = synthetic_load_block(problem, width)
     # One shard per column at most: the warm-up, the pool and the method
     # line all follow the column groups the solve dispatches.
     workers = min(workers, F.shape[1])
@@ -297,7 +271,6 @@ def _cmd_table2(args) -> int:
     print(table.render())
     if args.m == "auto":
         from repro.analysis.models import effective_optimal_m
-        from repro.core.autotune import recommend_m
 
         width = max(args.rhs, 1)
         if args.workload is not None:
@@ -308,10 +281,7 @@ def _cmd_table2(args) -> int:
                   f"block width {width}")
         for a in meshes:
             session = sessions[a]
-            model = _calibrated_model(session, args.auto_model)
-            rec = recommend_m(
-                session.interval, model, m_max=10, width=width, rel_tol=0.05
-            )
+            rec, _ = session.auto_m(width, args.auto_model)
             measured = {
                 m: res.seconds
                 for (m, par), res in zip(session.plan.schedule, per_mesh[a])

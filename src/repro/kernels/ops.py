@@ -84,10 +84,9 @@ def supports_matvec_block(a) -> bool:
 
     True for float64 CSR with scipy's compiled ``csr_matvecs`` available,
     and for matrix-free operators that declare ``block_matvec_bitwise``
-    (:class:`repro.kernels.stencil.StencilOperator`, the CYBER simulator's
-    matrix by diagonals) — the cases where
+    (:class:`repro.kernels.stencil.StencilOperator`) — the cases where
     every column of the block product is bit-identical to the
-    single-vector form (both accumulate each row's nonzeros in index
+    single-vector form (both accumulate each row's nonzeros in storage
     order).  :func:`repro.core.pcg.block_pcg` uses this to decide between
     one batched product and a per-column loop.
     """

@@ -21,9 +21,12 @@ Reproduces the paper's vector-machine organization faithfully:
   solves over the diagonal storage; both charge the same vector-op stream.
 
 Numerics are exact (NumPy); only the clock is simulated.  Algorithm 1 is
-:func:`repro.core.pcg.block_pcg` over the machine's product by diagonals
+:func:`repro.core.pcg.block_pcg`
 (:meth:`~repro.machines.charges.ChargedMachine.solve_schedule`, one cell
-or a whole schedule), and the clock replays the vector-op stream the
+or a whole schedule) over :attr:`CyberMachine.k`, a CSR whose rows list
+their entries in by-diagonals order, so the shared CSR product
+(:func:`repro.kernels.ops.matvec_into`) sums each row as the machine's
+multiply-add streams do.  The clock replays the vector-op stream the
 machine issues (:attr:`CyberMachine._stream`).  The iterates are identical
 (to roundoff-in-summation-order) to the reference Algorithm 1 on the
 eliminated system, which the tests verify.
@@ -43,7 +46,6 @@ from repro.fem.model_problems import PlateProblem
 from repro.fem.plane_stress import assemble_plate_full
 from repro.kernels import ops as kernel_ops
 from repro.kernels.sweep import mstep_passes
-from repro.kernels.workspace import WorkspacePool
 from repro.machines.charges import ChargedMachine, ChargeStream, Recording
 from repro.machines.diagonals import DiagonalStorage
 from repro.machines.timing import CYBER_203, VectorTimingModel
@@ -78,19 +80,47 @@ class CyberResult:
         )
 
 
+def by_diagonals_csr(slices, diagonals, blocks, free_mask) -> sp.csr_matrix:
+    """The padded ``K`` as a CSR whose rows sum in by-diagonals order.
+
+    A row of color ``c`` lists ``D_c``'s entry, then every stored diagonal
+    of its block row in storage order (a stable sort by row of the
+    concatenated :attr:`DiagonalStorage.terms`, stored zeros included);
+    constrained rows are empty.  A CSR product sums each row from +0.0 in
+    that order, so it is bitwise the machine's multiply-add streams
+    (``diag·x``, then one multiply-add per diagonal) but for one input: a
+    free row whose every product is −0 sums to +0 here, −0 there.
+    Indices are 32-bit, as the compiled product takes.
+    """
+    rows, cols, values = [], [], []
+    for c, sc in enumerate(slices):
+        span = np.arange(sc.start, sc.stop)
+        rows.append(span)
+        cols.append(span)
+        values.append(diagonals[c])
+        for j, storage in blocks[c].items():
+            for k, start, stop, seg in storage.terms:
+                rows.append(span[start:stop])
+                cols.append(np.arange(start + k, stop + k) + slices[j].start)
+                values.append(seg)
+    rows = np.concatenate(rows)
+    order = np.argsort(rows, kind="stable")
+    order = order[free_mask[rows[order]]]
+    n = free_mask.size
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows[order], minlength=n), out=indptr[1:])
+    data, indices = np.concatenate(values)[order], np.concatenate(cols)[order]
+    return sp.csr_matrix((data, indices.astype(np.int32), indptr), shape=(n, n))
+
+
 class CyberMachine(ChargedMachine):
     """The plate problem laid out for the CYBER, ready to solve repeatedly.
 
-    The machine is also its own operator ``K`` — ``shape``, ``dtype``,
-    :meth:`matvec_into` and :meth:`matvec_accumulate` over the matrix by
-    diagonals — so :meth:`solve` and :meth:`solve_schedule` run their cells
-    through :func:`~repro.core.pcg.block_pcg`.
+    :meth:`solve` and :meth:`solve_schedule` run their cells through
+    :func:`~repro.core.pcg.block_pcg` on :attr:`k`, the padded system as a
+    CSR in by-diagonals order (:func:`by_diagonals_csr`), and charge each
+    ``K p`` as the stream of one multiply-add per stored diagonal.
     """
-
-    #: Block products are per-column bitwise the vector product
-    #: (see :func:`repro.kernels.ops.supports_matvec_block`).
-    block_matvec_bitwise = True
-    dtype = np.dtype(np.float64)
 
     def __init__(
         self,
@@ -113,17 +143,16 @@ class CyberMachine(ChargedMachine):
         k_full, f_full = assemble_plate_full(
             mesh, problem.material, element_scale=problem.element_scale
         )
+        self._k_full = k_full  # the padded system _sweep_kernel masks
         permuted = self.ordering.permute_matrix(k_full)
         self.slices = self.ordering.group_slices
         self.n_groups = 6
         self.n_padded = 2 * n_nodes
-        self.shape = (self.n_padded, self.n_padded)
 
         # Control vector: True on unconstrained slots (multicolor order).
         free = np.repeat(~mesh.is_constrained, 2)
         self.free_mask = self.ordering.permute_vector(free)
         self.group_free = [self.free_mask[s] for s in self.slices]
-        self._constrained = np.flatnonzero(~self.free_mask)
 
         # Blocks by diagonals: D_c plus every off-diagonal block.
         self.diagonals = []
@@ -143,6 +172,10 @@ class CyberMachine(ChargedMachine):
                     if storage.n_diagonals:
                         row_blocks[j] = storage
             self.blocks.append(row_blocks)
+        #: ``K`` as block_pcg multiplies it: masked, in by-diagonals order.
+        self.k = by_diagonals_csr(
+            self.slices, self.diagonals, self.blocks, self.free_mask
+        )
 
         # Right-hand side, masked to the free slots.
         f_mc = self.ordering.permute_vector(f_full)
@@ -153,50 +186,16 @@ class CyberMachine(ChargedMachine):
             (s.stop - s.start) for s in self.slices
         )
         self._merged_sweep: MStepSSOR | None = None
-        self.workspace = WorkspacePool()  # matvec_accumulate's K·x block
 
     # ------------------------------------------------------------- primitives
-    def matvec_into(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """``out ← K x`` color row by color row, by diagonals, masked.
-
-        ``x`` is an ``(n,)`` vector or an ``(n, k)`` block; every column
-        of a block undergoes exactly the elementwise multiply-adds of a
-        vector, so it is bit-identical to its single product.  Nothing is
-        charged here — :meth:`_charge_matvec` books the stream.
-
-        Each diagonal is :meth:`DiagonalStorage.matvec`'s multiply, into
-        one pooled scratch, then its add: the same bits, and no
-        temporary per diagonal.
-        """
-        scratch = self.workspace.get(
-            "kx_diag", (self.max_vector_length,) + x.shape[1:]
-        )
-        for c, sc in enumerate(self.slices):
-            acc = kernel_ops.row_scale(x[sc], self.diagonals[c], out=out[sc])
-            for j, storage in self.blocks[c].items():
-                xj = x[self.slices[j]]
-                for k, start, stop, seg in storage.terms:
-                    acc[start:stop] += np.multiply(
-                        seg if x.ndim == 1 else seg[:, None],
-                        xj[start + k : stop + k],
-                        out=scratch[: stop - start],
-                    )
-        out[self._constrained] = 0.0
-        return out
-
-    def matvec_accumulate(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """``out += K x`` (the block product :func:`block_pcg` batches),
-        through one pooled scratch block per machine."""
-        out += self.matvec_into(x, self.workspace.get("kx", out.shape))
-        return out
-
     def _charge_matvec(self, out) -> None:
-        """Charge one ``K x`` by diagonals (:meth:`matvec_into`) to ``out``.
+        """Charge one ``K x`` by diagonals to ``out``.
 
         One ``multiply`` per color row and one ``diag_madd`` per stored
         diagonal, each at its own length: the vector-op stream the
         matrix-by-diagonals product issues on the machine, onto the
-        :class:`~repro.machines.charges.Recording` ``out``.
+        :class:`~repro.machines.charges.Recording` ``out``.  The numbers
+        come from :attr:`k`, whose rows sum in this stream's order.
         """
         for c in range(self.n_groups):
             out.charge("multiply", self.timing.vector_op_time(self.diagonals[c].shape[0]))
@@ -302,16 +301,7 @@ class CyberMachine(ChargedMachine):
         for one right-hand side, ``(m, k)`` for an ``(n, k)`` block.
         """
         if self._merged_sweep is None:
-            # Reassemble the padded system only when the kernel path first
-            # needs it: a machine that runs the reference sweeps keeps the
-            # diagonal-storage footprint the storage_report() ledger
-            # documents.
-            k, _ = assemble_plate_full(
-                self.problem.mesh,
-                self.problem.material,
-                element_scale=self.problem.element_scale,
-            )
-            k = k.tocsr()
+            k = self._k_full.tocsr()
             mask = sp.diags(
                 np.repeat(~self.problem.mesh.is_constrained, 2).astype(float)
             )
@@ -383,9 +373,9 @@ class CyberMachine(ChargedMachine):
 
     # ------------------------------------------------------------------ solve
     def _system(self):
-        """The schedule pass's operator and load: the machine itself (its
-        product by diagonals) and the masked right-hand side."""
-        return self, self.f
+        """The schedule pass's operator and load: :attr:`k` and the masked
+        right-hand side."""
+        return self.k, self.f
 
     def _charged_result(
         self, m: int, parametrized: bool, preconditioned: bool, solve: PCGResult

@@ -71,8 +71,10 @@ class DiagonalStorage:
     @cached_property
     def terms(self) -> tuple[tuple[int, int, int, np.ndarray], ...]:
         """``(offset, start, stop, values)`` per diagonal, ``start … stop``
-        its valid row range: resolved once, for the products and charge
-        streams that walk every diagonal per call."""
+        its valid row range: resolved once, for the charge streams and
+        reference sweeps that walk every diagonal per call, and for the
+        CYBER's by-diagonals CSR
+        (:func:`repro.machines.cyber.by_diagonals_csr`)."""
         nrows, ncols = self.shape
         return tuple(
             (k, max(0, -k), min(nrows, ncols - k), seg)

@@ -435,9 +435,8 @@ class SolverSession:
         (the CYBER vector timing model).  Returns ``None`` when the
         problem has no plate mesh to lay a machine out on — callers fall
         back to a default B/A ratio.  The machine itself comes from the
-        session's cache, so repeated calibrations build nothing.  Shared
-        by the CLI's ``--m auto`` and the serving daemon's ``m = "auto"``
-        resolution.
+        session's cache, so repeated calibrations build nothing.
+        :meth:`auto_m` prices ``m = "auto"`` on it.
         """
         from repro.analysis import PerformanceModel
         from repro.fem.model_problems import PlateProblem
@@ -454,6 +453,33 @@ class SolverSession:
         return PerformanceModel.from_machine(
             self.cyber() if which == "cyber" else self.fem(1)
         )
+
+    def auto_m(self, width: int = 1, which: str = "fem", shards: int = 1):
+        """``m = "auto"``: the width-aware (4.2) recommendation for this
+        problem, shared by the CLI's ``--m auto`` and the serving daemon.
+
+        Prices m ≤ 10 on :meth:`calibrated_model` (``which`` machine), or
+        on B/A = 0.7 when the problem has no machine layout, for a
+        ``width``-wide block over ``shards`` workers, and picks the
+        smallest m within 5% of the predicted optimum
+        (:func:`repro.core.autotune.recommend_m`).  Returns the
+        :class:`~repro.core.autotune.MRecommendation` and a phrase naming
+        the model it was priced on.
+        """
+        from repro.analysis import PerformanceModel
+        from repro.core.autotune import recommend_m
+
+        model = self.calibrated_model(which)
+        if model is None:
+            model = PerformanceModel(a=1.0, b=0.7)
+            source = "default B/A = 0.7; scenario has no machine layout"
+        else:
+            source = f"{which.upper()}-machine calibrated A, B, B_marginal"
+        rec = recommend_m(
+            self.interval, model, m_max=10, width=width, shards=shards,
+            rel_tol=0.05,
+        )
+        return rec, source
 
     def close(self) -> None:
         """Release this session's shared-memory publications (idempotent).

@@ -194,11 +194,14 @@ class SessionCache:
         m, parametrized = request.m, request.parametrized
         blocked = interval = None
         if m == "auto":
+            # Priced once per cached system, at the batcher's width (the
+            # width hot traffic rides at), on an m = 0 probe of the
+            # request's problem and backend.
             probe = SolverSession(
                 problem,
                 plan=SolverPlan.single(0, eps=request.eps, backend=request.backend),
             )
-            m, parametrized = self._resolve_auto_m(probe), True
+            m, parametrized = probe.auto_m(self.auto_width)[0].m, True
             # The served session reuses the probe's interval and, on the
             # assembled backends, the blocked system it was measured on.
             interval = probe.interval
@@ -218,28 +221,6 @@ class SessionCache:
             key=key, session=session, m=m, parametrized=parametrized,
             n=int(np.asarray(problem.f).shape[0]),
         )
-
-    def _resolve_auto_m(self, probe: SolverSession) -> int:
-        """``m = "auto"`` → the width-aware (4.2) recommendation.
-
-        Priced once per cached system at the batcher's width — the width
-        hot traffic actually rides at — on an m = 0 ``probe`` session of
-        the request's problem and backend, using the FEM-machine-calibrated
-        model when the scenario carries a plate mesh (the same resolution
-        the CLI's ``--m auto`` performs, via
-        :meth:`SolverSession.calibrated_model`).
-        """
-        from repro.analysis import PerformanceModel
-        from repro.core.autotune import recommend_m
-
-        model = probe.calibrated_model()
-        if model is None:
-            model = PerformanceModel(a=1.0, b=0.7)
-        rec = recommend_m(
-            probe.interval, model, m_max=10, width=self.auto_width,
-            rel_tol=0.05,
-        )
-        return rec.m
 
     def close_all(self) -> None:
         """Close every cached session (shutdown path; idempotent)."""
@@ -670,23 +651,6 @@ def start_server_thread(
     return ServerHandle(server, thread)
 
 
-def main(argv=None) -> int:
-    """``python -m repro serve`` entry point (argparse in repro.cli)."""
-    import argparse
-
-    parser = argparse.ArgumentParser(description="repro solver daemon")
-    parser.add_argument("--host", default="127.0.0.1")
-    parser.add_argument("--port", type=int, default=7083)
-    parser.add_argument("--batch-window", type=float, default=0.005)
-    parser.add_argument("--max-batch", type=int, default=8)
-    parser.add_argument("--capacity", type=int, default=8)
-    args = parser.parse_args(argv)
-    return run_daemon(
-        host=args.host, port=args.port, batch_window=args.batch_window,
-        max_batch=args.max_batch, capacity=args.capacity,
-    )
-
-
 def run_daemon(
     host: str = "127.0.0.1",
     port: int = 7083,
@@ -701,7 +665,3 @@ def run_daemon(
     )
     asyncio.run(_serve_main(server, banner=True))
     return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

@@ -443,10 +443,13 @@ class TestWorkspacePool:
         # The CYBER schedule's per-m groups alternate block widths every
         # iteration; a second pass must find every pooled buffer in place,
         # and no block K·p may allocate an (n, a) temporary of its own.
+        import importlib
         import tracemalloc
 
-        from repro.machines.cyber import CyberMachine
         from repro.pipeline import SolverPlan, SolverSession
+
+        # The module, not the package's pcg function of the same name.
+        pcg_mod = importlib.import_module("repro.core.pcg")
 
         session = SolverSession.from_scenario(
             "plate", plan=SolverPlan.table2(), nrows=41
@@ -460,30 +463,31 @@ class TestWorkspacePool:
             return allocate(self, size, dtype)
 
         products = []  # (peak bytes allocated during the call, block bytes)
-        accumulate = CyberMachine.matvec_accumulate
+        product = pcg_mod.matvec_into
 
-        def measured(self, x, out):
+        def measured(k, x, out):
             base = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            accumulate(self, x, out)
-            products.append((tracemalloc.get_traced_memory()[1] - base, out.nbytes))
+            product(k, x, out)
+            if out.ndim == 2:
+                products.append(
+                    (tracemalloc.get_traced_memory()[1] - base, out.nbytes)
+                )
             return out
 
         monkeypatch.setattr(WorkspacePool, "_allocate", counted)
-        monkeypatch.setattr(CyberMachine, "matvec_accumulate", measured)
+        monkeypatch.setattr(pcg_mod, "matvec_into", measured)
         tracemalloc.start()
         try:
             session.run_cyber_schedule()
         finally:
             tracemalloc.stop()
         assert allocations == []
-        assert products  # the schedule's block K·p ran through the machine
-        # The by-diagonals product multiplies each diagonal into one
-        # pooled scratch.  What a call still allocates is numpy's own
-        # iterator buffer for a broadcast multiply (at most one color's
-        # rows, a sixth of the block here) plus views; a temporary per
-        # diagonal would add another color's rows on top (≥ 0.34 of a
-        # block at a = 41).
+        assert products  # the schedule's block K·p ran where block_pcg calls it
+        # The machine's CSR runs the compiled product or scipy's
+        # csr_matvecs in place: a call allocates views and call overhead,
+        # never an (n, a) temporary (a color's rows alone, a sixth of the
+        # block, would already be ≥ 0.16 of it).
         assert all(peak < 0.25 * block for peak, block in products), max(
             peak / block for peak, block in products
         )

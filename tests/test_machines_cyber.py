@@ -5,6 +5,7 @@ import pytest
 
 from repro import plate_problem, solve_mstep_ssor
 from repro.driver import build_blocked_system, mstep_coefficients, ssor_interval
+from repro.kernels import ops
 from repro.machines import CYBER_203, CYBER_205, CyberMachine
 
 
@@ -97,6 +98,64 @@ class TestNumericalEquivalence:
         # by solving once more and examining the padded result through the
         # matvec: masked rows contribute nothing.
         assert sim.u_natural.shape == (plate.n,)
+
+
+def by_diagonals(machine, x):
+    """``K x`` as the machine's multiply-add streams sum it: ``diag·x``
+    first, then each block's stored diagonals in storage order, with the
+    constrained rows set to 0."""
+    def rows(v):
+        return v if x.ndim == 1 else v[:, None]
+
+    out = np.empty_like(x)
+    for c, sc in enumerate(machine.slices):
+        acc = out[sc]
+        np.multiply(x[sc], rows(machine.diagonals[c]), out=acc)
+        for j, storage in machine.blocks[c].items():
+            xj = x[machine.slices[j]]
+            for k, start, stop, seg in storage.terms:
+                acc[start:stop] += rows(seg) * xj[start + k : stop + k]
+    out[~machine.free_mask] = 0.0
+    return out
+
+
+class TestProductByDiagonals:
+    """Every K·p runs on ``machine.k`` through the shared CSR product,
+    whose rows list their entries in by-diagonals order."""
+
+    @pytest.fixture(scope="class", params=[12, 20, 41])
+    def sized(self, request):
+        return CyberMachine(plate_problem(request.param))
+
+    @pytest.mark.parametrize("width", [1, 2, 5, 8, 13])
+    def test_csr_product_is_the_by_diagonals_sum(self, sized, width):
+        rng = np.random.default_rng(width)
+        x = rng.normal(size=(sized.n_padded,) if width == 1 else (sized.n_padded, width))
+        flat = x.reshape(-1)
+        plant = rng.random(flat.size)
+        flat[plant < 0.1] = 0.0
+        flat[plant > 0.9] = -0.0
+        got = ops.matvec_into(sized.k, x, np.empty_like(x))
+        assert got.tobytes() == by_diagonals(sized, x).tobytes()
+
+    def test_a_row_of_negative_zero_products_sums_to_positive_zero(self):
+        # The one input where the two differ.  The streams start the row
+        # at diag·x = −0 and keep it; the CSR row starts at +0.0, and
+        # +0 + −0 = +0.
+        machine = CyberMachine(plate_problem(12))
+        row = 144
+        assert machine.free_mask[row]
+        k = machine.k
+        span = slice(k.indptr[row], k.indptr[row + 1])
+        x = np.ones(machine.n_padded)
+        # Each product of the row is −0: x's zero takes the other sign.
+        x[k.indices[span]] = np.copysign(0.0, -np.copysign(1.0, k.data[span]))
+        got = ops.matvec_into(k, x, np.empty_like(x))
+        ref = by_diagonals(machine, x)
+        assert ref[row] == 0.0 and np.signbit(ref[row])
+        assert got[row] == 0.0 and not np.signbit(got[row])
+        others = np.arange(machine.n_padded) != row
+        assert got[others].tobytes() == ref[others].tobytes()
 
 
 class TestTiming:
